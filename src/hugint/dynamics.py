@@ -13,7 +13,7 @@ structure of the one-sided derivative operators, reduces to
 The flow preserves phase-space volume, ||v(t)||, and f(x(t)), and is
 time-reversible.  This module evaluates the field (in both the grouped and
 reduced forms, kept separate so they can cross-check each other), integrates
-it accurately with the checked RK4 solver, embeds flow solutions into
+it accurately with a self-checked DOP853 solve, embeds flow solutions into
 discrete-looking sequences via the sign-alternating velocity
 
     X_k = x(k delta),    V_k = v_par(k delta) + (-1)^k v_perp(k delta),
@@ -25,18 +25,59 @@ against the flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from .constraints import ConstraintMap
+from .errors import ReferenceSolveError
 from .integrator import PhaseState, hug_step
 from .projectors import ProjectorBundle, build_bundle, hessian_slice, nprime_par, nprime_perp
-from .rk4 import rk4_checked
 
-#: Default RK4 resolution for reference solves; leaves errors near roundoff
-#: for the smooth benchmark problems used here.
-REFERENCE_STEPS_PER_UNIT = 2048.0
-REFERENCE_CHECK_TOL = 1e-10
+#: (rtol, atol) of the coarse and the fine DOP853 solve behind every
+#: reference solution; the fine one is returned.
+REFERENCE_TOLERANCES = ((1e-12, 1e-14), (1e-13, 1e-15))
+#: Largest gap allowed between the two solves at any output time.
+REFERENCE_MAX_GAP = 1e-10
+
+Field = Callable[[float, np.ndarray], np.ndarray]
+
+
+def checked_solve(field: Field, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Integrate y' = field(t, y) through nondecreasing ``times`` with DOP853.
+
+    The solve runs at both :data:`REFERENCE_TOLERANCES`.  If y0 is not
+    finite, either solve reports failure, or the two differ by more than
+    :data:`REFERENCE_MAX_GAP` at any output time, the solution is not trusted
+    and :class:`ReferenceSolveError` is raised.  Returns the fine solution,
+    of shape (len(times), len(y0)): row 0 is y0 itself (times[0] is the
+    initial time) and repeated times give identical rows.
+    """
+    times = np.asarray(times, dtype=float)
+    y0 = np.asarray(y0, dtype=float)
+    if np.any(np.diff(times) < 0.0):
+        raise ValueError("times must be nondecreasing")
+    if not np.isfinite(y0).all():
+        raise ReferenceSolveError(f"initial state is not finite: {y0!r}")
+    grid, index = np.unique(times, return_inverse=True)
+    solves = []
+    for rtol, atol in REFERENCE_TOLERANCES:
+        ys = np.tile(y0, (grid.size, 1))
+        if grid.size > 1:
+            sol = solve_ivp(field, (grid[0], grid[-1]), y0, method="DOP853",
+                            t_eval=grid, rtol=rtol, atol=atol)
+            if not sol.success:
+                raise ReferenceSolveError(f"DOP853 failed at rtol={rtol:.0e}: {sol.message}")
+            ys[1:] = sol.y.T[1:]
+        solves.append(ys)
+    coarse, fine = solves
+    gap = float(np.max(np.linalg.norm(coarse - fine, axis=1)))
+    if not np.isfinite(gap) or gap > REFERENCE_MAX_GAP:
+        raise ReferenceSolveError(
+            f"tolerance check failed: max gap {gap:.3e} > {REFERENCE_MAX_GAP:.3e}"
+        )
+    return fine[index]
 
 
 def split_velocity(bundle: ProjectorBundle, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,27 +190,17 @@ class FlowSolution:
     vs: np.ndarray
 
 
-def reference_solve(
-    constraint: ConstraintMap,
-    initial: PhaseState,
-    times: np.ndarray,
-    steps_per_unit: float = REFERENCE_STEPS_PER_UNIT,
-    check_tol: float = REFERENCE_CHECK_TOL,
-) -> FlowSolution:
-    """Integrate the flow from ``initial`` through ``times`` with checked RK4."""
+def reference_solve(constraint: ConstraintMap, initial: PhaseState, times: np.ndarray) -> FlowSolution:
+    """Integrate the flow from ``initial`` through ``times`` with :func:`checked_solve`."""
     times = np.asarray(times, dtype=float)
     n = constraint.ambient_dim
     y0 = np.concatenate([initial.x, initial.v])
-    ys = rk4_checked(phase_field(constraint), y0, times, steps_per_unit, check_tol)
+    ys = checked_solve(phase_field(constraint), y0, times)
     return FlowSolution(times=times, xs=ys[:, :n], vs=ys[:, n:])
 
 
 def component_solve(
-    constraint: ConstraintMap,
-    initial: PhaseState,
-    times: np.ndarray,
-    steps_per_unit: float = REFERENCE_STEPS_PER_UNIT,
-    check_tol: float = REFERENCE_CHECK_TOL,
+    constraint: ConstraintMap, initial: PhaseState, times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate the split system; returns (xs, v_par, v_perp) at the times.
 
@@ -181,16 +212,12 @@ def component_solve(
     bundle = build_bundle(constraint, initial.x)
     v_par, v_perp = split_velocity(bundle, initial.v)
     y0 = np.concatenate([initial.x, v_par, v_perp])
-    ys = rk4_checked(component_field(constraint), y0, times, steps_per_unit, check_tol)
+    ys = checked_solve(component_field(constraint), y0, times)
     return ys[:, :n], ys[:, n : 2 * n], ys[:, 2 * n :]
 
 
 def embedded_sequence(
-    constraint: ConstraintMap,
-    initial: PhaseState,
-    delta: float,
-    steps: int,
-    steps_per_unit: float = REFERENCE_STEPS_PER_UNIT,
+    constraint: ConstraintMap, initial: PhaseState, delta: float, steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample the flow at step times and alternate the normal velocity sign.
 
@@ -200,7 +227,7 @@ def embedded_sequence(
     only O(delta^2) residuals (see :func:`step_residuals`).
     """
     times = delta * np.arange(steps + 1)
-    sol = reference_solve(constraint, initial, times, steps_per_unit)
+    sol = reference_solve(constraint, initial, times)
     X = sol.xs.copy()
     V = np.empty_like(sol.vs)
     for k in range(steps + 1):
@@ -279,11 +306,7 @@ def fit_order(deltas: np.ndarray, errors: np.ndarray, floor: float = 1e-12) -> f
 
 
 def convergence_study(
-    constraint: ConstraintMap,
-    initial: PhaseState,
-    deltas: np.ndarray,
-    horizon: float = 1.0,
-    steps_per_unit: float = REFERENCE_STEPS_PER_UNIT,
+    constraint: ConstraintMap, initial: PhaseState, deltas: np.ndarray, horizon: float = 1.0
 ) -> ConvergenceStudy:
     """Measure one-step, two-step, and global errors for each step size.
 
@@ -297,7 +320,7 @@ def convergence_study(
     for i, delta in enumerate(deltas):
         K = max(2, int(round(horizon / delta)))
         times = delta * np.arange(K + 1)
-        sol = reference_solve(constraint, initial, times, steps_per_unit)
+        sol = reference_solve(constraint, initial, times)
         x, v = initial.x.copy(), initial.v.copy()
         errs = np.empty(K)
         for k in range(K):

@@ -34,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import checked_solve
 from .errors import DimensionError, OffLevelSetError
 from .integrator import PhaseState
-from .rk4 import rk4_checked
 
 #: Relative tolerance used to call a configuration a separatrix.
 SEPARATRIX_RTOL = 1e-12
@@ -167,20 +167,13 @@ def reduced_derivative(model: EllipseModel, state: ReducedState) -> tuple[float,
     return float(dphi), float(dp)
 
 
-def reduced_solve(
-    model: EllipseModel,
-    initial: ReducedState,
-    times: np.ndarray,
-    steps_per_unit: float = 4096.0,
-    check_tol: float = 1e-10,
-) -> np.ndarray:
+def reduced_solve(model: EllipseModel, initial: ReducedState, times: np.ndarray) -> np.ndarray:
     """Integrate the reduced system through the given times.
 
     Returns an array of shape (len(times), 2) with columns (phi, p).
     """
     y0 = np.array([initial.phi, initial.p])
-    return rk4_checked(reduced_field(model, initial.speed), y0, np.asarray(times, float),
-                       steps_per_unit, check_tol)
+    return checked_solve(reduced_field(model, initial.speed), y0, times)
 
 
 @dataclass(frozen=True)
@@ -246,11 +239,7 @@ def libration_turning_points(model: EllipseModel, state: ReducedState) -> tuple[
 
 
 def integrated_angle_extreme(
-    model: EllipseModel,
-    initial: ReducedState,
-    t_final: float,
-    dt: float = 1e-2,
-    steps_per_unit: float = 4096.0,
+    model: EllipseModel, initial: ReducedState, t_final: float, dt: float = 1e-2
 ) -> float:
     """Maximum of |phi(t)| on [0, t_final] measured from an integration.
 
@@ -259,7 +248,7 @@ def integrated_angle_extreme(
     to far better accuracy than the grid spacing.
     """
     times = np.arange(0.0, t_final + dt, dt)
-    ys = reduced_solve(model, initial, times, steps_per_unit)
+    ys = reduced_solve(model, initial, times)
     phi = np.abs(ys[:, 0])
     i = int(np.argmax(phi))
     if i == 0 or i == len(phi) - 1:

@@ -211,9 +211,9 @@ def run_table1(config: ExperimentConfig) -> dict:
     one = np.empty(len(deltas))
     two = np.empty(len(deltas))
     for i, delta in enumerate(deltas):
-        sol = reference_solve(constraint, initial, np.array([0.0, delta, 2.0 * delta]))
         x1, v1 = hug_step(constraint, initial.x, initial.v, delta)
         x2, _ = hug_step(constraint, x1, v1, delta)
+        sol = reference_solve(constraint, initial, np.array([0.0, delta, 2.0 * delta]))
         one[i] = np.linalg.norm(x1 - sol.xs[1])
         two[i] = np.linalg.norm(x2 - sol.xs[2])
     rows = []
@@ -296,9 +296,7 @@ def run_phase_portrait(config: ExperimentConfig) -> dict:
             class_rows.append(
                 (point_id, phi0, p0, result.kind, result.kappa, phi_min, phi_max)
             )
-            orbit = reduced_solve(
-                model, state, sample_times, steps_per_unit=256.0, check_tol=1e-7
-            )
+            orbit = reduced_solve(model, state, sample_times)
             for t, (phi, p) in zip(sample_times, orbit):
                 orbit_rows.append((point_id, t, phi, p))
             point_id += 1

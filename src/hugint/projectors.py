@@ -86,6 +86,8 @@ def build_bundle(constraint: ConstraintMap, x: np.ndarray) -> ProjectorBundle:
         signs = np.where(np.diag(R) < 0.0, -1.0, 1.0)
         Q = Q * signs
         R = signs[:, None] * R
+        if not np.isfinite(R).all():
+            raise SingularGeometryError(x, "Jacobian is not finite")
         d = np.abs(np.diag(R))
         if d.max() == 0.0 or d.min() <= RANK_RTOL * d.max():
             raise SingularGeometryError(x, f"diag(R) spans {d.min():.2e}..{d.max():.2e}")

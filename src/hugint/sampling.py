@@ -131,9 +131,9 @@ def random_walk_kernel(
 class ChainRecord:
     """States and acceptance bookkeeping of a sampling run.
 
-    ``states`` has shape (iterations + 1, n); row i is the state after
-    iteration i (row 0 is the initial state, taken after any interleaved
-    move of that iteration when one is configured).
+    ``states`` has shape (iterations + 1, n); row 0 is the initial state
+    and row i + 1 is the state after iteration i, taken after that
+    iteration's interleaved random-walk move when one is configured.
     """
 
     states: np.ndarray

@@ -1,0 +1,73 @@
+"""Reference solver: accuracy, the output-time contract, and the two-solve self-check."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from scipy.integrate import solve_ivp
+
+from hugint.dynamics import REFERENCE_TOLERANCES, checked_solve
+from hugint.errors import ReferenceSolveError
+
+
+def decay(t, y):
+    return -y
+
+
+def test_checked_solve_linear_decay():
+    times = np.linspace(0.0, 2.0, 9)
+    ys = checked_solve(decay, np.array([1.0]), times)
+    assert np.abs(ys[:, 0] - np.exp(-times)).max() < 1e-12
+    assert ys[0, 0] == 1.0  # row 0 is the initial condition
+
+
+def test_checked_solve_hits_output_times_exactly():
+    times = np.array([0.0, 0.3, 0.35, 1.0])
+    ys = checked_solve(decay, np.array([2.0]), times)
+    assert np.abs(ys[:, 0] - 2.0 * np.exp(-times)).max() < 1e-12
+
+
+def test_checked_solve_rejects_decreasing_times():
+    with pytest.raises(ValueError):
+        checked_solve(decay, np.array([1.0]), np.array([0.0, 1.0, 0.5]))
+
+
+def test_checked_solve_repeated_time_is_held():
+    times = np.array([0.0, 0.5, 0.5, 1.0])
+    ys = checked_solve(decay, np.array([1.0]), times)
+    assert ys[1, 0] == ys[2, 0]
+
+
+def test_checked_solve_single_time_is_initial_state():
+    ys = checked_solve(decay, np.array([1.0, 2.0]), np.array([0.7]))
+    assert np.array_equal(ys, [[1.0, 2.0]])
+
+
+def test_checked_solve_returns_fine_solution():
+    times = np.linspace(0.0, 1.0, 5)
+    checked = checked_solve(decay, np.array([1.0]), times)
+    rtol, atol = REFERENCE_TOLERANCES[-1]
+    fine = solve_ivp(decay, (0.0, 1.0), np.array([1.0]), method="DOP853",
+                     t_eval=times, rtol=rtol, atol=atol)
+    assert np.array_equal(checked[1:], fine.y.T[1:])
+
+
+def test_checked_solve_raises_on_solver_failure():
+    # y' = y^2 from 1 blows up at t = 1
+    with pytest.raises(ReferenceSolveError, match="DOP853 failed"):
+        checked_solve(lambda t, y: y**2, np.array([1.0]), np.array([0.0, 2.0]))
+
+
+def test_checked_solve_raises_on_non_finite_initial_state():
+    with pytest.raises(ReferenceSolveError, match="not finite"):
+        checked_solve(decay, np.array([np.nan, 1.0]), np.array([0.0, 1.0]))
+
+
+def test_checked_solve_raises_when_tolerances_disagree():
+    # a 40 rad/s spin accumulates a relative phase error at each tolerance;
+    # on a circle of radius 1000 the two solves end ~3e-9 apart
+    def spin(t, y):
+        return np.array([-40.0 * y[1], 40.0 * y[0]])
+
+    with pytest.raises(ReferenceSolveError, match="tolerance check failed"):
+        checked_solve(spin, np.array([1000.0, 0.0]), np.array([0.0, 1.0]))

@@ -69,12 +69,21 @@ def test_main_exit_2_on_missing_required_setting(tmp_path, capsys):
 
 
 def test_main_exit_3_on_singular_geometry(tmp_path, capsys):
-    """A fold-back whose first midpoint is the origin hits a zero gradient."""
+    """A fold-back whose first midpoint is the origin hits a zero gradient,
+    and a codim-2 error table from a non-finite start hits a NaN Jacobian."""
     config_file = tmp_path / "singular.json"
     config_file.write_text(json.dumps({"x0": [-0.05, 0.0], "v0": [1.0, 0.0]}))
     code = main(
         ["foldback", "--config", str(config_file), "--out", str(tmp_path)]
     )
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+    config_file.write_text(json.dumps(
+        {"constraint": {"kind": "sliced"}, "x0": [float("nan"), 0.5, 0.5], "v0": [1.0, 0.0, 0.0]}
+    ))
+    assert "NaN" in config_file.read_text()
+    code = main(["table1", "--config", str(config_file), "--out", str(tmp_path)])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
 

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import MAP_KINDS, make_map
-from hugint.constraints import CallableConstraint, QuadricConstraint, SphereConstraint
+from hugint.constraints import (
+    CallableConstraint,
+    QuadricConstraint,
+    SphereConstraint,
+    SphereSlicedConstraint,
+)
 from hugint.errors import SingularGeometryError
 from hugint.projectors import (
     build_bundle,
@@ -65,6 +70,14 @@ def test_singular_gradient_raises_with_point():
     with pytest.raises(SingularGeometryError) as info:
         build_bundle(q, np.zeros(2))
     assert np.allclose(info.value.x, 0.0)
+
+
+@pytest.mark.parametrize("constraint", [SphereConstraint(3), SphereSlicedConstraint(3)],
+                         ids=["codim1", "codim2"])
+def test_non_finite_point_raises_with_point(constraint):
+    with pytest.raises(SingularGeometryError) as info:
+        build_bundle(constraint, np.array([np.nan, 0.5, 0.5]))
+    assert np.isnan(info.value.x[0])
 
 
 def test_rank_deficient_jacobian_raises():
