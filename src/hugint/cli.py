@@ -1,10 +1,12 @@
 """Command-line entry point: one subcommand per experiment.
 
-Settings come from an optional JSON config file (keys matching
-:class:`~hugint.experiments.ExperimentConfig`) overridden by command-line
-flags.  Every run writes its data files plus a manifest JSON into the output
-directory.  Exit codes: 0 on success, 2 on configuration errors, 3 on
-numerical failures.
+Subcommands, their help lines and their flags come from the experiment table,
+:data:`hugint.experiments.EXPERIMENTS`.  Settings come from an optional JSON
+config file (keys matching :class:`~hugint.experiments.ExperimentConfig`)
+overridden by command-line flags; unset fields take the experiment's defaults.
+Every run writes its data files plus a manifest JSON, recording the resolved
+config, into the output directory.  Exit codes: 0 on success, 2 on
+configuration errors, 3 on numerical failures.
 """
 
 from __future__ import annotations
@@ -14,18 +16,23 @@ import json
 import sys
 
 from .errors import HugError
-from .experiments import RUNNERS, ConfigError, ExperimentConfig
+from .experiments import EXPERIMENTS, RUNNERS, ConfigError, ExperimentConfig
 from .output import ManifestTimer, write_manifest
 
-_EXPERIMENT_HELP = {
-    "table1": "one- and two-step position errors of the benchmark per step size",
-    "convergence": "fitted convergence orders (one-step, two-step, global)",
-    "phase-portrait": "classified grid of reduced ellipse trajectories",
-    "foldback": "discrete fold-back trajectory vs. the flow it shadows",
-    "ellipsoid": "d_max scatter/ECDF over random unit velocities on an ellipsoid",
-    "ecdf": "matched-step d_max ECDF comparison between the 3-D and 6-D presets",
-    "sphere-tail": "tail probability of |u.v| for v uniform on a sphere",
-    "chain": "sampling chain on a Gaussian target with interleaved random walks",
+#: ``add_argument`` settings of each config field an experiment may take as a flag.
+FLAGS = {
+    "t_end": dict(type=float, help="time horizon"),
+    "delta": dict(type=float, help="step size"),
+    "steps": dict(type=int, help="steps per trajectory"),
+    "dim": dict(type=int, help="ambient dimension"),
+    "h": dict(type=float, help="threshold in [0, 1]"),
+    "replicates": dict(type=int, help="replicate count for sampled studies"),
+    "full_scale": dict(
+        action="store_true", default=None, help="use publication-scale replicate and step counts"
+    ),
+    "workers": dict(type=int, help="process count for replicated studies"),
+    "iterations": dict(type=int, help="chain length"),
+    "walk_scale": dict(type=float, help="random-walk proposal scale (interleaved move)"),
 }
 
 
@@ -35,36 +42,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run experiments for the level-set hugging integrator.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name, help_text in _EXPERIMENT_HELP.items():
-        p = sub.add_parser(name, help=help_text)
+    for name, experiment in EXPERIMENTS.items():
+        p = sub.add_parser(name, help=experiment.help)
         p.add_argument("--config", help="JSON config file; flags override its keys")
         p.add_argument("--out", help="output directory (default: current directory)")
         p.add_argument("--seed", type=int, help="root RNG seed (default: 0)")
-        p.add_argument("--replicates", type=int, help="replicate count for sampled studies")
-        p.add_argument(
-            "--full-scale",
-            action="store_true",
-            default=None,
-            help="use publication-scale replicate and step counts",
-        )
-        p.add_argument("--workers", type=int, help="process count for replicated studies")
-        if name in ("convergence", "phase-portrait"):
-            p.add_argument("--t-end", type=float, dest="t_end", help="time horizon")
-        if name in ("foldback", "ellipsoid", "ecdf", "chain"):
-            p.add_argument("--delta", type=float, help="step size")
-            p.add_argument("--steps", type=int, help="steps per trajectory")
-        if name in ("ellipsoid", "sphere-tail"):
-            p.add_argument("--dim", type=int, help="ambient dimension")
-        if name == "sphere-tail":
-            p.add_argument("--h", type=float, help="threshold in [0, 1]")
-        if name == "chain":
-            p.add_argument("--iterations", type=int, help="chain length")
-            p.add_argument(
-                "--walk-scale",
-                type=float,
-                dest="walk_scale",
-                help="random-walk proposal scale (interleaved move)",
-            )
+        for field in experiment.flags:
+            p.add_argument("--" + field.replace("_", "-"), dest=field, **FLAGS[field])
     return parser
 
 
@@ -84,9 +68,6 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
         if key in ("config",) or value is None:
             continue
         settings[key] = value
-    settings["experiment"] = args.experiment
-    settings.setdefault("out", ".")
-    settings.setdefault("seed", 0)
     try:
         return ExperimentConfig(**settings)
     except TypeError as exc:

@@ -33,7 +33,7 @@ from scipy.integrate import solve_ivp
 from .constraints import ConstraintMap
 from .errors import ReferenceSolveError
 from .integrator import PhaseState, hug_step
-from .projectors import ProjectorBundle, build_bundle, hessian_slice, nprime_par, nprime_perp
+from .projectors import ProjectorBundle, build_bundle, nprime_par, nprime_perp
 
 #: (rtol, atol) of the coarse and the fine DOP853 solve behind every
 #: reference solution; the fine one is returned.
@@ -96,7 +96,7 @@ def velocity_derivative(
     a single Hessian contraction, applying the operators matrix-free.
     """
     v_par, v_perp = split_velocity(bundle, v)
-    S = hessian_slice(constraint, bundle.x, v_par - v_perp)
+    S = constraint.hessian_contraction(bundle.x, v_par - v_perp)
     par_term = bundle.tangent @ (S.T @ (bundle.pseudo.T @ v_perp))
     perp_term = bundle.pseudo @ (S @ (bundle.tangent @ v_par))
     return par_term - perp_term
@@ -113,7 +113,7 @@ def velocity_derivative_grouped(
     """
     v = np.asarray(v, dtype=float)
     w = (bundle.tangent - bundle.normal) @ v
-    S = hessian_slice(constraint, bundle.x, w)
+    S = constraint.hessian_contraction(bundle.x, w)
     return (
         nprime_par(constraint, bundle, w, slice_=S)
         - nprime_perp(constraint, bundle, w, slice_=S)
@@ -146,8 +146,8 @@ def component_field(constraint: ConstraintMap):
     def field(t: float, y: np.ndarray) -> np.ndarray:
         x, v_par, v_perp = y[:n], y[n : 2 * n], y[2 * n :]
         bundle = build_bundle(constraint, x)
-        S_par = hessian_slice(constraint, x, v_par)
-        S_perp = hessian_slice(constraint, x, v_perp)
+        S_par = constraint.hessian_contraction(x, v_par)
+        S_perp = constraint.hessian_contraction(x, v_perp)
 
         def apply_par(S, u):
             return bundle.tangent @ (S.T @ (bundle.pseudo.T @ u))

@@ -1,18 +1,23 @@
 """Experiment drivers behind the command-line interface.
 
-Each ``run_*`` function takes a resolved :class:`ExperimentConfig`, writes its
-data files (CSV with schema headers) under ``config.out``, and returns a
-summary dict that the CLI folds into the run manifest.  Replicated studies
-fan out over a process pool when ``workers > 1``; per-replicate seeds are
-spawned from the root seed up front, so results are identical for any worker
-count, and aggregation sorts by replicate index before writing.
+:data:`EXPERIMENTS` lists every experiment with its help line, runner, the
+config fields it takes as flags, and its defaults; :data:`RUNNERS` maps each
+name to its runner.  Each ``run_*`` function takes an :class:`ExperimentConfig`
+resolved against that table, writes its data files (CSV with schema headers)
+under ``config.out``, and returns a summary dict that the CLI folds into the
+run manifest.  Replicated studies fan out over a process pool when
+``workers > 1``; per-replicate seeds are spawned from the root seed up front,
+so results are identical for any worker count, and aggregation sorts by
+replicate index before writing.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import copy
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 import numpy as np
 import scipy.integrate
@@ -33,17 +38,6 @@ from .integrator import HugParams, PhaseState, hug_step, hug_trajectory
 from .output import write_csv
 from .projectors import build_bundle
 from .sampling import IsotropicGaussian, run_chain as run_sampling_chain
-
-EXPERIMENT_NAMES = (
-    "table1",
-    "convergence",
-    "phase-portrait",
-    "foldback",
-    "ellipsoid",
-    "ecdf",
-    "sphere-tail",
-    "chain",
-)
 
 #: Step sizes of the error table and convergence study.
 TABLE_DELTAS = tuple(1.0 / 2**k for k in range(4, 9))
@@ -70,9 +64,13 @@ class ConfigError(Exception):
     """Invalid or incomplete experiment configuration."""
 
 
+#: Lower bounds of integer settings (the ECDF stderr needs two replicates).
+_MINIMA = {"seed": 0, "workers": 1, "replicates": 2, "steps": 1, "iterations": 1}
+
+
 @dataclass
 class ExperimentConfig:
-    """Resolved experiment request; unset fields fall back to presets."""
+    """Experiment request; unset fields take the defaults in :data:`EXPERIMENTS`."""
 
     experiment: str
     out: str = "."
@@ -86,37 +84,43 @@ class ExperimentConfig:
     replicates: int | None = None
     full_scale: bool = False
     workers: int = 1
-    # chain settings
     iterations: int | None = None
     walk_scale: float | None = None
     velocity_sigma: float = 1.0
-    # sphere-tail settings
     h: float | None = None
     dim: int | None = None
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENT_NAMES:
+        if self.experiment not in EXPERIMENTS:
             raise ConfigError(
-                f"unknown experiment {self.experiment!r}; choose from {', '.join(EXPERIMENT_NAMES)}"
+                f"unknown experiment {self.experiment!r}; choose from {', '.join(EXPERIMENTS)}"
             )
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+        spec = EXPERIMENTS[self.experiment]
+        defaults = {**spec.defaults, **(spec.full_scale_defaults if self.full_scale else {})}
+        for name, value in defaults.items():
+            if getattr(self, name) is None:
+                setattr(self, name, copy.deepcopy(value))
+        for name, minimum in _MINIMA.items():
+            value = getattr(self, name)
+            if value is not None and value < minimum:
+                raise ConfigError(f"{name} must be >= {minimum}, got {value}")
+        for name in ("delta", "t_end"):
+            value = getattr(self, name)
+            if value is not None and not (value > 0.0 and np.isfinite(value)):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
 
     def echo(self) -> dict:
         return asdict(self)
 
 
-def build_constraint(spec: dict | None, default_diag=None) -> ConstraintMap:
+def build_constraint(spec: dict) -> ConstraintMap:
     """Build a constraint map from a config dict.
 
     Supported kinds: ``quadric`` (with ``diag`` or ``matrix``), ``sphere``
-    (with ``dim``), ``sliced`` (with ``dim``).  ``None`` falls back to a
-    quadric with ``default_diag``.
+    (with ``dim``), ``sliced`` (with ``dim``).
     """
-    if spec is None:
-        if default_diag is None:
-            raise ConfigError("this experiment requires a constraint")
-        return QuadricConstraint(np.diag(default_diag))
+    if not isinstance(spec, dict):
+        raise ConfigError(f"a constraint must be a JSON object, got {spec!r}")
     kind = spec.get("kind")
     try:
         if kind == "quadric":
@@ -205,8 +209,8 @@ def ecdf_points(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def run_table1(config: ExperimentConfig) -> dict:
     """One- and two-step position errors of the benchmark across step sizes."""
-    constraint = build_constraint(config.constraint, default_diag=BENCH_DIAG)
-    initial = PhaseState(np.asarray(config.x0 or BENCH_X0), np.asarray(config.v0 or BENCH_V0))
+    constraint = build_constraint(config.constraint)
+    initial = PhaseState(np.asarray(config.x0), np.asarray(config.v0))
     deltas = np.asarray(TABLE_DELTAS)
     one = np.empty(len(deltas))
     two = np.empty(len(deltas))
@@ -243,10 +247,9 @@ def run_table1(config: ExperimentConfig) -> dict:
 
 def run_convergence(config: ExperimentConfig) -> dict:
     """Order measurement: one-step, two-step, and global errors with fitted slopes."""
-    constraint = build_constraint(config.constraint, default_diag=BENCH_DIAG)
-    initial = PhaseState(np.asarray(config.x0 or BENCH_X0), np.asarray(config.v0 or BENCH_V0))
-    horizon = config.t_end if config.t_end is not None else 1.0
-    study = convergence_study(constraint, initial, np.asarray(TABLE_DELTAS), horizon=horizon)
+    constraint = build_constraint(config.constraint)
+    initial = PhaseState(np.asarray(config.x0), np.asarray(config.v0))
+    study = convergence_study(constraint, initial, np.asarray(TABLE_DELTAS), horizon=config.t_end)
     write_csv(
         os.path.join(config.out, "convergence.csv"),
         "convergence/1",
@@ -254,7 +257,7 @@ def run_convergence(config: ExperimentConfig) -> dict:
         zip(study.deltas, study.one_step, study.two_step, study.global_err),
     )
     return {
-        "horizon": horizon,
+        "horizon": config.t_end,
         "one_step_order": study.one_step_order,
         "two_step_order": study.two_step_order,
         "global_order": study.global_order,
@@ -266,10 +269,9 @@ def run_convergence(config: ExperimentConfig) -> dict:
 
 
 def _ellipse_model(config: ExperimentConfig) -> EllipseModel:
-    constraint = config.constraint or {"kind": "quadric", "diag": [1.0, 4.0]}
-    if constraint.get("kind") != "quadric":
+    if config.constraint.get("kind") != "quadric":
         raise ConfigError("ellipse experiments need a quadric constraint")
-    diag = constraint.get("diag")
+    diag = config.constraint.get("diag")
     if diag is None or len(diag) != 2:
         raise ConfigError("ellipse experiments need a 2-entry quadric diagonal")
     return EllipseModel(a=float(diag[0]), b=float(diag[1]))
@@ -279,10 +281,9 @@ def run_phase_portrait(config: ExperimentConfig) -> dict:
     """Classified grid of reduced initial conditions with sampled orbits."""
     model = _ellipse_model(config)
     speed = float(np.sqrt(2.0))
-    t_end = config.t_end if config.t_end is not None else 6.0
     phis = np.linspace(-0.75 * np.pi, 0.75 * np.pi, 7)
     ps = np.linspace(-speed, speed, 9)
-    sample_times = np.arange(0.0, t_end + 0.05, 0.05)
+    sample_times = np.arange(0.0, config.t_end + 0.05, 0.05)
     class_rows = []
     orbit_rows = []
     counts = {"rotation": 0, "libration": 0, "separatrix": 0}
@@ -319,19 +320,15 @@ def run_foldback(config: ExperimentConfig) -> dict:
     """Discrete fold-back trajectory with the flow it shadows."""
     model = _ellipse_model(config)
     constraint = QuadricConstraint(np.diag([model.a, model.b]))
-    delta = config.delta if config.delta is not None else FOLDBACK_DELTA
-    steps = config.steps if config.steps is not None else FOLDBACK_STEPS
-    initial = PhaseState(
-        np.asarray(config.x0 or FOLDBACK_X0), np.asarray(config.v0 or FOLDBACK_V0)
-    )
-    trajectory = hug_trajectory(constraint, initial, HugParams(delta, steps))
+    initial = PhaseState(np.asarray(config.x0), np.asarray(config.v0))
+    trajectory = hug_trajectory(constraint, initial, HugParams(config.delta, config.steps))
     tangential = np.array(
         [tangential_speed(model, x, v) for x, v in zip(trajectory.xs, trajectory.vs)]
     )
     signs = np.sign(tangential)
     sign_changes = int(np.sum(signs[1:] != signs[:-1]))
 
-    t_end = delta * steps
+    t_end = config.delta * config.steps
     dense_times = np.arange(0.0, t_end + 0.01, 0.01)
     flow = reference_solve(constraint, initial, dense_times)
     step_indices = np.round(trajectory.times / 0.01).astype(int)
@@ -348,7 +345,7 @@ def run_foldback(config: ExperimentConfig) -> dict:
         ["k", "t", "x1", "x2", "v1", "v2", "tangential_speed"],
         (
             (k, trajectory.times[k], *trajectory.xs[k], *trajectory.vs[k], tangential[k])
-            for k in range(steps + 1)
+            for k in range(config.steps + 1)
         ),
     )
     write_csv(
@@ -371,20 +368,6 @@ def run_foldback(config: ExperimentConfig) -> dict:
 
 # ---------------------------------------------------------------------------
 # ellipsoid exploration studies
-
-
-def _ellipsoid_setup(config: ExperimentConfig, dim: int):
-    if config.constraint is not None:
-        constraint = build_constraint(config.constraint)
-    else:
-        if dim not in ELLIPSOID_DIAGS:
-            raise ConfigError(f"no ellipsoid preset for dim={dim}; pass a constraint")
-        constraint = QuadricConstraint(np.diag(ELLIPSOID_DIAGS[dim]))
-    n = constraint.ambient_dim
-    x0 = np.asarray(config.x0, dtype=float) if config.x0 is not None else np.eye(n)[0]
-    if x0.shape != (n,):
-        raise ConfigError(f"x0 must have {n} entries")
-    return constraint, x0
 
 
 def _ellipsoid_replicate(task) -> tuple[int, float, float]:
@@ -412,21 +395,18 @@ def _run_replicated(tasks: list, worker, workers: int) -> list:
 
 
 def _scatter_study(
-    constraint: ConstraintMap,
-    x0: np.ndarray,
-    delta: float,
-    steps: int,
-    replicates: int,
-    seed: int,
-    workers: int,
+    constraint: ConstraintMap, x0: np.ndarray, config: ExperimentConfig, seed: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """(v_perp_norms, d_max values, failed count) over random unit velocities."""
     if not isinstance(constraint, QuadricConstraint):
         raise ConfigError("the ellipsoid study expects a quadric constraint")
     diag = tuple(np.diag(constraint.A))
-    children = np.random.SeedSequence(seed).spawn(replicates)
-    tasks = [(i, diag, tuple(x0), delta, steps, children[i]) for i in range(replicates)]
-    results = _run_replicated(tasks, _ellipsoid_replicate, workers)
+    children = np.random.SeedSequence(seed).spawn(config.replicates)
+    tasks = [
+        (i, diag, tuple(x0), config.delta, config.steps, child)
+        for i, child in enumerate(children)
+    ]
+    results = _run_replicated(tasks, _ellipsoid_replicate, config.workers)
     v_perp = np.array([r[1] for r in results])
     d_max = np.array([r[2] for r in results])
     failed = int(np.sum(~np.isfinite(d_max)))
@@ -447,24 +427,23 @@ def _showcase_velocity(normal_speed: float, n: int) -> np.ndarray:
 
 def run_ellipsoid(config: ExperimentConfig) -> dict:
     """Scatter of (||v_perp(0)||, d_max) over random velocities, plus ECDF."""
-    dim = config.dim if config.dim is not None else 3
-    constraint, x0 = _ellipsoid_setup(config, dim)
-    delta = config.delta if config.delta is not None else 0.01
-    steps = config.steps if config.steps is not None else (10000 if config.full_scale else 1000)
-    replicates = (
-        config.replicates
-        if config.replicates is not None
-        else (10000 if config.full_scale else 1000)
-    )
-    v_perp, d_max, failed = _scatter_study(
-        constraint, x0, delta, steps, replicates, config.seed, config.workers
-    )
+    if config.constraint is not None:
+        constraint = build_constraint(config.constraint)
+    else:
+        if config.dim not in ELLIPSOID_DIAGS:
+            raise ConfigError(f"no ellipsoid preset for dim={config.dim}; pass a constraint")
+        constraint = QuadricConstraint(np.diag(ELLIPSOID_DIAGS[config.dim]))
+    n = constraint.ambient_dim
+    x0 = np.asarray(config.x0, dtype=float) if config.x0 is not None else np.eye(n)[0]
+    if x0.shape != (n,):
+        raise ConfigError(f"x0 must have {n} entries")
+    v_perp, d_max, failed = _scatter_study(constraint, x0, config, config.seed)
     ok = np.isfinite(d_max)
     write_csv(
         os.path.join(config.out, "ellipsoid_scatter.csv"),
         "ellipsoid-scatter/1",
         ["replicate", "v_perp_norm", "d_max"],
-        zip(range(replicates), v_perp, d_max),
+        zip(range(config.replicates), v_perp, d_max),
     )
     fractions, probs = ecdf_points(d_max[ok])
     write_csv(
@@ -476,21 +455,21 @@ def run_ellipsoid(config: ExperimentConfig) -> dict:
     correlation = scipy.stats.spearmanr(v_perp[ok], d_max[ok]).statistic
 
     summary = {
-        "dim": constraint.ambient_dim,
-        "delta": delta,
-        "steps": steps,
-        "replicates": replicates,
+        "dim": n,
+        "delta": config.delta,
+        "steps": config.steps,
+        "replicates": config.replicates,
         "failed_replicates": failed,
         "spearman_rank_correlation": float(correlation),
         "sup_d_max": float(d_max[ok].max()),
     }
 
-    if constraint.ambient_dim >= 3 and config.x0 is None:
+    if n >= 3 and config.x0 is None:
         showcase_rows = []
         for s in SHOWCASE_NORMAL_SPEEDS:
-            v0 = _showcase_velocity(s, constraint.ambient_dim)
+            v0 = _showcase_velocity(s, n)
             showcase_rows.append(
-                (s, max_distance_run(constraint, x0, v0, delta, steps))
+                (s, max_distance_run(constraint, x0, v0, config.delta, config.steps))
             )
         write_csv(
             os.path.join(config.out, "ellipsoid_showcase.csv"),
@@ -504,21 +483,14 @@ def run_ellipsoid(config: ExperimentConfig) -> dict:
 
 def run_ecdf(config: ExperimentConfig) -> dict:
     """Matched-K comparison of d_max ECDFs for the 3-D and 6-D presets."""
-    delta = config.delta if config.delta is not None else 0.01
-    steps = config.steps if config.steps is not None else (1000 if config.full_scale else 100)
-    replicates = (
-        config.replicates
-        if config.replicates is not None
-        else (10000 if config.full_scale else 500)
-    )
-    summary: dict = {"delta": delta, "steps": steps, "replicates": replicates, "dims": {}}
+    summary: dict = {
+        "delta": config.delta, "steps": config.steps, "replicates": config.replicates, "dims": {}
+    }
     means = {}
     for dim in (3, 6):
         constraint = QuadricConstraint(np.diag(ELLIPSOID_DIAGS[dim]))
         x0 = np.eye(dim)[0]
-        v_perp, d_max, failed = _scatter_study(
-            constraint, x0, delta, steps, replicates, config.seed + dim, config.workers
-        )
+        v_perp, d_max, failed = _scatter_study(constraint, x0, config, config.seed + dim)
         ok = np.isfinite(d_max)
         fractions, probs = ecdf_points(d_max[ok])
         write_csv(
@@ -561,21 +533,16 @@ def run_sphere_tail(config: ExperimentConfig) -> dict:
 
 def run_chain(config: ExperimentConfig) -> dict:
     """Sampling run on a diagonal Gaussian target with interleaved random walks."""
-    constraint = build_constraint(config.constraint, default_diag=BENCH_DIAG)
+    constraint = build_constraint(config.constraint)
     if not isinstance(constraint, QuadricConstraint):
         raise ConfigError("the chain experiment expects a quadric (Gaussian) target")
     n = constraint.ambient_dim
     x0 = np.asarray(config.x0, dtype=float) if config.x0 is not None else np.eye(n)[0]
-    iterations = config.iterations if config.iterations is not None else 20000
-    params = HugParams(
-        step_size=config.delta if config.delta is not None else 0.1,
-        steps=config.steps if config.steps is not None else 10,
-    )
-    walk_scale = config.walk_scale if config.walk_scale is not None else 0.5
+    params = HugParams(step_size=config.delta, steps=config.steps)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     velocity = IsotropicGaussian(dim=n, sigma=config.velocity_sigma)
     chain = run_sampling_chain(
-        constraint, x0, params, velocity, rng, iterations, walk_scale=walk_scale
+        constraint, x0, params, velocity, rng, config.iterations, walk_scale=config.walk_scale
     )
 
     write_csv(
@@ -584,12 +551,12 @@ def run_chain(config: ExperimentConfig) -> dict:
         ["iteration"] + [f"x{i+1}" for i in range(n)],
         ((i, *state) for i, state in enumerate(chain.states)),
     )
-    burn = min(1000, iterations // 10)
+    burn = min(1000, config.iterations // 10)
     samples = chain.states[burn:]
     second_moments = (samples**2).mean(axis=0)
     target_moments = 0.5 / np.diag(constraint.A)
     return {
-        "iterations": iterations,
+        "iterations": config.iterations,
         "burn_in": burn,
         "hug_acceptance_rate": chain.hug_acceptance_rate,
         "walk_acceptance_rate": chain.walk_acceptance_rate,
@@ -599,13 +566,74 @@ def run_chain(config: ExperimentConfig) -> dict:
     }
 
 
-RUNNERS = {
-    "table1": run_table1,
-    "convergence": run_convergence,
-    "phase-portrait": run_phase_portrait,
-    "foldback": run_foldback,
-    "ellipsoid": run_ellipsoid,
-    "ecdf": run_ecdf,
-    "sphere-tail": run_sphere_tail,
-    "chain": run_chain,
+# ---------------------------------------------------------------------------
+# the experiment table
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One subcommand: its help line, its runner, the config fields it takes
+    as flags (besides ``--config``, ``--out`` and ``--seed``), the defaults of
+    unset fields and, under ``full_scale``, the defaults that replace them."""
+
+    help: str
+    runner: Callable[[ExperimentConfig], dict]
+    flags: tuple[str, ...] = ()
+    defaults: dict = field(default_factory=dict)
+    full_scale_defaults: dict = field(default_factory=dict)
+
+
+_BENCH_CONSTRAINT = {"kind": "quadric", "diag": BENCH_DIAG}
+_BENCH_START = {"constraint": _BENCH_CONSTRAINT, "x0": BENCH_X0, "v0": BENCH_V0}
+_REPLICATED_FLAGS = ("delta", "steps", "replicates", "full_scale", "workers")
+
+EXPERIMENTS = {
+    "table1": Experiment(
+        "one- and two-step position errors of the benchmark per step size",
+        run_table1,
+        defaults=_BENCH_START,
+    ),
+    "convergence": Experiment(
+        "fitted convergence orders (one-step, two-step, global)",
+        run_convergence,
+        flags=("t_end",), defaults={**_BENCH_START, "t_end": 1.0},
+    ),
+    "phase-portrait": Experiment(
+        "classified grid of reduced ellipse trajectories",
+        run_phase_portrait,
+        flags=("t_end",), defaults={"constraint": _BENCH_CONSTRAINT, "t_end": 6.0},
+    ),
+    "foldback": Experiment(
+        "discrete fold-back trajectory vs. the flow it shadows",
+        run_foldback,
+        flags=("delta", "steps"),
+        defaults={"constraint": _BENCH_CONSTRAINT, "x0": FOLDBACK_X0, "v0": FOLDBACK_V0,
+                  "delta": FOLDBACK_DELTA, "steps": FOLDBACK_STEPS},
+    ),
+    "ellipsoid": Experiment(
+        "d_max scatter/ECDF over random unit velocities on an ellipsoid",
+        run_ellipsoid,
+        flags=("dim", *_REPLICATED_FLAGS),
+        defaults={"dim": 3, "delta": 0.01, "steps": 1000, "replicates": 1000},
+        full_scale_defaults={"steps": 10000, "replicates": 10000},
+    ),
+    "ecdf": Experiment(
+        "matched-step d_max ECDF comparison between the 3-D and 6-D presets",
+        run_ecdf,
+        flags=_REPLICATED_FLAGS,
+        defaults={"delta": 0.01, "steps": 100, "replicates": 500},
+        full_scale_defaults={"steps": 1000, "replicates": 10000},
+    ),
+    "sphere-tail": Experiment(
+        "tail probability of |u.v| for v uniform on a sphere", run_sphere_tail, flags=("h", "dim")
+    ),
+    "chain": Experiment(
+        "sampling chain on a Gaussian target with interleaved random walks",
+        run_chain,
+        flags=("delta", "steps", "iterations", "walk_scale"),
+        defaults={"constraint": _BENCH_CONSTRAINT, "delta": 0.1, "steps": 10,
+                  "iterations": 20000, "walk_scale": 0.5},
+    ),
 }
+
+RUNNERS = {name: experiment.runner for name, experiment in EXPERIMENTS.items()}

@@ -106,16 +106,6 @@ def reflect(bundle: ProjectorBundle, v: np.ndarray) -> np.ndarray:
     return v - 2.0 * (bundle.basis @ (bundle.basis.T @ v))
 
 
-def hessian_slice(constraint: ConstraintMap, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Return the m-by-n matrix H(x)[w, .] of Hessian contractions along w.
-
-    Entry (i, j) is w^T Hess(f_i)(x) e_j.  Symmetry of each Hessian makes the
-    contraction the same on either slot, so this delegates to the constraint's
-    (possibly closed-form) :meth:`~hugint.constraints.ConstraintMap.hessian_contraction`.
-    """
-    return constraint.hessian_contraction(x, w)
-
-
 def nprime_perp(
     constraint: ConstraintMap,
     bundle: ProjectorBundle,
@@ -129,7 +119,7 @@ def nprime_perp(
     vanishes.  Pass a precomputed ``slice_`` = H(x)[w, .] to avoid reassembly.
     """
     if slice_ is None:
-        slice_ = hessian_slice(constraint, bundle.x, w)
+        slice_ = constraint.hessian_contraction(bundle.x, w)
     return bundle.pseudo @ (slice_ @ bundle.tangent)
 
 
@@ -154,6 +144,6 @@ def nprime(
 ) -> np.ndarray:
     """Full directional derivative of the normal projector N along w."""
     if slice_ is None:
-        slice_ = hessian_slice(constraint, bundle.x, w)
+        slice_ = constraint.hessian_contraction(bundle.x, w)
     P = nprime_perp(constraint, bundle, w, slice_=slice_)
     return P + P.T

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from hugint.cli import build_parser, load_config, main
+from hugint.experiments import BENCH_DIAG, BENCH_X0
 
 
 def test_parser_requires_subcommand():
@@ -26,6 +27,24 @@ def test_parser_scopes_flags_to_experiments():
         build_parser().parse_args(["table1", "--delta", "0.1"])
     with pytest.raises(SystemExit):
         build_parser().parse_args(["foldback", "--h", "0.5"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ellipsoid", "--replicates", "0"],
+        ["foldback", "--delta", "-0.1"],
+        ["chain", "--steps", "-1"],
+        ["chain", "--seed", "-1"],
+        ["chain", "--iterations", "0"],
+        ["convergence", "--t-end", "-1"],
+    ],
+    ids=lambda argv: f"{argv[0]}:{argv[1][2:]}",
+)
+def test_main_exit_2_on_out_of_range_setting(argv, tmp_path, capsys):
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_load_config_cli_overrides_file(tmp_path):
@@ -108,3 +127,6 @@ def test_main_table1_end_to_end_deterministic(tmp_path, capsys):
         assert payload["manifest"].endswith("table1.manifest.json")
         assert len(payload["summary"]["deltas"]) == 5
     assert (out_a / "error_table.csv").read_bytes() == (out_b / "error_table.csv").read_bytes()
+    config = json.loads((out_a / "table1.manifest.json").read_text())["config"]
+    assert config["x0"] == list(BENCH_X0)  # the resolved default, not null
+    assert config["constraint"] == {"kind": "quadric", "diag": list(BENCH_DIAG)}

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
+
 import numpy as np
 import pytest
 
+from hugint.cli import build_parser
 from hugint.constraints import QuadricConstraint, SphereSlicedConstraint
 from hugint.experiments import (
-    EXPERIMENT_NAMES,
+    BENCH_V0,
+    BENCH_X0,
+    EXPERIMENTS,
     RUNNERS,
     ConfigError,
     ExperimentConfig,
@@ -28,8 +34,26 @@ from hugint.integrator import HugParams, PhaseState, hug_trajectory
 from hugint.output import read_csv
 
 
-def test_experiment_names_all_have_runners():
-    assert set(RUNNERS) == set(EXPERIMENT_NAMES)
+def test_experiment_table_scopes_cli_flags():
+    """Each subcommand takes --config, --out, --seed and exactly the config
+    fields its table entry declares; the table's flags and defaults are all
+    config fields."""
+    parser = build_parser()
+    (subcommands,) = [
+        action.choices for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert list(subcommands) == list(EXPERIMENTS) == list(RUNNERS)
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    for name, experiment in EXPERIMENTS.items():
+        assert RUNNERS[name] is experiment.runner
+        assert set(experiment.flags) <= fields
+        assert set(experiment.defaults) | set(experiment.full_scale_defaults) <= fields
+        options = {opt for action in subcommands[name]._actions for opt in action.option_strings}
+        declared = {"--" + flag.replace("_", "-") for flag in experiment.flags}
+        assert options - {"-h", "--help"} == {"--config", "--out", "--seed"} | declared, name
+    with pytest.raises(SystemExit):
+        parser.parse_args(["table1", "--replicates", "7"])
 
 
 def test_config_validation():
@@ -51,7 +75,6 @@ def test_build_constraint_kinds():
     assert np.allclose(s.A, np.eye(4))
     sl = build_constraint({"kind": "sliced", "dim": 5})
     assert isinstance(sl, SphereSlicedConstraint) and sl.ambient_dim == 5
-    assert isinstance(build_constraint(None, default_diag=(1.0, 2.0)), QuadricConstraint)
     with pytest.raises(ConfigError):
         build_constraint(None)
     with pytest.raises(ConfigError):
@@ -146,10 +169,18 @@ def test_run_table1_writes_expected_table(tmp_path):
 
 
 def test_run_table1_reruns_byte_identical(tmp_path):
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    """Reruns, and a run given the default start as arrays, write the same bytes."""
+    out_a, out_b, out_c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     for out in (out_a, out_b):
         run_table1(ExperimentConfig(experiment="table1", out=str(out), seed=0))
-    assert (out_a / "error_table.csv").read_bytes() == (out_b / "error_table.csv").read_bytes()
+    run_table1(
+        ExperimentConfig(
+            experiment="table1", out=str(out_c), x0=np.array(BENCH_X0), v0=np.array(BENCH_V0)
+        )
+    )
+    table = (out_a / "error_table.csv").read_bytes()
+    assert (out_b / "error_table.csv").read_bytes() == table
+    assert (out_c / "error_table.csv").read_bytes() == table
 
 
 def test_run_foldback_summary(tmp_path):

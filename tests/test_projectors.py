@@ -15,7 +15,6 @@ from hugint.constraints import (
 from hugint.errors import SingularGeometryError
 from hugint.projectors import (
     build_bundle,
-    hessian_slice,
     nprime,
     nprime_par,
     nprime_perp,
@@ -145,7 +144,7 @@ def test_nprime_precomputed_slice_matches():
     x = random_point(c, rng)
     b = build_bundle(c, x)
     w = rng.standard_normal(c.ambient_dim)
-    S = hessian_slice(c, x, w)
+    S = c.hessian_contraction(x, w)
     assert np.allclose(nprime_perp(c, b, w, slice_=S), nprime_perp(c, b, w))
 
 
