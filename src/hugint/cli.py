@@ -2,8 +2,10 @@
 
 Subcommands, their help lines and their flags come from the experiment table,
 :data:`hugint.experiments.EXPERIMENTS`.  Settings come from an optional JSON
-config file (keys matching :class:`~hugint.experiments.ExperimentConfig`)
-overridden by command-line flags; unset fields take the experiment's defaults.
+config file overridden by command-line flags; the file may set the
+experiment's flags plus ``out``, ``seed``, ``constraint``, ``x0``, ``v0`` and
+``velocity_sigma``, and any other key is a configuration error.  Unset fields
+take the experiment's defaults.
 Every run writes its data files plus a manifest JSON, recording the resolved
 config, into the output directory.  Exit codes: 0 on success, 2 on
 configuration errors, 3 on numerical failures.
@@ -30,10 +32,13 @@ FLAGS = {
     "full_scale": dict(
         action="store_true", default=None, help="use publication-scale replicate and step counts"
     ),
-    "workers": dict(type=int, help="process count for replicated studies"),
     "iterations": dict(type=int, help="chain length"),
     "walk_scale": dict(type=float, help="random-walk proposal scale (interleaved move)"),
 }
+
+
+#: Config-file keys every experiment accepts besides its flags.
+_FILE_KEYS = {"out", "seed", "constraint", "x0", "v0", "velocity_sigma"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,14 +69,16 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(settings, dict):
             raise ConfigError("config file must hold a JSON object")
+        unread = set(settings) - _FILE_KEYS - set(EXPERIMENTS[args.experiment].flags)
+        if unread:
+            raise ConfigError(
+                f"bad config key(s) for {args.experiment}: {', '.join(sorted(unread))}"
+            )
     for key, value in vars(args).items():
         if key in ("config",) or value is None:
             continue
         settings[key] = value
-    try:
-        return ExperimentConfig(**settings)
-    except TypeError as exc:
-        raise ConfigError(f"bad config key: {exc}") from exc
+    return ExperimentConfig(**settings)
 
 
 def main(argv: list[str] | None = None) -> int:

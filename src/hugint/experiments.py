@@ -5,16 +5,16 @@ config fields it takes as flags, and its defaults; :data:`RUNNERS` maps each
 name to its runner.  Each ``run_*`` function takes an :class:`ExperimentConfig`
 resolved against that table, writes its data files (CSV with schema headers)
 under ``config.out``, and returns a summary dict that the CLI folds into the
-run manifest.  Replicated studies fan out over a process pool when
-``workers > 1``; per-replicate seeds are spawned from the root seed up front,
-so results are identical for any worker count, and aggregation sorts by
-replicate index before writing.
+run manifest.  Replicated studies draw every replicate's velocity up front,
+each from its own child of the root seed, and then step all replicates
+together as rows of one array (:func:`max_distances`), so a run is a single
+process and its output depends only on the config and the seed.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import copy
+import numbers
 import os
 from dataclasses import asdict, dataclass, field
 from typing import Callable
@@ -33,7 +33,6 @@ from .ellipse import (
     tangential_speed,
     to_reduced,
 )
-from .errors import SingularGeometryError
 from .integrator import HugParams, PhaseState, hug_step, hug_trajectory
 from .output import write_csv
 from .projectors import build_bundle
@@ -65,7 +64,11 @@ class ConfigError(Exception):
 
 
 #: Lower bounds of integer settings (the ECDF stderr needs two replicates).
-_MINIMA = {"seed": 0, "workers": 1, "replicates": 2, "steps": 1, "iterations": 1}
+_MINIMA = {"seed": 0, "replicates": 2, "steps": 1, "iterations": 1}
+
+#: Settings that must be numbers when set.
+_NUMBERS = ("seed", "delta", "steps", "t_end", "replicates", "iterations", "walk_scale",
+            "velocity_sigma", "h", "dim")
 
 
 @dataclass
@@ -83,7 +86,6 @@ class ExperimentConfig:
     t_end: float | None = None
     replicates: int | None = None
     full_scale: bool = False
-    workers: int = 1
     iterations: int | None = None
     walk_scale: float | None = None
     velocity_sigma: float = 1.0
@@ -100,6 +102,10 @@ class ExperimentConfig:
         for name, value in defaults.items():
             if getattr(self, name) is None:
                 setattr(self, name, copy.deepcopy(value))
+        for name in _NUMBERS:
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         for name, minimum in _MINIMA.items():
             value = getattr(self, name)
             if value is not None and value < minimum:
@@ -173,20 +179,31 @@ def sphere_tail_probability(h: float, dim: int, abs_tol: float = 1e-10) -> float
     return tail / whole
 
 
-def max_distance_run(
-    constraint: ConstraintMap,
-    x0: np.ndarray,
-    v0: np.ndarray,
-    delta: float,
-    steps: int,
-) -> float:
-    """max_k ||x_k - x_0|| over a trajectory, without storing it."""
-    x, v = np.asarray(x0, float), np.asarray(v0, float)
-    start = x.copy()
-    d_max = 0.0
+def max_distances(
+    constraint: QuadricConstraint, x0: np.ndarray, V0: np.ndarray, delta: float, steps: int
+) -> np.ndarray:
+    """max_k ||x_k - x0|| of the trajectory from (x0, V0[r]) for each row r.
+
+    All rows step together: this is :func:`~hugint.integrator.hug_step`
+    written out for the quadric, whose gradient at the midpoint y is
+    g = -2 A y.  A row whose gradient is not finite or vanishes, where
+    ``hug_step`` would raise :class:`~hugint.errors.SingularGeometryError`,
+    reads NaN; the other rows carry on.
+    """
+    V = np.array(V0, dtype=float)
+    X = np.broadcast_to(np.asarray(x0, dtype=float), V.shape).copy()
+    M = -2.0 * constraint.A
+    tiny = np.sqrt(np.finfo(float).tiny)
+    d_max = np.zeros(len(V))
     for _ in range(steps):
-        x, v = hug_step(constraint, x, v, delta)
-        d_max = max(d_max, float(np.linalg.norm(x - start)))
+        Y = X + 0.5 * delta * V
+        G = Y @ M.T
+        gg = np.einsum("ij,ij->i", G, G)
+        gg[~(np.isfinite(gg) & (gg > tiny))] = np.nan  # the row turns NaN and stays NaN
+        Q = G / np.sqrt(gg)[:, None]
+        V = V - 2.0 * Q * np.einsum("ij,ij->i", Q, V)[:, None]
+        X = Y + 0.5 * delta * V
+        d_max = np.maximum(d_max, np.linalg.norm(X - x0, axis=1))
     return d_max
 
 
@@ -269,7 +286,7 @@ def run_convergence(config: ExperimentConfig) -> dict:
 
 
 def _ellipse_model(config: ExperimentConfig) -> EllipseModel:
-    if config.constraint.get("kind") != "quadric":
+    if not isinstance(config.constraint, dict) or config.constraint.get("kind") != "quadric":
         raise ConfigError("ellipse experiments need a quadric constraint")
     diag = config.constraint.get("diag")
     if diag is None or len(diag) != 2:
@@ -370,47 +387,19 @@ def run_foldback(config: ExperimentConfig) -> dict:
 # ellipsoid exploration studies
 
 
-def _ellipsoid_replicate(task) -> tuple[int, float, float]:
-    index, diag, x0, delta, steps, seed_seq = task
-    constraint = QuadricConstraint(np.diag(np.asarray(diag)))
-    x0 = np.asarray(x0)
-    rng = np.random.default_rng(seed_seq)
-    v0 = uniform_sphere(rng, x0.size)
-    bundle = build_bundle(constraint, x0)
-    v_perp_norm = float(np.linalg.norm(bundle.normal @ v0))
-    try:
-        d_max = max_distance_run(constraint, x0, v0, delta, steps)
-    except SingularGeometryError:
-        d_max = float("nan")
-    return index, v_perp_norm, d_max
-
-
-def _run_replicated(tasks: list, worker, workers: int) -> list:
-    if workers <= 1:
-        results = [worker(task) for task in tasks]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(worker, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
-    return sorted(results, key=lambda item: item[0])
-
-
 def _scatter_study(
     constraint: ConstraintMap, x0: np.ndarray, config: ExperimentConfig, seed: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """(v_perp_norms, d_max values, failed count) over random unit velocities."""
     if not isinstance(constraint, QuadricConstraint):
         raise ConfigError("the ellipsoid study expects a quadric constraint")
-    diag = tuple(np.diag(constraint.A))
-    children = np.random.SeedSequence(seed).spawn(config.replicates)
-    tasks = [
-        (i, diag, tuple(x0), config.delta, config.steps, child)
-        for i, child in enumerate(children)
-    ]
-    results = _run_replicated(tasks, _ellipsoid_replicate, config.workers)
-    v_perp = np.array([r[1] for r in results])
-    d_max = np.array([r[2] for r in results])
-    failed = int(np.sum(~np.isfinite(d_max)))
-    return v_perp, d_max, failed
+    V0 = np.array([
+        uniform_sphere(np.random.default_rng(child), x0.size)
+        for child in np.random.SeedSequence(seed).spawn(config.replicates)
+    ])
+    v_perp = np.linalg.norm(V0 @ build_bundle(constraint, x0).basis, axis=1)
+    d_max = max_distances(constraint, x0, V0, config.delta, config.steps)
+    return v_perp, d_max, int(np.sum(~np.isfinite(d_max)))
 
 
 def _showcase_velocity(normal_speed: float, n: int) -> np.ndarray:
@@ -465,19 +454,15 @@ def run_ellipsoid(config: ExperimentConfig) -> dict:
     }
 
     if n >= 3 and config.x0 is None:
-        showcase_rows = []
-        for s in SHOWCASE_NORMAL_SPEEDS:
-            v0 = _showcase_velocity(s, n)
-            showcase_rows.append(
-                (s, max_distance_run(constraint, x0, v0, config.delta, config.steps))
-            )
+        V0 = np.array([_showcase_velocity(s, n) for s in SHOWCASE_NORMAL_SPEEDS])
+        showcase = max_distances(constraint, x0, V0, config.delta, config.steps)
         write_csv(
             os.path.join(config.out, "ellipsoid_showcase.csv"),
             "ellipsoid-showcase/1",
             ["v_perp_norm", "d_max"],
-            showcase_rows,
+            zip(SHOWCASE_NORMAL_SPEEDS, showcase),
         )
-        summary["showcase_d_max"] = [row[1] for row in showcase_rows]
+        summary["showcase_d_max"] = showcase.tolist()
     return summary
 
 
@@ -585,7 +570,7 @@ class Experiment:
 
 _BENCH_CONSTRAINT = {"kind": "quadric", "diag": BENCH_DIAG}
 _BENCH_START = {"constraint": _BENCH_CONSTRAINT, "x0": BENCH_X0, "v0": BENCH_V0}
-_REPLICATED_FLAGS = ("delta", "steps", "replicates", "full_scale", "workers")
+_REPLICATED_FLAGS = ("delta", "steps", "replicates", "full_scale")
 
 EXPERIMENTS = {
     "table1": Experiment(

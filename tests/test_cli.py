@@ -27,6 +27,9 @@ def test_parser_scopes_flags_to_experiments():
         build_parser().parse_args(["table1", "--delta", "0.1"])
     with pytest.raises(SystemExit):
         build_parser().parse_args(["foldback", "--h", "0.5"])
+    with pytest.raises(SystemExit) as info:
+        build_parser().parse_args(["ellipsoid", "--workers", "2"])
+    assert info.value.code == 2
 
 
 @pytest.mark.parametrize(
@@ -71,6 +74,41 @@ def test_load_config_rejects_unknown_key(tmp_path):
     args = build_parser().parse_args(["table1", "--config", str(config_file)])
     with pytest.raises(Exception, match="bad config key"):
         load_config(args)
+
+
+@pytest.mark.parametrize(
+    "argv, settings",
+    [
+        (["table1"], {"replicates": 7, "workers": 3}),
+        (["ellipsoid", "--replicates", "8"], {"workers": 2}),
+        (["foldback"], {"experiment": "table1"}),
+    ],
+    ids=["table1:replicates,workers", "ellipsoid:workers", "foldback:experiment"],
+)
+def test_main_exit_2_on_config_key_the_experiment_does_not_read(argv, settings, tmp_path, capsys):
+    config_file = tmp_path / "run.json"
+    config_file.write_text(json.dumps(settings))
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(config_file), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "bad config key" in err and all(key in err for key in settings)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"constraint": [1, 4]}, "quadric constraint"),
+        ({"steps": "10"}, "steps must be a number"),
+    ],
+    ids=["constraint-not-object", "steps-string"],
+)
+def test_main_exit_2_on_badly_typed_config_value(settings, message, tmp_path, capsys):
+    config_file = tmp_path / "run.json"
+    config_file.write_text(json.dumps(settings))
+    code = main(["foldback", "--config", str(config_file), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_main_exit_2_on_bad_json(tmp_path, capsys):

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from hugint.cli import build_parser
-from hugint.constraints import QuadricConstraint, SphereSlicedConstraint
+from hugint.constraints import QuadricConstraint, SphereConstraint, SphereSlicedConstraint
 from hugint.experiments import (
     BENCH_V0,
     BENCH_X0,
@@ -20,7 +21,7 @@ from hugint.experiments import (
     _showcase_velocity,
     build_constraint,
     ecdf_points,
-    max_distance_run,
+    max_distances,
     run_chain,
     run_ecdf,
     run_ellipsoid,
@@ -59,8 +60,6 @@ def test_experiment_table_scopes_cli_flags():
 def test_config_validation():
     with pytest.raises(ConfigError):
         ExperimentConfig(experiment="nope")
-    with pytest.raises(ConfigError):
-        ExperimentConfig(experiment="table1", workers=0)
     cfg = ExperimentConfig(experiment="table1", out="/tmp/x", seed=4)
     echo = cfg.echo()
     assert echo["experiment"] == "table1" and echo["seed"] == 4
@@ -128,14 +127,32 @@ def test_tail_probability_domain_checks():
         sphere_tail_probability(0.5, 1)
 
 
-def test_max_distance_run_matches_trajectory():
-    constraint = QuadricConstraint(np.diag([1.0, 4.0, 3.0]))
+def _trajectory_d_max(constraint, x0, v0, delta, steps):
+    t = hug_trajectory(constraint, PhaseState(x0, v0), HugParams(delta, steps))
+    return np.linalg.norm(t.xs - x0, axis=1).max()
+
+
+def test_max_distances_match_trajectories():
+    """Each row of the batch matches its own single-trajectory oracle."""
+    constraint = QuadricConstraint(np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]]))
     x0 = np.eye(3)[0]
-    v0 = np.array([0.3, 0.8, -0.5])
-    v0 /= np.linalg.norm(v0)
-    got = max_distance_run(constraint, x0, v0, 0.02, 50)
-    t = hug_trajectory(constraint, PhaseState(x0, v0), HugParams(0.02, 50))
-    assert np.isclose(got, np.linalg.norm(t.xs - x0, axis=1).max(), atol=1e-14)
+    rng = np.random.default_rng(131)
+    V0 = np.array([uniform_sphere(rng, 3) for _ in range(5)])
+    got = max_distances(constraint, x0, V0, 0.02, 50)
+    expected = [_trajectory_d_max(constraint, x0, v0, 0.02, 50) for v0 in V0]
+    assert got.shape == (5,)
+    np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+
+def test_max_distances_masks_singular_rows():
+    """A row whose midpoint hits the origin of the sphere turns NaN without a
+    warning, and the other row still walks e1 -> e2 -> -e1."""
+    x0 = np.eye(3)[0]
+    V0 = np.array([-np.eye(3)[0], np.eye(3)[1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = max_distances(SphereConstraint(3), x0, V0, 2.0, 2)
+    np.testing.assert_allclose(got, [np.nan, 2.0], rtol=1e-12)
 
 
 def test_ecdf_points_shape_and_limits():
@@ -195,20 +212,37 @@ def test_run_foldback_summary(tmp_path):
     assert schema == "foldback-steps/1" and len(rows) == 15
 
 
-def test_run_ellipsoid_small_and_worker_independence(tmp_path):
+def test_run_ellipsoid_reruns_byte_identical(tmp_path):
     base = dict(
         experiment="ellipsoid", seed=5, dim=3, delta=0.01, steps=30, replicates=16
     )
-    cfg1 = ExperimentConfig(out=str(tmp_path / "w1"), workers=1, **base)
-    cfg2 = ExperimentConfig(out=str(tmp_path / "w2"), workers=2, **base)
-    s1 = run_ellipsoid(cfg1)
-    s2 = run_ellipsoid(cfg2)
+    s1 = run_ellipsoid(ExperimentConfig(out=str(tmp_path / "a"), **base))
+    s2 = run_ellipsoid(ExperimentConfig(out=str(tmp_path / "b"), **base))
     assert s1["replicates"] == 16 and s1["failed_replicates"] == 0
     assert "spearman_rank_correlation" in s1
-    assert (tmp_path / "w1" / "ellipsoid_scatter.csv").read_bytes() == (
-        tmp_path / "w2" / "ellipsoid_scatter.csv"
-    ).read_bytes()
-    assert s1["showcase_d_max"] == s2["showcase_d_max"]
+    for name in ("ellipsoid_scatter.csv", "ellipsoid_ecdf.csv", "ellipsoid_showcase.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    assert s1 == s2
+
+
+def test_run_ellipsoid_uses_full_quadric_matrix(tmp_path):
+    """Each scatter row's d_max is the excursion of a hug trajectory on the
+    configured quadric, off-diagonal entries included, from that replicate's
+    velocity."""
+    matrix = [[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]]
+    run_ellipsoid(ExperimentConfig(
+        experiment="ellipsoid", out=str(tmp_path), seed=1, steps=50, replicates=4,
+        constraint={"kind": "quadric", "matrix": matrix},
+    ))
+    _, _, rows = read_csv(str(tmp_path / "ellipsoid_scatter.csv"))
+    constraint = QuadricConstraint(np.array(matrix))
+    x0 = np.eye(3)[0]
+    velocities = [
+        uniform_sphere(np.random.default_rng(child), 3)
+        for child in np.random.SeedSequence(1).spawn(4)
+    ]
+    expected = [_trajectory_d_max(constraint, x0, v0, 0.01, 50) for v0 in velocities]
+    np.testing.assert_allclose([float(row[2]) for row in rows], expected, rtol=1e-12)
 
 
 def test_run_ecdf_small(tmp_path):
