@@ -38,7 +38,6 @@ from .integrator import (
     HugParams,
     PhaseState,
     Trajectory,
-    eliminated_step,
     hug_step,
     hug_trajectory,
     level_drift_bound,
@@ -72,7 +71,6 @@ __all__ = [
     "build_bundle",
     "classify",
     "convergence_study",
-    "eliminated_step",
     "embedded_sequence",
     "from_reduced",
     "hug_kernel",

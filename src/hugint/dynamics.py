@@ -11,10 +11,10 @@ structure of the one-sided derivative operators, reduces to
     dv/dt = N'_par(x)[v_par - v_perp] v_perp - N'_perp(x)[v_par - v_perp] v_par.
 
 The flow preserves phase-space volume, ||v(t)||, and f(x(t)), and is
-time-reversible.  This module evaluates the field (in both the grouped and
-reduced forms, kept separate so they can cross-check each other), integrates
-it accurately with a self-checked DOP853 solve, embeds flow solutions into
-discrete-looking sequences via the sign-alternating velocity
+time-reversible.  This module evaluates the field in the reduced form,
+applying every projector matrix-free through the basis of the normal space,
+integrates it accurately with a self-checked DOP853 solve, embeds flow
+solutions into discrete-looking sequences via the sign-alternating velocity
 
     X_k = x(k delta),    V_k = v_par(k delta) + (-1)^k v_perp(k delta),
 
@@ -33,7 +33,7 @@ from scipy.integrate import solve_ivp
 from .constraints import ConstraintMap
 from .errors import ReferenceSolveError
 from .integrator import PhaseState, hug_step
-from .projectors import ProjectorBundle, build_bundle, nprime_par, nprime_perp
+from .projectors import ProjectorBundle, build_bundle
 
 #: (rtol, atol) of the coarse and the fine DOP853 solve behind every
 #: reference solution; the fine one is returned.
@@ -93,31 +93,14 @@ def velocity_derivative(
     """dv/dt in the reduced form using the velocity split.
 
     Computes N'_par[w] v_perp - N'_perp[w] v_par for w = v_par - v_perp with
-    a single Hessian contraction, applying the operators matrix-free.
+    a single Hessian contraction, applying the operators matrix-free: T v_par
+    is v_par itself, and T u is the tangential part of u.
     """
     v_par, v_perp = split_velocity(bundle, v)
     S = constraint.hessian_contraction(bundle.x, v_par - v_perp)
-    par_term = bundle.tangent @ (S.T @ (bundle.pseudo.T @ v_perp))
-    perp_term = bundle.pseudo @ (S @ (bundle.tangent @ v_par))
+    par_term, _ = split_velocity(bundle, S.T @ (bundle.pseudo.T @ v_perp))
+    perp_term = bundle.pseudo @ (S @ v_par)
     return par_term - perp_term
-
-
-def velocity_derivative_grouped(
-    constraint: ConstraintMap, bundle: ProjectorBundle, v: np.ndarray
-) -> np.ndarray:
-    """dv/dt in the grouped form (N'_par[w] - N'_perp[w]) v, w = (T - N)v.
-
-    Assembles the full operator matrices and applies them to the whole
-    velocity; algebraically identical to :func:`velocity_derivative` and kept
-    as an independent route for tests.
-    """
-    v = np.asarray(v, dtype=float)
-    w = (bundle.tangent - bundle.normal) @ v
-    S = constraint.hessian_contraction(bundle.x, w)
-    return (
-        nprime_par(constraint, bundle, w, slice_=S)
-        - nprime_perp(constraint, bundle, w, slice_=S)
-    ) @ v
 
 
 def phase_field(constraint: ConstraintMap):
@@ -127,37 +110,9 @@ def phase_field(constraint: ConstraintMap):
     def field(t: float, y: np.ndarray) -> np.ndarray:
         x, v = y[:n], y[n:]
         bundle = build_bundle(constraint, x)
-        dx = bundle.tangent @ v
+        dx, _ = split_velocity(bundle, v)
         dv = velocity_derivative(constraint, bundle, v)
         return np.concatenate([dx, dv])
-
-    return field
-
-
-def component_field(constraint: ConstraintMap):
-    """Return field(t, y) for the split system on y = (x, v_par, v_perp).
-
-    dx/dt      = v_par
-    dv_par/dt  = -N'_par[v_perp] v_perp - N'_perp[v_par] v_par
-    dv_perp/dt =  N'_par[v_par] v_perp  + N'_perp[v_perp] v_par
-    """
-    n = constraint.ambient_dim
-
-    def field(t: float, y: np.ndarray) -> np.ndarray:
-        x, v_par, v_perp = y[:n], y[n : 2 * n], y[2 * n :]
-        bundle = build_bundle(constraint, x)
-        S_par = constraint.hessian_contraction(x, v_par)
-        S_perp = constraint.hessian_contraction(x, v_perp)
-
-        def apply_par(S, u):
-            return bundle.tangent @ (S.T @ (bundle.pseudo.T @ u))
-
-        def apply_perp(S, u):
-            return bundle.pseudo @ (S @ (bundle.tangent @ u))
-
-        dv_par = -apply_par(S_perp, v_perp) - apply_perp(S_par, v_par)
-        dv_perp = apply_par(S_par, v_perp) + apply_perp(S_perp, v_par)
-        return np.concatenate([v_par, dv_par, dv_perp])
 
     return field
 
@@ -197,23 +152,6 @@ def reference_solve(constraint: ConstraintMap, initial: PhaseState, times: np.nd
     y0 = np.concatenate([initial.x, initial.v])
     ys = checked_solve(phase_field(constraint), y0, times)
     return FlowSolution(times=times, xs=ys[:, :n], vs=ys[:, n:])
-
-
-def component_solve(
-    constraint: ConstraintMap, initial: PhaseState, times: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Integrate the split system; returns (xs, v_par, v_perp) at the times.
-
-    The initial velocity is split at initial.x.  Cross-checks the plain
-    phase-space solve: xs must agree and v_par + v_perp must equal v.
-    """
-    times = np.asarray(times, dtype=float)
-    n = constraint.ambient_dim
-    bundle = build_bundle(constraint, initial.x)
-    v_par, v_perp = split_velocity(bundle, initial.v)
-    y0 = np.concatenate([initial.x, v_par, v_perp])
-    ys = checked_solve(component_field(constraint), y0, times)
-    return ys[:, :n], ys[:, n : 2 * n], ys[:, 2 * n :]
 
 
 def embedded_sequence(

@@ -24,7 +24,7 @@ import scipy.integrate
 import scipy.stats
 
 from .constraints import ConstraintMap, QuadricConstraint, SphereConstraint, SphereSlicedConstraint
-from .dynamics import convergence_study, reference_solve
+from .dynamics import convergence_study, reference_solve, split_velocity
 from .ellipse import (
     EllipseModel,
     ReducedState,
@@ -35,7 +35,7 @@ from .ellipse import (
 )
 from .integrator import HugParams, PhaseState, hug_step, hug_trajectory
 from .output import write_csv
-from .projectors import build_bundle
+from .projectors import ProjectorBundle, build_bundle
 from .sampling import IsotropicGaussian, run_chain as run_sampling_chain
 
 #: Step sizes of the error table and convergence study.
@@ -66,9 +66,10 @@ class ConfigError(Exception):
 #: Lower bounds of integer settings (the ECDF stderr needs two replicates).
 _MINIMA = {"seed": 0, "replicates": 2, "steps": 1, "iterations": 1}
 
-#: Settings that must be numbers when set.
+#: Settings that must be numbers when set, and of those the ones that must be integers.
 _NUMBERS = ("seed", "delta", "steps", "t_end", "replicates", "iterations", "walk_scale",
             "velocity_sigma", "h", "dim")
+_INTEGERS = ("seed", "steps", "replicates", "iterations", "dim")
 
 
 @dataclass
@@ -104,8 +105,12 @@ class ExperimentConfig:
                 setattr(self, name, copy.deepcopy(value))
         for name in _NUMBERS:
             value = getattr(self, name)
-            if value is not None and not isinstance(value, numbers.Real):
+            if value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ConfigError(f"{name} must be a number, got {value!r}")
+            if name in _INTEGERS and not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         for name, minimum in _MINIMA.items():
             value = getattr(self, name)
             if value is not None and value < minimum:
@@ -402,16 +407,20 @@ def _scatter_study(
     return v_perp, d_max, int(np.sum(~np.isfinite(d_max)))
 
 
-def _showcase_velocity(normal_speed: float, n: int) -> np.ndarray:
-    """Unit velocity at x0 = e1 with a prescribed normal-component norm.
+def _showcase_velocity(bundle: ProjectorBundle, normal_speed: float) -> np.ndarray:
+    """Unit velocity at bundle.x with a prescribed normal-component norm.
 
-    At x0 = e1 on a diagonal quadric the unit normal is e1, so
-    v = s e1 + sqrt(1 - s^2) u with u a fixed unit tangent (here the
-    normalized sum of e2 and e3).
+    v = s q + sqrt(1 - s^2) u, with q the unit normal at bundle.x pointing away
+    from the origin (e1 at x0 = e1 on a diagonal quadric) and u the
+    normalized tangential part of e2 + e3.
     """
-    u = np.zeros(n)
-    u[1] = u[2] = 1.0 / np.sqrt(2.0)
-    return normal_speed * np.eye(n)[0] + np.sqrt(1.0 - normal_speed**2) * u
+    q = bundle.basis[:, 0]
+    if q @ bundle.x < 0.0:
+        q = -q
+    e23 = np.zeros(bundle.x.size)
+    e23[1] = e23[2] = 1.0
+    u, _ = split_velocity(bundle, e23)
+    return normal_speed * q + np.sqrt(1.0 - normal_speed**2) * (u / np.linalg.norm(u))
 
 
 def run_ellipsoid(config: ExperimentConfig) -> dict:
@@ -454,7 +463,8 @@ def run_ellipsoid(config: ExperimentConfig) -> dict:
     }
 
     if n >= 3 and config.x0 is None:
-        V0 = np.array([_showcase_velocity(s, n) for s in SHOWCASE_NORMAL_SPEEDS])
+        bundle = build_bundle(constraint, x0)
+        V0 = np.array([_showcase_velocity(bundle, s) for s in SHOWCASE_NORMAL_SPEEDS])
         showcase = max_distances(constraint, x0, V0, config.delta, config.steps)
         write_csv(
             os.path.join(config.out, "ellipsoid_showcase.csv"),

@@ -11,9 +11,11 @@ midpoint y, so the step preserves ||v|| exactly and keeps x' close to the
 level set of x without any projection or root-finding.  Eliminating the
 midpoint gives the algebraically equivalent update
 
-    x' = x + delta * T(y) v,    v' = (I - 2 N(y)) v,
+    x' = x + delta * T(y) v,    v' = (I - 2 N(y)) v.
 
-implemented separately in :func:`eliminated_step` as a cross-check.
+The reflection needs only an orthonormal basis Q of the normal space,
+N(y) v = Q (Q^T v), so beyond the constraint's own Jacobian a step costs
+O(n m) for n ambient dimensions and m constraints.
 """
 
 from __future__ import annotations
@@ -112,21 +114,6 @@ def hug_step(
     y = x + 0.5 * delta * v
     v_new = reflect(build_bundle(constraint, y), v)
     return y + 0.5 * delta * v_new, v_new
-
-
-def eliminated_step(
-    constraint: ConstraintMap, x: np.ndarray, v: np.ndarray, delta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """One step in midpoint-eliminated form; must agree with :func:`hug_step`.
-
-    Uses x' = x + delta * T(y) v and v' = (I - 2 N(y)) v with
-    y = x + (delta/2) v.  Kept as an independent route for equivalence tests;
-    production code should call :func:`hug_step`.
-    """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    bundle = build_bundle(constraint, x + 0.5 * delta * v)
-    return x + delta * (bundle.tangent @ v), reflect(bundle, v)
 
 
 def hug_trajectory(

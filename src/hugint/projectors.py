@@ -1,12 +1,16 @@
-"""Tangent/normal projectors of a level set and their directional derivatives.
+"""Normal-space geometry of a level set and the derivative of its projector.
 
 For a constraint map f with full-rank Jacobian J(x), the normal space of the
 level set through x is the row space of J.  With the Moore-Penrose
 pseudoinverse J^+ = J^T (J J^T)^{-1}, the orthogonal projector onto the
 normal space is N = J^+ J and the tangential projector is T = I - N.
 
-Everything here is built from one thin QR factorization J^T = Q R per point:
-N = Q Q^T, T = I - Q Q^T, and J^+ = Q R^{-T}.  The directional derivative of
+Everything here is built from one thin QR factorization J^T = Q R per point,
+and a bundle stores only its two n-by-m factors: the orthonormal basis Q of
+the normal space and J^+ = Q R^{-T}.  The projectors N = Q Q^T and
+T = I - Q Q^T are applied matrix-free, as v -> Q (Q^T v) and
+v -> v - Q (Q^T v), at O(n m) cost; the dense n-by-n matrices are
+formed only on request, for analysis.  The directional derivative of
 N along a vector w splits into two one-sided parts,
 
     N'_perp(x)[w] = J^+ H(x)[w, .] T        (maps tangent -> normal)
@@ -22,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .constraints import ConstraintMap
 from .errors import SingularGeometryError
@@ -33,7 +36,7 @@ RANK_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class ProjectorBundle:
-    """Projector data shared by integrator steps and field evaluations at one point.
+    """Normal-space data shared by integrator steps and field evaluations at one point.
 
     Attributes
     ----------
@@ -45,22 +48,26 @@ class ProjectorBundle:
         Orthonormal basis Q of the normal space, shape (n, m).
     pseudo:
         Pseudoinverse J^+ = J^T (J J^T)^{-1}, shape (n, m).
-    normal:
-        Orthogonal projector N onto the normal space, shape (n, n).
-    tangent:
-        Orthogonal projector T = I - N onto the tangent space, shape (n, n).
     """
 
     x: np.ndarray
     jac: np.ndarray
     basis: np.ndarray
     pseudo: np.ndarray
-    normal: np.ndarray
-    tangent: np.ndarray
+
+    @property
+    def normal(self) -> np.ndarray:
+        """Dense projector N = Q Q^T onto the normal space, built on each access."""
+        return self.basis @ self.basis.T
+
+    @property
+    def tangent(self) -> np.ndarray:
+        """Dense projector T = I - Q Q^T onto the tangent space, built on each access."""
+        return np.eye(self.x.size) - self.basis @ self.basis.T
 
 
 def build_bundle(constraint: ConstraintMap, x: np.ndarray) -> ProjectorBundle:
-    """Factor the Jacobian at x and assemble the projector bundle.
+    """Factor the Jacobian at x and assemble the bundle; stores O(n m) numbers.
 
     Raises
     ------
@@ -69,8 +76,7 @@ def build_bundle(constraint: ConstraintMap, x: np.ndarray) -> ProjectorBundle:
     """
     x = constraint.check_point(x)
     J = np.atleast_2d(np.asarray(constraint.jacobian(x), dtype=float))
-    m, n = J.shape
-    eye = np.eye(n)
+    m = J.shape[0]
 
     if m == 1:
         # Single constraint: the QR factorization collapses to a normalization.
@@ -92,12 +98,9 @@ def build_bundle(constraint: ConstraintMap, x: np.ndarray) -> ProjectorBundle:
         if d.max() == 0.0 or d.min() <= RANK_RTOL * d.max():
             raise SingularGeometryError(x, f"diag(R) spans {d.min():.2e}..{d.max():.2e}")
         q = Q
-        pseudo = Q @ scipy.linalg.solve_triangular(R, np.eye(m), trans="T", lower=False)
+        pseudo = Q @ np.linalg.inv(R).T  # R is m-by-m with m small
 
-    normal = q @ q.T
-    return ProjectorBundle(
-        x=x, jac=J, basis=q, pseudo=pseudo, normal=normal, tangent=eye - normal
-    )
+    return ProjectorBundle(x=x, jac=J, basis=q, pseudo=pseudo)
 
 
 def reflect(bundle: ProjectorBundle, v: np.ndarray) -> np.ndarray:
@@ -117,10 +120,12 @@ def nprime_perp(
     Returns the n-by-n matrix J^+ H(x)[w, .] T.  It kills normal vectors and
     maps tangent vectors into the normal space; composed with itself it
     vanishes.  Pass a precomputed ``slice_`` = H(x)[w, .] to avoid reassembly.
+    T is applied as P - (P Q) Q^T with P = J^+ H(x)[w, .], without forming it.
     """
     if slice_ is None:
         slice_ = constraint.hessian_contraction(bundle.x, w)
-    return bundle.pseudo @ (slice_ @ bundle.tangent)
+    P = bundle.pseudo @ slice_
+    return P - (P @ bundle.basis) @ bundle.basis.T
 
 
 def nprime_par(

@@ -96,17 +96,28 @@ def test_main_exit_2_on_config_key_the_experiment_does_not_read(argv, settings, 
 
 
 @pytest.mark.parametrize(
-    "settings, message",
+    "experiment, settings, message",
     [
-        ({"constraint": [1, 4]}, "quadric constraint"),
-        ({"steps": "10"}, "steps must be a number"),
+        ("foldback", {"constraint": [1, 4]}, "quadric constraint"),
+        ("foldback", {"steps": "10"}, "steps must be a number"),
+        ("foldback", {"steps": 10.5}, "steps must be an integer"),
+        ("ellipsoid", {"steps": 10.5}, "steps must be an integer"),
+        ("ecdf", {"replicates": 7.5}, "replicates must be an integer"),
+        ("chain", {"iterations": 100.5}, "iterations must be an integer"),
+        ("foldback", {"steps": True}, "steps must be a number"),
+        ("ellipsoid", {"dim": 3.0}, "dim must be an integer"),
+        ("table1", {"seed": 1.5}, "seed must be an integer"),
     ],
-    ids=["constraint-not-object", "steps-string"],
+    ids=["constraint-not-object", "steps-string", "foldback-steps-float",
+         "ellipsoid-steps-float", "ecdf-replicates-float", "chain-iterations-float",
+         "steps-bool", "dim-float", "seed-float"],
 )
-def test_main_exit_2_on_badly_typed_config_value(settings, message, tmp_path, capsys):
+def test_main_exit_2_on_badly_typed_config_value(
+    experiment, settings, message, tmp_path, capsys
+):
     config_file = tmp_path / "run.json"
     config_file.write_text(json.dumps(settings))
-    code = main(["foldback", "--config", str(config_file), "--out", str(tmp_path / "out")])
+    code = main([experiment, "--config", str(config_file), "--out", str(tmp_path / "out")])
     assert code == 2
     assert message in capsys.readouterr().err
 

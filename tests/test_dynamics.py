@@ -8,8 +8,6 @@ import pytest
 from conftest import random_run
 from hugint.constraints import QuadricConstraint, SphereSlicedConstraint
 from hugint.dynamics import (
-    component_field,
-    component_solve,
     convergence_study,
     embedded_sequence,
     field_divergence,
@@ -19,10 +17,10 @@ from hugint.dynamics import (
     split_velocity,
     step_residuals,
     velocity_derivative,
-    velocity_derivative_grouped,
 )
 from hugint.integrator import PhaseState, hug_trajectory, HugParams
 from hugint.projectors import build_bundle
+from oracles import component_field, component_solve, velocity_derivative_grouped
 
 BENCH = QuadricConstraint(np.diag([1.0, 4.0]))
 BENCH_STATE = PhaseState([np.cos(1.0), 0.5 * np.sin(1.0)], [0.0, 1.0])

@@ -14,6 +14,7 @@ from hugint.constraints import QuadricConstraint, SphereConstraint, SphereSliced
 from hugint.experiments import (
     BENCH_V0,
     BENCH_X0,
+    ELLIPSOID_DIAGS,
     EXPERIMENTS,
     RUNNERS,
     ConfigError,
@@ -33,6 +34,10 @@ from hugint.experiments import (
 )
 from hugint.integrator import HugParams, PhaseState, hug_trajectory
 from hugint.output import read_csv
+from hugint.projectors import build_bundle
+
+#: A quadric whose unit normal at x0 = e1 is not e1.
+TILTED_QUADRIC = [[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]]
 
 
 def test_experiment_table_scopes_cli_flags():
@@ -164,10 +169,49 @@ def test_ecdf_points_shape_and_limits():
 
 
 def test_showcase_velocity_geometry():
+    """On a diagonal preset the velocity is s e1 + sqrt(1 - s^2) (e2 + e3)/sqrt(2);
+    on a non-diagonal quadric its normal part still has norm s and its
+    tangential part points along the tangential part of e2 + e3."""
+    x0 = np.eye(3)[0]
+    diagonal = build_bundle(QuadricConstraint(np.diag(ELLIPSOID_DIAGS[3])), x0)
+    tilted = build_bundle(QuadricConstraint(np.array(TILTED_QUADRIC)), x0)
+    e23 = np.array([0.0, 1.0, 1.0])
+    u = tilted.tangent @ e23
     for s in (0.2, 0.7):
-        v = _showcase_velocity(s, 3)
+        v = _showcase_velocity(diagonal, s)
         assert np.isclose(np.linalg.norm(v), 1.0, atol=1e-14)
         assert np.isclose(v[0], s)  # normal component at x0 = e1
+        assert v[1] == v[2] == np.sqrt(1.0 - s**2) * (1.0 / np.sqrt(2.0))
+        v = _showcase_velocity(tilted, s)
+        assert np.isclose(np.linalg.norm(v), 1.0, atol=1e-14)
+        assert np.isclose(np.linalg.norm(v @ tilted.basis), s, atol=1e-14)
+        q = tilted.basis[:, 0]
+        assert (v @ q) * (q @ x0) > 0.0  # the outward normal, as e1 is on the presets
+        tangential = v - q * (q @ v)
+        assert np.allclose(tangential, np.sqrt(1.0 - s**2) * u / np.linalg.norm(u), atol=1e-14)
+
+
+def test_showcase_rows_label_their_true_normal_speed(tmp_path):
+    """Each showcase row's v_perp_norm is ||v Q|| of the velocity whose d_max it
+    reports, also where the unit normal at x0 = e1 is not e1."""
+    config = ExperimentConfig(
+        experiment="ellipsoid", out=str(tmp_path), seed=2, steps=40, replicates=4,
+        constraint={"kind": "quadric", "matrix": TILTED_QUADRIC},
+    )
+    run_ellipsoid(config)
+    _, header, rows = read_csv(str(tmp_path / "ellipsoid_showcase.csv"))
+    assert header == ["v_perp_norm", "d_max"] and len(rows) == 4
+    constraint = QuadricConstraint(np.array(TILTED_QUADRIC))
+    x0 = np.eye(3)[0]
+    bundle = build_bundle(constraint, x0)
+    assert abs(bundle.basis[0, 0]) < 0.99  # the normal at e1 is tilted away from e1
+    for row in rows:
+        label, d_max = float(row[0]), float(row[1])
+        v = _showcase_velocity(bundle, label)
+        assert np.isclose(np.linalg.norm(v @ bundle.basis), label, rtol=1e-12)
+        np.testing.assert_allclose(
+            d_max, _trajectory_d_max(constraint, x0, v, config.delta, config.steps), rtol=1e-12
+        )
 
 
 def test_run_table1_writes_expected_table(tmp_path):

@@ -11,11 +11,11 @@ from hugint.errors import SingularGeometryError
 from hugint.integrator import (
     HugParams,
     PhaseState,
-    eliminated_step,
     hug_step,
     hug_trajectory,
     level_drift_bound,
 )
+from oracles import eliminated_step
 
 
 def test_phase_state_validation():

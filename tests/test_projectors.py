@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,26 @@ def test_bundle_projector_algebra(kind):
         # J rows lie in the normal space, the pseudoinverse inverts them
         assert np.allclose(b.jac @ b.tangent, 0.0, atol=1e-11)
         assert np.allclose(b.jac @ b.pseudo, np.eye(c.codim), atol=1e-11)
+
+
+@pytest.mark.parametrize("make", [SphereConstraint, SphereSlicedConstraint],
+                         ids=["sphere", "sliced"])
+def test_bundle_stores_o_of_n_m_numbers(make):
+    """A bundle stores x, J, Q and J^+ only: at n = 2000 that is well under
+    1 MB, where two dense n-by-n projectors would take 64 MB.  The dense
+    projectors are still there on request."""
+    c = make(2000)
+    x = np.full(2000, 1.0 / np.sqrt(2000.0))
+    b = build_bundle(c, x)
+    stored = {f.name: getattr(b, f.name) for f in dataclasses.fields(b)}
+    assert set(stored) == {"x", "jac", "basis", "pseudo"}
+    assert sum(value.nbytes for value in stored.values()) < 1_000_000
+
+    small = make(5)
+    b = build_bundle(small, np.full(5, 1.0 / np.sqrt(5.0)))
+    Q = b.basis
+    assert np.array_equal(b.normal, Q @ Q.T)
+    assert np.array_equal(b.tangent, np.eye(5) - Q @ Q.T)
 
 
 def test_codim1_path_matches_explicit_qr():
