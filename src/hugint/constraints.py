@@ -12,6 +12,7 @@ tight-tolerance studies.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -142,10 +143,38 @@ class QuadricConstraint(ConstraintMap):
 
 
 class SphereConstraint(QuadricConstraint):
-    """f(x) = -x^T x; level set f = -r^2 is the sphere of radius r."""
+    """f(x) = -x^T x; level set f = -r^2 is the sphere of radius r.
+
+    The quadric with A = I, in closed form: value -x.x, gradient -2 x and
+    Hessian -2 I cost O(n) and agree bit for bit with the dense quadric
+    formulas, whose extra terms are exact zeros.  The matrix ``A`` is built
+    only when read.
+    """
 
     def __init__(self, ambient_dim: int):
-        super().__init__(np.eye(ambient_dim))
+        if ambient_dim < 1:
+            raise ValueError(f"ambient_dim must be >= 1, got {ambient_dim}")
+        self.ambient_dim = ambient_dim
+        self.codim = 1
+
+    @functools.cached_property
+    def A(self) -> np.ndarray:
+        return np.eye(self.ambient_dim)
+
+    def value(self, x: np.ndarray) -> np.ndarray:
+        x = self.check_point(x)
+        return np.array([-(x @ x)])
+
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        x = self.check_point(x)
+        return (-2.0 * x)[None, :]
+
+    def hessian_contraction(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        self.check_point(x)
+        return (-2.0 * np.asarray(w, float))[None, :]
+
+    def hessian_norm_bound(self) -> float:
+        return 2.0
 
 
 class AffineConstraint(ConstraintMap):

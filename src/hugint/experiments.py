@@ -35,7 +35,7 @@ from .ellipse import (
 )
 from .integrator import HugParams, PhaseState, hug_step, hug_trajectory
 from .output import write_csv
-from .projectors import ProjectorBundle, build_bundle
+from .projectors import GRADIENT_FLOOR, ProjectorBundle, build_bundle
 from .sampling import IsotropicGaussian, run_chain as run_sampling_chain
 
 #: Step sizes of the error table and convergence study.
@@ -115,7 +115,7 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and value < minimum:
                 raise ConfigError(f"{name} must be >= {minimum}, got {value}")
-        for name in ("delta", "t_end"):
+        for name in ("delta", "t_end", "velocity_sigma", "walk_scale"):
             value = getattr(self, name)
             if value is not None and not (value > 0.0 and np.isfinite(value)):
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
@@ -198,13 +198,12 @@ def max_distances(
     V = np.array(V0, dtype=float)
     X = np.broadcast_to(np.asarray(x0, dtype=float), V.shape).copy()
     M = -2.0 * constraint.A
-    tiny = np.sqrt(np.finfo(float).tiny)
     d_max = np.zeros(len(V))
     for _ in range(steps):
         Y = X + 0.5 * delta * V
         G = Y @ M.T
         gg = np.einsum("ij,ij->i", G, G)
-        gg[~(np.isfinite(gg) & (gg > tiny))] = np.nan  # the row turns NaN and stays NaN
+        gg[~(np.isfinite(gg) & (gg > GRADIENT_FLOOR))] = np.nan  # the row turns NaN and stays NaN
         Q = G / np.sqrt(gg)[:, None]
         V = V - 2.0 * Q * np.einsum("ij,ij->i", Q, V)[:, None]
         X = Y + 0.5 * delta * V
@@ -533,6 +532,8 @@ def run_chain(config: ExperimentConfig) -> dict:
         raise ConfigError("the chain experiment expects a quadric (Gaussian) target")
     n = constraint.ambient_dim
     x0 = np.asarray(config.x0, dtype=float) if config.x0 is not None else np.eye(n)[0]
+    if x0.shape != (n,):
+        raise ConfigError(f"x0 must have {n} entries")
     params = HugParams(step_size=config.delta, steps=config.steps)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     velocity = IsotropicGaussian(dim=n, sigma=config.velocity_sigma)

@@ -16,6 +16,11 @@ midpoint gives the algebraically equivalent update
 The reflection needs only an orthonormal basis Q of the normal space,
 N(y) v = Q (Q^T v), so beyond the constraint's own Jacobian a step costs
 O(n m) for n ambient dimensions and m constraints.
+
+:func:`hug_step` is the one implementation of the step.
+:func:`hug_trajectory` loops over it and records positions, velocities,
+midpoints and levels for analysis; the Metropolis kernel in
+:mod:`hugint.sampling` loops over it too but keeps only the final state.
 """
 
 from __future__ import annotations
@@ -108,8 +113,12 @@ class Trajectory:
 def hug_step(
     constraint: ConstraintMap, x: np.ndarray, v: np.ndarray, delta: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Advance (x, v) by one step of size delta; returns (x', v')."""
-    x = np.asarray(x, dtype=float)
+    """Advance (x, v) by one step of size delta; returns (x', v').
+
+    This is the only implementation of the step: trajectories and the
+    Metropolis kernel both loop over it.  The midpoint is validated once, by
+    :func:`build_bundle`.
+    """
     v = np.asarray(v, dtype=float)
     y = x + 0.5 * delta * v
     v_new = reflect(build_bundle(constraint, y), v)
@@ -124,19 +133,22 @@ def hug_trajectory(
     n = initial.x.shape[0]
     xs = np.empty((K + 1, n))
     vs = np.empty((K + 1, n))
-    midpoints = np.empty((K, n))
     levels = np.empty((K + 1, constraint.codim))
-    xs[0], vs[0] = initial.x, initial.v
-    levels[0] = constraint.value(initial.x)
+    x, v = initial.x, initial.v
+    xs[0], vs[0] = x, v
+    levels[0] = constraint.value(x)
     delta = params.step_size
-    for k in range(K):
-        midpoints[k] = xs[k] + 0.5 * delta * vs[k]
-        vs[k + 1] = reflect(build_bundle(constraint, midpoints[k]), vs[k])
-        xs[k + 1] = midpoints[k] + 0.5 * delta * vs[k + 1]
-        levels[k + 1] = constraint.value(xs[k + 1])
-    times = delta * np.arange(K + 1)
+    for k in range(1, K + 1):
+        x, v = hug_step(constraint, x, v, delta)
+        xs[k], vs[k] = x, v
+        levels[k] = constraint.value(x)
     return Trajectory(
-        times=times, xs=xs, vs=vs, midpoints=midpoints, levels=levels, params=params
+        times=delta * np.arange(K + 1),
+        xs=xs,
+        vs=vs,
+        midpoints=xs[:-1] + 0.5 * delta * vs[:-1],
+        levels=levels,
+        params=params,
     )
 
 

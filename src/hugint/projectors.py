@@ -23,15 +23,19 @@ discrete integrator shadows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constraints import ConstraintMap
-from .errors import SingularGeometryError
+from .errors import DimensionError, SingularGeometryError
 
 #: Relative tolerance on the diagonal of R for declaring J rank deficient.
 RANK_RTOL = 1e-10
+
+#: Floor on ||grad f||^2 below which a single constraint's gradient counts as vanishing.
+GRADIENT_FLOOR = float(np.sqrt(np.finfo(float).tiny))
 
 
 @dataclass(frozen=True)
@@ -69,22 +73,34 @@ class ProjectorBundle:
 def build_bundle(constraint: ConstraintMap, x: np.ndarray) -> ProjectorBundle:
     """Factor the Jacobian at x and assemble the bundle; stores O(n m) numbers.
 
+    The point is validated once, by the constraint's ``jacobian``; the
+    Jacobian it returns must have shape (m, n).
+
     Raises
     ------
+    DimensionError
+        If x or the Jacobian has the wrong shape.
     SingularGeometryError
-        If the Jacobian is (numerically) rank deficient at x.
+        If the Jacobian is (numerically) rank deficient or not finite at x.
     """
-    x = constraint.check_point(x)
-    J = np.atleast_2d(np.asarray(constraint.jacobian(x), dtype=float))
-    m = J.shape[0]
+    x = np.asarray(x, dtype=float)
+    J = constraint.jacobian(x)  # every constraint map checks the shape of x here
+    shape = (constraint.codim, constraint.ambient_dim)
+    if type(J) is not np.ndarray or J.dtype != np.float64 or J.ndim != 2:
+        J = np.atleast_2d(np.asarray(J, dtype=float))
+    if J.shape != shape or x.shape != shape[1:]:
+        raise DimensionError(
+            f"Jacobian of shape {J.shape} at a point of shape {x.shape}, expected {shape}"
+        )
+    m = shape[0]
 
     if m == 1:
         # Single constraint: the QR factorization collapses to a normalization.
         g = J[0]
         ng2 = float(g @ g)
-        if not np.isfinite(ng2) or ng2 <= np.sqrt(np.finfo(float).tiny):
+        if not math.isfinite(ng2) or ng2 <= GRADIENT_FLOOR:
             raise SingularGeometryError(x, "gradient vanishes")
-        q = (g / np.sqrt(ng2))[:, None]
+        q = (g / math.sqrt(ng2))[:, None]
         pseudo = (g / ng2)[:, None]
     else:
         Q, R = np.linalg.qr(J.T, mode="reduced")

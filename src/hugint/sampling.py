@@ -12,6 +12,10 @@ ell difference, which the hugging property keeps small.  The kernel exploits
 that cancellation by default but can evaluate the general formula, both to
 test the shortcut and to support other velocity distributions.
 
+A proposal needs only (x_K, v_K), so the kernel loops over the integrator's
+single step function, :func:`~hugint.integrator.hug_step`, and records no
+trajectory: it evaluates ell at x_0 and x_K and nowhere in between.
+
 Since the moves nearly preserve ell, a chain of hugging proposals alone
 explores a single contour.  :func:`run_chain` can interleave a plain
 random-walk Metropolis move so the chain also travels across level sets; that
@@ -27,7 +31,7 @@ import numpy as np
 
 from .constraints import ConstraintMap
 from .errors import SingularGeometryError
-from .integrator import HugParams, PhaseState, hug_trajectory
+from .integrator import HugParams, hug_step
 
 LOG_DENSITY_INDEX = 0  # a codim-1 constraint's single component is the log-density
 
@@ -87,25 +91,26 @@ def hug_kernel(
 
     With ``use_norm_cancellation`` (default) the velocity-distribution terms
     of log r are dropped for norm-invariant distributions, where they cancel
-    exactly; pass False to evaluate the general formula.  A rank-deficient
-    gradient anywhere along the proposal trajectory yields an immediate
-    rejection flagged ``singular``.
+    exactly; pass False to evaluate the general formula.  The proposal
+    advances (x, v) with :func:`~hugint.integrator.hug_step` and keeps only
+    the final pair (x_K, v_K); the log-density is read at x_0 and x_K only.
+    A rank-deficient gradient at any step yields an immediate rejection at
+    x flagged ``singular``.
     """
     x = np.asarray(x, dtype=float)
     v0 = velocity_dist.sample(rng, x)
+    x_k, v_k = x, v0
     try:
-        trajectory = hug_trajectory(target, PhaseState(x, v0), params)
+        for _ in range(params.steps):
+            x_k, v_k = hug_step(target, x_k, v_k, params.step_size)
     except SingularGeometryError:
         return KernelResult(state=x, accepted=False, log_ratio=-np.inf, singular=True)
-    final = trajectory.final
-    log_ratio = log_density_of(target, final.x) - log_density_of(target, x)
+    log_ratio = log_density_of(target, x_k) - log_density_of(target, x)
     if not (use_norm_cancellation and getattr(velocity_dist, "norm_invariant", False)):
-        log_ratio += velocity_dist.log_density(final.v, final.x) - velocity_dist.log_density(
-            v0, x
-        )
+        log_ratio += velocity_dist.log_density(v_k, x_k) - velocity_dist.log_density(v0, x)
     accepted = np.log(rng.uniform()) < log_ratio
     return KernelResult(
-        state=final.x if accepted else x, accepted=bool(accepted), log_ratio=float(log_ratio)
+        state=x_k if accepted else x, accepted=bool(accepted), log_ratio=float(log_ratio)
     )
 
 

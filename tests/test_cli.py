@@ -50,6 +50,29 @@ def test_main_exit_2_on_out_of_range_setting(argv, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"velocity_sigma": 0}', "velocity_sigma must be positive and finite"),
+        ('{"velocity_sigma": -1}', "velocity_sigma must be positive and finite"),
+        ('{"velocity_sigma": 1e400}', "velocity_sigma must be positive and finite"),
+        ('{"walk_scale": -0.5}', "walk_scale must be positive and finite"),
+        ('{"x0": [1, 2, 3]}', "x0 must have 2 entries"),
+    ],
+    ids=["sigma-zero", "sigma-negative", "sigma-overflow", "walk-scale-negative", "x0-shape"],
+)
+def test_main_exit_2_on_bad_chain_setting_in_config_file(text, message, tmp_path, capsys):
+    """A zero velocity scale would make every hug proposal a no-op, and a
+    start of the wrong dimension must not reach the integrator."""
+    config_file = tmp_path / "run.json"
+    config_file.write_text(text)
+    out = tmp_path / "out"
+    argv = ["chain", "--iterations", "10", "--config", str(config_file), "--out", str(out)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_load_config_cli_overrides_file(tmp_path):
     config_file = tmp_path / "run.json"
     config_file.write_text(json.dumps({"seed": 5, "delta": 0.25, "out": "from-file"}))

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+from hugint.cli import main
 from hugint.constraints import (
     AffineConstraint,
     CallableConstraint,
@@ -48,6 +51,32 @@ def test_sphere_is_identity_quadric():
     assert np.allclose(s.A, np.eye(3))
     x = np.array([0.1, -0.5, 2.0])
     assert np.isclose(s.value(x)[0], -(x @ x))
+
+
+@pytest.mark.parametrize("n", [3, 10, 1000])
+def test_closed_form_sphere_matches_dense_quadric_bitwise(n):
+    """The O(n) sphere formulas equal the O(n^2) quadric ones over A = I bit
+    for bit: the dense products only add exact zeros."""
+    sphere, dense = SphereConstraint(n), QuadricConstraint(np.eye(n))
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        x, w = rng.standard_normal((2, n))
+        assert np.array_equal(sphere.value(x), dense.value(x))
+        assert np.array_equal(sphere.jacobian(x), dense.jacobian(x))
+        assert np.array_equal(sphere.hessian_contraction(x, w), dense.hessian_contraction(x, w))
+    assert sphere.hessian_norm_bound() == 2.0 == dense.hessian_norm_bound()
+    assert np.array_equal(sphere.A, np.eye(n))
+    assert isinstance(sphere, QuadricConstraint)
+
+
+def test_chain_on_sphere_target_reads_its_identity_matrix(tmp_path, capsys):
+    """``chain`` takes the target moments 0.5 / diag(A) from the lazily built A."""
+    config_file = tmp_path / "run.json"
+    config_file.write_text(json.dumps({"constraint": {"kind": "sphere", "dim": 2}}))
+    argv = ["chain", "--iterations", "50", "--config", str(config_file), "--out", str(tmp_path)]
+    assert main(argv) == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary["target_second_moments"] == [0.5, 0.5]
 
 
 def test_affine_validation_and_zero_hessian():

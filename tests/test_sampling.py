@@ -5,8 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hugint.constraints import QuadricConstraint, SphereConstraint, SphereSlicedConstraint
-from hugint.integrator import HugParams
+from hugint.constraints import (
+    CallableConstraint,
+    QuadricConstraint,
+    SphereConstraint,
+    SphereSlicedConstraint,
+)
+from hugint.errors import SingularGeometryError
+from hugint.integrator import HugParams, PhaseState, hug_trajectory
 from hugint.sampling import (
     IsotropicGaussian,
     hug_kernel,
@@ -88,6 +94,78 @@ def test_singular_proposal_is_rejected_in_place():
     result = hug_kernel(SphereConstraint(2), x, PARAMS, dist, rng)
     assert result.singular and not result.accepted
     assert np.allclose(result.state, x)
+    assert result.log_ratio == -np.inf
+
+
+class _RecordingVelocity(_FixedVelocity):
+    """Fixed velocity that logs the (v, x) pairs the general formula reads."""
+
+    norm_invariant = False
+
+    def __init__(self, v):
+        super().__init__(v)
+        self.seen = []
+
+    def log_density(self, v, x):
+        self.seen.append((np.array(v), np.array(x)))
+        return 0.0
+
+
+class _AlwaysAccept:
+    """Stub generator whose uniform draw accepts any finite log ratio."""
+
+    def uniform(self):
+        return 1e-300
+
+
+_QUADRIC_A = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 3.0]])
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        SphereConstraint(3),
+        QuadricConstraint(_QUADRIC_A),
+        CallableConstraint(
+            3, 1, fn=lambda x: np.array([-(x @ _QUADRIC_A @ x)]),
+            jac=lambda x: -2.0 * _QUADRIC_A @ x,
+        ),
+    ],
+    ids=["sphere", "quadric", "callable"],
+)
+def test_kernel_proposal_equals_trajectory_final_state(target):
+    """The kernel's lean loop and the recorded trajectory share one step
+    function, so the proposal (x_K, v_K) matches bit for bit."""
+    x = np.array([0.7, -0.4, 0.3])
+    v0 = np.array([0.2, 0.9, -0.5])
+    final = hug_trajectory(target, PhaseState(x, v0), PARAMS).final
+    dist = _RecordingVelocity(v0)
+    result = hug_kernel(target, x, PARAMS, dist, _AlwaysAccept(), use_norm_cancellation=False)
+    assert result.accepted and not result.singular
+    assert np.array_equal(result.state, final.x)
+    (v_k, x_k), (v_first, x_first) = dist.seen
+    assert np.array_equal(v_k, final.v) and np.array_equal(x_k, final.x)
+    assert np.array_equal(v_first, v0) and np.array_equal(x_first, x)
+    assert result.log_ratio == log_density_of(target, final.x) - log_density_of(target, x)
+
+
+def test_singular_at_a_later_step_is_rejected_in_place():
+    """f = x1 (x2 - 5/8) has a zero gradient at (0, 5/8).  From the origin
+    with v = e2 the velocity stays tangent, the first two midpoints are
+    regular and the third lands on the zero (all in exact binary fractions)."""
+    target = CallableConstraint(
+        2, 1, fn=lambda x: np.array([x[0] * (x[1] - 0.625)]),
+        jac=lambda x: np.array([[x[1] - 0.625, x[0]]]),
+    )
+    x, v = np.zeros(2), np.array([0.0, 1.0])
+    hug_trajectory(target, PhaseState(x, v), HugParams(0.25, 2))
+    with pytest.raises(SingularGeometryError):
+        hug_trajectory(target, PhaseState(x, v), HugParams(0.25, 3))
+    result = hug_kernel(
+        target, x, HugParams(0.25, 5), _FixedVelocity(v), np.random.default_rng(65)
+    )
+    assert result.singular and not result.accepted
+    assert np.array_equal(result.state, x)
     assert result.log_ratio == -np.inf
 
 
