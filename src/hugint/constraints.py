@@ -106,7 +106,7 @@ class QuadricConstraint(ConstraintMap):
     """f(x) = -x^T A x for symmetric positive definite A (codimension 1).
 
     Level sets f = -c (c > 0) are ellipsoids.  All derivatives are analytic:
-    grad f = -2 A x and the Hessian is the constant matrix -2 A.
+    grad f = -2 A x and the Hessian is the constant matrix -2 A, formed once.
     """
 
     def __init__(self, A: np.ndarray):
@@ -118,6 +118,7 @@ class QuadricConstraint(ConstraintMap):
         if np.any(np.linalg.eigvalsh(A) <= 0.0):
             raise ValueError("A must be positive definite")
         self.A = A
+        self._hessian = -2.0 * A
         self.ambient_dim = A.shape[0]
         self.codim = 1
 
@@ -127,7 +128,7 @@ class QuadricConstraint(ConstraintMap):
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         x = self.check_point(x)
-        return (-2.0 * self.A @ x)[None, :]
+        return (self._hessian @ x)[None, :]
 
     def hessian_bilinear(self, x: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
         self.check_point(x)
@@ -135,7 +136,7 @@ class QuadricConstraint(ConstraintMap):
 
     def hessian_contraction(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         self.check_point(x)
-        return (-2.0 * self.A @ np.asarray(w, float))[None, :]
+        return (self._hessian @ np.asarray(w, float))[None, :]
 
     def hessian_norm_bound(self) -> float:
         """Exact operator norm of the (constant) Hessian: 2 * lambda_max(A)."""

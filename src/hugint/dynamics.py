@@ -20,6 +20,10 @@ solutions into discrete-looking sequences via the sign-alternating velocity
 
 and measures the residuals and convergence orders of the discrete map
 against the flow.
+
+Each experiment makes one checked solve: the error table and convergence
+study solve on the union of their step-size grids (:func:`position_errors`),
+and a phase portrait solves its orbits stacked as one reduced ellipse system.
 """
 
 from __future__ import annotations
@@ -115,25 +119,6 @@ def phase_field(constraint: ConstraintMap):
         return np.concatenate([dx, dv])
 
     return field
-
-
-def field_divergence(
-    constraint: ConstraintMap, x: np.ndarray, v: np.ndarray, h: float = 1e-5
-) -> float:
-    """Central-difference divergence of the phase-space field at (x, v).
-
-    The flow preserves volume, so this should vanish up to the O(h^2)
-    finite-difference error wherever the Jacobian of the constraint has full
-    rank.
-    """
-    field = phase_field(constraint)
-    z = np.concatenate([np.asarray(x, float), np.asarray(v, float)])
-    total = 0.0
-    for i in range(z.size):
-        e = np.zeros(z.size)
-        e[i] = h
-        total += (field(0.0, z + e)[i] - field(0.0, z - e)[i]) / (2.0 * h)
-    return float(total)
 
 
 @dataclass(frozen=True)
@@ -243,6 +228,30 @@ def fit_order(deltas: np.ndarray, errors: np.ndarray, floor: float = 1e-12) -> f
     return float(slope)
 
 
+def position_errors(
+    constraint: ConstraintMap, initial: PhaseState, deltas: np.ndarray, steps: list[int]
+) -> list[np.ndarray]:
+    """Position errors ||x_k - x(k delta)||, k = 1..K, for each step size.
+
+    ``steps[i]`` is the step count K of ``deltas[i]``.  One reference solve
+    on the union of the grids delta_i * (0, 1, ..., K_i) serves every step
+    size; each one's rows are picked out of it by time.
+    """
+    grids = [delta * np.arange(K + 1) for delta, K in zip(deltas, steps)]
+    union = np.unique(np.concatenate(grids))
+    xs = reference_solve(constraint, initial, union).xs
+    errors = []
+    for delta, grid in zip(deltas, grids):
+        reference = xs[np.searchsorted(union, grid)]
+        x, v = initial.x, initial.v
+        errs = np.empty(grid.size - 1)
+        for k in range(1, grid.size):
+            x, v = hug_step(constraint, x, v, delta)
+            errs[k - 1] = np.linalg.norm(x - reference[k])
+        errors.append(errs)
+    return errors
+
+
 def convergence_study(
     constraint: ConstraintMap, initial: PhaseState, deltas: np.ndarray, horizon: float = 1.0
 ) -> ConvergenceStudy:
@@ -252,21 +261,12 @@ def convergence_study(
     global error; the one- and two-step errors use the same trajectories.
     """
     deltas = np.asarray(deltas, dtype=float)
-    one = np.empty(len(deltas))
-    two = np.empty(len(deltas))
-    glob = np.empty(len(deltas))
-    for i, delta in enumerate(deltas):
-        K = max(2, int(round(horizon / delta)))
-        times = delta * np.arange(K + 1)
-        sol = reference_solve(constraint, initial, times)
-        x, v = initial.x.copy(), initial.v.copy()
-        errs = np.empty(K)
-        for k in range(K):
-            x, v = hug_step(constraint, x, v, delta)
-            errs[k] = np.linalg.norm(x - sol.xs[k + 1])
-        one[i] = errs[0]
-        two[i] = errs[1]
-        glob[i] = errs.max()
+    steps = [max(2, int(round(horizon / delta))) for delta in deltas]
+    errors = position_errors(constraint, initial, deltas, steps)
     return ConvergenceStudy(
-        deltas=deltas, one_step=one, two_step=two, global_err=glob, horizon=horizon
+        deltas=deltas,
+        one_step=np.array([errs[0] for errs in errors]),
+        two_step=np.array([errs[1] for errs in errors]),
+        global_err=np.array([errs.max() for errs in errors]),
+        horizon=horizon,
     )

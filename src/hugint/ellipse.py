@@ -26,6 +26,11 @@ turning angles; the trajectory folds back between them), and the separatrix:
     separatrix  kappa * max(a, b) == c^2.
 
 At a turning angle p = 0, so sin^2(phi*) = (c^2 / kappa - a) / (b - a).
+
+The reduced field is written over arrays: orbits of one speed stack into a
+single system y = (phi_1..m, p_1..m), so a whole phase portrait is one
+checked reference solve (:func:`reduced_orbits`) and a single orbit
+(:func:`reduced_solve`) is the case m = 1.
 """
 
 from __future__ import annotations
@@ -146,25 +151,35 @@ def tangential_speed(model: EllipseModel, x: np.ndarray, v: np.ndarray) -> float
 
 
 def reduced_field(model: EllipseModel, speed: float):
-    """Return field(t, y) for the reduced system, y = (phi, p)."""
+    """Return field(t, y) for m stacked reduced orbits of one speed,
+    y = (phi_1..m, p_1..m); a single orbit is y = (phi, p)."""
     root_ab = np.sqrt(model.a * model.b)
     c2 = speed**2
 
     def field(t: float, y: np.ndarray) -> np.ndarray:
-        phi, p = y
-        mu = float(model.mu(phi))
+        phi, p = y.reshape(2, -1)
+        mu = model.mu(phi)
         dphi = root_ab * p / np.sqrt(mu)
         dp = 0.5 * root_ab * (model.a - model.b) * np.sin(2.0 * phi) * (c2 - p**2) / mu**1.5
-        return np.array([dphi, dp])
+        return np.concatenate([dphi, dp])
 
     return field
 
 
-def reduced_derivative(model: EllipseModel, state: ReducedState) -> tuple[float, float]:
-    """(dphi/dt, dp/dt) at a reduced state; the strip |p| <= c is enforced by
-    :class:`ReducedState` itself."""
-    dphi, dp = reduced_field(model, state.speed)(0.0, np.array([state.phi, state.p]))
-    return float(dphi), float(dp)
+def reduced_orbits(model: EllipseModel, states: list[ReducedState], times: np.ndarray) -> np.ndarray:
+    """Integrate the reduced orbits from ``states`` as one stacked system.
+
+    All states must share one total speed.  The m orbits go through a single
+    :func:`~hugint.dynamics.checked_solve` of the 2m-component system, so
+    the accuracy check covers them together.  Returns an array of shape
+    (m, len(times), 2) with columns (phi, p).
+    """
+    speed = states[0].speed
+    if any(state.speed != speed for state in states):
+        raise ValueError("stacked orbits must share one total speed")
+    y0 = np.array([[state.phi for state in states], [state.p for state in states]])
+    ys = checked_solve(reduced_field(model, speed), y0.ravel(), times)
+    return ys.reshape(len(ys), 2, len(states)).transpose(2, 0, 1)
 
 
 def reduced_solve(model: EllipseModel, initial: ReducedState, times: np.ndarray) -> np.ndarray:
@@ -172,8 +187,7 @@ def reduced_solve(model: EllipseModel, initial: ReducedState, times: np.ndarray)
 
     Returns an array of shape (len(times), 2) with columns (phi, p).
     """
-    y0 = np.array([initial.phi, initial.p])
-    return checked_solve(reduced_field(model, initial.speed), y0, times)
+    return reduced_orbits(model, [initial], times)[0]
 
 
 @dataclass(frozen=True)
@@ -236,42 +250,3 @@ def libration_turning_points(model: EllipseModel, state: ReducedState) -> tuple[
         return float(center - half), float(center + half)
     shift = np.pi * np.round((state.phi - 0.5 * np.pi) / np.pi)
     return float(half + shift), float(np.pi - half + shift)
-
-
-def integrated_angle_extreme(
-    model: EllipseModel, initial: ReducedState, t_final: float, dt: float = 1e-2
-) -> float:
-    """Maximum of |phi(t)| on [0, t_final] measured from an integration.
-
-    Samples the reduced solution on a uniform grid and sharpens the sampled
-    maximum with a three-point parabola fit, which recovers smooth extremes
-    to far better accuracy than the grid spacing.
-    """
-    times = np.arange(0.0, t_final + dt, dt)
-    ys = reduced_solve(model, initial, times)
-    phi = np.abs(ys[:, 0])
-    i = int(np.argmax(phi))
-    if i == 0 or i == len(phi) - 1:
-        return float(phi[i])
-    y0, y1, y2 = phi[i - 1], phi[i], phi[i + 1]
-    denom = y0 - 2.0 * y1 + y2
-    if denom == 0.0:
-        return float(y1)
-    # vertex of the parabola through the three samples
-    return float(y1 - 0.125 * (y2 - y0) ** 2 / denom)
-
-
-def equilibria(model: EllipseModel) -> tuple[list[float], list[float]]:
-    """Angles of the centers and saddles of the reduced system on [0, 2 pi).
-
-    Equilibria sit at p = 0, sin(2 phi) = 0.  For a < b the centers are at
-    phi = 0, pi (the ends of the long axis) and the saddles at pi/2, 3 pi/2;
-    for a > b the roles swap.  Undefined on a circle.
-    """
-    if model.a == model.b:
-        raise ValueError("every point with p = 0 is an equilibrium when a == b")
-    axis_ends = [0.0, np.pi]
-    waists = [np.pi / 2.0, 3.0 * np.pi / 2.0]
-    if model.a < model.b:
-        return axis_ends, waists
-    return waists, axis_ends

@@ -24,16 +24,16 @@ import scipy.integrate
 import scipy.stats
 
 from .constraints import ConstraintMap, QuadricConstraint, SphereConstraint, SphereSlicedConstraint
-from .dynamics import convergence_study, reference_solve, split_velocity
+from .dynamics import convergence_study, position_errors, reference_solve, split_velocity
 from .ellipse import (
     EllipseModel,
     ReducedState,
     classify,
-    reduced_solve,
+    reduced_orbits,
     tangential_speed,
     to_reduced,
 )
-from .integrator import HugParams, PhaseState, hug_step, hug_trajectory
+from .integrator import HugParams, PhaseState, hug_trajectory
 from .output import write_csv
 from .projectors import GRADIENT_FLOOR, ProjectorBundle, build_bundle
 from .sampling import IsotropicGaussian, run_chain as run_sampling_chain
@@ -149,6 +149,29 @@ def build_constraint(spec: dict) -> ConstraintMap:
     raise ConfigError(f"unknown constraint kind {kind!r}")
 
 
+def _config_vector(config: ExperimentConfig, name: str, n: int) -> np.ndarray:
+    """The config field ``name`` as a float vector of n entries, else :class:`ConfigError`.
+
+    Non-finite entries pass: the geometry reports them as numerical failures."""
+    value = getattr(config, name)
+    try:
+        array = np.asarray(value)
+        numeric = array.dtype.kind in "iuf"
+    except ValueError:  # ragged nesting
+        numeric = False
+    if not numeric:
+        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+    if array.shape != (n,):
+        raise ConfigError(f"{name} must have {n} entries, got {value!r}")
+    return array.astype(float)
+
+
+def _config_start(config: ExperimentConfig, constraint: ConstraintMap) -> PhaseState:
+    """The configured start (x0, v0), checked against the constraint's dimension."""
+    n = constraint.ambient_dim
+    return PhaseState(_config_vector(config, "x0", n), _config_vector(config, "v0", n))
+
+
 def uniform_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
     """Uniform draw on the unit sphere in R^n via a normalized Gaussian."""
     while True:
@@ -231,16 +254,11 @@ def ecdf_points(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def run_table1(config: ExperimentConfig) -> dict:
     """One- and two-step position errors of the benchmark across step sizes."""
     constraint = build_constraint(config.constraint)
-    initial = PhaseState(np.asarray(config.x0), np.asarray(config.v0))
+    initial = _config_start(config, constraint)
     deltas = np.asarray(TABLE_DELTAS)
-    one = np.empty(len(deltas))
-    two = np.empty(len(deltas))
-    for i, delta in enumerate(deltas):
-        x1, v1 = hug_step(constraint, initial.x, initial.v, delta)
-        x2, _ = hug_step(constraint, x1, v1, delta)
-        sol = reference_solve(constraint, initial, np.array([0.0, delta, 2.0 * delta]))
-        one[i] = np.linalg.norm(x1 - sol.xs[1])
-        two[i] = np.linalg.norm(x2 - sol.xs[2])
+    errors = position_errors(constraint, initial, deltas, [2] * len(deltas))
+    one = np.array([errs[0] for errs in errors])
+    two = np.array([errs[1] for errs in errors])
     rows = []
     for i, delta in enumerate(deltas):
         rows.append(
@@ -269,7 +287,7 @@ def run_table1(config: ExperimentConfig) -> dict:
 def run_convergence(config: ExperimentConfig) -> dict:
     """Order measurement: one-step, two-step, and global errors with fitted slopes."""
     constraint = build_constraint(config.constraint)
-    initial = PhaseState(np.asarray(config.x0), np.asarray(config.v0))
+    initial = _config_start(config, constraint)
     study = convergence_study(constraint, initial, np.asarray(TABLE_DELTAS), horizon=config.t_end)
     write_csv(
         os.path.join(config.out, "convergence.csv"),
@@ -293,9 +311,13 @@ def _ellipse_model(config: ExperimentConfig) -> EllipseModel:
     if not isinstance(config.constraint, dict) or config.constraint.get("kind") != "quadric":
         raise ConfigError("ellipse experiments need a quadric constraint")
     diag = config.constraint.get("diag")
-    if diag is None or len(diag) != 2:
-        raise ConfigError("ellipse experiments need a 2-entry quadric diagonal")
-    return EllipseModel(a=float(diag[0]), b=float(diag[1]))
+    try:
+        a, b = (float(entry) for entry in diag)
+        return EllipseModel(a=a, b=b)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"ellipse experiments need a positive 2-entry quadric diagonal, got {diag!r}"
+        ) from exc
 
 
 def run_phase_portrait(config: ExperimentConfig) -> dict:
@@ -305,23 +327,24 @@ def run_phase_portrait(config: ExperimentConfig) -> dict:
     phis = np.linspace(-0.75 * np.pi, 0.75 * np.pi, 7)
     ps = np.linspace(-speed, speed, 9)
     sample_times = np.arange(0.0, config.t_end + 0.05, 0.05)
+    states = [
+        ReducedState(phi=float(phi0), p=float(p0), speed=speed) for p0 in ps for phi0 in phis
+    ]
     class_rows = []
-    orbit_rows = []
     counts = {"rotation": 0, "libration": 0, "separatrix": 0}
-    point_id = 0
-    for p0 in ps:
-        for phi0 in phis:
-            state = ReducedState(phi=float(phi0), p=float(p0), speed=speed)
-            result = classify(model, state)
-            counts[result.kind] += 1
-            phi_min, phi_max = result.turning_points or (None, None)
-            class_rows.append(
-                (point_id, phi0, p0, result.kind, result.kappa, phi_min, phi_max)
-            )
-            orbit = reduced_solve(model, state, sample_times)
-            for t, (phi, p) in zip(sample_times, orbit):
-                orbit_rows.append((point_id, t, phi, p))
-            point_id += 1
+    for point_id, state in enumerate(states):
+        result = classify(model, state)
+        counts[result.kind] += 1
+        phi_min, phi_max = result.turning_points or (None, None)
+        class_rows.append(
+            (point_id, state.phi, state.p, result.kind, result.kappa, phi_min, phi_max)
+        )
+    orbits = reduced_orbits(model, states, sample_times)
+    orbit_rows = [
+        (point_id, t, phi, p)
+        for point_id, orbit in enumerate(orbits)
+        for t, (phi, p) in zip(sample_times, orbit)
+    ]
     write_csv(
         os.path.join(config.out, "portrait_classification.csv"),
         "portrait-classification/1",
@@ -341,7 +364,7 @@ def run_foldback(config: ExperimentConfig) -> dict:
     """Discrete fold-back trajectory with the flow it shadows."""
     model = _ellipse_model(config)
     constraint = QuadricConstraint(np.diag([model.a, model.b]))
-    initial = PhaseState(np.asarray(config.x0), np.asarray(config.v0))
+    initial = _config_start(config, constraint)
     trajectory = hug_trajectory(constraint, initial, HugParams(config.delta, config.steps))
     tangential = np.array(
         [tangential_speed(model, x, v) for x, v in zip(trajectory.xs, trajectory.vs)]
@@ -431,9 +454,7 @@ def run_ellipsoid(config: ExperimentConfig) -> dict:
             raise ConfigError(f"no ellipsoid preset for dim={config.dim}; pass a constraint")
         constraint = QuadricConstraint(np.diag(ELLIPSOID_DIAGS[config.dim]))
     n = constraint.ambient_dim
-    x0 = np.asarray(config.x0, dtype=float) if config.x0 is not None else np.eye(n)[0]
-    if x0.shape != (n,):
-        raise ConfigError(f"x0 must have {n} entries")
+    x0 = _config_vector(config, "x0", n) if config.x0 is not None else np.eye(n)[0]
     v_perp, d_max, failed = _scatter_study(constraint, x0, config, config.seed)
     ok = np.isfinite(d_max)
     write_csv(
@@ -531,9 +552,7 @@ def run_chain(config: ExperimentConfig) -> dict:
     if not isinstance(constraint, QuadricConstraint):
         raise ConfigError("the chain experiment expects a quadric (Gaussian) target")
     n = constraint.ambient_dim
-    x0 = np.asarray(config.x0, dtype=float) if config.x0 is not None else np.eye(n)[0]
-    if x0.shape != (n,):
-        raise ConfigError(f"x0 must have {n} entries")
+    x0 = _config_vector(config, "x0", n) if config.x0 is not None else np.eye(n)[0]
     params = HugParams(step_size=config.delta, steps=config.steps)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     velocity = IsotropicGaussian(dim=n, sigma=config.velocity_sigma)

@@ -1,8 +1,11 @@
 """Independent routes that cross-check the library; used only by the tests.
 
-Each one reaches a result the package computes another way, through the
-dense n-by-n projectors that a bundle builds on request, so agreement with
-the package's matrix-free code is a real check rather than a tautology.
+Most reach a result the package computes another way, through the dense
+n-by-n projectors that a bundle builds on request, so agreement with the
+package's matrix-free code is a real check rather than a tautology.  The
+rest are measurements only the tests make: a finite-difference divergence,
+the per-step-size convergence loop, the integrated extreme of a libration,
+the reduced derivative at a state and the equilibria of the reduced system.
 """
 
 from __future__ import annotations
@@ -10,8 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from hugint.constraints import ConstraintMap
-from hugint.dynamics import checked_solve, split_velocity
-from hugint.integrator import PhaseState
+from hugint.dynamics import checked_solve, phase_field, reference_solve, split_velocity
+from hugint.ellipse import EllipseModel, ReducedState, reduced_field, reduced_solve
+from hugint.integrator import PhaseState, hug_step
 from hugint.projectors import ProjectorBundle, build_bundle, nprime_par, nprime_perp, reflect
 
 
@@ -90,3 +94,91 @@ def component_solve(
     y0 = np.concatenate([initial.x, v_par, v_perp])
     ys = checked_solve(component_field(constraint), y0, times)
     return ys[:, :n], ys[:, n : 2 * n], ys[:, 2 * n :]
+
+
+def field_divergence(
+    constraint: ConstraintMap, x: np.ndarray, v: np.ndarray, h: float = 1e-5
+) -> float:
+    """Central-difference divergence of the phase-space field at (x, v).
+
+    The flow preserves volume, so this should vanish up to the O(h^2)
+    finite-difference error wherever the Jacobian of the constraint has full
+    rank.
+    """
+    field = phase_field(constraint)
+    z = np.concatenate([np.asarray(x, float), np.asarray(v, float)])
+    total = 0.0
+    for i in range(z.size):
+        e = np.zeros(z.size)
+        e[i] = h
+        total += (field(0.0, z + e)[i] - field(0.0, z - e)[i]) / (2.0 * h)
+    return float(total)
+
+
+def per_delta_errors(
+    constraint: ConstraintMap, initial: PhaseState, deltas: np.ndarray, horizon: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(one-step, two-step, global) errors with one reference solve per step size.
+
+    The loop ``convergence_study`` replaced by a single solve on the union
+    of the grids; its errors must agree with the study's.
+    """
+    one, two, glob = [], [], []
+    for delta in deltas:
+        K = max(2, int(round(horizon / delta)))
+        sol = reference_solve(constraint, initial, delta * np.arange(K + 1))
+        x, v = initial.x, initial.v
+        errs = np.empty(K)
+        for k in range(K):
+            x, v = hug_step(constraint, x, v, delta)
+            errs[k] = np.linalg.norm(x - sol.xs[k + 1])
+        one.append(errs[0])
+        two.append(errs[1])
+        glob.append(errs.max())
+    return np.array(one), np.array(two), np.array(glob)
+
+
+def reduced_derivative(model: EllipseModel, state: ReducedState) -> tuple[float, float]:
+    """(dphi/dt, dp/dt) at a reduced state; the strip |p| <= c is enforced by
+    :class:`ReducedState` itself."""
+    dphi, dp = reduced_field(model, state.speed)(0.0, np.array([state.phi, state.p]))
+    return float(dphi), float(dp)
+
+
+def integrated_angle_extreme(
+    model: EllipseModel, initial: ReducedState, t_final: float, dt: float = 1e-2
+) -> float:
+    """Maximum of |phi(t)| on [0, t_final] measured from an integration.
+
+    Samples the reduced solution on a uniform grid and sharpens the sampled
+    maximum with a three-point parabola fit, which recovers smooth extremes
+    to far better accuracy than the grid spacing.
+    """
+    times = np.arange(0.0, t_final + dt, dt)
+    ys = reduced_solve(model, initial, times)
+    phi = np.abs(ys[:, 0])
+    i = int(np.argmax(phi))
+    if i == 0 or i == len(phi) - 1:
+        return float(phi[i])
+    y0, y1, y2 = phi[i - 1], phi[i], phi[i + 1]
+    denom = y0 - 2.0 * y1 + y2
+    if denom == 0.0:
+        return float(y1)
+    # vertex of the parabola through the three samples
+    return float(y1 - 0.125 * (y2 - y0) ** 2 / denom)
+
+
+def equilibria(model: EllipseModel) -> tuple[list[float], list[float]]:
+    """Angles of the centers and saddles of the reduced system on [0, 2 pi).
+
+    Equilibria sit at p = 0, sin(2 phi) = 0.  For a < b the centers are at
+    phi = 0, pi (the ends of the long axis) and the saddles at pi/2, 3 pi/2;
+    for a > b the roles swap.  Undefined on a circle.
+    """
+    if model.a == model.b:
+        raise ValueError("every point with p = 0 is an equilibrium when a == b")
+    axis_ends = [0.0, np.pi]
+    waists = [np.pi / 2.0, 3.0 * np.pi / 2.0]
+    if model.a < model.b:
+        return axis_ends, waists
+    return waists, axis_ends

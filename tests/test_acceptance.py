@@ -19,11 +19,10 @@ from hugint.constraints import (
     SphereSlicedConstraint,
     hessian_bound_estimates,
 )
-from hugint.dynamics import convergence_study, field_divergence, reference_solve
+from hugint.dynamics import convergence_study, reference_solve
 from hugint.ellipse import (
     EllipseModel,
     classify,
-    integrated_angle_extreme,
     libration_turning_points,
     reduced_solve,
     tangential_speed,
@@ -46,6 +45,7 @@ from hugint.experiments import (
 from hugint.integrator import HugParams, PhaseState, hug_step, hug_trajectory, level_drift_bound
 from hugint.projectors import build_bundle, nprime, nprime_par, nprime_perp
 from hugint.sampling import IsotropicGaussian, hug_kernel
+from oracles import field_divergence, integrated_angle_extreme
 
 
 def _bench():

@@ -145,6 +145,32 @@ def test_main_exit_2_on_badly_typed_config_value(
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "experiment, settings, message",
+    [
+        ("phase-portrait", {"constraint": {"kind": "quadric", "diag": [1, -4]}},
+         "positive 2-entry quadric diagonal, got [1, -4]"),
+        ("foldback", {"constraint": {"kind": "quadric", "diag": [1, -4]}},
+         "positive 2-entry quadric diagonal, got [1, -4]"),
+        ("table1", {"x0": "abc"}, "x0 must be a list of numbers"),
+        ("convergence", {"x0": [1.0]}, "x0 must have 2 entries"),
+        ("convergence", {"v0": [1, 2, 3]}, "v0 must have 2 entries"),
+        ("foldback", {"v0": [[1.0], [0.5, 0.5]]}, "v0 must be a list of numbers"),
+    ],
+    ids=["portrait-not-spd", "foldback-not-spd", "table1-x0-string", "convergence-x0-short",
+         "convergence-v0-long", "foldback-v0-ragged"],
+)
+def test_main_exit_2_on_bad_ellipse_or_start(experiment, settings, message, tmp_path, capsys):
+    """An ellipse that is not positive definite and a start that is not a
+    vector of the constraint's dimension are configuration errors."""
+    config_file = tmp_path / "run.json"
+    config_file.write_text(json.dumps(settings))
+    out = tmp_path / "out"
+    assert main([experiment, "--config", str(config_file), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_exit_2_on_bad_json(tmp_path, capsys):
     config_file = tmp_path / "broken.json"
     config_file.write_text("{not json")

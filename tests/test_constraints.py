@@ -69,6 +69,18 @@ def test_closed_form_sphere_matches_dense_quadric_bitwise(n):
     assert isinstance(sphere, QuadricConstraint)
 
 
+def test_quadric_derivatives_match_the_formula_bitwise():
+    """The gradient -2 A x and the contraction -2 A w, with -2 A formed once
+    at construction, give the bits of the formula evaluated per call."""
+    A = np.array([[2.0, 0.5, -0.3], [0.5, 1.0, 0.2], [-0.3, 0.2, 3.0]])
+    quadric = QuadricConstraint(A)
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        x, w = rng.standard_normal((2, 3))
+        assert np.array_equal(quadric.jacobian(x), (-2.0 * A @ x)[None, :])
+        assert np.array_equal(quadric.hessian_contraction(x, w), (-2.0 * A @ w)[None, :])
+
+
 def test_chain_on_sphere_target_reads_its_identity_matrix(tmp_path, capsys):
     """``chain`` takes the target moments 0.5 / diag(A) from the lazily built A."""
     config_file = tmp_path / "run.json"

@@ -10,7 +10,6 @@ from hugint.constraints import QuadricConstraint, SphereSlicedConstraint
 from hugint.dynamics import (
     convergence_study,
     embedded_sequence,
-    field_divergence,
     fit_order,
     phase_field,
     reference_solve,
@@ -20,7 +19,13 @@ from hugint.dynamics import (
 )
 from hugint.integrator import PhaseState, hug_trajectory, HugParams
 from hugint.projectors import build_bundle
-from oracles import component_field, component_solve, velocity_derivative_grouped
+from oracles import (
+    component_field,
+    component_solve,
+    field_divergence,
+    per_delta_errors,
+    velocity_derivative_grouped,
+)
 
 BENCH = QuadricConstraint(np.diag([1.0, 4.0]))
 BENCH_STATE = PhaseState([np.cos(1.0), 0.5 * np.sin(1.0)], [0.0, 1.0])
@@ -168,3 +173,16 @@ def test_convergence_study_bench_orders():
     assert 1.8 < study.one_step_order < 2.2
     assert 2.6 < study.two_step_order < 3.4
     assert 1.7 < study.global_order < 2.3
+
+
+@pytest.mark.parametrize("horizon", [0.01, 1.0])
+def test_convergence_study_union_grid_matches_per_delta_solves(horizon):
+    """One reference solve on the union of the step-size grids gives the
+    errors of one solve per step size; at horizon 0.01 the grids end at
+    different times."""
+    deltas = 1.0 / 2.0 ** np.arange(4, 9)
+    study = convergence_study(BENCH, BENCH_STATE, deltas, horizon=horizon)
+    one, two, glob = per_delta_errors(BENCH, BENCH_STATE, deltas, horizon)
+    assert np.abs(study.one_step - one).max() < 1e-12
+    assert np.abs(study.two_step - two).max() < 1e-12
+    assert np.abs(study.global_err - glob).max() < 1e-12

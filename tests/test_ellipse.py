@@ -12,17 +12,16 @@ from hugint.ellipse import (
     EllipseModel,
     ReducedState,
     classify,
-    equilibria,
     from_reduced,
-    integrated_angle_extreme,
     libration_turning_points,
-    reduced_derivative,
+    reduced_orbits,
     reduced_solve,
     tangential_speed,
     to_reduced,
 )
-from hugint.errors import DimensionError, OffLevelSetError
+from hugint.errors import DimensionError, OffLevelSetError, ReferenceSolveError
 from hugint.integrator import HugParams, PhaseState, hug_trajectory
+from oracles import equilibria, integrated_angle_extreme, reduced_derivative
 
 MODEL = EllipseModel(a=1.0, b=4.0)
 SPEED = float(np.sqrt(2.0))
@@ -115,6 +114,15 @@ def test_reduced_solve_matches_cartesian_flow():
     ps = np.array([v @ MODEL.unit_tangent(phi) for v, phi in zip(cart.vs, phis)])
     assert np.abs(phis - reduced[:, 0]).max() < 1e-7
     assert np.abs(ps - reduced[:, 1]).max() < 1e-7
+
+
+def test_stacked_orbits_need_finite_starts_and_one_speed():
+    times = np.linspace(0.0, 1.0, 5)
+    finite = ReducedState(phi=0.3, p=0.2, speed=SPEED)
+    with pytest.raises(ReferenceSolveError, match="not finite"):
+        reduced_orbits(MODEL, [finite, ReducedState(phi=np.nan, p=0.1, speed=SPEED)], times)
+    with pytest.raises(ValueError, match="one total speed"):
+        reduced_orbits(MODEL, [finite, ReducedState(phi=0.3, p=0.2, speed=1.0)], times)
 
 
 def test_reduced_derivative_matches_solve():

@@ -11,7 +11,9 @@ import pytest
 
 from hugint.cli import build_parser
 from hugint.constraints import QuadricConstraint, SphereConstraint, SphereSlicedConstraint
+from hugint.ellipse import EllipseModel, ReducedState, reduced_solve
 from hugint.experiments import (
+    BENCH_DIAG,
     BENCH_V0,
     BENCH_X0,
     ELLIPSOID_DIAGS,
@@ -27,6 +29,7 @@ from hugint.experiments import (
     run_ecdf,
     run_ellipsoid,
     run_foldback,
+    run_phase_portrait,
     run_sphere_tail,
     run_table1,
     sphere_tail_probability,
@@ -242,6 +245,30 @@ def test_run_table1_reruns_byte_identical(tmp_path):
     table = (out_a / "error_table.csv").read_bytes()
     assert (out_b / "error_table.csv").read_bytes() == table
     assert (out_c / "error_table.csv").read_bytes() == table
+
+
+def test_phase_portrait_stacked_orbits_match_single_orbit_solves(tmp_path):
+    """The portrait integrates its 63 orbits as one stacked system, whose
+    error norm is an RMS over all of them.  The orbits with p0 = -c (the
+    rotations furthest from their single solves) and p0 = 0 (the librations
+    and both separatrix points) stay within 1e-9 of one solve per orbit at
+    the desk horizon."""
+    summary = run_phase_portrait(
+        ExperimentConfig(experiment="phase-portrait", out=str(tmp_path), t_end=6.0)
+    )
+    model = EllipseModel(*BENCH_DIAG)
+    _, _, points = read_csv(str(tmp_path / "portrait_classification.csv"))
+    _, _, samples = read_csv(str(tmp_path / "portrait_orbits.csv"))
+    orbits = np.array(samples, dtype=float).reshape(len(points), -1, 4)
+    times = orbits[0, :, 1]
+    assert times[-1] == pytest.approx(6.0)
+    checked = [row for row in points if float(row[2]) in (-summary["speed"], 0.0)]
+    assert {row[3] for row in checked} == {"rotation", "libration", "separatrix"}
+    for point_id, phi0, p0, *_ in checked:
+        orbit = orbits[int(point_id)]
+        assert np.all(orbit[:, 0] == int(point_id))
+        single = reduced_solve(model, ReducedState(float(phi0), float(p0), summary["speed"]), times)
+        assert np.abs(orbit[:, 2:] - single).max() < 1e-9
 
 
 def test_run_foldback_summary(tmp_path):
