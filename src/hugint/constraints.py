@@ -13,7 +13,7 @@ tight-tolerance studies.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -276,9 +276,7 @@ class CallableConstraint(ConstraintMap):
     codim: int
     fn: Callable[[np.ndarray], np.ndarray]
     jac: Callable[[np.ndarray], np.ndarray] | None = None
-    hess_bilinear: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = field(
-        default=None
-    )
+    hess_bilinear: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def value(self, x: np.ndarray) -> np.ndarray:
         x = self.check_point(x)
@@ -332,17 +330,13 @@ def hessian_bound_estimates(
                 ny = np.linalg.norm(y)
                 if ny == 0.0:
                     break
-                grad_u = np.array(
-                    [y @ bilinear(e, w) for e in np.eye(n)]
-                )
+                grad_u = np.array([y @ bilinear(e, w) for e in np.eye(n)])
                 nu = np.linalg.norm(grad_u)
                 if nu == 0.0:
                     break
                 u = grad_u / nu
                 y = bilinear(u, w)
-                grad_w = np.array(
-                    [y @ bilinear(u, e) for e in np.eye(n)]
-                )
+                grad_w = np.array([y @ bilinear(u, e) for e in np.eye(n)])
                 nw = np.linalg.norm(grad_w)
                 if nw == 0.0:
                     break

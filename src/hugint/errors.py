@@ -43,3 +43,7 @@ class OffLevelSetError(HugError):
 
 class ReferenceSolveError(HugError):
     """Raised when the reference ODE solve fails its internal accuracy check."""
+
+
+class StudyFailedError(HugError):
+    """Raised when every replicate of a replicated study fails numerically."""

@@ -33,6 +33,7 @@ from .ellipse import (
     tangential_speed,
     to_reduced,
 )
+from .errors import StudyFailedError
 from .integrator import HugParams, PhaseState, hug_trajectory
 from .output import write_csv
 from .projectors import GRADIENT_FLOOR, ProjectorBundle, build_bundle
@@ -167,9 +168,13 @@ def _config_vector(config: ExperimentConfig, name: str, n: int) -> np.ndarray:
 
 
 def _config_start(config: ExperimentConfig, constraint: ConstraintMap) -> PhaseState:
-    """The configured start (x0, v0), checked against the constraint's dimension."""
+    """The configured start (x0, v0), checked against the constraint's dimension;
+    a zero v0, which would stand still, is a :class:`ConfigError`."""
     n = constraint.ambient_dim
-    return PhaseState(_config_vector(config, "x0", n), _config_vector(config, "v0", n))
+    v0 = _config_vector(config, "v0", n)
+    if not v0.any():
+        raise ConfigError(f"v0 must not be zero, got {config.v0!r}")
+    return PhaseState(_config_vector(config, "x0", n), v0)
 
 
 def uniform_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -259,17 +264,11 @@ def run_table1(config: ExperimentConfig) -> dict:
     errors = position_errors(constraint, initial, deltas, [2] * len(deltas))
     one = np.array([errs[0] for errs in errors])
     two = np.array([errs[1] for errs in errors])
-    rows = []
-    for i, delta in enumerate(deltas):
-        rows.append(
-            (
-                delta,
-                one[i],
-                two[i],
-                one[i - 1] / one[i] if i else None,
-                two[i - 1] / two[i] if i else None,
-            )
-        )
+    rows = [
+        (delta, one[i], two[i], one[i - 1] / one[i] if i else None,
+         two[i - 1] / two[i] if i else None)
+        for i, delta in enumerate(deltas)
+    ]
     write_csv(
         os.path.join(config.out, "error_table.csv"),
         "error-table/1",
@@ -366,9 +365,7 @@ def run_foldback(config: ExperimentConfig) -> dict:
     constraint = QuadricConstraint(np.diag([model.a, model.b]))
     initial = _config_start(config, constraint)
     trajectory = hug_trajectory(constraint, initial, HugParams(config.delta, config.steps))
-    tangential = np.array(
-        [tangential_speed(model, x, v) for x, v in zip(trajectory.xs, trajectory.vs)]
-    )
+    tangential = np.array([tangential_speed(model, x, v) for x, v in zip(trajectory.xs, trajectory.vs)])
     signs = np.sign(tangential)
     sign_changes = int(np.sum(signs[1:] != signs[:-1]))
 
@@ -376,9 +373,7 @@ def run_foldback(config: ExperimentConfig) -> dict:
     dense_times = np.arange(0.0, t_end + 0.01, 0.01)
     flow = reference_solve(constraint, initial, dense_times)
     step_indices = np.round(trajectory.times / 0.01).astype(int)
-    tracking_gap = float(
-        np.max(np.linalg.norm(trajectory.xs - flow.xs[step_indices], axis=1))
-    )
+    tracking_gap = float(np.max(np.linalg.norm(trajectory.xs - flow.xs[step_indices], axis=1)))
 
     reduced0, _ = to_reduced(model, initial)
     result = classify(model, reduced0)
@@ -404,9 +399,7 @@ def run_foldback(config: ExperimentConfig) -> dict:
         "turning_points": result.turning_points,
         "tangential_sign_changes": sign_changes,
         "max_tracking_gap": tracking_gap,
-        "max_distance_from_start": float(
-            np.max(np.linalg.norm(trajectory.xs - initial.x, axis=1))
-        ),
+        "max_distance_from_start": float(np.max(np.linalg.norm(trajectory.xs - initial.x, axis=1))),
     }
 
 
@@ -417,7 +410,8 @@ def run_foldback(config: ExperimentConfig) -> dict:
 def _scatter_study(
     constraint: ConstraintMap, x0: np.ndarray, config: ExperimentConfig, seed: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """(v_perp_norms, d_max values, failed count) over random unit velocities."""
+    """(v_perp_norms, d_max values, failed count) over random unit velocities;
+    :class:`~hugint.errors.StudyFailedError` when every replicate fails."""
     if not isinstance(constraint, QuadricConstraint):
         raise ConfigError("the ellipsoid study expects a quadric constraint")
     V0 = np.array([
@@ -426,7 +420,10 @@ def _scatter_study(
     ])
     v_perp = np.linalg.norm(V0 @ build_bundle(constraint, x0).basis, axis=1)
     d_max = max_distances(constraint, x0, V0, config.delta, config.steps)
-    return v_perp, d_max, int(np.sum(~np.isfinite(d_max)))
+    failed = int(np.sum(~np.isfinite(d_max)))
+    if failed == d_max.size:
+        raise StudyFailedError(f"all {failed} replicates hit singular or non-finite geometry")
+    return v_perp, d_max, failed
 
 
 def _showcase_velocity(bundle: ProjectorBundle, normal_speed: float) -> np.ndarray:

@@ -15,7 +15,9 @@ midpoint gives the algebraically equivalent update
 
 The reflection needs only an orthonormal basis Q of the normal space,
 N(y) v = Q (Q^T v), so beyond the constraint's own Jacobian a step costs
-O(n m) for n ambient dimensions and m constraints.
+O(n m) for n ambient dimensions and m constraints.  At codimension 1 the
+basis is the unit gradient q and v' = v - 2 (q . v) q, so the step builds no
+projector bundle.
 
 :func:`hug_step` is the one implementation of the step.
 :func:`hug_trajectory` loops over it and records positions, velocities,
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import ConstraintMap
-from .projectors import build_bundle, reflect
+from .projectors import build_bundle, reflect, unit_normal
 
 
 @dataclass(frozen=True)
@@ -117,12 +119,17 @@ def hug_step(
 
     This is the only implementation of the step: trajectories and the
     Metropolis kernel both loop over it.  The midpoint is validated once, by
-    :func:`build_bundle`.
+    :func:`unit_normal` at codimension 1 and by :func:`build_bundle` above it.
     """
     v = np.asarray(v, dtype=float)
-    y = x + 0.5 * delta * v
-    v_new = reflect(build_bundle(constraint, y), v)
-    return y + 0.5 * delta * v_new, v_new
+    h = 0.5 * delta
+    y = x + h * v
+    if constraint.codim == 1:
+        q = unit_normal(constraint, y)
+        v_new = v - q * (2.0 * (q @ v))
+    else:
+        v_new = reflect(build_bundle(constraint, y), v)
+    return y + h * v_new, v_new
 
 
 def hug_trajectory(

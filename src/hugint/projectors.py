@@ -10,7 +10,9 @@ and a bundle stores only its two n-by-m factors: the orthonormal basis Q of
 the normal space and J^+ = Q R^{-T}.  The projectors N = Q Q^T and
 T = I - Q Q^T are applied matrix-free, as v -> Q (Q^T v) and
 v -> v - Q (Q^T v), at O(n m) cost; the dense n-by-n matrices are
-formed only on request, for analysis.  The directional derivative of
+formed only on request, for analysis.  At codimension 1, Q is the unit
+gradient, which :func:`unit_normal` returns without a bundle, under the same
+checks.  The directional derivative of
 N along a vector w splits into two one-sided parts,
 
     N'_perp(x)[w] = J^+ H(x)[w, .] T        (maps tangent -> normal)
@@ -70,6 +72,34 @@ class ProjectorBundle:
         return np.eye(self.x.size) - self.basis @ self.basis.T
 
 
+def _checked_jacobian(constraint: ConstraintMap, x: np.ndarray, shape: tuple) -> np.ndarray:
+    """J(x) as a float array of the given shape (m, n), else :class:`DimensionError`."""
+    J = constraint.jacobian(x)  # every constraint map checks the shape of x here
+    if type(J) is not np.ndarray or J.dtype != np.float64 or J.ndim != 2:
+        J = np.atleast_2d(np.asarray(J, dtype=float))
+    if J.shape != shape or x.shape != shape[1:]:
+        raise DimensionError(
+            f"Jacobian of shape {J.shape} at a point of shape {x.shape}, expected {shape}"
+        )
+    return J
+
+
+def _gradient_norm2(g: np.ndarray, x: np.ndarray) -> float:
+    """g . g for a single gradient g, else :class:`SingularGeometryError`."""
+    ng2 = float(g @ g)
+    if not math.isfinite(ng2) or ng2 <= GRADIENT_FLOOR:
+        raise SingularGeometryError(x, "gradient vanishes")
+    return ng2
+
+
+def unit_normal(constraint: ConstraintMap, x: np.ndarray) -> np.ndarray:
+    """Unit gradient g / ||g||, shape (n,), of a codimension-1 constraint at x:
+    the m = 1 basis of :func:`build_bundle`, under the same checks."""
+    x = np.asarray(x, dtype=float)
+    g = _checked_jacobian(constraint, x, (1, constraint.ambient_dim))[0]
+    return g / math.sqrt(_gradient_norm2(g, x))
+
+
 def build_bundle(constraint: ConstraintMap, x: np.ndarray) -> ProjectorBundle:
     """Factor the Jacobian at x and assemble the bundle; stores O(n m) numbers.
 
@@ -84,22 +114,13 @@ def build_bundle(constraint: ConstraintMap, x: np.ndarray) -> ProjectorBundle:
         If the Jacobian is (numerically) rank deficient or not finite at x.
     """
     x = np.asarray(x, dtype=float)
-    J = constraint.jacobian(x)  # every constraint map checks the shape of x here
     shape = (constraint.codim, constraint.ambient_dim)
-    if type(J) is not np.ndarray or J.dtype != np.float64 or J.ndim != 2:
-        J = np.atleast_2d(np.asarray(J, dtype=float))
-    if J.shape != shape or x.shape != shape[1:]:
-        raise DimensionError(
-            f"Jacobian of shape {J.shape} at a point of shape {x.shape}, expected {shape}"
-        )
-    m = shape[0]
+    J = _checked_jacobian(constraint, x, shape)
 
-    if m == 1:
+    if shape[0] == 1:
         # Single constraint: the QR factorization collapses to a normalization.
         g = J[0]
-        ng2 = float(g @ g)
-        if not math.isfinite(ng2) or ng2 <= GRADIENT_FLOOR:
-            raise SingularGeometryError(x, "gradient vanishes")
+        ng2 = _gradient_norm2(g, x)
         q = (g / math.sqrt(ng2))[:, None]
         pseudo = (g / ng2)[:, None]
     else:

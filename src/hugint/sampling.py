@@ -14,7 +14,9 @@ test the shortcut and to support other velocity distributions.
 
 A proposal needs only (x_K, v_K), so the kernel loops over the integrator's
 single step function, :func:`~hugint.integrator.hug_step`, and records no
-trajectory: it evaluates ell at x_0 and x_K and nowhere in between.
+trajectory.  Each kernel takes ell at its start and returns ell at its end,
+so :func:`run_chain` carries ell(x) from move to move and evaluates ell only
+at proposals: at x_K and nowhere in between.
 
 Since the moves nearly preserve ell, a chain of hugging proposals alone
 explores a single contour.  :func:`run_chain` can interleave a plain
@@ -67,6 +69,8 @@ class KernelResult:
     state: np.ndarray
     accepted: bool
     log_ratio: float
+    #: The log-density at ``state``.
+    log_density: float
     #: True when the proposal trajectory hit a rank-deficient gradient and was
     #: rejected outright.
     singular: bool = False
@@ -86,6 +90,7 @@ def hug_kernel(
     velocity_dist: IsotropicGaussian,
     rng: np.random.Generator,
     use_norm_cancellation: bool = True,
+    log_density: float | None = None,
 ) -> KernelResult:
     """One hugging Metropolis-Hastings move from x.
 
@@ -93,25 +98,28 @@ def hug_kernel(
     of log r are dropped for norm-invariant distributions, where they cancel
     exactly; pass False to evaluate the general formula.  The proposal
     advances (x, v) with :func:`~hugint.integrator.hug_step` and keeps only
-    the final pair (x_K, v_K); the log-density is read at x_0 and x_K only.
-    A rank-deficient gradient at any step yields an immediate rejection at
-    x flagged ``singular``.
+    the final pair (x_K, v_K).  ``log_density`` is ell(x), evaluated only
+    when not given; ell is otherwise read at x_K only.  A rank-deficient
+    gradient at any step yields an immediate rejection at x flagged ``singular``.
     """
     x = np.asarray(x, dtype=float)
+    if log_density is None:
+        log_density = log_density_of(target, x)
     v0 = velocity_dist.sample(rng, x)
     x_k, v_k = x, v0
     try:
         for _ in range(params.steps):
             x_k, v_k = hug_step(target, x_k, v_k, params.step_size)
     except SingularGeometryError:
-        return KernelResult(state=x, accepted=False, log_ratio=-np.inf, singular=True)
-    log_ratio = log_density_of(target, x_k) - log_density_of(target, x)
+        return KernelResult(x, False, -np.inf, log_density, singular=True)
+    log_density_k = log_density_of(target, x_k)
+    log_ratio = log_density_k - log_density
     if not (use_norm_cancellation and getattr(velocity_dist, "norm_invariant", False)):
         log_ratio += velocity_dist.log_density(v_k, x_k) - velocity_dist.log_density(v0, x)
     accepted = np.log(rng.uniform()) < log_ratio
-    return KernelResult(
-        state=x_k if accepted else x, accepted=bool(accepted), log_ratio=float(log_ratio)
-    )
+    if not accepted:
+        x_k, log_density_k = x, log_density
+    return KernelResult(x_k, bool(accepted), float(log_ratio), log_density_k)
 
 
 def random_walk_kernel(
@@ -119,17 +127,19 @@ def random_walk_kernel(
     x: np.ndarray,
     scale: float,
     rng: np.random.Generator,
+    log_density: float | None = None,
 ) -> KernelResult:
-    """Plain random-walk Metropolis move with a N(0, scale^2 I) proposal."""
+    """Random-walk Metropolis move with a N(0, scale^2 I) proposal; ell(x) as in hug_kernel."""
     x = np.asarray(x, dtype=float)
+    if log_density is None:
+        log_density = log_density_of(target, x)
     proposal = x + scale * rng.standard_normal(x.shape)
-    log_ratio = log_density_of(target, proposal) - log_density_of(target, x)
+    log_density_p = log_density_of(target, proposal)
+    log_ratio = log_density_p - log_density
     accepted = np.log(rng.uniform()) < log_ratio
-    return KernelResult(
-        state=proposal if accepted else x,
-        accepted=bool(accepted),
-        log_ratio=float(log_ratio),
-    )
+    if not accepted:
+        proposal, log_density_p = x, log_density
+    return KernelResult(proposal, bool(accepted), float(log_ratio), log_density_p)
 
 
 @dataclass(frozen=True)
@@ -170,22 +180,24 @@ def run_chain(
     """Run a chain of hugging moves, optionally interleaved with random walks.
 
     Each iteration performs one hugging move and, when ``walk_scale`` is
-    given, one random-walk Metropolis move afterwards.
+    given, one random-walk Metropolis move afterwards; ell(x) passes from
+    each move to the next.
     """
     x = np.asarray(initial_x, dtype=float)
+    log_density = log_density_of(target, x)
     states = np.empty((iterations + 1, x.size))
     states[0] = x
     hug_accepted = np.zeros(iterations, dtype=bool)
     walk_accepted = np.zeros(iterations, dtype=bool) if walk_scale is not None else None
     singular = 0
     for i in range(iterations):
-        result = hug_kernel(target, x, params, velocity_dist, rng, use_norm_cancellation)
-        x = result.state
+        result = hug_kernel(target, x, params, velocity_dist, rng, use_norm_cancellation, log_density)
+        x, log_density = result.state, result.log_density
         hug_accepted[i] = result.accepted
         singular += int(result.singular)
         if walk_scale is not None:
-            walk = random_walk_kernel(target, x, walk_scale, rng)
-            x = walk.state
+            walk = random_walk_kernel(target, x, walk_scale, rng, log_density)
+            x, log_density = walk.state, walk.log_density
             walk_accepted[i] = walk.accepted
         states[i + 1] = x
     return ChainRecord(

@@ -33,6 +33,21 @@ def eliminated_step(
     return x + delta * (bundle.tangent @ v), reflect(bundle, v)
 
 
+def bundle_step(
+    constraint: ConstraintMap, x: np.ndarray, v: np.ndarray, delta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """One step that reflects through a full projector bundle at every
+    codimension; must agree with ``hug_step`` bit for bit.
+
+    ``hug_step`` reflects through the unit gradient alone at codimension 1;
+    this is the route it replaced there.
+    """
+    v = np.asarray(v, dtype=float)
+    y = x + 0.5 * delta * v
+    v_new = reflect(build_bundle(constraint, y), v)
+    return y + 0.5 * delta * v_new, v_new
+
+
 def velocity_derivative_grouped(
     constraint: ConstraintMap, bundle: ProjectorBundle, v: np.ndarray
 ) -> np.ndarray:

@@ -171,6 +171,30 @@ def test_main_exit_2_on_bad_ellipse_or_start(experiment, settings, message, tmp_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("experiment", ["table1", "convergence", "foldback"])
+def test_main_exit_2_on_zero_start_velocity(experiment, tmp_path, capsys):
+    """A zero v0 never leaves x0: every error is zero, so the error-table
+    ratios are 0/0 and the convergence fit has nothing to fit."""
+    config_file = tmp_path / "run.json"
+    config_file.write_text(json.dumps({"v0": [0, 0]}))
+    out = tmp_path / "out"
+    assert main([experiment, "--config", str(config_file), "--out", str(out)]) == 2
+    assert "v0 must not be zero, got [0, 0]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment", ["ecdf", "ellipsoid"])
+def test_main_exit_3_when_every_replicate_fails(experiment, tmp_path, capsys):
+    """At delta = 1e300 every replicate's first gradient overflows, so no
+    d_max is finite and the study has nothing to report."""
+    config_file = tmp_path / "run.json"
+    config_file.write_text(json.dumps({"delta": 1e300}))
+    code = main([experiment, "--replicates", "5", "--steps", "2", "--config", str(config_file),
+                 "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "all 5 replicates hit singular or non-finite geometry" in capsys.readouterr().err
+
+
 def test_main_exit_2_on_bad_json(tmp_path, capsys):
     config_file = tmp_path / "broken.json"
     config_file.write_text("{not json")

@@ -14,13 +14,15 @@ from hugint.constraints import (
     SphereConstraint,
     SphereSlicedConstraint,
 )
-from hugint.errors import SingularGeometryError
+from hugint.errors import DimensionError, SingularGeometryError
+from hugint.integrator import hug_step
 from hugint.projectors import (
     build_bundle,
     nprime,
     nprime_par,
     nprime_perp,
     reflect,
+    unit_normal,
 )
 
 
@@ -99,6 +101,48 @@ def test_non_finite_point_raises_with_point(constraint):
     with pytest.raises(SingularGeometryError) as info:
         build_bundle(constraint, np.array([np.nan, 0.5, 0.5]))
     assert np.isnan(info.value.x[0])
+
+
+_BAD_GEOMETRY = {
+    "zero-gradient": (SphereConstraint(2), np.zeros(2), SingularGeometryError),
+    "non-finite-point": (SphereConstraint(3), np.array([np.nan, 0.5, 0.5]), SingularGeometryError),
+    "infinite-gradient": (SphereConstraint(3), np.array([np.inf, 0.5, 0.5]), SingularGeometryError),
+    "jacobian-too-long": (
+        CallableConstraint(3, 1, fn=lambda x: x[:1], jac=lambda x: np.ones(4)),
+        np.ones(3),
+        DimensionError,
+    ),
+    "jacobian-two-rows": (
+        CallableConstraint(3, 1, fn=lambda x: x[:1], jac=lambda x: np.ones((2, 3))),
+        np.ones(3),
+        DimensionError,
+    ),
+    "point-wrong-shape": (SphereConstraint(3), np.ones(2), DimensionError),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_GEOMETRY)
+def test_unit_normal_raises_as_build_bundle_does(case):
+    """The codim-1 step takes its normal from ``unit_normal`` and builds no
+    bundle, so every geometry check must raise the same error class on both
+    routes and through ``hug_step``."""
+    constraint, x, error = _BAD_GEOMETRY[case]
+    with pytest.raises(error):
+        build_bundle(constraint, x)
+    with pytest.raises(error):
+        unit_normal(constraint, x)
+    with pytest.raises(error):
+        hug_step(constraint, x, np.zeros_like(x), 0.1)  # the midpoint is x itself
+
+
+def test_unit_normal_is_the_codim1_bundle_basis():
+    rng = np.random.default_rng(29)
+    q = QuadricConstraint(np.array([[2.0, 0.3], [0.3, 1.0]]))
+    for _ in range(5):
+        x = random_point(q, rng)
+        assert np.array_equal(unit_normal(q, x), build_bundle(q, x).basis[:, 0])
+    with pytest.raises(DimensionError):
+        unit_normal(SphereSlicedConstraint(3), np.ones(3))  # two gradients, no single normal
 
 
 def test_rank_deficient_jacobian_raises():

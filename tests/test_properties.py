@@ -1,0 +1,138 @@
+"""Hypothesis property tests of the step on every constraint family.
+
+The exact invariants of criterion 03 (speed, half-segment lengths,
+reversibility) are drawn here over starts, velocities and step sizes for the
+sphere, a non-diagonal quadric, an affine map, the sliced sphere and a
+``CallableConstraint`` whose Jacobian is a finite difference.  They sit next
+to criterion 03, not in its place.  Every test is derandomized and capped,
+so a run is reproducible and short.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from hugint.constraints import (
+    AffineConstraint,
+    CallableConstraint,
+    QuadricConstraint,
+    SphereConstraint,
+    SphereSlicedConstraint,
+)
+from hugint.integrator import hug_step
+from hugint.projectors import build_bundle
+from oracles import bundle_step
+
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=30, deadline=None)
+
+_A = np.array([[2.0, 0.5, -0.3], [0.5, 1.0, 0.2], [-0.3, 0.2, 3.0]])
+
+FAMILIES = {
+    "sphere": SphereConstraint(4),
+    "quadric": QuadricConstraint(_A),
+    "affine": AffineConstraint(
+        np.array([[1.0, -0.5, 0.2, 0.0], [0.3, 1.0, 0.0, -0.7]]), np.array([0.1, -0.2])
+    ),
+    "sliced": SphereSlicedConstraint(4),
+    # no jac: the Jacobian is the base class's central finite difference
+    "callable-fd": CallableConstraint(
+        3, 1, fn=lambda x: np.array([-(x @ _A @ x) - 0.3 * np.sin(x[0])])
+    ),
+}
+
+_unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def runs(draw, constraint):
+    """(x, v, delta) with ||x|| in [0.6, 1.5], ||v|| in [0.3, 3] and
+    delta ||v|| at most 0.3, so the step stays clear of the origin, where
+    the quadric gradients vanish."""
+    n = constraint.ambient_dim
+    x = np.array(draw(st.lists(_unit, min_size=n, max_size=n)))
+    v = np.array(draw(st.lists(_unit, min_size=n, max_size=n)))
+    assume(np.linalg.norm(x) > 0.1 and np.linalg.norm(v) > 0.1)
+    x *= draw(st.floats(0.6, 1.5)) / np.linalg.norm(x)
+    v *= draw(st.floats(0.3, 3.0)) / np.linalg.norm(v)
+    delta = draw(st.floats(1e-3, 0.1))
+    if constraint.codim > 1:
+        # keep the two gradients at the midpoint well apart (rank loss is
+        # a SingularGeometryError, tested elsewhere)
+        s = np.linalg.svd(build_bundle(constraint, x + 0.5 * delta * v).jac, compute_uv=False)
+        assume(s[-1] > 1e-3 * s[0])
+    return x, v, delta
+
+
+def _draw(kind, data):
+    constraint = FAMILIES[kind]
+    return (constraint, *data.draw(runs(constraint)))
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_step_preserves_speed(kind, data):
+    constraint, x, v, delta = _draw(kind, data)
+    _, v_new = hug_step(constraint, x, v, delta)
+    speed = np.linalg.norm(v)
+    assert abs(np.linalg.norm(v_new) - speed) <= 1e-13 * speed
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_each_half_segment_has_length_half_delta_speed(kind, data):
+    constraint, x, v, delta = _draw(kind, data)
+    x_new, _ = hug_step(constraint, x, v, delta)
+    y = x + 0.5 * delta * v
+    half = 0.5 * delta * np.linalg.norm(v)
+    tol = 1e-13 * (1.0 + np.linalg.norm(x))
+    assert abs(np.linalg.norm(y - x) - half) <= tol
+    assert abs(np.linalg.norm(x_new - y) - half) <= tol
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_stepping_back_from_the_flipped_velocity_returns(kind, data):
+    constraint, x, v, delta = _draw(kind, data)
+    x_new, v_new = hug_step(constraint, x, v, delta)
+    x_back, v_back = hug_step(constraint, x_new, -v_new, delta)
+    scale = 1.0 + np.linalg.norm(x) + np.linalg.norm(v)
+    assert np.abs(x_back - x).max() <= 1e-10 * scale
+    assert np.abs(v_back + v).max() <= 1e-10 * scale
+
+
+@functools.lru_cache(maxsize=None)
+def _codim1_map(kind: str, n: int):
+    if kind == "sphere":
+        return SphereConstraint(n)
+    M = np.random.default_rng(n).standard_normal((n, n))
+    A = M @ M.T / n + 0.5 * np.eye(n)
+    if kind == "quadric":
+        return QuadricConstraint(A)
+    return CallableConstraint(n, 1, fn=lambda x: np.array([-(x @ A @ x)]), jac=lambda x: -2.0 * A @ x)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 1000])
+@pytest.mark.parametrize("kind", ["sphere", "quadric", "callable"])
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_codim1_step_is_bitwise_the_bundle_step(kind, n, seed):
+    """At codimension 1 ``hug_step`` reflects through the unit gradient and
+    builds no bundle; five steps must match the bundle route bit for bit."""
+    constraint = _codim1_map(kind, n)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    x /= np.linalg.norm(x)
+    v = rng.standard_normal(n) * rng.uniform(0.1, 10.0)
+    delta = rng.uniform(0.01, 0.2) / np.linalg.norm(v)
+    xa, va = xb, vb = x, v
+    for _ in range(5):
+        xa, va = hug_step(constraint, xa, va, delta)
+        xb, vb = bundle_step(constraint, xb, vb, delta)
+        assert np.array_equal(xa, xb) and np.array_equal(va, vb)

@@ -169,6 +169,78 @@ def test_singular_at_a_later_step_is_rejected_in_place():
     assert result.log_ratio == -np.inf
 
 
+class _Draws:
+    """Stub generator with fixed draws: a uniform u and a standard normal vector."""
+
+    def __init__(self, u, normal=(0.3, -0.2)):
+        self.u, self.normal = u, np.asarray(normal, dtype=float)
+
+    def uniform(self):
+        return self.u
+
+    def standard_normal(self, shape):
+        return self.normal.reshape(shape)
+
+
+_GAUSSIAN = QuadricConstraint(np.diag([1.0, 4.0]))
+
+
+@pytest.mark.parametrize("outcome", ["accepted", "rejected"])
+@pytest.mark.parametrize("kernel", ["hug", "walk"])
+def test_kernel_returns_the_log_density_of_its_state(kernel, outcome):
+    """Each kernel hands back ell at the state it ends in, whether it moved
+    or stayed, and whether ell(x) was passed in or evaluated."""
+    x = np.array([0.4, 0.1])
+    # both proposals lower ell (log r about -0.009 and -0.10), so u = 1 rejects them
+    rng = _Draws(1e-300 if outcome == "accepted" else 1.0)
+    for given in (None, log_density_of(_GAUSSIAN, x)):
+        if kernel == "hug":
+            dist = _FixedVelocity([1.1, 0.3])
+            result = hug_kernel(_GAUSSIAN, x, PARAMS, dist, rng, log_density=given)
+        else:
+            result = random_walk_kernel(_GAUSSIAN, x, 0.5, rng, log_density=given)
+        assert result.accepted == (outcome == "accepted") and not result.singular
+        assert np.array_equal(result.state, x) != result.accepted
+        assert result.log_density == log_density_of(_GAUSSIAN, result.state)
+
+
+def test_singular_rejection_returns_the_log_density_it_was_given():
+    target = SphereConstraint(2)
+    x = np.array([-0.05, 0.0])  # the first midpoint is the gradient zero at the origin
+    dist = _FixedVelocity([1.0, 0.0])
+    evaluated = hug_kernel(target, x, PARAMS, dist, _Draws(0.5))
+    assert evaluated.singular and evaluated.log_density == log_density_of(target, x)
+    given = hug_kernel(target, x, PARAMS, dist, _Draws(0.5), log_density=-7.0)
+    assert given.singular and given.log_density == -7.0
+
+
+class _CountingQuadric(QuadricConstraint):
+    """Quadric target that counts its ``value`` calls."""
+
+    def __init__(self, A):
+        super().__init__(A)
+        self.value_calls = 0
+
+    def value(self, x):
+        self.value_calls += 1
+        return super().value(x)
+
+
+@pytest.mark.parametrize("walk_scale, per_iteration", [(0.5, 2), (None, 1)], ids=["walk", "hug-only"])
+def test_run_chain_evaluates_the_log_density_once_per_move(walk_scale, per_iteration):
+    """ell(x) passes from each move to the next, so a chain evaluates ell once
+    at the start and once per proposal: 2 iterations + 1 calls with walks
+    (evaluating it at both ends of every move takes 4 per iteration)."""
+    target = _CountingQuadric(np.diag([1.0, 4.0]))
+    iterations = 50
+    record = run_chain(
+        target, np.array([1.0, 0.0]), PARAMS, IsotropicGaussian(dim=2),
+        np.random.default_rng(12), iterations, walk_scale=walk_scale,
+    )
+    assert target.value_calls == per_iteration * iterations + 1
+    assert 0.0 < record.hug_acceptance_rate
+
+
 def test_random_walk_kernel_acceptance_rule():
     rng = np.random.default_rng(64)
     target = QuadricConstraint(np.eye(2))
