@@ -3,11 +3,12 @@
 A constraint map is a smooth ``f: R^n -> R^m`` (m < n) whose regular level
 sets are embedded manifolds of dimension ``n - m``.  The integrator only ever
 queries three things: the value ``f(x)``, the Jacobian ``J(x)`` (rows are
-gradients of the components), and the symmetric bilinear Hessian action
-``H(x)[u, w]`` returning one number per component.  Subclasses may supply
-analytic derivatives; the base class falls back to central finite
-differences, which is accurate enough for exploratory work but not for
-tight-tolerance studies.
+gradients of the components), and the Hessian contraction ``H(x)[w, .]``,
+the m-by-n matrix whose row i is ``w^T Hess(f_i)``.  The contraction is the
+one second-derivative primitive; the bilinear form ``H(x)[u, w]`` is derived
+from it.  Subclasses may supply analytic derivatives; the base class falls
+back to central finite differences, which is accurate enough for exploratory
+work but not for tight-tolerance studies.
 """
 
 from __future__ import annotations
@@ -59,33 +60,21 @@ class ConstraintMap:
             J[:, j] = (self.value(x + e) - self.value(x - e)) / (2.0 * h)
         return J
 
-    def hessian_bilinear(self, x: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Return H(x)[u, w] with shape (m,): per-component u^T (Hess f_i) w.
-
-        The default implementation differentiates :meth:`jacobian` along w.
-        """
-        x = self.check_point(x)
-        u = np.asarray(u, dtype=float)
-        w = np.asarray(w, dtype=float)
-        h = _fd_step(x)
-        Jp = self.jacobian(x + h * w)
-        Jm = self.jacobian(x - h * w)
-        return ((Jp - Jm) / (2.0 * h)) @ u
-
     def hessian_contraction(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Return the m-by-n matrix H(x)[w, .]: entry (i, j) is w^T Hess(f_i) e_j.
 
-        Equals the column-stack of :meth:`hessian_bilinear` over the standard
-        basis; subclasses override this with a closed form where available
-        because it sits in the inner loop of field evaluations.
+        The default is one central difference of :meth:`jacobian` along w;
+        subclasses override it with a closed form where available because it
+        sits in the inner loop of field evaluations.
         """
         x = self.check_point(x)
         w = np.asarray(w, dtype=float)
-        eye = np.eye(self.ambient_dim)
-        M = np.empty((self.codim, self.ambient_dim))
-        for j in range(self.ambient_dim):
-            M[:, j] = self.hessian_bilinear(x, eye[j], w)
-        return M
+        h = _fd_step(x)
+        return (self.jacobian(x + h * w) - self.jacobian(x - h * w)) / (2.0 * h)
+
+    def hessian_bilinear(self, x: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Return H(x)[u, w] with shape (m,): per-component u^T Hess(f_i) w."""
+        return self.hessian_contraction(x, w) @ np.asarray(u, dtype=float)
 
     def check_point(self, x: np.ndarray) -> np.ndarray:
         """Validate shape and return x as a float array."""
@@ -129,10 +118,6 @@ class QuadricConstraint(ConstraintMap):
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         x = self.check_point(x)
         return (self._hessian @ x)[None, :]
-
-    def hessian_bilinear(self, x: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-        self.check_point(x)
-        return np.array([-2.0 * np.asarray(u, float) @ self.A @ np.asarray(w, float)])
 
     def hessian_contraction(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         self.check_point(x)
@@ -207,10 +192,6 @@ class AffineConstraint(ConstraintMap):
         self.check_point(x)
         return self.B.copy()
 
-    def hessian_bilinear(self, x: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-        self.check_point(x)
-        return np.zeros(self.codim)
-
     def hessian_contraction(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         self.check_point(x)
         return np.zeros((self.codim, self.ambient_dim))
@@ -246,14 +227,6 @@ class SphereSlicedConstraint(ConstraintMap):
         J[1, 2] = -1.0
         return J
 
-    def hessian_bilinear(self, x: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-        x = self.check_point(x)
-        u = np.asarray(u, dtype=float)
-        w = np.asarray(w, dtype=float)
-        return np.array(
-            [-2.0 * u @ w, -np.sin(x[0]) * u[0] * w[0] + 2.0 * u[1] * w[1]]
-        )
-
     def hessian_contraction(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         x = self.check_point(x)
         w = np.asarray(w, dtype=float)
@@ -268,15 +241,15 @@ class SphereSlicedConstraint(ConstraintMap):
 class CallableConstraint(ConstraintMap):
     """Wrap plain callables as a constraint map.
 
-    Only ``fn`` is required; missing derivatives fall back to the finite
-    difference defaults of :class:`ConstraintMap`.
+    Only ``fn`` is required; without ``jac`` the Jacobian falls back to the
+    finite-difference default of :class:`ConstraintMap`.  The Hessian
+    contraction is always one central difference of the Jacobian.
     """
 
     ambient_dim: int
     codim: int
     fn: Callable[[np.ndarray], np.ndarray]
     jac: Callable[[np.ndarray], np.ndarray] | None = None
-    hess_bilinear: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def value(self, x: np.ndarray) -> np.ndarray:
         x = self.check_point(x)
@@ -291,12 +264,6 @@ class CallableConstraint(ConstraintMap):
         x = self.check_point(x)
         return np.atleast_2d(np.asarray(self.jac(x), dtype=float))
 
-    def hessian_bilinear(self, x: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-        if self.hess_bilinear is None:
-            return super().hessian_bilinear(x, u, w)
-        x = self.check_point(x)
-        return np.atleast_1d(np.asarray(self.hess_bilinear(x, u, w), dtype=float))
-
 
 def hessian_bound_estimates(
     constraint: ConstraintMap,
@@ -308,16 +275,17 @@ def hessian_bound_estimates(
     Lipschitz constant for x -> H(x) between consecutive points.
 
     The operator norm of the bilinear map is estimated by alternating power
-    iteration over unit vectors u, w from several random starts; gamma is
-    estimated from difference quotients of the same bilinear forms between
-    consecutive points.  Estimates are lower bounds by construction, so
-    callers should apply a safety factor.
+    iteration over unit vectors u, w from several random starts, taking each
+    gradient through the contraction C(w) = H(x)[w, .]; gamma is estimated
+    from difference quotients of the same contractions between consecutive
+    points.  Estimates are lower bounds by construction, so callers should
+    apply a safety factor.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     rng = np.random.default_rng(seed)
     n = constraint.ambient_dim
 
-    def op_norm(bilinear: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> float:
+    def op_norm(contract: Callable[[np.ndarray], np.ndarray]) -> float:
         best = 0.0
         for _ in range(n_probes):
             u = rng.standard_normal(n)
@@ -325,28 +293,28 @@ def hessian_bound_estimates(
             w = rng.standard_normal(n)
             w /= np.linalg.norm(w)
             for _ in range(20):
-                # maximize ||B[u, w]|| over u with w fixed, then swap roles
-                y = bilinear(u, w)
-                ny = np.linalg.norm(y)
-                if ny == 0.0:
+                # maximize ||H[u, w]|| over u with w fixed, then swap roles
+                C = contract(w)
+                y = C @ u
+                if np.linalg.norm(y) == 0.0:
                     break
-                grad_u = np.array([y @ bilinear(e, w) for e in np.eye(n)])
+                grad_u = C.T @ y
                 nu = np.linalg.norm(grad_u)
                 if nu == 0.0:
                     break
                 u = grad_u / nu
-                y = bilinear(u, w)
-                grad_w = np.array([y @ bilinear(u, e) for e in np.eye(n)])
+                C = contract(u)
+                grad_w = C.T @ (C @ w)
                 nw = np.linalg.norm(grad_w)
                 if nw == 0.0:
                     break
                 w = grad_w / nw
-            best = max(best, float(np.linalg.norm(bilinear(u, w))))
+            best = max(best, float(np.linalg.norm(contract(w) @ u)))
         return best
 
     beta = 0.0
     for x in points:
-        beta = max(beta, op_norm(lambda u, w, x=x: constraint.hessian_bilinear(x, u, w)))
+        beta = max(beta, op_norm(lambda w, x=x: constraint.hessian_contraction(x, w)))
 
     gamma = 0.0
     for xa, xb in zip(points[:-1], points[1:]):
@@ -354,8 +322,8 @@ def hessian_bound_estimates(
         if d < 1e-14:
             continue
         diff = op_norm(
-            lambda u, w, xa=xa, xb=xb: constraint.hessian_bilinear(xb, u, w)
-            - constraint.hessian_bilinear(xa, u, w)
+            lambda w, xa=xa, xb=xb: constraint.hessian_contraction(xb, w)
+            - constraint.hessian_contraction(xa, w)
         )
         gamma = max(gamma, diff / d)
 

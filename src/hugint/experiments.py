@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.integrate
+import scipy.special
 import scipy.stats
 
 from .constraints import ConstraintMap, QuadricConstraint, SphereConstraint, SphereSlicedConstraint
@@ -186,30 +186,19 @@ def uniform_sphere(rng: np.random.Generator, n: int) -> np.ndarray:
             return g / norm
 
 
-def sphere_tail_probability(h: float, dim: int, abs_tol: float = 1e-10) -> float:
+def sphere_tail_probability(h: float, dim: int) -> float:
     """P(|u . v| >= h) for v uniform on the unit sphere in R^dim, fixed unit u.
 
-    The component w = u . v has density proportional to (1 - w^2)^((dim-3)/2)
-    on [-1, 1]; the probability is the normalized tail integral, evaluated by
-    adaptive quadrature.  For dim = 3 the component is uniform, so the result
-    reduces to 1 - h.
+    The squared component w^2 = (u . v)^2 is Beta(1/2, (dim-1)/2), so the tail
+    is the regularized incomplete beta function I_{1-h^2}((dim-1)/2, 1/2).
+    For dim = 2 it is (2/pi) arccos h, and for dim = 3 the component is
+    uniform, so the result reduces to 1 - h.
     """
     if not 0.0 <= h <= 1.0:
         raise ValueError(f"h must lie in [0, 1], got {h}")
     if dim < 2:
         raise ValueError(f"need dim >= 2, got {dim}")
-    if h == 0.0:
-        return 1.0
-    if h == 1.0:
-        return 0.0
-    exponent = 0.5 * (dim - 3)
-
-    def integrand(w: float) -> float:
-        return (1.0 - w * w) ** exponent
-
-    tail, _ = scipy.integrate.quad(integrand, h, 1.0, epsabs=abs_tol, epsrel=1e-12)
-    whole, _ = scipy.integrate.quad(integrand, 0.0, 1.0, epsabs=abs_tol, epsrel=1e-12)
-    return tail / whole
+    return float(scipy.special.betainc(0.5 * (dim - 1), 0.5, 1.0 - h * h))
 
 
 def max_distances(

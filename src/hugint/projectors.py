@@ -86,8 +86,10 @@ def _checked_jacobian(constraint: ConstraintMap, x: np.ndarray, shape: tuple) ->
 
 def _gradient_norm2(g: np.ndarray, x: np.ndarray) -> float:
     """g . g for a single gradient g, else :class:`SingularGeometryError`."""
-    ng2 = float(g @ g)
-    if not math.isfinite(ng2) or ng2 <= GRADIENT_FLOOR:
+    ng2 = float(np.vdot(g, g))  # the bits of g @ g; overflows to inf without a warning
+    if not math.isfinite(ng2):
+        raise SingularGeometryError(x, "gradient is not finite")
+    if ng2 <= GRADIENT_FLOOR:
         raise SingularGeometryError(x, "gradient vanishes")
     return ng2
 

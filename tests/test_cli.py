@@ -195,6 +195,25 @@ def test_main_exit_3_when_every_replicate_fails(experiment, tmp_path, capsys):
     assert "all 5 replicates hit singular or non-finite geometry" in capsys.readouterr().err
 
 
+def test_overflowing_gradient_is_a_singular_rejection_without_warning(tmp_path, capsys):
+    """At delta = 1e300 the first midpoint's gradient overflows: every chain
+    proposal is rejected as singular and no floating-point warning escapes."""
+    config_file = tmp_path / "run.json"
+    config_file.write_text(json.dumps({"delta": 1e300}))
+    code = main(["chain", "--iterations", "5", "--config", str(config_file),
+                 "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["singular_rejections"] == 5
+
+
+def test_main_exit_3_on_overflowing_gradient(tmp_path, capsys):
+    config_file = tmp_path / "run.json"
+    config_file.write_text(json.dumps({"delta": 1e300}))
+    code = main(["foldback", "--config", str(config_file), "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "gradient is not finite" in capsys.readouterr().err
+
+
 def test_main_exit_2_on_bad_json(tmp_path, capsys):
     config_file = tmp_path / "broken.json"
     config_file.write_text("{not json")

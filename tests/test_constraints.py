@@ -134,8 +134,10 @@ def test_analytic_jacobian_matches_fd(constraint):
     [
         QuadricConstraint(np.array([[2.0, 0.5], [0.5, 1.0]])),
         SphereSlicedConstraint(3),
+        SphereConstraint(4),
+        AffineConstraint(np.array([[1.0, 2.0, -1.0], [0.0, 1.0, 1.0]])),
     ],
-    ids=["quadric", "sliced"],
+    ids=["quadric", "sliced", "sphere", "affine"],
 )
 def test_analytic_hessian_matches_fd(constraint):
     """Differencing the analytic Jacobian once recovers the analytic Hessian
@@ -180,6 +182,34 @@ def test_contraction_consistent_with_bilinear(constraint):
         via_matrix = constraint.hessian_contraction(x, w) @ u
         direct = constraint.hessian_bilinear(x, u, w)
         assert np.abs(via_matrix - direct).max() < 1e-12
+
+
+def test_fd_contraction_makes_two_jacobian_calls():
+    """The default contraction is one central difference of the Jacobian
+    along w, whatever the dimension."""
+    calls = []
+
+    def jac(x):
+        calls.append(x)
+        return np.array([2.0 * x])
+
+    c = CallableConstraint(ambient_dim=10, codim=1, fn=lambda x: np.array([x @ x]), jac=jac)
+    rng = np.random.default_rng(16)
+    x, w = rng.standard_normal((2, 10))
+    M = c.hessian_contraction(x, w)
+    assert len(calls) == 2
+    assert M.shape == (1, 10)
+    assert np.allclose(M, 2.0 * w[None, :], atol=1e-8)
+
+
+def test_sphere_bilinear_builds_no_dense_matrix():
+    """The sphere's bilinear form comes from its O(n) contraction, so the
+    lazily built A = I is never formed."""
+    sphere = SphereConstraint(1000)
+    rng = np.random.default_rng(17)
+    x, u, w = rng.standard_normal((3, 1000))
+    assert np.array_equal(sphere.hessian_bilinear(x, u, w), [-2.0 * w @ u])
+    assert "A" not in sphere.__dict__
 
 
 def test_hessian_bilinear_symmetric_in_slots():

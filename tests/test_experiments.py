@@ -102,8 +102,9 @@ def test_uniform_sphere_draws():
 
 
 def test_tail_probability_closed_forms():
-    """The quadrature must match hand-integrable cases: arcsine component for
-    dim 2, uniform for dim 3, semicircle for dim 4."""
+    """The incomplete beta function must match hand-integrable cases: arcsine
+    component for dim 2, uniform for dim 3, semicircle for dim 4, and the
+    density (3/4)(1 - w^2) for dim 5."""
     for h in (0.1, 0.3, 0.7, 0.95):
         assert np.isclose(sphere_tail_probability(h, 2), 2.0 / np.pi * np.arccos(h), atol=1e-9)
         assert np.isclose(sphere_tail_probability(h, 3), 1.0 - h, atol=1e-9)
@@ -112,6 +113,7 @@ def test_tail_probability_closed_forms():
             2.0 / np.pi * (np.arccos(h) - h * np.sqrt(1.0 - h * h)),
             atol=1e-9,
         )
+        assert np.isclose(sphere_tail_probability(h, 5), (2.0 - 3.0 * h + h**3) / 2.0, atol=1e-9)
     assert sphere_tail_probability(0.0, 6) == 1.0
     assert sphere_tail_probability(1.0, 6) == 0.0
 
