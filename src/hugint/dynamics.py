@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .constraints import ConstraintMap
 from .errors import ReferenceSolveError
@@ -58,6 +57,8 @@ def checked_solve(field: Field, y0: np.ndarray, times: np.ndarray) -> np.ndarray
     of shape (len(times), len(y0)): row 0 is y0 itself (times[0] is the
     initial time) and repeated times give identical rows.
     """
+    from scipy.integrate import solve_ivp  # imported here so that ``import hugint`` loads no SciPy
+
     times = np.asarray(times, dtype=float)
     y0 = np.asarray(y0, dtype=float)
     if np.any(np.diff(times) < 0.0):

@@ -10,7 +10,9 @@ class HugError(Exception):
 
 
 class SingularGeometryError(HugError):
-    """Raised when the constraint Jacobian loses rank at a point.
+    """Raised when the geometry at a point is unusable: the constraint
+    Jacobian loses rank, or it or the gradient is not finite.  ``detail``
+    names the cause.
 
     The offending point is kept on the exception so callers (samplers,
     experiment drivers) can decide how to recover, e.g. by rejecting a
@@ -19,7 +21,7 @@ class SingularGeometryError(HugError):
 
     def __init__(self, x: np.ndarray, detail: str = ""):
         self.x = np.asarray(x, dtype=float).copy()
-        msg = f"constraint Jacobian is rank deficient at x={self.x!r}"
+        msg = f"singular geometry at x={self.x!r}"
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)

@@ -20,8 +20,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.special
-import scipy.stats
 
 from .constraints import ConstraintMap, QuadricConstraint, SphereConstraint, SphereSlicedConstraint
 from .dynamics import convergence_study, position_errors, reference_solve, split_velocity
@@ -198,6 +196,8 @@ def sphere_tail_probability(h: float, dim: int) -> float:
         raise ValueError(f"h must lie in [0, 1], got {h}")
     if dim < 2:
         raise ValueError(f"need dim >= 2, got {dim}")
+    import scipy.special  # imported here so that ``import hugint`` loads no SciPy
+
     return float(scipy.special.betainc(0.5 * (dim - 1), 0.5, 1.0 - h * h))
 
 
@@ -239,6 +239,29 @@ def ecdf_points(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("need at least one value")
     fractions = np.sort(values / values.max())
     return fractions, np.arange(1, values.size + 1) / values.size
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """Ranks 1..N of values, tied values sharing the mean of their ranks."""
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.r_[True, ordered[1:] != ordered[:-1]]
+    bounds = np.r_[np.flatnonzero(first), values.size]  # tie run k fills bounds[k]:bounds[k+1]
+    ranks = np.empty(values.size)
+    ranks[order] = (0.5 * (bounds[:-1] + bounds[1:] + 1))[np.cumsum(first) - 1]
+    return ranks
+
+
+def spearman_rho(a: np.ndarray, b: np.ndarray) -> float:
+    """Spearman rank correlation: the Pearson correlation of average ranks.
+
+    NaN when there are fewer than two pairs or either sample is constant.
+    """
+    ra, rb = _average_ranks(a), _average_ranks(b)
+    if ra.size < 2 or ra.min() == ra.max() or rb.min() == rb.max():
+        return float("nan")
+    return float(np.corrcoef(ra, rb)[0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +479,7 @@ def run_ellipsoid(config: ExperimentConfig) -> dict:
         ["d_max_fraction", "cumulative_probability"],
         zip(fractions, probs),
     )
-    correlation = scipy.stats.spearmanr(v_perp[ok], d_max[ok]).statistic
+    correlation = spearman_rho(v_perp[ok], d_max[ok])
 
     summary = {
         "dim": n,

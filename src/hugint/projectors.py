@@ -135,7 +135,9 @@ def build_bundle(constraint: ConstraintMap, x: np.ndarray) -> ProjectorBundle:
             raise SingularGeometryError(x, "Jacobian is not finite")
         d = np.abs(np.diag(R))
         if d.max() == 0.0 or d.min() <= RANK_RTOL * d.max():
-            raise SingularGeometryError(x, f"diag(R) spans {d.min():.2e}..{d.max():.2e}")
+            raise SingularGeometryError(
+                x, f"Jacobian is rank deficient: diag(R) spans {d.min():.2e}..{d.max():.2e}"
+            )
         q = Q
         pseudo = Q @ np.linalg.inv(R).T  # R is m-by-m with m small
 

@@ -3,11 +3,24 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hugint
 from hugint.cli import build_parser, load_config, main
 from hugint.experiments import BENCH_DIAG, BENCH_X0
+
+
+def test_import_loads_no_scipy():
+    """SciPy is imported by the calls that use it, not by ``import hugint.cli``."""
+    probe = "import hugint.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = os.path.dirname(os.path.dirname(hugint.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
 
 
 def test_parser_requires_subcommand():
@@ -211,7 +224,9 @@ def test_main_exit_3_on_overflowing_gradient(tmp_path, capsys):
     config_file.write_text(json.dumps({"delta": 1e300}))
     code = main(["foldback", "--config", str(config_file), "--out", str(tmp_path / "out")])
     assert code == 3
-    assert "gradient is not finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "singular geometry" in err and "(gradient is not finite)" in err
+    assert "rank deficient" not in err
 
 
 def test_main_exit_2_on_bad_json(tmp_path, capsys):

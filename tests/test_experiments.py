@@ -21,6 +21,7 @@ from hugint.experiments import (
     RUNNERS,
     ConfigError,
     ExperimentConfig,
+    _average_ranks,
     _showcase_velocity,
     build_constraint,
     ecdf_points,
@@ -32,6 +33,7 @@ from hugint.experiments import (
     run_phase_portrait,
     run_sphere_tail,
     run_table1,
+    spearman_rho,
     sphere_tail_probability,
     uniform_sphere,
 )
@@ -171,6 +173,32 @@ def test_ecdf_points_shape_and_limits():
     assert np.allclose(probs, [1.0 / 3.0, 2.0 / 3.0, 1.0])
     with pytest.raises(ValueError):
         ecdf_points(np.array([]))
+
+
+@pytest.mark.parametrize("n", [3, 10, 500])
+@pytest.mark.parametrize("ties", [False, True], ids=["distinct", "tied"])
+def test_spearman_rho_matches_scipy(n, ties):
+    from scipy.stats import rankdata, spearmanr
+
+    rng = np.random.default_rng(n)
+    checked = 0
+    for _ in range(20):
+        a, b = rng.standard_normal((2, n))
+        if ties:  # a handful of distinct values, so most entries share a rank
+            a, b = np.round(a), np.round(2.0 * b)
+        if a.min() == a.max() or b.min() == b.max():
+            continue  # scipy warns on constant input; covered below
+        np.testing.assert_array_equal(_average_ranks(a), rankdata(a))
+        assert abs(spearman_rho(a, b) - spearmanr(a, b).statistic) <= 1e-14
+        checked += 1
+    assert checked >= 10
+
+
+def test_spearman_rho_tie_ranks_and_degenerate_samples():
+    np.testing.assert_array_equal(_average_ranks(np.array([2.0, 1.0, 2.0, 0.0])), [3.5, 2, 3.5, 1])
+    assert spearman_rho(np.arange(4.0), -np.arange(4.0) ** 3) == pytest.approx(-1.0, abs=1e-15)
+    assert np.isnan(spearman_rho(np.array([1.0]), np.array([2.0])))
+    assert np.isnan(spearman_rho(np.ones(5), np.arange(5.0)))
 
 
 def test_showcase_velocity_geometry():

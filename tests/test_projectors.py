@@ -90,7 +90,7 @@ def test_codim1_path_matches_explicit_qr():
 
 def test_singular_gradient_raises_with_point():
     q = SphereConstraint(2)
-    with pytest.raises(SingularGeometryError) as info:
+    with pytest.raises(SingularGeometryError, match="gradient vanishes") as info:
         build_bundle(q, np.zeros(2))
     assert np.allclose(info.value.x, 0.0)
 
@@ -153,7 +153,7 @@ def test_rank_deficient_jacobian_raises():
         fn=lambda x: np.array([x @ x, 2.0 * (x @ x)]),
         jac=lambda x: np.vstack([2.0 * x, 4.0 * x]),
     )
-    with pytest.raises(SingularGeometryError):
+    with pytest.raises(SingularGeometryError, match="rank deficient"):
         build_bundle(c, np.array([1.0, 0.0, 0.0]))
 
 
