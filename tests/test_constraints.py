@@ -167,6 +167,41 @@ def test_analytic_hessian_matches_fd(constraint):
 @pytest.mark.parametrize(
     "constraint",
     [
+        QuadricConstraint(np.array([[2.0, 0.5], [0.5, 1.0]])),
+        AffineConstraint(np.array([[1.0, 2.0, -1.0], [0.0, 1.0, 1.0]])),
+        SphereSlicedConstraint(3),
+    ],
+    ids=["quadric", "affine", "sliced"],
+)
+def test_contraction_consistent_with_bilinear(constraint):
+    """The contraction H(x)[w, .] is linear in w, so hessian_bilinear built on
+    it is a bilinear form: H[u, a w1 + b w2] == a H[u, w1] + b H[u, w2]."""
+    rng = np.random.default_rng(13)
+    n = constraint.ambient_dim
+    for _ in range(5):
+        x, u, w1, w2 = rng.standard_normal((4, n))
+        a, b = rng.standard_normal(2)
+        combined = constraint.hessian_contraction(x, a * w1 + b * w2)
+        separate = a * constraint.hessian_contraction(x, w1) + b * constraint.hessian_contraction(
+            x, w2
+        )
+        assert np.abs(combined - separate).max() < 1e-12
+        gap = constraint.hessian_bilinear(x, u, a * w1 + b * w2) - (
+            a * constraint.hessian_bilinear(x, u, w1) + b * constraint.hessian_bilinear(x, u, w2)
+        )
+        assert np.abs(gap).max() < 1e-12
+
+
+def test_hessian_bilinear_symmetric_in_slots():
+    c = SphereSlicedConstraint(3)
+    rng = np.random.default_rng(14)
+    x, u, w = rng.standard_normal((3, 3))
+    assert np.abs(c.hessian_bilinear(x, u, w) - c.hessian_bilinear(x, w, u)).max() < 1e-12
+
+
+@pytest.mark.parametrize(
+    "constraint",
+    [
         QuadricConstraint(np.array([[2.0, 0.5, -0.3], [0.5, 1.0, 0.2], [-0.3, 0.2, 1.5]])),
         SphereConstraint(4),
         AffineConstraint(np.array([[1.0, 2.0, -1.0], [0.0, 1.0, 1.0]])),
