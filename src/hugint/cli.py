@@ -1,11 +1,13 @@
 """Command-line entry point: one subcommand per experiment.
 
 Subcommands, their help lines and their flags come from the experiment table,
-:data:`hugint.experiments.EXPERIMENTS`.  Settings come from an optional JSON
-config file overridden by command-line flags; the file may set the
-experiment's flags plus ``out``, ``seed``, ``constraint``, ``x0``, ``v0`` and
-``velocity_sigma``, and any other key is a configuration error.  Unset fields
-take the experiment's defaults.
+:data:`hugint.experiments.EXPERIMENTS`.  A call that names an experiment
+builds the parser of that subcommand only; any other call (no arguments,
+``-h`` or an unknown name) builds all of them.  Settings come from an
+optional JSON config file overridden by command-line flags; the file may set
+the experiment's flags plus ``out``, ``seed``, ``constraint``, ``x0``, ``v0``
+and ``velocity_sigma``, and any other key is a configuration error.  Unset
+fields take the experiment's defaults.
 Every run writes its data files plus a manifest JSON, recording the resolved
 config, into the output directory.  Exit codes: 0 on success, 2 on
 configuration errors, 3 on numerical failures.
@@ -41,18 +43,23 @@ FLAGS = {
 _FILE_KEYS = {"out", "seed", "constraint", "x0", "v0", "velocity_sigma"}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The ``hugint`` parser with a subcommand for every experiment, or for
+    the experiment ``only`` alone, whose usage line still lists every name."""
     parser = argparse.ArgumentParser(
         prog="hugint",
         description="Run experiments for the level-set hugging integrator.",
     )
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    for name, experiment in EXPERIMENTS.items():
-        p = sub.add_parser(name, help=experiment.help)
+    # Without every name as metavar the usage line would list ``only`` alone;
+    # the full parser keeps the default so its errors name "experiment".
+    metavar = None if only is None else "{" + ",".join(EXPERIMENTS) + "}"
+    sub = parser.add_subparsers(dest="experiment", required=True, metavar=metavar)
+    for name in EXPERIMENTS if only is None else (only,):
+        p = sub.add_parser(name, help=EXPERIMENTS[name].help)
         p.add_argument("--config", help="JSON config file; flags override its keys")
         p.add_argument("--out", help="output directory (default: current directory)")
         p.add_argument("--seed", type=int, help="root RNG seed (default: 0)")
-        for field in experiment.flags:
+        for field in EXPERIMENTS[name].flags:
             p.add_argument("--" + field.replace("_", "-"), dest=field, **FLAGS[field])
     return parser
 
@@ -82,7 +89,9 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    only = argv[0] if argv and argv[0] in EXPERIMENTS else None
+    args = build_parser(only).parse_args(argv)
     try:
         config = load_config(args)
     except ConfigError as exc:

@@ -96,6 +96,8 @@ class QuadricConstraint(ConstraintMap):
 
     Level sets f = -c (c > 0) are ellipsoids.  All derivatives are analytic:
     grad f = -2 A x and the Hessian is the constant matrix -2 A, formed once.
+    A form too large for a float reads f = -inf, without a warning, as long as
+    A x itself stays finite.
     """
 
     def __init__(self, A: np.ndarray):
@@ -113,7 +115,8 @@ class QuadricConstraint(ConstraintMap):
 
     def value(self, x: np.ndarray) -> np.ndarray:
         x = self.check_point(x)
-        return np.array([-x @ self.A @ x])
+        # the bits of -x @ A @ x; unlike ``@``, np.vdot overflows without a warning
+        return np.array([np.vdot(np.dot(-x, self.A), x)])
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         x = self.check_point(x)
@@ -149,7 +152,7 @@ class SphereConstraint(QuadricConstraint):
 
     def value(self, x: np.ndarray) -> np.ndarray:
         x = self.check_point(x)
-        return np.array([-(x @ x)])
+        return np.array([-np.vdot(x, x)])  # overflows to -inf without a warning
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         x = self.check_point(x)

@@ -419,25 +419,6 @@ def run_foldback(config: ExperimentConfig) -> dict:
 # ellipsoid exploration studies
 
 
-def _scatter_study(
-    constraint: ConstraintMap, x0: np.ndarray, config: ExperimentConfig, seed: int
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """(v_perp_norms, d_max values, failed count) over random unit velocities;
-    :class:`~hugint.errors.StudyFailedError` when every replicate fails."""
-    if not isinstance(constraint, QuadricConstraint):
-        raise ConfigError("the ellipsoid study expects a quadric constraint")
-    V0 = np.array([
-        uniform_sphere(np.random.default_rng(child), x0.size)
-        for child in np.random.SeedSequence(seed).spawn(config.replicates)
-    ])
-    v_perp = np.linalg.norm(V0 @ build_bundle(constraint, x0).basis, axis=1)
-    d_max = max_distances(constraint, x0, V0, config.delta, config.steps)
-    failed = int(np.sum(~np.isfinite(d_max)))
-    if failed == d_max.size:
-        raise StudyFailedError(f"all {failed} replicates hit singular or non-finite geometry")
-    return v_perp, d_max, failed
-
-
 def _showcase_velocity(bundle: ProjectorBundle, normal_speed: float) -> np.ndarray:
     """Unit velocity at bundle.x with a prescribed normal-component norm.
 
@@ -454,6 +435,38 @@ def _showcase_velocity(bundle: ProjectorBundle, normal_speed: float) -> np.ndarr
     return normal_speed * q + np.sqrt(1.0 - normal_speed**2) * (u / np.linalg.norm(u))
 
 
+def _scatter_study(
+    constraint: ConstraintMap,
+    x0: np.ndarray,
+    config: ExperimentConfig,
+    seed: int,
+    showcase_speeds: tuple[float, ...] = (),
+) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """(v_perp_norms, d_max values, failed count, showcase d_max values) over
+    random unit velocities; :class:`~hugint.errors.StudyFailedError` when every
+    replicate fails.
+
+    The showcase velocities (:func:`_showcase_velocity` of each normal speed)
+    ride as extra rows of the same :func:`max_distances` pass; they count
+    neither as replicates nor as failures.
+    """
+    if not isinstance(constraint, QuadricConstraint):
+        raise ConfigError("the ellipsoid study expects a quadric constraint")
+    V0 = np.array([
+        uniform_sphere(np.random.default_rng(child), x0.size)
+        for child in np.random.SeedSequence(seed).spawn(config.replicates)
+    ])
+    bundle = build_bundle(constraint, x0)
+    v_perp = np.linalg.norm(V0 @ bundle.basis, axis=1)
+    showcase = [_showcase_velocity(bundle, s) for s in showcase_speeds]
+    d_all = max_distances(constraint, x0, np.array([*V0, *showcase]), config.delta, config.steps)
+    d_max, d_showcase = d_all[: len(V0)], d_all[len(V0):]
+    failed = int(np.sum(~np.isfinite(d_max)))
+    if failed == d_max.size:
+        raise StudyFailedError(f"all {failed} replicates hit singular or non-finite geometry")
+    return v_perp, d_max, failed, d_showcase
+
+
 def run_ellipsoid(config: ExperimentConfig) -> dict:
     """Scatter of (||v_perp(0)||, d_max) over random velocities, plus ECDF."""
     if config.constraint is not None:
@@ -464,7 +477,10 @@ def run_ellipsoid(config: ExperimentConfig) -> dict:
         constraint = QuadricConstraint(np.diag(ELLIPSOID_DIAGS[config.dim]))
     n = constraint.ambient_dim
     x0 = _config_vector(config, "x0", n) if config.x0 is not None else np.eye(n)[0]
-    v_perp, d_max, failed = _scatter_study(constraint, x0, config, config.seed)
+    showcase_speeds = SHOWCASE_NORMAL_SPEEDS if n >= 3 and config.x0 is None else ()
+    v_perp, d_max, failed, showcase = _scatter_study(
+        constraint, x0, config, config.seed, showcase_speeds
+    )
     ok = np.isfinite(d_max)
     write_csv(
         os.path.join(config.out, "ellipsoid_scatter.csv"),
@@ -491,10 +507,7 @@ def run_ellipsoid(config: ExperimentConfig) -> dict:
         "sup_d_max": float(d_max[ok].max()),
     }
 
-    if n >= 3 and config.x0 is None:
-        bundle = build_bundle(constraint, x0)
-        V0 = np.array([_showcase_velocity(bundle, s) for s in SHOWCASE_NORMAL_SPEEDS])
-        showcase = max_distances(constraint, x0, V0, config.delta, config.steps)
+    if showcase_speeds:
         write_csv(
             os.path.join(config.out, "ellipsoid_showcase.csv"),
             "ellipsoid-showcase/1",
@@ -514,7 +527,7 @@ def run_ecdf(config: ExperimentConfig) -> dict:
     for dim in (3, 6):
         constraint = QuadricConstraint(np.diag(ELLIPSOID_DIAGS[dim]))
         x0 = np.eye(dim)[0]
-        v_perp, d_max, failed = _scatter_study(constraint, x0, config, config.seed + dim)
+        _, d_max, failed, _ = _scatter_study(constraint, x0, config, config.seed + dim)
         ok = np.isfinite(d_max)
         fractions, probs = ecdf_points(d_max[ok])
         write_csv(

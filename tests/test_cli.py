@@ -11,7 +11,7 @@ import pytest
 
 import hugint
 from hugint.cli import build_parser, load_config, main
-from hugint.experiments import BENCH_DIAG, BENCH_X0
+from hugint.experiments import BENCH_DIAG, BENCH_X0, EXPERIMENTS
 
 
 def test_import_loads_no_scipy():
@@ -23,17 +23,31 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_parser_requires_subcommand():
+def _exit_code_and_stderr(argv, capsys) -> tuple[int, str]:
+    """The exit code of ``main(argv)`` and what it alone wrote to stderr."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    return info.value.code, capsys.readouterr().err
+
+
+def test_parser_requires_subcommand(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+    code, err = _exit_code_and_stderr([], capsys)
+    assert code == 2 and "required: experiment" in err
+    assert all(name in err for name in EXPERIMENTS)
 
 
-def test_parser_rejects_unknown_experiment():
+def test_parser_rejects_unknown_experiment(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["warp-drive"])
+    code, err = _exit_code_and_stderr(["warp-drive"], capsys)
+    assert code == 2 and "invalid choice: 'warp-drive'" in err
+    assert all(name in err for name in EXPERIMENTS)
 
 
-def test_parser_scopes_flags_to_experiments():
+def test_parser_scopes_flags_to_experiments(capsys):
     args = build_parser().parse_args(["sphere-tail", "--h", "0.25", "--dim", "4"])
     assert args.h == 0.25 and args.dim == 4
     with pytest.raises(SystemExit):
@@ -43,6 +57,10 @@ def test_parser_scopes_flags_to_experiments():
     with pytest.raises(SystemExit) as info:
         build_parser().parse_args(["ellipsoid", "--workers", "2"])
     assert info.value.code == 2
+    # main's one-subcommand parser prints the full parser's usage line
+    code, err = _exit_code_and_stderr(["chain", "--bogus"], capsys)
+    assert code == 2
+    assert err == build_parser().format_usage() + "hugint: error: unrecognized arguments: --bogus\n"
 
 
 @pytest.mark.parametrize(
@@ -217,6 +235,17 @@ def test_overflowing_gradient_is_a_singular_rejection_without_warning(tmp_path, 
                  "--out", str(tmp_path / "out")])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["summary"]["singular_rejections"] == 5
+
+
+def test_overflowing_walk_proposal_is_a_plain_rejection_without_warning(tmp_path, capsys):
+    """At walk_scale = 1e300 every random-walk proposal's quadratic form
+    overflows: ell reads -inf, so each walk move is rejected, and no
+    floating-point warning escapes."""
+    config_file = tmp_path / "run.json"
+    config_file.write_text(json.dumps({"walk_scale": 1e300, "iterations": 3}))
+    code = main(["chain", "--config", str(config_file), "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["walk_acceptance_rate"] == 0.0
 
 
 def test_main_exit_3_on_overflowing_gradient(tmp_path, capsys):

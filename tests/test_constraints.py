@@ -81,6 +81,22 @@ def test_quadric_derivatives_match_the_formula_bitwise():
         assert np.array_equal(quadric.hessian_contraction(x, w), (-2.0 * A @ w)[None, :])
 
 
+def test_quadratic_form_keeps_its_bits_and_overflows_to_minus_inf():
+    """A finite value has the bits of -x @ A @ x, on contiguous and strided
+    points alike; a form too large for a float reads -inf without a warning
+    (``RuntimeWarning`` fails the suite)."""
+    A = np.array([[2.0, 0.5, -0.3], [0.5, 1.0, 0.2], [-0.3, 0.2, 3.0]])
+    quadric = QuadricConstraint(A)
+    rng = np.random.default_rng(9)
+    for _ in range(10):
+        X = rng.standard_normal((3, 2))
+        for x in (X[:, 0], np.ascontiguousarray(X[:, 1])):
+            assert np.array_equal(quadric.value(x), np.array([-x @ A @ x]))
+    huge = np.array([1e300, 1e300, 0.0])
+    assert quadric.value(huge)[0] == -np.inf
+    assert SphereConstraint(3).value(huge)[0] == -np.inf
+
+
 def test_chain_on_sphere_target_reads_its_identity_matrix(tmp_path, capsys):
     """``chain`` takes the target moments 0.5 / diag(A) from the lazily built A."""
     config_file = tmp_path / "run.json"

@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hugint import cli
 from hugint.cli import build_parser
 from hugint.constraints import QuadricConstraint, SphereConstraint, SphereSlicedConstraint
 from hugint.ellipse import EllipseModel, ReducedState, reduced_solve
@@ -19,6 +20,7 @@ from hugint.experiments import (
     ELLIPSOID_DIAGS,
     EXPERIMENTS,
     RUNNERS,
+    SHOWCASE_NORMAL_SPEEDS,
     ConfigError,
     ExperimentConfig,
     _average_ranks,
@@ -45,24 +47,43 @@ from hugint.projectors import build_bundle
 TILTED_QUADRIC = [[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]]
 
 
-def test_experiment_table_scopes_cli_flags():
-    """Each subcommand takes --config, --out, --seed and exactly the config
-    fields its table entry declares; the table's flags and defaults are all
-    config fields."""
-    parser = build_parser()
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
     (subcommands,) = [
         action.choices for action in parser._actions
         if isinstance(action, argparse._SubParsersAction)
     ]
+    return subcommands
+
+
+def test_experiment_table_scopes_cli_flags(monkeypatch):
+    """Each subcommand takes --config, --out, --seed and exactly the config
+    fields its table entry declares, both in the full parser and in the
+    one-subcommand parser that ``main`` builds for its name; the table's flags
+    and defaults are all config fields."""
+    parser = build_parser()
+    subcommands = _subcommands(parser)
     assert list(subcommands) == list(EXPERIMENTS) == list(RUNNERS)
+    built = []
+
+    def recording_build_parser(*args):
+        built.append(build_parser(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", recording_build_parser)
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     for name, experiment in EXPERIMENTS.items():
         assert RUNNERS[name] is experiment.runner
         assert set(experiment.flags) <= fields
         assert set(experiment.defaults) | set(experiment.full_scale_defaults) <= fields
-        options = {opt for action in subcommands[name]._actions for opt in action.option_strings}
+        with pytest.raises(SystemExit) as info:
+            cli.main([name, "--help"])
+        assert info.value.code == 0
+        own = _subcommands(built.pop())
+        assert list(own) == [name]
         declared = {"--" + flag.replace("_", "-") for flag in experiment.flags}
-        assert options - {"-h", "--help"} == {"--config", "--out", "--seed"} | declared, name
+        for sub in (subcommands[name], own[name]):
+            options = {opt for action in sub._actions for opt in action.option_strings}
+            assert options - {"-h", "--help"} == {"--config", "--out", "--seed"} | declared, name
     with pytest.raises(SystemExit):
         parser.parse_args(["table1", "--replicates", "7"])
 
@@ -324,6 +345,12 @@ def test_run_ellipsoid_reruns_byte_identical(tmp_path):
     for name in ("ellipsoid_scatter.csv", "ellipsoid_ecdf.csv", "ellipsoid_showcase.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
     assert s1 == s2
+    # the showcase rows share the scatter's pass and read as if run alone
+    constraint = QuadricConstraint(np.diag(ELLIPSOID_DIAGS[3]))
+    x0 = np.eye(3)[0]
+    bundle = build_bundle(constraint, x0)
+    V0 = np.array([_showcase_velocity(bundle, s) for s in SHOWCASE_NORMAL_SPEEDS])
+    assert np.array_equal(s1["showcase_d_max"], max_distances(constraint, x0, V0, 0.01, 30))
 
 
 def test_run_ellipsoid_uses_full_quadric_matrix(tmp_path):
