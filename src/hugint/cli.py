@@ -19,6 +19,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .errors import HugError
 from .experiments import EXPERIMENTS, RUNNERS, ConfigError, ExperimentConfig
 from .output import ManifestTimer, write_manifest
@@ -99,7 +101,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     runner = RUNNERS[config.experiment]
     try:
-        with ManifestTimer() as timer:
+        # An overflow reads +-inf, and inf * 0 or inf - inf after it reads NaN;
+        # the finiteness checks turn both into a rejection or exit 3, so
+        # numpy's warnings would only repeat them.
+        with ManifestTimer() as timer, np.errstate(over="ignore", invalid="ignore"):
             summary = runner(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

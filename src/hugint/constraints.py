@@ -2,13 +2,15 @@
 
 A constraint map is a smooth ``f: R^n -> R^m`` (m < n) whose regular level
 sets are embedded manifolds of dimension ``n - m``.  The integrator only ever
-queries three things: the value ``f(x)``, the Jacobian ``J(x)`` (rows are
-gradients of the components), and the Hessian contraction ``H(x)[w, .]``,
-the m-by-n matrix whose row i is ``w^T Hess(f_i)``.  The contraction is the
-one second-derivative primitive; the bilinear form ``H(x)[u, w]`` is derived
-from it.  Subclasses may supply analytic derivatives; the base class falls
-back to central finite differences, which is accurate enough for exploratory
-work but not for tight-tolerance studies.
+queries four things: the value ``f(x)``, the Jacobian ``J(x)`` (rows are
+gradients of the components), the gradient ``grad f(x)`` of a codimension-1
+map (row 0 of ``J(x)``, which the codim-1 step reflects through), and the
+Hessian contraction ``H(x)[w, .]``, the m-by-n matrix whose row i is
+``w^T Hess(f_i)``.  The contraction is the one second-derivative primitive;
+the bilinear form ``H(x)[u, w]`` is derived from it.  Subclasses may supply
+analytic derivatives; the base class falls back to central finite
+differences, which is accurate enough for exploratory work but not for
+tight-tolerance studies.
 """
 
 from __future__ import annotations
@@ -24,6 +26,18 @@ from .errors import DimensionError
 
 def _fd_step(x: np.ndarray) -> float:
     return 1e-5 * max(1.0, float(np.linalg.norm(x)))
+
+
+def checked_jacobian(constraint: ConstraintMap, x: np.ndarray, shape: tuple) -> np.ndarray:
+    """J(x) as a float array of the given shape (m, n), else :class:`DimensionError`."""
+    J = constraint.jacobian(x)  # every constraint map checks the shape of x here
+    if type(J) is not np.ndarray or J.dtype != np.float64 or J.ndim != 2:
+        J = np.atleast_2d(np.asarray(J, dtype=float))
+    if J.shape != shape or x.shape != shape[1:]:
+        raise DimensionError(
+            f"Jacobian of shape {J.shape} at a point of shape {x.shape}, expected {shape}"
+        )
+    return J
 
 
 class ConstraintMap:
@@ -59,6 +73,16 @@ class ConstraintMap:
             e[j] = h
             J[:, j] = (self.value(x + e) - self.value(x - e)) / (2.0 * h)
         return J
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        """Return grad f(x) with shape (n,) for a codimension-1 map.
+
+        The default is row 0 of :meth:`jacobian`.  A Jacobian that is not
+        of shape (1, n), as for a map with m > 1 components, or a point of
+        the wrong shape raises :class:`DimensionError`.
+        """
+        x = np.asarray(x, dtype=float)
+        return checked_jacobian(self, x, (1, self.ambient_dim))[0]
 
     def hessian_contraction(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Return the m-by-n matrix H(x)[w, .]: entry (i, j) is w^T Hess(f_i) e_j.
@@ -116,11 +140,13 @@ class QuadricConstraint(ConstraintMap):
     def value(self, x: np.ndarray) -> np.ndarray:
         x = self.check_point(x)
         # the bits of -x @ A @ x; unlike ``@``, np.vdot overflows without a warning
-        return np.array([np.vdot(np.dot(-x, self.A), x)])
+        return np.array([-np.vdot(x.dot(self.A), x)])
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        return self._hessian.dot(self.check_point(x))
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        x = self.check_point(x)
-        return (self._hessian @ x)[None, :]
+        return self.gradient(x)[None, :]
 
     def hessian_contraction(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         self.check_point(x)
@@ -154,9 +180,8 @@ class SphereConstraint(QuadricConstraint):
         x = self.check_point(x)
         return np.array([-np.vdot(x, x)])  # overflows to -inf without a warning
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        x = self.check_point(x)
-        return (-2.0 * x)[None, :]
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        return -2.0 * self.check_point(x)
 
     def hessian_contraction(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         self.check_point(x)

@@ -17,7 +17,8 @@ The reflection needs only an orthonormal basis Q of the normal space,
 N(y) v = Q (Q^T v), so beyond the constraint's own Jacobian a step costs
 O(n m) for n ambient dimensions and m constraints.  At codimension 1 the
 basis is the unit gradient q and v' = v - 2 (q . v) q, so the step builds no
-projector bundle.
+projector bundle: q comes from the constraint's ``gradient``, closed form on
+the quadric and the sphere and row 0 of the Jacobian otherwise.
 
 :func:`hug_step` is the one implementation of the step.
 :func:`hug_trajectory` loops over it and records positions, velocities,
@@ -126,7 +127,7 @@ def hug_step(
     y = x + h * v
     if constraint.codim == 1:
         q = unit_normal(constraint, y)
-        v_new = v - q * (2.0 * (q @ v))
+        v_new = v - q * (2.0 * q.dot(v))
     else:
         v_new = reflect(build_bundle(constraint, y), v)
     return y + h * v_new, v_new

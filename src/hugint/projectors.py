@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import ConstraintMap
-from .errors import DimensionError, SingularGeometryError
+from .constraints import ConstraintMap, checked_jacobian
+from .errors import SingularGeometryError
 
 #: Relative tolerance on the diagonal of R for declaring J rank deficient.
 RANK_RTOL = 1e-10
@@ -72,18 +72,6 @@ class ProjectorBundle:
         return np.eye(self.x.size) - self.basis @ self.basis.T
 
 
-def _checked_jacobian(constraint: ConstraintMap, x: np.ndarray, shape: tuple) -> np.ndarray:
-    """J(x) as a float array of the given shape (m, n), else :class:`DimensionError`."""
-    J = constraint.jacobian(x)  # every constraint map checks the shape of x here
-    if type(J) is not np.ndarray or J.dtype != np.float64 or J.ndim != 2:
-        J = np.atleast_2d(np.asarray(J, dtype=float))
-    if J.shape != shape or x.shape != shape[1:]:
-        raise DimensionError(
-            f"Jacobian of shape {J.shape} at a point of shape {x.shape}, expected {shape}"
-        )
-    return J
-
-
 def _gradient_norm2(g: np.ndarray, x: np.ndarray) -> float:
     """g . g for a single gradient g, else :class:`SingularGeometryError`."""
     ng2 = float(np.vdot(g, g))  # the bits of g @ g; overflows to inf without a warning
@@ -95,10 +83,10 @@ def _gradient_norm2(g: np.ndarray, x: np.ndarray) -> float:
 
 
 def unit_normal(constraint: ConstraintMap, x: np.ndarray) -> np.ndarray:
-    """Unit gradient g / ||g||, shape (n,), of a codimension-1 constraint at x:
-    the m = 1 basis of :func:`build_bundle`, under the same checks."""
-    x = np.asarray(x, dtype=float)
-    g = _checked_jacobian(constraint, x, (1, constraint.ambient_dim))[0]
+    """Unit gradient g / ||g||, shape (n,), of a codimension-1 constraint at x,
+    with g from the constraint's ``gradient``: the m = 1 basis of
+    :func:`build_bundle`, under the same checks."""
+    g = constraint.gradient(x)
     return g / math.sqrt(_gradient_norm2(g, x))
 
 
@@ -117,7 +105,7 @@ def build_bundle(constraint: ConstraintMap, x: np.ndarray) -> ProjectorBundle:
     """
     x = np.asarray(x, dtype=float)
     shape = (constraint.codim, constraint.ambient_dim)
-    J = _checked_jacobian(constraint, x, shape)
+    J = checked_jacobian(constraint, x, shape)
 
     if shape[0] == 1:
         # Single constraint: the QR factorization collapses to a normalization.

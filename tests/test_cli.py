@@ -214,12 +214,17 @@ def test_main_exit_2_on_zero_start_velocity(experiment, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("experiment", ["ecdf", "ellipsoid"])
-def test_main_exit_3_when_every_replicate_fails(experiment, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "experiment, delta",
+    [("ecdf", 1e300), ("ellipsoid", 1e300), ("ecdf", 1e308), ("ellipsoid", 1e308)],
+    ids=["ecdf", "ellipsoid", "ecdf-1e308", "ellipsoid-1e308"],
+)
+def test_main_exit_3_when_every_replicate_fails(experiment, delta, tmp_path, capsys):
     """At delta = 1e300 every replicate's first gradient overflows, so no
-    d_max is finite and the study has nothing to report."""
+    d_max is finite and the study has nothing to report; at 1e308 the
+    midpoint itself can overflow, with no floating-point warning either."""
     config_file = tmp_path / "run.json"
-    config_file.write_text(json.dumps({"delta": 1e300}))
+    config_file.write_text(json.dumps({"delta": delta}))
     code = main([experiment, "--replicates", "5", "--steps", "2", "--config", str(config_file),
                  "--out", str(tmp_path / "out")])
     assert code == 3
@@ -228,34 +233,44 @@ def test_main_exit_3_when_every_replicate_fails(experiment, tmp_path, capsys):
 
 def test_overflowing_gradient_is_a_singular_rejection_without_warning(tmp_path, capsys):
     """At delta = 1e300 the first midpoint's gradient overflows: every chain
-    proposal is rejected as singular and no floating-point warning escapes."""
-    config_file = tmp_path / "run.json"
-    config_file.write_text(json.dumps({"delta": 1e300}))
-    code = main(["chain", "--iterations", "5", "--config", str(config_file),
-                 "--out", str(tmp_path / "out")])
-    assert code == 0
-    assert json.loads(capsys.readouterr().out)["summary"]["singular_rejections"] == 5
+    proposal is rejected as singular and no floating-point warning escapes.
+    At 1e308 the product A x overflows too, and with wide velocities the
+    midpoint itself does, so the gradient holds inf * 0 = NaN."""
+    for i, settings in enumerate(
+        [{"delta": 1e300}, {"delta": 1e308}, {"delta": 1e308, "velocity_sigma": 100.0}]
+    ):
+        config_file = tmp_path / f"run{i}.json"
+        config_file.write_text(json.dumps(settings))
+        capsys.readouterr()
+        code = main(["chain", "--iterations", "5", "--config", str(config_file),
+                     "--out", str(tmp_path / f"out{i}")])
+        assert code == 0, settings
+        assert json.loads(capsys.readouterr().out)["summary"]["singular_rejections"] == 5
 
 
 def test_overflowing_walk_proposal_is_a_plain_rejection_without_warning(tmp_path, capsys):
     """At walk_scale = 1e300 every random-walk proposal's quadratic form
     overflows: ell reads -inf, so each walk move is rejected, and no
-    floating-point warning escapes."""
-    config_file = tmp_path / "run.json"
-    config_file.write_text(json.dumps({"walk_scale": 1e300, "iterations": 3}))
-    code = main(["chain", "--config", str(config_file), "--out", str(tmp_path / "out")])
-    assert code == 0
-    assert json.loads(capsys.readouterr().out)["summary"]["walk_acceptance_rate"] == 0.0
+    floating-point warning escapes.  At 1e308 the product x A overflows too."""
+    for walk_scale in (1e300, 1e308):
+        config_file = tmp_path / f"run-{walk_scale:g}.json"
+        config_file.write_text(json.dumps({"walk_scale": walk_scale, "iterations": 3}))
+        capsys.readouterr()
+        code = main(["chain", "--config", str(config_file), "--out", str(tmp_path / "out")])
+        assert code == 0, walk_scale
+        assert json.loads(capsys.readouterr().out)["summary"]["walk_acceptance_rate"] == 0.0
 
 
 def test_main_exit_3_on_overflowing_gradient(tmp_path, capsys):
-    config_file = tmp_path / "run.json"
-    config_file.write_text(json.dumps({"delta": 1e300}))
-    code = main(["foldback", "--config", str(config_file), "--out", str(tmp_path / "out")])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert "singular geometry" in err and "(gradient is not finite)" in err
-    assert "rank deficient" not in err
+    for delta in (1e300, 1e308):
+        config_file = tmp_path / f"run-{delta:g}.json"
+        config_file.write_text(json.dumps({"delta": delta}))
+        capsys.readouterr()
+        code = main(["foldback", "--config", str(config_file), "--out", str(tmp_path / "out")])
+        assert code == 3, delta
+        err = capsys.readouterr().err
+        assert "singular geometry" in err and "(gradient is not finite)" in err
+        assert "rank deficient" not in err
 
 
 def test_main_exit_2_on_bad_json(tmp_path, capsys):

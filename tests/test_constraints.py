@@ -71,7 +71,9 @@ def test_closed_form_sphere_matches_dense_quadric_bitwise(n):
 
 def test_quadric_derivatives_match_the_formula_bitwise():
     """The gradient -2 A x and the contraction -2 A w, with -2 A formed once
-    at construction, give the bits of the formula evaluated per call."""
+    at construction, give the bits of the formula evaluated per call.  The
+    ``gradient`` of every codim-1 map, closed form or not, is row 0 of its
+    ``jacobian`` bit for bit, on contiguous and strided points."""
     A = np.array([[2.0, 0.5, -0.3], [0.5, 1.0, 0.2], [-0.3, 0.2, 3.0]])
     quadric = QuadricConstraint(A)
     rng = np.random.default_rng(8)
@@ -79,6 +81,23 @@ def test_quadric_derivatives_match_the_formula_bitwise():
         x, w = rng.standard_normal((2, 3))
         assert np.array_equal(quadric.jacobian(x), (-2.0 * A @ x)[None, :])
         assert np.array_equal(quadric.hessian_contraction(x, w), (-2.0 * A @ w)[None, :])
+    for n in (2, 3, 1000):
+        B = rng.standard_normal((n, n))
+        A = B @ B.T / n + np.eye(n)
+        dense = QuadricConstraint(A)
+        maps = [
+            SphereConstraint(n),
+            dense,
+            CallableConstraint(n, 1, fn=dense.value, jac=dense.jacobian),
+            fd_only(SphereConstraint(n)),
+        ]
+        X = rng.standard_normal((n, 2))
+        for x in (X[:, 0], np.ascontiguousarray(X[:, 1])):
+            assert np.array_equal(dense.gradient(x), -2.0 * A @ x)
+            for constraint in maps:
+                g = constraint.gradient(x)
+                assert g.shape == (n,)
+                assert np.array_equal(g, constraint.jacobian(x)[0])
 
 
 def test_quadratic_form_keeps_its_bits_and_overflows_to_minus_inf():

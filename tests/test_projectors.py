@@ -125,7 +125,7 @@ _BAD_GEOMETRY = {
 def test_unit_normal_raises_as_build_bundle_does(case):
     """The codim-1 step takes its normal from ``unit_normal`` and builds no
     bundle, so every geometry check must raise the same error class on both
-    routes and through ``hug_step``."""
+    routes and through ``hug_step``; a shape error already in ``gradient``."""
     constraint, x, error = _BAD_GEOMETRY[case]
     with pytest.raises(error):
         build_bundle(constraint, x)
@@ -133,6 +133,9 @@ def test_unit_normal_raises_as_build_bundle_does(case):
         unit_normal(constraint, x)
     with pytest.raises(error):
         hug_step(constraint, x, np.zeros_like(x), 0.1)  # the midpoint is x itself
+    if error is DimensionError:
+        with pytest.raises(error):
+            constraint.gradient(x)
 
 
 def test_unit_normal_is_the_codim1_bundle_basis():
@@ -143,6 +146,8 @@ def test_unit_normal_is_the_codim1_bundle_basis():
         assert np.array_equal(unit_normal(q, x), build_bundle(q, x).basis[:, 0])
     with pytest.raises(DimensionError):
         unit_normal(SphereSlicedConstraint(3), np.ones(3))  # two gradients, no single normal
+    with pytest.raises(DimensionError):
+        SphereSlicedConstraint(3).gradient(np.ones(3))
 
 
 def test_rank_deficient_jacobian_raises():
