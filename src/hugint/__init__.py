@@ -39,6 +39,7 @@ from .integrator import (
     PhaseState,
     Trajectory,
     hug_step,
+    hug_step_rows,
     hug_trajectory,
     level_drift_bound,
 )
@@ -75,6 +76,7 @@ __all__ = [
     "from_reduced",
     "hug_kernel",
     "hug_step",
+    "hug_step_rows",
     "hug_trajectory",
     "level_drift_bound",
     "libration_turning_points",

@@ -7,8 +7,10 @@ gradients of the components), the gradient ``grad f(x)`` of a codimension-1
 map (row 0 of ``J(x)``, which the codim-1 step reflects through), and the
 Hessian contraction ``H(x)[w, .]``, the m-by-n matrix whose row i is
 ``w^T Hess(f_i)``.  The contraction is the one second-derivative primitive;
-the bilinear form ``H(x)[u, w]`` is derived from it.  Subclasses may supply
-analytic derivatives; the base class falls back to central finite
+the bilinear form ``H(x)[u, w]`` is derived from it.  The gradient also has
+a rows form, ``gradient_rows``, for the rows step over a stack of points;
+each of its rows has the bits of ``gradient`` at that point.  Subclasses may
+supply analytic derivatives; the base class falls back to central finite
 differences, which is accurate enough for exploratory work but not for
 tight-tolerance studies.
 """
@@ -84,6 +86,14 @@ class ConstraintMap:
         x = np.asarray(x, dtype=float)
         return checked_jacobian(self, x, (1, self.ambient_dim))[0]
 
+    def gradient_rows(self, X: np.ndarray) -> np.ndarray:
+        """Return :meth:`gradient` at each row of X, shape (R, n).
+
+        Each row has the bits of :meth:`gradient` at that row alone.  The
+        default loops :meth:`gradient` over the rows.
+        """
+        return np.array([self.gradient(x) for x in X]).reshape(len(X), self.ambient_dim)
+
     def hessian_contraction(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Return the m-by-n matrix H(x)[w, .]: entry (i, j) is w^T Hess(f_i) e_j.
 
@@ -145,6 +155,9 @@ class QuadricConstraint(ConstraintMap):
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return self._hessian.dot(self.check_point(x))
 
+    def gradient_rows(self, X: np.ndarray) -> np.ndarray:
+        return np.matvec(self._hessian, X)  # one gemv per row: the bits of ``gradient``
+
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         return self.gradient(x)[None, :]
 
@@ -182,6 +195,9 @@ class SphereConstraint(QuadricConstraint):
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return -2.0 * self.check_point(x)
+
+    def gradient_rows(self, X: np.ndarray) -> np.ndarray:
+        return -2.0 * X
 
     def hessian_contraction(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         self.check_point(x)

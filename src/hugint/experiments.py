@@ -7,8 +7,10 @@ resolved against that table, writes its data files (CSV with schema headers)
 under ``config.out``, and returns a summary dict that the CLI folds into the
 run manifest.  Replicated studies draw every replicate's velocity up front,
 each from its own child of the root seed, and then step all replicates
-together as rows of one array (:func:`max_distances`), so a run is a single
-process and its output depends only on the config and the seed.
+together as rows of one array with :func:`~hugint.integrator.hug_step_rows`,
+whose rows have the bits of single-trajectory steps, so a run is a single
+process and its output depends only on the config and the seed, not on the
+replicate count.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from .ellipse import (
     to_reduced,
 )
 from .errors import StudyFailedError
-from .integrator import HugParams, PhaseState, hug_trajectory
+from .integrator import HugParams, PhaseState, hug_step_rows, hug_trajectory
 from .output import write_csv
-from .projectors import GRADIENT_FLOOR, ProjectorBundle, build_bundle
+from .projectors import ProjectorBundle, build_bundle
 from .sampling import IsotropicGaussian, run_chain as run_sampling_chain
 
 #: Step sizes of the error table and convergence study.
@@ -199,33 +201,6 @@ def sphere_tail_probability(h: float, dim: int) -> float:
     import scipy.special  # imported here so that ``import hugint`` loads no SciPy
 
     return float(scipy.special.betainc(0.5 * (dim - 1), 0.5, 1.0 - h * h))
-
-
-def max_distances(
-    constraint: QuadricConstraint, x0: np.ndarray, V0: np.ndarray, delta: float, steps: int
-) -> np.ndarray:
-    """max_k ||x_k - x0|| of the trajectory from (x0, V0[r]) for each row r.
-
-    All rows step together: this is :func:`~hugint.integrator.hug_step`
-    written out for the quadric, whose gradient at the midpoint y is
-    g = -2 A y.  A row whose gradient is not finite or vanishes, where
-    ``hug_step`` would raise :class:`~hugint.errors.SingularGeometryError`,
-    reads NaN; the other rows carry on.
-    """
-    V = np.array(V0, dtype=float)
-    X = np.broadcast_to(np.asarray(x0, dtype=float), V.shape).copy()
-    M = -2.0 * constraint.A
-    d_max = np.zeros(len(V))
-    for _ in range(steps):
-        Y = X + 0.5 * delta * V
-        G = Y @ M.T
-        gg = np.einsum("ij,ij->i", G, G)
-        gg[~(np.isfinite(gg) & (gg > GRADIENT_FLOOR))] = np.nan  # the row turns NaN and stays NaN
-        Q = G / np.sqrt(gg)[:, None]
-        V = V - 2.0 * Q * np.einsum("ij,ij->i", Q, V)[:, None]
-        X = Y + 0.5 * delta * V
-        d_max = np.maximum(d_max, np.linalg.norm(X - x0, axis=1))
-    return d_max
 
 
 def ecdf_points(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -446,20 +421,27 @@ def _scatter_study(
     random unit velocities; :class:`~hugint.errors.StudyFailedError` when every
     replicate fails.
 
-    The showcase velocities (:func:`_showcase_velocity` of each normal speed)
-    ride as extra rows of the same :func:`max_distances` pass; they count
-    neither as replicates nor as failures.
+    d_max is max_k ||x_k - x0|| over the hug trajectory from (x0, v), every
+    row stepped by :func:`~hugint.integrator.hug_step_rows`; a row that hits
+    singular geometry reads NaN.  The showcase velocities
+    (:func:`_showcase_velocity` of each normal speed) ride as extra rows of
+    the same pass; they count neither as replicates nor as failures.
     """
-    if not isinstance(constraint, QuadricConstraint):
-        raise ConfigError("the ellipsoid study expects a quadric constraint")
+    if constraint.codim != 1:
+        raise ConfigError("the ellipsoid study expects a codimension-1 constraint")
     V0 = np.array([
         uniform_sphere(np.random.default_rng(child), x0.size)
         for child in np.random.SeedSequence(seed).spawn(config.replicates)
     ])
     bundle = build_bundle(constraint, x0)
-    v_perp = np.linalg.norm(V0 @ bundle.basis, axis=1)
+    v_perp = np.abs(np.vecdot(V0, bundle.basis[:, 0]))
     showcase = [_showcase_velocity(bundle, s) for s in showcase_speeds]
-    d_all = max_distances(constraint, x0, np.array([*V0, *showcase]), config.delta, config.steps)
+    V = np.array([*V0, *showcase])
+    X = np.broadcast_to(x0, V.shape)
+    d_all = np.zeros(len(V))
+    for _ in range(config.steps):
+        X, V = hug_step_rows(constraint, X, V, config.delta)
+        d_all = np.maximum(d_all, np.linalg.norm(X - x0, axis=1))
     d_max, d_showcase = d_all[: len(V0)], d_all[len(V0):]
     failed = int(np.sum(~np.isfinite(d_max)))
     if failed == d_max.size:

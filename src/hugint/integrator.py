@@ -20,10 +20,12 @@ basis is the unit gradient q and v' = v - 2 (q . v) q, so the step builds no
 projector bundle: q comes from the constraint's ``gradient``, closed form on
 the quadric and the sphere and row 0 of the Jacobian otherwise.
 
-:func:`hug_step` is the one implementation of the step.
-:func:`hug_trajectory` loops over it and records positions, velocities,
-midpoints and levels for analysis; the Metropolis kernel in
-:mod:`hugint.sampling` loops over it too but keeps only the final state.
+:func:`hug_step` is the step.  :func:`hug_trajectory` loops over it and
+records positions, velocities, midpoints and levels for analysis; the
+Metropolis kernel in :mod:`hugint.sampling` loops over it too but keeps only
+the final state.  :func:`hug_step_rows` is the same codim-1 step on each row
+of a stack of states, with each row's bits those of :func:`hug_step` however
+many rows share the stack; the replicated studies step their replicates with it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import ConstraintMap
-from .projectors import build_bundle, reflect, unit_normal
+from .errors import DimensionError
+from .projectors import GRADIENT_FLOOR, build_bundle, reflect, unit_normal
 
 
 @dataclass(frozen=True)
@@ -118,9 +121,10 @@ def hug_step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance (x, v) by one step of size delta; returns (x', v').
 
-    This is the only implementation of the step: trajectories and the
-    Metropolis kernel both loop over it.  The midpoint is validated once, by
-    :func:`unit_normal` at codimension 1 and by :func:`build_bundle` above it.
+    Trajectories and the Metropolis kernel both loop over it; the replicated
+    studies step with its rows form, :func:`hug_step_rows`.  The midpoint is
+    validated once, by :func:`unit_normal` at codimension 1 and by
+    :func:`build_bundle` above it.
     """
     v = np.asarray(v, dtype=float)
     h = 0.5 * delta
@@ -131,6 +135,36 @@ def hug_step(
     else:
         v_new = reflect(build_bundle(constraint, y), v)
     return y + h * v_new, v_new
+
+
+def hug_step_rows(
+    constraint: ConstraintMap, X: np.ndarray, V: np.ndarray, delta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`hug_step` on each row of X and V, shape (R, n), at codimension 1.
+
+    Each row's result has the bits of :func:`hug_step` on that row alone:
+    the gradients come from the constraint's ``gradient_rows`` and the row
+    dots from ``np.vecdot``, neither of which mixes rows.  A row whose
+    gradient is not finite or vanishes, where :func:`hug_step` would raise
+    :class:`~hugint.errors.SingularGeometryError`, turns NaN without a
+    warning and stays NaN; the other rows carry on.
+    """
+    X = np.asarray(X, dtype=float)
+    V = np.asarray(V, dtype=float)
+    if constraint.codim != 1 or X.shape != V.shape or X.shape[1:] != (constraint.ambient_dim,):
+        raise DimensionError(
+            f"hug_step_rows needs a codimension-1 map and (R, {constraint.ambient_dim}) "
+            f"rows, got codim {constraint.codim} and shapes {X.shape} and {V.shape}"
+        )
+    h = 0.5 * delta
+    Y = X + h * V
+    with np.errstate(over="ignore"):  # an overflowing gradient is a NaN row, as below
+        G = constraint.gradient_rows(Y)
+        gg = np.vecdot(G, G)
+    gg[~(np.isfinite(gg) & (gg > GRADIENT_FLOOR))] = np.nan
+    Q = G / np.sqrt(gg)[:, None]
+    V_new = V - Q * (2.0 * np.vecdot(Q, V))[:, None]
+    return Y + h * V_new, V_new
 
 
 def hug_trajectory(

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -229,6 +230,29 @@ def test_main_exit_3_when_every_replicate_fails(experiment, delta, tmp_path, cap
                  "--out", str(tmp_path / "out")])
     assert code == 3
     assert "all 5 replicates hit singular or non-finite geometry" in capsys.readouterr().err
+
+
+def test_ellipsoid_study_rejects_a_codim_2_constraint(tmp_path, capsys):
+    config_file = tmp_path / "run.json"
+    config_file.write_text(json.dumps({"constraint": {"kind": "sliced", "dim": 3}}))
+    code = main(["ellipsoid", "--config", str(config_file), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2 and "codimension-1" in err and "Traceback" not in err
+
+
+def test_ellipsoid_study_runs_on_a_sphere(tmp_path, capsys):
+    """The scatter study steps any codimension-1 map, not only a quadric,
+    with no floating-point warning."""
+    config_file = tmp_path / "run.json"
+    config_file.write_text(json.dumps(
+        {"constraint": {"kind": "sphere", "dim": 4}, "steps": 20, "replicates": 10}
+    ))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["ellipsoid", "--config", str(config_file), "--out", str(tmp_path / "out")])
+    assert code == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary["dim"] == 4 and summary["failed_replicates"] == 0
 
 
 def test_overflowing_gradient_is_a_singular_rejection_without_warning(tmp_path, capsys):

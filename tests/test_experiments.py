@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
 
 from hugint import cli
 from hugint.cli import build_parser
-from hugint.constraints import QuadricConstraint, SphereConstraint, SphereSlicedConstraint
+from hugint.constraints import QuadricConstraint, SphereSlicedConstraint
 from hugint.ellipse import EllipseModel, ReducedState, reduced_solve
 from hugint.experiments import (
     BENCH_DIAG,
@@ -27,7 +26,6 @@ from hugint.experiments import (
     _showcase_velocity,
     build_constraint,
     ecdf_points,
-    max_distances,
     run_chain,
     run_ecdf,
     run_ellipsoid,
@@ -163,29 +161,6 @@ def test_tail_probability_domain_checks():
 def _trajectory_d_max(constraint, x0, v0, delta, steps):
     t = hug_trajectory(constraint, PhaseState(x0, v0), HugParams(delta, steps))
     return np.linalg.norm(t.xs - x0, axis=1).max()
-
-
-def test_max_distances_match_trajectories():
-    """Each row of the batch matches its own single-trajectory oracle."""
-    constraint = QuadricConstraint(np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]]))
-    x0 = np.eye(3)[0]
-    rng = np.random.default_rng(131)
-    V0 = np.array([uniform_sphere(rng, 3) for _ in range(5)])
-    got = max_distances(constraint, x0, V0, 0.02, 50)
-    expected = [_trajectory_d_max(constraint, x0, v0, 0.02, 50) for v0 in V0]
-    assert got.shape == (5,)
-    np.testing.assert_allclose(got, expected, rtol=1e-12)
-
-
-def test_max_distances_masks_singular_rows():
-    """A row whose midpoint hits the origin of the sphere turns NaN without a
-    warning, and the other row still walks e1 -> e2 -> -e1."""
-    x0 = np.eye(3)[0]
-    V0 = np.array([-np.eye(3)[0], np.eye(3)[1]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = max_distances(SphereConstraint(3), x0, V0, 2.0, 2)
-    np.testing.assert_allclose(got, [np.nan, 2.0], rtol=1e-12)
 
 
 def test_ecdf_points_shape_and_limits():
@@ -345,12 +320,15 @@ def test_run_ellipsoid_reruns_byte_identical(tmp_path):
     for name in ("ellipsoid_scatter.csv", "ellipsoid_ecdf.csv", "ellipsoid_showcase.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
     assert s1 == s2
-    # the showcase rows share the scatter's pass and read as if run alone
+    # the showcase rows share the scatter's pass and read as their own trajectories
     constraint = QuadricConstraint(np.diag(ELLIPSOID_DIAGS[3]))
     x0 = np.eye(3)[0]
     bundle = build_bundle(constraint, x0)
-    V0 = np.array([_showcase_velocity(bundle, s) for s in SHOWCASE_NORMAL_SPEEDS])
-    assert np.array_equal(s1["showcase_d_max"], max_distances(constraint, x0, V0, 0.01, 30))
+    expected = [
+        _trajectory_d_max(constraint, x0, _showcase_velocity(bundle, s), 0.01, 30)
+        for s in SHOWCASE_NORMAL_SPEEDS
+    ]
+    assert np.array_equal(s1["showcase_d_max"], expected)
 
 
 def test_run_ellipsoid_uses_full_quadric_matrix(tmp_path):
@@ -370,7 +348,27 @@ def test_run_ellipsoid_uses_full_quadric_matrix(tmp_path):
         for child in np.random.SeedSequence(1).spawn(4)
     ]
     expected = [_trajectory_d_max(constraint, x0, v0, 0.01, 50) for v0 in velocities]
-    np.testing.assert_allclose([float(row[2]) for row in rows], expected, rtol=1e-12)
+    assert np.array_equal([float(row[2]) for row in rows], expected)
+
+
+def test_run_ellipsoid_rows_do_not_depend_on_the_replicate_count(tmp_path):
+    """Replicate r's velocity is the same at any replicate count, and so are
+    its v_perp and d_max, bit for bit, and the showcase: on a dense 40-D
+    quadric, where row products from one matrix multiply move with the
+    number of rows stacked."""
+    M = np.random.default_rng(40).standard_normal((40, 40))
+    matrix = (M @ M.T / 40 + 0.5 * np.eye(40)).tolist()
+    scatter, showcase = [], []
+    for replicates in (10, 200):
+        out = tmp_path / str(replicates)
+        run_ellipsoid(ExperimentConfig(
+            experiment="ellipsoid", out=str(out), seed=2, steps=100, replicates=replicates,
+            constraint={"kind": "quadric", "matrix": matrix},
+        ))
+        scatter.append((out / "ellipsoid_scatter.csv").read_bytes().splitlines())
+        showcase.append((out / "ellipsoid_showcase.csv").read_bytes())
+    assert scatter[0] == scatter[1][: len(scatter[0])]
+    assert showcase[0] == showcase[1]
 
 
 def test_run_ecdf_small(tmp_path):

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 from conftest import MAP_KINDS, random_run
-from hugint.constraints import QuadricConstraint, SphereConstraint
-from hugint.errors import SingularGeometryError
+from hugint.constraints import QuadricConstraint, SphereConstraint, SphereSlicedConstraint
+from hugint.errors import DimensionError, SingularGeometryError
 from hugint.integrator import (
     HugParams,
     PhaseState,
     hug_step,
+    hug_step_rows,
     hug_trajectory,
     level_drift_bound,
 )
@@ -152,3 +155,44 @@ def test_singular_start_raises():
     with pytest.raises(SingularGeometryError):
         # the first midpoint lands exactly on the gradient zero at the origin
         hug_step(constraint, np.array([-0.05, 0.0]), np.array([1.0, 0.0]), 0.1)
+
+
+def test_hug_step_rows_masks_singular_rows():
+    """A row whose midpoint hits the origin of the sphere turns NaN without a
+    warning, and the other row still walks e1 -> e2 -> -e1."""
+    x0 = np.eye(3)[0]
+    X, V = np.array([x0, x0]), np.array([-np.eye(3)[0], np.eye(3)[1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):
+            X, V = hug_step_rows(SphereConstraint(3), X, V, 2.0)
+    np.testing.assert_allclose(np.linalg.norm(X - x0, axis=1), [np.nan, 2.0], rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "constraint", [QuadricConstraint(np.diag([1.0, 4.0, 3.0])), SphereConstraint(3)],
+    ids=["quadric", "sphere"],
+)
+def test_hug_step_rows_overflowing_gradient_is_a_nan_row_without_warning(constraint):
+    """Where ``hug_step`` reads "gradient is not finite", the row turns NaN
+    and no floating-point warning escapes: g . g overflows at the first row,
+    and at the second the gradient itself does."""
+    X = np.array([[1e306, 0.0, 0.0], [1e308, 1e308, 0.0], [1.0, 0.0, 0.0]])
+    V = np.array([[0.0, 1.0, 0.0]] * 3)
+    with pytest.raises(SingularGeometryError, match="gradient is not finite"):
+        hug_step(constraint, X[0], V[0], 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        X_new, V_new = hug_step_rows(constraint, X, V, 0.1)
+    assert np.isnan(X_new[:2]).all() and np.isnan(V_new[:2]).all()
+    x, v = hug_step(constraint, X[2], V[2], 0.1)
+    assert np.array_equal(X_new[2], x) and np.array_equal(V_new[2], v)
+
+
+def test_hug_step_rows_rejects_codim_2_and_mismatched_rows():
+    with pytest.raises(DimensionError, match="codimension-1"):
+        hug_step_rows(SphereSlicedConstraint(3), np.ones((2, 3)), np.ones((2, 3)), 0.1)
+    with pytest.raises(DimensionError):
+        hug_step_rows(SphereConstraint(3), np.ones((2, 3)), np.ones((3, 3)), 0.1)
+    with pytest.raises(DimensionError):
+        hug_step_rows(SphereConstraint(3), np.ones(3), np.ones(3), 0.1)

@@ -23,7 +23,7 @@ from hugint.constraints import (
     SphereConstraint,
     SphereSlicedConstraint,
 )
-from hugint.integrator import hug_step
+from hugint.integrator import hug_step, hug_step_rows
 from hugint.projectors import build_bundle
 from oracles import bundle_step
 
@@ -124,7 +124,10 @@ def _codim1_map(kind: str, n: int):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_codim1_step_is_bitwise_the_bundle_step(kind, n, seed):
     """At codimension 1 ``hug_step`` reflects through the unit gradient and
-    builds no bundle; five steps must match the bundle route bit for bit."""
+    builds no bundle; five steps must match the bundle route bit for bit.
+    So must the rows route, ``hug_step_rows``: each row of a stack of the
+    drawn (x, v) and three more, and the drawn row alone as a one-row stack,
+    whatever else shares the stack."""
     constraint = _codim1_map(kind, n)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)
@@ -132,7 +135,19 @@ def test_codim1_step_is_bitwise_the_bundle_step(kind, n, seed):
     v = rng.standard_normal(n) * rng.uniform(0.1, 10.0)
     delta = rng.uniform(0.01, 0.2) / np.linalg.norm(v)
     xa, va = xb, vb = x, v
+    # three more unit starts at the drawn speed, so every step stays as short
+    X, V = rng.standard_normal((2, 3, n))
+    X = np.vstack([x, X / np.linalg.norm(X, axis=1)[:, None]])
+    V = np.vstack([v, V * (np.linalg.norm(v) / np.linalg.norm(V, axis=1)[:, None])])
+    singles = list(zip(X, V))
+    X1, V1 = X[:1], V[:1]
     for _ in range(5):
         xa, va = hug_step(constraint, xa, va, delta)
         xb, vb = bundle_step(constraint, xb, vb, delta)
         assert np.array_equal(xa, xb) and np.array_equal(va, vb)
+        singles = [hug_step(constraint, xr, vr, delta) for xr, vr in singles]
+        X, V = hug_step_rows(constraint, X, V, delta)
+        X1, V1 = hug_step_rows(constraint, X1, V1, delta)
+        assert np.array_equal(X, [xr for xr, _ in singles])
+        assert np.array_equal(V, [vr for _, vr in singles])
+        assert np.array_equal(X1[0], xa) and np.array_equal(V1[0], va)
