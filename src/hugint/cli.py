@@ -1,16 +1,17 @@
 """Command-line entry point: one subcommand per experiment.
 
 Subcommands, their help lines and their flags come from the experiment table,
-:data:`hugint.experiments.EXPERIMENTS`.  A call that names an experiment
-builds the parser of that subcommand only; any other call (no arguments,
-``-h`` or an unknown name) builds all of them.  Settings come from an
-optional JSON config file overridden by command-line flags; the file may set
-the experiment's flags plus ``out``, ``seed``, ``constraint``, ``x0``, ``v0``
-and ``velocity_sigma``, and any other key is a configuration error.  Unset
-fields take the experiment's defaults.
-Every run writes its data files plus a manifest JSON, recording the resolved
-config, into the output directory.  Exit codes: 0 on success, 2 on
-configuration errors, 3 on numerical failures.
+:data:`hugint.experiments.EXPERIMENTS`; each flag's type and help come from
+its field's declaration in :class:`~hugint.experiments.ExperimentConfig`.
+A call that names an experiment builds the parser of that subcommand only;
+any other call (no arguments, ``-h`` or an unknown name) builds all of them.
+Settings come from an optional JSON config file overridden by command-line
+flags; the file may set the experiment's flags plus the fields declared
+without a help line, and any other key is a configuration error.  Unset
+fields take the experiment's defaults.  Every run writes its data files plus
+a manifest JSON, recording the resolved config, into the output directory.
+Exit codes: 0 on success, 2 on configuration errors and unwritable output,
+3 on numerical failures.
 """
 
 from __future__ import annotations
@@ -22,27 +23,12 @@ import sys
 import numpy as np
 
 from .errors import HugError
-from .experiments import EXPERIMENTS, RUNNERS, ConfigError, ExperimentConfig
+from .experiments import EXPERIMENTS, RUNNERS, SETTINGS, ConfigError, ExperimentConfig
 from .output import ManifestTimer, write_manifest
 
-#: ``add_argument`` settings of each config field an experiment may take as a flag.
-FLAGS = {
-    "t_end": dict(type=float, help="time horizon"),
-    "delta": dict(type=float, help="step size"),
-    "steps": dict(type=int, help="steps per trajectory"),
-    "dim": dict(type=int, help="ambient dimension"),
-    "h": dict(type=float, help="threshold in [0, 1]"),
-    "replicates": dict(type=int, help="replicate count for sampled studies"),
-    "full_scale": dict(
-        action="store_true", default=None, help="use publication-scale replicate and step counts"
-    ),
-    "iterations": dict(type=int, help="chain length"),
-    "walk_scale": dict(type=float, help="random-walk proposal scale (interleaved move)"),
-}
-
-
-#: Config-file keys every experiment accepts besides its flags.
-_FILE_KEYS = {"out", "seed", "constraint", "x0", "v0", "velocity_sigma"}
+def _flags(name: str) -> tuple[str, ...]:
+    """The config fields experiment ``name`` takes as flags besides ``--config``."""
+    return ("out", "seed", *EXPERIMENTS[name].flags)
 
 
 def build_parser(only: str | None = None) -> argparse.ArgumentParser:
@@ -59,10 +45,10 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     for name in EXPERIMENTS if only is None else (only,):
         p = sub.add_parser(name, help=EXPERIMENTS[name].help)
         p.add_argument("--config", help="JSON config file; flags override its keys")
-        p.add_argument("--out", help="output directory (default: current directory)")
-        p.add_argument("--seed", type=int, help="root RNG seed (default: 0)")
-        for field in EXPERIMENTS[name].flags:
-            p.add_argument("--" + field.replace("_", "-"), dest=field, **FLAGS[field])
+        for key in _flags(name):
+            kind, help_line = SETTINGS[key]["kind"], SETTINGS[key]["help"]
+            how = dict(action="store_true", default=None) if kind is bool else dict(type=kind)
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=help_line, **how)
     return parser
 
 
@@ -78,16 +64,17 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(settings, dict):
             raise ConfigError("config file must hold a JSON object")
-        unread = set(settings) - _FILE_KEYS - set(EXPERIMENTS[args.experiment].flags)
+        file_only = {key for key, setting in SETTINGS.items() if setting["help"] is None}
+        unread = set(settings) - file_only - set(_flags(args.experiment))
         if unread:
             raise ConfigError(
                 f"bad config key(s) for {args.experiment}: {', '.join(sorted(unread))}"
             )
     for key, value in vars(args).items():
-        if key in ("config",) or value is None:
-            continue
-        settings[key] = value
-    return ExperimentConfig(**settings)
+        if key != "config" and value is not None:
+            settings[key] = value
+    # a null in the file, like an unset flag, leaves its field at the default
+    return ExperimentConfig(**{key: value for key, value in settings.items() if value is not None})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -106,21 +93,24 @@ def main(argv: list[str] | None = None) -> int:
         # numpy's warnings would only repeat them.
         with ManifestTimer() as timer, np.errstate(over="ignore", invalid="ignore"):
             summary = runner(config)
+        manifest_path = f"{config.out}/{config.experiment}.manifest.json"
+        write_manifest(
+            manifest_path,
+            config.experiment,
+            config.echo(),
+            config.seed,
+            timer.wall_time_s,
+            summary=summary,
+        )
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except HugError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    manifest_path = f"{config.out}/{config.experiment}.manifest.json"
-    write_manifest(
-        manifest_path,
-        config.experiment,
-        config.echo(),
-        config.seed,
-        timer.wall_time_s,
-        summary=summary,
-    )
+    except OSError as exc:  # --out names a file, or a directory that cannot be made
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
     print(json.dumps({"summary": summary, "manifest": manifest_path}, indent=2, default=str))
     return 0
 

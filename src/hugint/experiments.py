@@ -2,15 +2,17 @@
 
 :data:`EXPERIMENTS` lists every experiment with its help line, runner, the
 config fields it takes as flags, and its defaults; :data:`RUNNERS` maps each
-name to its runner.  Each ``run_*`` function takes an :class:`ExperimentConfig`
-resolved against that table, writes its data files (CSV with schema headers)
-under ``config.out``, and returns a summary dict that the CLI folds into the
-run manifest.  Replicated studies draw every replicate's velocity up front,
-each from its own child of the root seed, and then step all replicates
-together as rows of one array with :func:`~hugint.integrator.hug_step_rows`,
-whose rows have the bits of single-trajectory steps, so a run is a single
-process and its output depends only on the config and the seed, not on the
-replicate count.
+name to its runner.  The fields of :class:`ExperimentConfig` declare each
+setting's kind, bound and flag help once; the config checks, the CLI flags and
+the config-file keys all read them (:data:`SETTINGS`).  Each ``run_*``
+function takes an :class:`ExperimentConfig` resolved against the experiment
+table, writes its data files (CSV with schema headers) under ``config.out``,
+and returns a summary dict that the CLI folds into the run manifest.
+Replicated studies draw every replicate's velocity up front, each from its own
+child of the root seed, and then step all replicates together as rows of one
+array with :func:`~hugint.integrator.hug_step_rows`, whose rows have the bits
+of single-trajectory steps, so a run is a single process and its output
+depends only on the config and the seed, not on the replicate count.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import copy
 import numbers
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -64,65 +66,71 @@ class ConfigError(Exception):
     """Invalid or incomplete experiment configuration."""
 
 
-#: Lower bounds of integer settings (the ECDF stderr needs two replicates).
-_MINIMA = {"seed": 0, "replicates": 2, "steps": 1, "iterations": 1}
-
-#: Settings that must be numbers when set, and of those the ones that must be integers.
-_NUMBERS = ("seed", "delta", "steps", "t_end", "replicates", "iterations", "walk_scale",
-            "velocity_sigma", "h", "dim")
-_INTEGERS = ("seed", "steps", "replicates", "iterations", "dim")
+def _setting(kind: type | None, help: str | None = None, default=None, *,
+             minimum: int | None = None, positive: bool = False):
+    """A config field with its kind (int, float, bool, str; None: its runner checks it),
+    bound (integer minimum, or positive and finite) and flag help (None: file-only key)."""
+    metadata = {"kind": kind, "help": help, "minimum": minimum, "positive": positive}
+    return field(default=default, metadata=metadata)
 
 
 @dataclass
 class ExperimentConfig:
-    """Experiment request; unset fields take the defaults in :data:`EXPERIMENTS`."""
+    """Experiment request; unset fields take the defaults in :data:`EXPERIMENTS`.
+    Each field's declaration is the one statement of its kind, bound and help."""
 
     experiment: str
-    out: str = "."
-    seed: int = 0
-    constraint: dict | None = None
-    x0: list | None = None
-    v0: list | None = None
-    delta: float | None = None
-    steps: int | None = None
-    t_end: float | None = None
-    replicates: int | None = None
-    full_scale: bool = False
-    iterations: int | None = None
-    walk_scale: float | None = None
-    velocity_sigma: float = 1.0
-    h: float | None = None
-    dim: int | None = None
+    out: str = _setting(str, "output directory (default: current directory)", ".")
+    seed: int = _setting(int, "root RNG seed (default: 0)", 0, minimum=0)
+    constraint: dict | None = _setting(None)
+    x0: list | None = _setting(None)
+    v0: list | None = _setting(None)
+    delta: float | None = _setting(float, "step size", positive=True)
+    steps: int | None = _setting(int, "steps per trajectory", minimum=1)
+    t_end: float | None = _setting(float, "time horizon", positive=True)
+    # the ECDF stderr needs two replicates
+    replicates: int | None = _setting(int, "replicate count for sampled studies", minimum=2)
+    full_scale: bool = _setting(bool, "use publication-scale replicate and step counts", False)
+    iterations: int | None = _setting(int, "chain length", minimum=1)
+    walk_scale: float | None = _setting(
+        float, "random-walk proposal scale (interleaved move)", positive=True
+    )
+    velocity_sigma: float = _setting(float, default=1.0, positive=True)
+    h: float | None = _setting(float, "threshold in [0, 1]")
+    dim: int | None = _setting(int, "ambient dimension")
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; choose from {', '.join(EXPERIMENTS)}"
             )
+        for name, setting in SETTINGS.items():
+            value, kind = getattr(self, name), setting["kind"]
+            if value is None or kind is None:
+                continue
+            if kind in (int, float):
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise ConfigError(f"{name} must be a number, got {value!r}")
+                if kind is int and not isinstance(value, numbers.Integral):
+                    raise ConfigError(f"{name} must be an integer, got {value!r}")
+            elif not isinstance(value, kind):
+                raise ConfigError(f"{name} must be a {kind.__name__}, got {value!r}")
+            if setting["minimum"] is not None and value < setting["minimum"]:
+                raise ConfigError(f"{name} must be >= {setting['minimum']}, got {value}")
+            if setting["positive"] and not (value > 0.0 and np.isfinite(value)):
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
         spec = EXPERIMENTS[self.experiment]
         defaults = {**spec.defaults, **(spec.full_scale_defaults if self.full_scale else {})}
         for name, value in defaults.items():
             if getattr(self, name) is None:
                 setattr(self, name, copy.deepcopy(value))
-        for name in _NUMBERS:
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
-            if name in _INTEGERS and not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        for name, minimum in _MINIMA.items():
-            value = getattr(self, name)
-            if value is not None and value < minimum:
-                raise ConfigError(f"{name} must be >= {minimum}, got {value}")
-        for name in ("delta", "t_end", "velocity_sigma", "walk_scale"):
-            value = getattr(self, name)
-            if value is not None and not (value > 0.0 and np.isfinite(value)):
-                raise ConfigError(f"{name} must be positive and finite, got {value}")
 
     def echo(self) -> dict:
         return asdict(self)
+
+
+#: Each setting's declaration (kind, help, minimum, positive), by field name.
+SETTINGS = {f.name: f.metadata for f in fields(ExperimentConfig) if f.metadata}
 
 
 def build_constraint(spec: dict) -> ConstraintMap:

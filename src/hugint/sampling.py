@@ -28,6 +28,7 @@ for the low-dimensional targets exercised here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -46,9 +47,10 @@ class IsotropicGaussian:
     through ||v||, which the integrator preserves.
     """
 
+    norm_invariant: ClassVar[bool] = True
+
     dim: int
     sigma: float = 1.0
-    norm_invariant: bool = True
 
     def sample(self, rng: np.random.Generator, x: np.ndarray) -> np.ndarray:
         return self.sigma * rng.standard_normal(self.dim)
@@ -175,7 +177,6 @@ def run_chain(
     rng: np.random.Generator,
     iterations: int,
     walk_scale: float | None = None,
-    use_norm_cancellation: bool = True,
 ) -> ChainRecord:
     """Run a chain of hugging moves, optionally interleaved with random walks.
 
@@ -191,7 +192,7 @@ def run_chain(
     walk_accepted = np.zeros(iterations, dtype=bool) if walk_scale is not None else None
     singular = 0
     for i in range(iterations):
-        result = hug_kernel(target, x, params, velocity_dist, rng, use_norm_cancellation, log_density)
+        result = hug_kernel(target, x, params, velocity_dist, rng, log_density=log_density)
         x, log_density = result.state, result.log_density
         hug_accepted[i] = result.accepted
         singular += int(result.singular)

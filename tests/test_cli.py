@@ -12,7 +12,7 @@ import pytest
 
 import hugint
 from hugint.cli import build_parser, load_config, main
-from hugint.experiments import BENCH_DIAG, BENCH_X0, EXPERIMENTS
+from hugint.experiments import BENCH_DIAG, BENCH_X0, EXPERIMENTS, SETTINGS
 
 
 def test_import_loads_no_scipy():
@@ -154,7 +154,6 @@ def test_main_exit_2_on_config_key_the_experiment_does_not_read(argv, settings, 
     "experiment, settings, message",
     [
         ("foldback", {"constraint": [1, 4]}, "quadric constraint"),
-        ("foldback", {"steps": "10"}, "steps must be a number"),
         ("foldback", {"steps": 10.5}, "steps must be an integer"),
         ("ellipsoid", {"steps": 10.5}, "steps must be an integer"),
         ("ecdf", {"replicates": 7.5}, "replicates must be an integer"),
@@ -163,7 +162,7 @@ def test_main_exit_2_on_config_key_the_experiment_does_not_read(argv, settings, 
         ("ellipsoid", {"dim": 3.0}, "dim must be an integer"),
         ("table1", {"seed": 1.5}, "seed must be an integer"),
     ],
-    ids=["constraint-not-object", "steps-string", "foldback-steps-float",
+    ids=["constraint-not-object", "foldback-steps-float",
          "ellipsoid-steps-float", "ecdf-replicates-float", "chain-iterations-float",
          "steps-bool", "dim-float", "seed-float"],
 )
@@ -175,6 +174,59 @@ def test_main_exit_2_on_badly_typed_config_value(
     code = main([experiment, "--config", str(config_file), "--out", str(tmp_path / "out")])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+def _wrongly_typed(name: str) -> tuple[str, object, str]:
+    """An experiment whose config file may set ``name``, a value of the wrong
+    kind for it, and the start of the error it must raise."""
+    kind = SETTINGS[name]["kind"]
+    experiment = next((e for e, spec in EXPERIMENTS.items() if name in spec.flags), "table1")
+    value = {str: 5, bool: "no"}.get(kind, "10")
+    expected = "a number" if kind in (int, float) else f"a {kind.__name__}"
+    return experiment, value, f"{name} must be {expected}, got {value!r}"
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, setting in SETTINGS.items() if setting["kind"] is not None]
+)
+def test_main_exit_2_on_wrongly_typed_setting(name, tmp_path, monkeypatch, capsys):
+    """Every setting with a declared kind is checked before any runner starts:
+    ``{"out": 5}`` must not fail only after the run, and a truthy
+    ``{"full_scale": "no"}`` must not select the publication-scale study."""
+    experiment, value, message = _wrongly_typed(name)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text(json.dumps({name: value}))
+    assert main([experiment, "--config", "run.json"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err and "Traceback" not in err
+    assert [path.name for path in tmp_path.iterdir()] == ["run.json"]
+
+
+def test_null_in_config_file_takes_the_default(tmp_path, monkeypatch, capsys):
+    """A JSON null leaves its field unset, as an absent key does: as None,
+    ``out`` and ``velocity_sigma`` would raise in the runner and ``seed``
+    would leave the run unseeded."""
+    monkeypatch.chdir(tmp_path)
+    settings = {"out": None, "seed": None, "velocity_sigma": None, "x0": None}
+    (tmp_path / "run.json").write_text(json.dumps(settings))
+    assert main(["chain", "--iterations", "5", "--config", "run.json"]) == 0
+    config = json.loads((tmp_path / "chain.manifest.json").read_text())["config"]
+    assert (config["out"], config["seed"], config["velocity_sigma"]) == (".", 0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "argv, below",
+    [(["sphere-tail", "--h", "0.3", "--dim", "3"], "sub"), (["table1"], "")],
+    ids=["sphere-tail:below-a-file", "table1:a-file"],
+)
+def test_main_exit_2_when_out_is_not_a_directory(argv, below, tmp_path, capsys):
+    """An --out that is a regular file, or lies below one, is reported after
+    the run as an unwritable output, not as a traceback."""
+    regular = tmp_path / "file"
+    regular.write_text("")
+    assert main([*argv, "--out", str(regular / below)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot write output" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
