@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .constraints import ConstraintMap, QuadricConstraint, SphereConstraint, SphereSlicedConstraint
-from .dynamics import convergence_study, position_errors, reference_solve, split_velocity
+from .dynamics import convergence_study, position_errors, reference_solve
 from .ellipse import (
     EllipseModel,
     ReducedState,
@@ -38,7 +38,7 @@ from .ellipse import (
 from .errors import StudyFailedError
 from .integrator import HugParams, PhaseState, hug_step_rows, hug_trajectory
 from .output import write_csv
-from .projectors import ProjectorBundle, build_bundle
+from .projectors import unit_normal
 from .sampling import IsotropicGaussian, run_chain as run_sampling_chain
 
 #: Step sizes of the error table and convergence study.
@@ -113,6 +113,11 @@ class ExperimentConfig:
                     raise ConfigError(f"{name} must be a number, got {value!r}")
                 if kind is int and not isinstance(value, numbers.Integral):
                     raise ConfigError(f"{name} must be an integer, got {value!r}")
+                if kind is float:
+                    try:
+                        float(value)
+                    except OverflowError:
+                        raise ConfigError(f"{name} is too large for a float") from None
             elif not isinstance(value, kind):
                 raise ConfigError(f"{name} must be a {kind.__name__}, got {value!r}")
             if setting["minimum"] is not None and value < setting["minimum"]:
@@ -402,19 +407,18 @@ def run_foldback(config: ExperimentConfig) -> dict:
 # ellipsoid exploration studies
 
 
-def _showcase_velocity(bundle: ProjectorBundle, normal_speed: float) -> np.ndarray:
-    """Unit velocity at bundle.x with a prescribed normal-component norm.
+def _showcase_velocity(q: np.ndarray, x0: np.ndarray, normal_speed: float) -> np.ndarray:
+    """Unit velocity at x0 with a prescribed normal-component norm.
 
-    v = s q + sqrt(1 - s^2) u, with q the unit normal at bundle.x pointing away
-    from the origin (e1 at x0 = e1 on a diagonal quadric) and u the
-    normalized tangential part of e2 + e3.
+    v = s q + sqrt(1 - s^2) u, with q the unit normal at x0 turned away from
+    the origin (e1 at x0 = e1 on a diagonal quadric) and u the normalized
+    tangential part e23 - q (q . e23) of e23 = e2 + e3.
     """
-    q = bundle.basis[:, 0]
-    if q @ bundle.x < 0.0:
-        q = -q
-    e23 = np.zeros(bundle.x.size)
+    e23 = np.zeros(x0.size)
     e23[1] = e23[2] = 1.0
-    u, _ = split_velocity(bundle, e23)
+    u = e23 - q * q.dot(e23)
+    if q @ x0 < 0.0:
+        q = -q
     return normal_speed * q + np.sqrt(1.0 - normal_speed**2) * (u / np.linalg.norm(u))
 
 
@@ -441,9 +445,9 @@ def _scatter_study(
         uniform_sphere(np.random.default_rng(child), x0.size)
         for child in np.random.SeedSequence(seed).spawn(config.replicates)
     ])
-    bundle = build_bundle(constraint, x0)
-    v_perp = np.abs(np.vecdot(V0, bundle.basis[:, 0]))
-    showcase = [_showcase_velocity(bundle, s) for s in showcase_speeds]
+    q = unit_normal(constraint, x0)
+    v_perp = np.abs(np.vecdot(V0, q))
+    showcase = [_showcase_velocity(q, x0, s) for s in showcase_speeds]
     V = np.array([*V0, *showcase])
     X = np.broadcast_to(x0, V.shape)
     d_all = np.zeros(len(V))

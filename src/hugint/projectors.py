@@ -5,15 +5,15 @@ level set through x is the row space of J.  With the Moore-Penrose
 pseudoinverse J^+ = J^T (J J^T)^{-1}, the orthogonal projector onto the
 normal space is N = J^+ J and the tangential projector is T = I - N.
 
-Everything here is built from one thin QR factorization J^T = Q R per point,
-and a bundle stores only its two n-by-m factors: the orthonormal basis Q of
-the normal space and J^+ = Q R^{-T}.  The projectors N = Q Q^T and
-T = I - Q Q^T are applied matrix-free, as v -> Q (Q^T v) and
-v -> v - Q (Q^T v), at O(n m) cost; the dense n-by-n matrices are
-formed only on request, for analysis.  At codimension 1, Q is the unit
-gradient, which :func:`unit_normal` returns without a bundle, under the same
-checks.  The directional derivative of
-N along a vector w splits into two one-sided parts,
+A bundle stores the point x and two n-by-m factors: the orthonormal basis Q
+of the normal space and J^+.  Above codimension 1 they come from one thin QR
+factorization J^T = Q R, with J^+ = Q R^{-T}; at codimension 1 both come from
+the constraint's ``gradient`` g, as Q = g / ||g|| (the vector that
+:func:`unit_normal` returns without a bundle) and J^+ = g / ||g||^2.  The
+projectors N = Q Q^T and T = I - Q Q^T are applied matrix-free, as
+v -> Q (Q^T v) and v -> v - Q (Q^T v), at O(n m) cost; the dense n-by-n
+matrices are formed only on request, for analysis.  The directional
+derivative of N along a vector w splits into two one-sided parts,
 
     N'_perp(x)[w] = J^+ H(x)[w, .] T        (maps tangent -> normal)
     N'_par(x)[w]  = (N'_perp(x)[w])^T       (maps normal -> tangent)
@@ -48,8 +48,6 @@ class ProjectorBundle:
     ----------
     x:
         Base point, shape (n,).
-    jac:
-        Constraint Jacobian J(x), shape (m, n).
     basis:
         Orthonormal basis Q of the normal space, shape (n, m).
     pseudo:
@@ -57,7 +55,6 @@ class ProjectorBundle:
     """
 
     x: np.ndarray
-    jac: np.ndarray
     basis: np.ndarray
     pseudo: np.ndarray
 
@@ -84,36 +81,35 @@ def _gradient_norm2(g: np.ndarray, x: np.ndarray) -> float:
 
 def unit_normal(constraint: ConstraintMap, x: np.ndarray) -> np.ndarray:
     """Unit gradient g / ||g||, shape (n,), of a codimension-1 constraint at x,
-    with g from the constraint's ``gradient``: the m = 1 basis of
-    :func:`build_bundle`, under the same checks."""
+    with g from the constraint's ``gradient``: by construction the m = 1
+    basis of :func:`build_bundle`, which makes the same calls."""
     g = constraint.gradient(x)
     return g / math.sqrt(_gradient_norm2(g, x))
 
 
 def build_bundle(constraint: ConstraintMap, x: np.ndarray) -> ProjectorBundle:
-    """Factor the Jacobian at x and assemble the bundle; stores O(n m) numbers.
+    """Assemble the bundle of x, Q and J^+ at x; stores O(n m) numbers.
 
-    The point is validated once, by the constraint's ``jacobian``; the
-    Jacobian it returns must have shape (m, n).
+    At codimension 1, Q and J^+ come from the constraint's ``gradient`` under
+    the checks of :func:`unit_normal`; above it, from a thin QR of the (m, n)
+    Jacobian.  The point is validated once, by ``gradient`` or ``jacobian``.
 
     Raises
     ------
     DimensionError
-        If x or the Jacobian has the wrong shape.
+        If x, the gradient or the Jacobian has the wrong shape.
     SingularGeometryError
-        If the Jacobian is (numerically) rank deficient or not finite at x.
+        If the gradient vanishes, the Jacobian is rank deficient, or either is not finite.
     """
     x = np.asarray(x, dtype=float)
-    shape = (constraint.codim, constraint.ambient_dim)
-    J = checked_jacobian(constraint, x, shape)
-
-    if shape[0] == 1:
+    if constraint.codim == 1:
         # Single constraint: the QR factorization collapses to a normalization.
-        g = J[0]
+        g = constraint.gradient(x)
         ng2 = _gradient_norm2(g, x)
         q = (g / math.sqrt(ng2))[:, None]
         pseudo = (g / ng2)[:, None]
     else:
+        J = checked_jacobian(constraint, x, (constraint.codim, constraint.ambient_dim))
         Q, R = np.linalg.qr(J.T, mode="reduced")
         # Fix the sign ambiguity so diag(R) > 0 and the factors are unique.
         signs = np.where(np.diag(R) < 0.0, -1.0, 1.0)
@@ -129,7 +125,7 @@ def build_bundle(constraint: ConstraintMap, x: np.ndarray) -> ProjectorBundle:
         q = Q
         pseudo = Q @ np.linalg.inv(R).T  # R is m-by-m with m small
 
-    return ProjectorBundle(x=x, jac=J, basis=q, pseudo=pseudo)
+    return ProjectorBundle(x=x, basis=q, pseudo=pseudo)
 
 
 def reflect(bundle: ProjectorBundle, v: np.ndarray) -> np.ndarray:
@@ -177,7 +173,5 @@ def nprime(
     slice_: np.ndarray | None = None,
 ) -> np.ndarray:
     """Full directional derivative of the normal projector N along w."""
-    if slice_ is None:
-        slice_ = constraint.hessian_contraction(bundle.x, w)
     P = nprime_perp(constraint, bundle, w, slice_=slice_)
     return P + P.T

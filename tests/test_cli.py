@@ -8,11 +8,23 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import hugint
 from hugint.cli import build_parser, load_config, main
-from hugint.experiments import BENCH_DIAG, BENCH_X0, EXPERIMENTS, SETTINGS
+from hugint.constraints import QuadricConstraint
+from hugint.dynamics import convergence_study
+from hugint.experiments import (
+    BENCH_DIAG,
+    BENCH_V0,
+    BENCH_X0,
+    EXPERIMENTS,
+    SETTINGS,
+    TABLE_DELTAS,
+)
+from hugint.integrator import PhaseState
+from hugint.output import read_csv
 
 
 def test_import_loads_no_scipy():
@@ -64,21 +76,28 @@ def test_parser_scopes_flags_to_experiments(capsys):
     assert err == build_parser().format_usage() + "hugint: error: unrecognized arguments: --bogus\n"
 
 
+_OUT_OF_RANGE = [
+    (["ellipsoid", "--replicates", "0"], "replicates must be >= 2"),
+    (["foldback", "--delta", "-0.1"], "delta must be positive and finite"),
+    (["chain", "--steps", "-1"], "steps must be >= 1"),
+    (["chain", "--seed", "-1"], "seed must be >= 0"),
+    (["chain", "--iterations", "0"], "iterations must be >= 1"),
+    (["convergence", "--t-end", "-1"], "t_end must be positive and finite"),
+    (["sphere-tail", "--h", "2", "--dim", "3"], "h must lie in [0, 1]"),
+    (["sphere-tail", "--dim", "1", "--h", "0.5"], "need dim >= 2"),
+    (["ellipsoid", "--dim", "4"], "no ellipsoid preset for dim=4"),
+    (["table1", "--config", "missing.json"], "cannot read config file"),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["ellipsoid", "--replicates", "0"],
-        ["foldback", "--delta", "-0.1"],
-        ["chain", "--steps", "-1"],
-        ["chain", "--seed", "-1"],
-        ["chain", "--iterations", "0"],
-        ["convergence", "--t-end", "-1"],
-    ],
-    ids=lambda argv: f"{argv[0]}:{argv[1][2:]}",
+    "argv, message", _OUT_OF_RANGE, ids=[f"{argv[0]}:{argv[1][2:]}" for argv, _ in _OUT_OF_RANGE]
 )
-def test_main_exit_2_on_out_of_range_setting(argv, tmp_path, capsys):
+def test_main_exit_2_on_out_of_range_setting(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # where missing.json is missing
     assert main([*argv, "--out", str(tmp_path)]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err and "Traceback" not in err
     assert not list(tmp_path.iterdir())
 
 
@@ -161,19 +180,24 @@ def test_main_exit_2_on_config_key_the_experiment_does_not_read(argv, settings, 
         ("foldback", {"steps": True}, "steps must be a number"),
         ("ellipsoid", {"dim": 3.0}, "dim must be an integer"),
         ("table1", {"seed": 1.5}, "seed must be an integer"),
+        ("foldback", {"delta": 10**400}, "delta is too large for a float"),
+        ("table1", [1, 2], "config file must hold a JSON object"),
     ],
     ids=["constraint-not-object", "foldback-steps-float",
          "ellipsoid-steps-float", "ecdf-replicates-float", "chain-iterations-float",
-         "steps-bool", "dim-float", "seed-float"],
+         "steps-bool", "dim-float", "seed-float", "delta-beyond-float", "file-not-object"],
 )
 def test_main_exit_2_on_badly_typed_config_value(
     experiment, settings, message, tmp_path, capsys
 ):
+    """A bad value is a config error, not a traceback; ``10**400`` is a JSON
+    integer that no float can hold."""
     config_file = tmp_path / "run.json"
     config_file.write_text(json.dumps(settings))
     code = main([experiment, "--config", str(config_file), "--out", str(tmp_path / "out")])
     assert code == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err and "Traceback" not in err
 
 
 def _wrongly_typed(name: str) -> tuple[str, object, str]:
@@ -392,6 +416,27 @@ def test_main_runs_sphere_tail(tmp_path, capsys):
     assert manifest["experiment"] == "sphere-tail"
     assert manifest["seed"] == 0
     assert (tmp_path / "sphere_tail.csv").exists()
+
+
+def test_main_runs_convergence(tmp_path, capsys):
+    """A short-horizon convergence run writes the study's arrays, and its
+    fitted orders fall in criterion 02's ranges."""
+    assert main(["convergence", "--t-end", "0.05", "--out", str(tmp_path)]) == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    schema, header, rows = read_csv(str(tmp_path / "convergence.csv"))
+    assert schema == "convergence/1"
+    assert header == ["delta", "one_step_error", "two_step_error", "global_error"]
+    initial = PhaseState(np.asarray(BENCH_X0), np.asarray(BENCH_V0))
+    study = convergence_study(
+        QuadricConstraint(np.diag(BENCH_DIAG)), initial, np.asarray(TABLE_DELTAS), horizon=0.05
+    )
+    expected = np.column_stack([study.deltas, study.one_step, study.two_step, study.global_err])
+    assert expected.shape == (5, 4)
+    assert np.array_equal(np.array(rows, dtype=float), expected)
+    assert summary["horizon"] == 0.05
+    assert 1.8 <= summary["one_step_order"] <= 2.2
+    assert 2.6 <= summary["two_step_order"] <= 3.4
+    assert 1.8 <= summary["global_order"] <= 2.2
 
 
 def test_main_table1_end_to_end_deterministic(tmp_path, capsys):

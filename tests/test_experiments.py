@@ -207,11 +207,11 @@ def test_showcase_velocity_geometry():
     e23 = np.array([0.0, 1.0, 1.0])
     u = tilted.tangent @ e23
     for s in (0.2, 0.7):
-        v = _showcase_velocity(diagonal, s)
+        v = _showcase_velocity(diagonal.basis[:, 0], x0, s)
         assert np.isclose(np.linalg.norm(v), 1.0, atol=1e-14)
         assert np.isclose(v[0], s)  # normal component at x0 = e1
         assert v[1] == v[2] == np.sqrt(1.0 - s**2) * (1.0 / np.sqrt(2.0))
-        v = _showcase_velocity(tilted, s)
+        v = _showcase_velocity(tilted.basis[:, 0], x0, s)
         assert np.isclose(np.linalg.norm(v), 1.0, atol=1e-14)
         assert np.isclose(np.linalg.norm(v @ tilted.basis), s, atol=1e-14)
         q = tilted.basis[:, 0]
@@ -236,7 +236,7 @@ def test_showcase_rows_label_their_true_normal_speed(tmp_path):
     assert abs(bundle.basis[0, 0]) < 0.99  # the normal at e1 is tilted away from e1
     for row in rows:
         label, d_max = float(row[0]), float(row[1])
-        v = _showcase_velocity(bundle, label)
+        v = _showcase_velocity(bundle.basis[:, 0], x0, label)
         assert np.isclose(np.linalg.norm(v @ bundle.basis), label, rtol=1e-12)
         np.testing.assert_allclose(
             d_max, _trajectory_d_max(constraint, x0, v, config.delta, config.steps), rtol=1e-12
@@ -325,7 +325,7 @@ def test_run_ellipsoid_reruns_byte_identical(tmp_path):
     x0 = np.eye(3)[0]
     bundle = build_bundle(constraint, x0)
     expected = [
-        _trajectory_d_max(constraint, x0, _showcase_velocity(bundle, s), 0.01, 30)
+        _trajectory_d_max(constraint, x0, _showcase_velocity(bundle.basis[:, 0], x0, s), 0.01, 30)
         for s in SHOWCASE_NORMAL_SPEEDS
     ]
     assert np.array_equal(s1["showcase_d_max"], expected)

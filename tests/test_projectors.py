@@ -10,6 +10,7 @@ import pytest
 from conftest import MAP_KINDS, make_map
 from hugint.constraints import (
     CallableConstraint,
+    ConstraintMap,
     QuadricConstraint,
     SphereConstraint,
     SphereSlicedConstraint,
@@ -48,21 +49,21 @@ def test_bundle_projector_algebra(kind):
         assert np.allclose(b.basis.T @ b.basis, np.eye(c.codim), atol=1e-13)
         assert np.allclose(b.basis @ b.basis.T, b.normal, atol=1e-13)
         # J rows lie in the normal space, the pseudoinverse inverts them
-        assert np.allclose(b.jac @ b.tangent, 0.0, atol=1e-11)
-        assert np.allclose(b.jac @ b.pseudo, np.eye(c.codim), atol=1e-11)
+        assert np.allclose(c.jacobian(b.x) @ b.tangent, 0.0, atol=1e-11)
+        assert np.allclose(c.jacobian(b.x) @ b.pseudo, np.eye(c.codim), atol=1e-11)
 
 
 @pytest.mark.parametrize("make", [SphereConstraint, SphereSlicedConstraint],
                          ids=["sphere", "sliced"])
 def test_bundle_stores_o_of_n_m_numbers(make):
-    """A bundle stores x, J, Q and J^+ only: at n = 2000 that is well under
+    """A bundle stores x, Q and J^+ only: at n = 2000 that is well under
     1 MB, where two dense n-by-n projectors would take 64 MB.  The dense
     projectors are still there on request."""
     c = make(2000)
     x = np.full(2000, 1.0 / np.sqrt(2000.0))
     b = build_bundle(c, x)
     stored = {f.name: getattr(b, f.name) for f in dataclasses.fields(b)}
-    assert set(stored) == {"x", "jac", "basis", "pseudo"}
+    assert set(stored) == {"x", "basis", "pseudo"}
     assert sum(value.nbytes for value in stored.values()) < 1_000_000
 
     small = make(5)
@@ -148,6 +149,34 @@ def test_unit_normal_is_the_codim1_bundle_basis():
         unit_normal(SphereSlicedConstraint(3), np.ones(3))  # two gradients, no single normal
     with pytest.raises(DimensionError):
         SphereSlicedConstraint(3).gradient(np.ones(3))
+
+
+class _ListJacobian(ConstraintMap):
+    """The map ``twin`` with its Jacobian returned as nested lists."""
+
+    def __init__(self, twin):
+        self.twin, self.ambient_dim, self.codim = twin, twin.ambient_dim, twin.codim
+
+    def value(self, x):
+        return self.twin.value(x)
+
+    def jacobian(self, x):
+        return self.twin.jacobian(x).tolist()
+
+
+def test_list_jacobian_reads_as_its_array_twin():
+    """``checked_jacobian`` converts a Jacobian that is not a float array:
+    the codim-2 bundle and the default codim-1 ``gradient`` match the array
+    twin's bit for bit."""
+    rng = np.random.default_rng(30)
+    sliced = SphereSlicedConstraint(4)
+    x = random_point(sliced, rng)
+    listed, twin = build_bundle(_ListJacobian(sliced), x), build_bundle(sliced, x)
+    assert np.array_equal(listed.basis, twin.basis)
+    assert np.array_equal(listed.pseudo, twin.pseudo)
+    q = QuadricConstraint(np.array([[2.0, 0.3], [0.3, 1.0]]))
+    x = random_point(q, rng)
+    assert np.array_equal(_ListJacobian(q).gradient(x), q.gradient(x))
 
 
 def test_rank_deficient_jacobian_raises():

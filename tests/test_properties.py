@@ -24,7 +24,6 @@ from hugint.constraints import (
     SphereSlicedConstraint,
 )
 from hugint.integrator import hug_step, hug_step_rows
-from hugint.projectors import build_bundle
 from oracles import bundle_step
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=30, deadline=None)
@@ -62,7 +61,7 @@ def runs(draw, constraint):
     if constraint.codim > 1:
         # keep the two gradients at the midpoint well apart (rank loss is
         # a SingularGeometryError, tested elsewhere)
-        s = np.linalg.svd(build_bundle(constraint, x + 0.5 * delta * v).jac, compute_uv=False)
+        s = np.linalg.svd(constraint.jacobian(x + 0.5 * delta * v), compute_uv=False)
         assume(s[-1] > 1e-3 * s[0])
     return x, v, delta
 
