@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -60,8 +61,8 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
                 settings = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        except ValueError as exc:  # bad JSON, bad UTF-8 or an integer of too many digits
+            raise ConfigError(f"config file is not readable JSON: {exc}") from exc
         if not isinstance(settings, dict):
             raise ConfigError("config file must hold a JSON object")
         file_only = {key for key, setting in SETTINGS.items() if setting["help"] is None}
@@ -111,7 +112,12 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:  # --out names a file, or a directory that cannot be made
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps({"summary": summary, "manifest": manifest_path}, indent=2, default=str))
+    try:
+        print(json.dumps({"summary": summary, "manifest": manifest_path}, indent=2, default=str),
+              flush=True)
+    except BrokenPipeError:
+        # the files are written; a quiet stdout keeps the flush at exit from failing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

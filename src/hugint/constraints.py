@@ -10,9 +10,9 @@ Hessian contraction ``H(x)[w, .]``, the m-by-n matrix whose row i is
 the bilinear form ``H(x)[u, w]`` is derived from it.  The gradient also has
 a rows form, ``gradient_rows``, for the rows step over a stack of points;
 each of its rows has the bits of ``gradient`` at that point.  Subclasses may
-supply analytic derivatives; the base class falls back to central finite
-differences, which is accurate enough for exploratory work but not for
-tight-tolerance studies.
+supply analytic derivatives, as the quadrics do (in O(n) for a diagonal A,
+the sphere's among them); the base class falls back to central finite
+differences, accurate enough for exploratory work, not for tight tolerances.
 """
 
 from __future__ import annotations
@@ -130,6 +130,9 @@ class QuadricConstraint(ConstraintMap):
 
     Level sets f = -c (c > 0) are ellipsoids.  All derivatives are analytic:
     grad f = -2 A x and the Hessian is the constant matrix -2 A, formed once.
+    A diagonal A is kept as its diagonal d, and every map is elementwise, O(n),
+    with the bits of the dense products (whose extra terms are exact zeros)
+    but for a zero's sign: -2 d x reads -0.0 at a +0.0 coordinate, gemv +0.0.
     A form too large for a float reads f = -inf, without a warning, as long as
     A x itself stays finite.
     """
@@ -140,71 +143,61 @@ class QuadricConstraint(ConstraintMap):
             raise DimensionError(f"A must be square, got shape {A.shape}")
         if not np.allclose(A, A.T):
             raise ValueError("A must be symmetric")
-        if np.any(np.linalg.eigvalsh(A) <= 0.0):
+        d = np.diagonal(A)
+        diagonal = np.count_nonzero(A) == np.count_nonzero(d)  # no non-zero off the diagonal
+        eigenvalues = d if diagonal else np.linalg.eigvalsh(A)
+        if np.any(eigenvalues <= 0.0):
             raise ValueError("A must be positive definite")
         self.A = A
-        self._hessian = -2.0 * A
-        self.ambient_dim = A.shape[0]
-        self.codim = 1
+        self._keep(d if diagonal else A, eigenvalues.max())
+
+    def _keep(self, form: np.ndarray, top_eigenvalue: float) -> None:
+        """Keep A, or the diagonal d of a diagonal A, and the products that apply it."""
+        self.ambient_dim, self.codim = len(form), 1
+        self._form, self._hessian = form, -2.0 * form
+        diagonal = form.ndim == 1
+        self._product = np.multiply if diagonal else np.ndarray.dot
+        self._rows = np.multiply if diagonal else np.matvec
+        self._norm_bound = 2.0 * float(top_eigenvalue)
 
     def value(self, x: np.ndarray) -> np.ndarray:
         x = self.check_point(x)
         # the bits of -x @ A @ x; unlike ``@``, np.vdot overflows without a warning
-        return np.array([-np.vdot(x.dot(self.A), x)])
+        return np.array([-np.vdot(self._product(x, self._form), x)])
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self._hessian.dot(self.check_point(x))
+        return self._product(self._hessian, self.check_point(x))
 
     def gradient_rows(self, X: np.ndarray) -> np.ndarray:
-        return np.matvec(self._hessian, X)  # one gemv per row: the bits of ``gradient``
+        return self._rows(self._hessian, X)  # row by row: the bits of ``gradient``
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         return self.gradient(x)[None, :]
 
     def hessian_contraction(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         self.check_point(x)
-        return (self._hessian @ np.asarray(w, float))[None, :]
+        return self._product(self._hessian, np.asarray(w, float))[None, :]
 
     def hessian_norm_bound(self) -> float:
         """Exact operator norm of the (constant) Hessian: 2 * lambda_max(A)."""
-        return 2.0 * float(np.linalg.eigvalsh(self.A)[-1])
+        return self._norm_bound
 
 
 class SphereConstraint(QuadricConstraint):
     """f(x) = -x^T x; level set f = -r^2 is the sphere of radius r.
 
-    The quadric with A = I, in closed form: value -x.x, gradient -2 x and
-    Hessian -2 I cost O(n) and agree bit for bit with the dense quadric
-    formulas, whose extra terms are exact zeros.  The matrix ``A`` is built
-    only when read.
+    The quadric with A = I, kept as its diagonal d = 1, so every map is the
+    diagonal quadric's closed form.  The matrix ``A`` is built only when read.
     """
 
     def __init__(self, ambient_dim: int):
         if ambient_dim < 1:
             raise ValueError(f"ambient_dim must be >= 1, got {ambient_dim}")
-        self.ambient_dim = ambient_dim
-        self.codim = 1
+        self._keep(np.ones(ambient_dim), 1.0)
 
     @functools.cached_property
     def A(self) -> np.ndarray:
         return np.eye(self.ambient_dim)
-
-    def value(self, x: np.ndarray) -> np.ndarray:
-        x = self.check_point(x)
-        return np.array([-np.vdot(x, x)])  # overflows to -inf without a warning
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return -2.0 * self.check_point(x)
-
-    def gradient_rows(self, X: np.ndarray) -> np.ndarray:
-        return -2.0 * X
-
-    def hessian_contraction(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        self.check_point(x)
-        return (-2.0 * np.asarray(w, float))[None, :]
-
-    def hessian_norm_bound(self) -> float:
-        return 2.0
 
 
 class AffineConstraint(ConstraintMap):

@@ -563,7 +563,7 @@ def run_sphere_tail(config: ExperimentConfig) -> dict:
 
 
 def run_chain(config: ExperimentConfig) -> dict:
-    """Sampling run on a diagonal Gaussian target with interleaved random walks."""
+    """Hug and random-walk chain on the Gaussian exp(-x^T A x), of covariance (2 A)^-1."""
     constraint = build_constraint(config.constraint)
     if not isinstance(constraint, QuadricConstraint):
         raise ConfigError("the chain experiment expects a quadric (Gaussian) target")
@@ -585,7 +585,7 @@ def run_chain(config: ExperimentConfig) -> dict:
     burn = min(1000, config.iterations // 10)
     samples = chain.states[burn:]
     second_moments = (samples**2).mean(axis=0)
-    target_moments = 0.5 / np.diag(constraint.A)
+    target_moments = 0.5 * np.diag(np.linalg.inv(constraint.A))
     return {
         "iterations": config.iterations,
         "burn_in": burn,

@@ -18,7 +18,7 @@ N(y) v = Q (Q^T v), so beyond the constraint's own Jacobian a step costs
 O(n m) for n ambient dimensions and m constraints.  At codimension 1 the
 basis is the unit gradient q and v' = v - 2 (q . v) q, so the step builds no
 projector bundle: q comes from the constraint's ``gradient``, closed form on
-the quadric and the sphere and row 0 of the Jacobian otherwise.
+every quadric and row 0 of the Jacobian otherwise.
 
 :func:`hug_step` is the step.  :func:`hug_trajectory` loops over it and
 records positions, velocities, midpoints and levels for analysis; the

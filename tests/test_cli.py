@@ -27,13 +27,37 @@ from hugint.integrator import PhaseState
 from hugint.output import read_csv
 
 
+def _child_env() -> dict:
+    """The environment of a child Python that imports this ``hugint``."""
+    src = os.path.dirname(os.path.dirname(hugint.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_import_loads_no_scipy():
     """SciPy is imported by the calls that use it, not by ``import hugint.cli``."""
     probe = "import hugint.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    src = os.path.dirname(os.path.dirname(hugint.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=_child_env()
+    )
     assert out.stdout.strip() == "[]"
+
+
+def test_closed_stdout_exits_0_without_a_traceback(tmp_path):
+    """A reader that closes stdout early, as ``hugint ... | head -c 0`` does,
+    gets exit 0 and a quiet stderr: the data files and manifest are written."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child writes
+    try:
+        argv = ["sphere-tail", "--h", "0.3", "--dim", "3", "--out", str(tmp_path)]
+        child = subprocess.run(
+            [sys.executable, "-m", "hugint.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=_child_env(),
+        )
+    finally:
+        os.close(write_end)
+    assert child.returncode == 0, child.stderr
+    assert "Traceback" not in child.stderr and "Exception ignored" not in child.stderr
+    assert (tmp_path / "sphere-tail.manifest.json").exists()
 
 
 def _exit_code_and_stderr(argv, capsys) -> tuple[int, str]:
@@ -379,6 +403,20 @@ def test_main_exit_2_on_bad_json(tmp_path, capsys):
     code = main(["table1", "--config", str(config_file)])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'{"delta": 1' + b"0" * 5000 + b"}", b'{"out": "\xff"}'],
+    ids=["integer-of-5001-digits", "not-utf-8"],
+)
+def test_main_exit_2_on_unreadable_config_file(content, tmp_path, capsys):
+    """Python reads no JSON integer of more than 4,300 digits and no bytes that
+    are not UTF-8; either file is a config error, not a traceback."""
+    config_file = tmp_path / "run.json"
+    config_file.write_bytes(content)
+    assert main(["foldback", "--config", str(config_file), "--out", str(tmp_path)]) == 2
+    assert "config error: config file is not readable JSON" in capsys.readouterr().err
 
 
 def test_main_exit_2_on_missing_required_setting(tmp_path, capsys):

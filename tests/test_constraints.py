@@ -17,7 +17,8 @@ from hugint.constraints import (
     SphereSlicedConstraint,
     hessian_bound_estimates,
 )
-from hugint.errors import DimensionError
+from hugint.errors import DimensionError, SingularGeometryError
+from hugint.projectors import unit_normal
 
 
 def fd_only(constraint: ConstraintMap) -> CallableConstraint:
@@ -53,20 +54,54 @@ def test_sphere_is_identity_quadric():
     assert np.isclose(s.value(x)[0], -(x @ x))
 
 
-@pytest.mark.parametrize("n", [3, 10, 1000])
+@pytest.mark.parametrize("n", [2, 3, 6, 10, 1000])
 def test_closed_form_sphere_matches_dense_quadric_bitwise(n):
-    """The O(n) sphere formulas equal the O(n^2) quadric ones over A = I bit
-    for bit: the dense products only add exact zeros."""
-    sphere, dense = SphereConstraint(n), QuadricConstraint(np.eye(n))
+    """Every diagonal quadric, the sphere and ``QuadricConstraint(np.diag(d))``
+    alike, has the bits of the dense formulas over A in all five maps: the
+    dense products only add exact zeros.  Only a zero's sign differs: -2 d * x
+    reads -0.0 at a +0.0 coordinate, where a gemv reads +0.0.  The sphere
+    builds no A for any of its maps."""
     rng = np.random.default_rng(n)
-    for _ in range(5):
-        x, w = rng.standard_normal((2, n))
-        assert np.array_equal(sphere.value(x), dense.value(x))
-        assert np.array_equal(sphere.jacobian(x), dense.jacobian(x))
-        assert np.array_equal(sphere.hessian_contraction(x, w), dense.hessian_contraction(x, w))
-    assert sphere.hessian_norm_bound() == 2.0 == dense.hessian_norm_bound()
+    d = rng.uniform(0.25, 4.0, n)
+    sphere = SphereConstraint(n)
+    for quadric, A in ((sphere, np.eye(n)), (QuadricConstraint(np.diag(d)), np.diag(d))):
+        H = -2.0 * A
+        for _ in range(5):
+            x, w = rng.standard_normal((2, n))
+            X = rng.standard_normal((7, n))
+            for v in (x, w, X.T):
+                v[0] = 0.0
+                v[rng.random(v.shape) < 0.25] = 0.0
+            gradient, rows = quadric.gradient(x), quadric.gradient_rows(X)
+            contraction = quadric.hessian_contraction(x, w)
+            assert np.array_equal(quadric.value(x), [-np.vdot(x.dot(A), x)])
+            assert np.array_equal(gradient, H.dot(x))
+            assert np.array_equal(quadric.jacobian(x), gradient[None, :])
+            assert np.array_equal(rows, np.matvec(H, X))
+            assert np.array_equal(contraction, (H @ w)[None, :])
+            # -2 d < 0 flips every sign, a zero's too
+            for got, arg in ((gradient, x), (rows, X), (contraction[0], w)):
+                assert np.array_equal(np.signbit(got), ~np.signbit(arg))
+        assert quadric.hessian_norm_bound() == 2.0 * np.linalg.eigvalsh(A)[-1]
+    assert "A" not in sphere.__dict__
+    assert sphere.hessian_norm_bound() == 2.0
     assert np.array_equal(sphere.A, np.eye(n))
     assert isinstance(sphere, QuadricConstraint)
+
+
+@pytest.mark.parametrize(
+    "A",
+    [np.diag([1.0, 4.0, 2.0]), np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]])],
+    ids=["diagonal", "dense"],
+)
+def test_infinite_coordinate_reads_as_a_gradient_that_is_not_finite(A):
+    """A gemv turns an inf coordinate into NaN entries (0 * inf), the closed
+    form into finite entries around one inf; both give g.g = inf, which the
+    unit normal reports as a gradient that is not finite."""
+    quadric = QuadricConstraint(A)
+    with np.errstate(invalid="ignore"):  # numpy's gemv warns of the 0 * inf
+        with pytest.raises(SingularGeometryError, match="gradient is not finite"):
+            unit_normal(quadric, np.array([np.inf, 0.5, 0.5]))
 
 
 def test_quadric_derivatives_match_the_formula_bitwise():
@@ -117,7 +152,7 @@ def test_quadratic_form_keeps_its_bits_and_overflows_to_minus_inf():
 
 
 def test_chain_on_sphere_target_reads_its_identity_matrix(tmp_path, capsys):
-    """``chain`` takes the target moments 0.5 / diag(A) from the lazily built A."""
+    """``chain`` takes the target moments 0.5 diag(A^-1) from the lazily built A."""
     config_file = tmp_path / "run.json"
     config_file.write_text(json.dumps({"constraint": {"kind": "sphere", "dim": 2}}))
     argv = ["chain", "--iterations", "50", "--config", str(config_file), "--out", str(tmp_path)]

@@ -405,6 +405,18 @@ def test_run_chain_small(tmp_path):
     assert len(rows) == 301
 
 
+def test_run_chain_target_moments_of_a_non_diagonal_quadric(tmp_path):
+    """exp(-x^T A x) has covariance (2 A)^-1, so the target second moments are
+    0.5 diag(A^-1): 1/3 each for A = [[2, 1], [1, 2]], not 0.5 / diag(A)."""
+    cfg = ExperimentConfig(
+        experiment="chain",
+        out=str(tmp_path),
+        iterations=50,
+        constraint={"kind": "quadric", "matrix": [[2.0, 1.0], [1.0, 2.0]]},
+    )
+    assert np.allclose(run_chain(cfg)["target_second_moments"], [1 / 3, 1 / 3], rtol=1e-12)
+
+
 def test_run_chain_rejects_non_quadric(tmp_path):
     cfg = ExperimentConfig(
         experiment="chain",
