@@ -12,17 +12,14 @@ from .dynamics import (
     ConvergenceStudy,
     FlowSolution,
     convergence_study,
-    embedded_sequence,
     phase_field,
     reference_solve,
-    step_residuals,
 )
 from .ellipse import (
     Classification,
     EllipseModel,
     ReducedState,
     classify,
-    from_reduced,
     libration_turning_points,
     reduced_solve,
     to_reduced,
@@ -43,7 +40,7 @@ from .integrator import (
     hug_trajectory,
     level_drift_bound,
 )
-from .projectors import ProjectorBundle, build_bundle, nprime, nprime_par, nprime_perp, reflect
+from .projectors import ProjectorBundle, build_bundle, reflect
 from .sampling import ChainRecord, IsotropicGaussian, hug_kernel, random_walk_kernel, run_chain
 
 __all__ = [
@@ -72,24 +69,18 @@ __all__ = [
     "build_bundle",
     "classify",
     "convergence_study",
-    "embedded_sequence",
-    "from_reduced",
     "hug_kernel",
     "hug_step",
     "hug_step_rows",
     "hug_trajectory",
     "level_drift_bound",
     "libration_turning_points",
-    "nprime",
-    "nprime_par",
-    "nprime_perp",
     "phase_field",
     "random_walk_kernel",
     "reduced_solve",
     "reference_solve",
     "reflect",
     "run_chain",
-    "step_residuals",
     "to_reduced",
 ]
 

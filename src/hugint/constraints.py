@@ -13,6 +13,8 @@ each of its rows has the bits of ``gradient`` at that point.  Subclasses may
 supply analytic derivatives, as the quadrics do (in O(n) for a diagonal A,
 the sphere's among them); the base class falls back to central finite
 differences, accurate enough for exploratory work, not for tight tolerances.
+Estimates of a map's Hessian norm along a path are a test oracle
+(``tests/oracles.py``); a quadric knows its exact bound.
 """
 
 from __future__ import annotations
@@ -301,67 +303,3 @@ class CallableConstraint(ConstraintMap):
         x = self.check_point(x)
         return np.atleast_2d(np.asarray(self.jac(x), dtype=float))
 
-
-def hessian_bound_estimates(
-    constraint: ConstraintMap,
-    points: np.ndarray,
-    n_probes: int = 8,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Estimate (beta, gamma): a bound on ||H(x)|| over the given points and a
-    Lipschitz constant for x -> H(x) between consecutive points.
-
-    The operator norm of the bilinear map is estimated by alternating power
-    iteration over unit vectors u, w from several random starts, taking each
-    gradient through the contraction C(w) = H(x)[w, .]; gamma is estimated
-    from difference quotients of the same contractions between consecutive
-    points.  Estimates are lower bounds by construction, so callers should
-    apply a safety factor.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    rng = np.random.default_rng(seed)
-    n = constraint.ambient_dim
-
-    def op_norm(contract: Callable[[np.ndarray], np.ndarray]) -> float:
-        best = 0.0
-        for _ in range(n_probes):
-            u = rng.standard_normal(n)
-            u /= np.linalg.norm(u)
-            w = rng.standard_normal(n)
-            w /= np.linalg.norm(w)
-            for _ in range(20):
-                # maximize ||H[u, w]|| over u with w fixed, then swap roles
-                C = contract(w)
-                y = C @ u
-                if np.linalg.norm(y) == 0.0:
-                    break
-                grad_u = C.T @ y
-                nu = np.linalg.norm(grad_u)
-                if nu == 0.0:
-                    break
-                u = grad_u / nu
-                C = contract(u)
-                grad_w = C.T @ (C @ w)
-                nw = np.linalg.norm(grad_w)
-                if nw == 0.0:
-                    break
-                w = grad_w / nw
-            best = max(best, float(np.linalg.norm(contract(w) @ u)))
-        return best
-
-    beta = 0.0
-    for x in points:
-        beta = max(beta, op_norm(lambda w, x=x: constraint.hessian_contraction(x, w)))
-
-    gamma = 0.0
-    for xa, xb in zip(points[:-1], points[1:]):
-        d = float(np.linalg.norm(xb - xa))
-        if d < 1e-14:
-            continue
-        diff = op_norm(
-            lambda w, xa=xa, xb=xb: constraint.hessian_contraction(xb, w)
-            - constraint.hessian_contraction(xa, w)
-        )
-        gamma = max(gamma, diff / d)
-
-    return beta, gamma

@@ -1,6 +1,10 @@
 """The continuous-time system underneath the discrete hugging step.
 
-The discrete map is a second-order integrator for
+The directional derivative of the normal projector N along w splits into two
+one-sided parts, N'_perp(x)[w] = J^+ H(x)[w, .] T (tangent -> normal) and
+N'_par(x)[w] = (N'_perp(x)[w])^T (normal -> tangent), with H(x)[w, .] the
+m-by-n matrix of Hessian contractions.  The discrete map is a second-order
+integrator for
 
     dx/dt = T(x) v
     dv/dt = ( N'_par(x)[(T - N)v] - N'_perp(x)[(T - N)v] ) v
@@ -13,13 +17,10 @@ structure of the one-sided derivative operators, reduces to
 The flow preserves phase-space volume, ||v(t)||, and f(x(t)), and is
 time-reversible.  This module evaluates the field in the reduced form,
 applying every projector matrix-free through the basis of the normal space,
-integrates it accurately with a self-checked DOP853 solve, embeds flow
-solutions into discrete-looking sequences via the sign-alternating velocity
-
-    X_k = x(k delta),    V_k = v_par(k delta) + (-1)^k v_perp(k delta),
-
-and measures the residuals and convergence orders of the discrete map
-against the flow.
+integrates it accurately with a self-checked DOP853 solve, and measures the
+convergence orders of the discrete map against the flow.  The proof's
+embedded flow sequence and its O(delta^2) step residuals are test oracles
+(``tests/oracles.py``).
 
 Each experiment makes one checked solve: the error table and convergence
 study solve on the union of their step-size grids (:func:`position_errors`),
@@ -138,52 +139,6 @@ def reference_solve(constraint: ConstraintMap, initial: PhaseState, times: np.nd
     y0 = np.concatenate([initial.x, initial.v])
     ys = checked_solve(phase_field(constraint), y0, times)
     return FlowSolution(times=times, xs=ys[:, :n], vs=ys[:, n:])
-
-
-def embedded_sequence(
-    constraint: ConstraintMap, initial: PhaseState, delta: float, steps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample the flow at step times and alternate the normal velocity sign.
-
-    Returns (X, V), each of shape (steps+1, n), with X_k = x(k delta) and
-    V_k = v_par(k delta) + (-1)^k v_perp(k delta).  This is the flow dressed
-    up as a discrete trajectory: plugging it into the discrete update leaves
-    only O(delta^2) residuals (see :func:`step_residuals`).
-    """
-    times = delta * np.arange(steps + 1)
-    sol = reference_solve(constraint, initial, times)
-    X = sol.xs.copy()
-    V = np.empty_like(sol.vs)
-    for k in range(steps + 1):
-        bundle = build_bundle(constraint, X[k])
-        v_par, v_perp = split_velocity(bundle, sol.vs[k])
-        V[k] = v_par + (-1.0) ** k * v_perp
-    return X, V
-
-
-def step_residuals(
-    constraint: ConstraintMap, X: np.ndarray, V: np.ndarray, delta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals left when a sequence is plugged into the discrete update.
-
-    For each k, with y = X_k + (delta/2) V_k:
-
-        sigma_{k+1} = X_{k+1} - X_k - delta * T(y) V_k
-        tau_{k+1}   = V_{k+1} - (I - 2 N(y)) V_k
-
-    Returns (sigma, tau) of shape (K, n).  For the embedded flow sequence
-    both are O(delta^2) uniformly on bounded time intervals.
-    """
-    X = np.asarray(X, dtype=float)
-    V = np.asarray(V, dtype=float)
-    K = X.shape[0] - 1
-    sigma = np.empty((K, X.shape[1]))
-    tau = np.empty((K, X.shape[1]))
-    for k in range(K):
-        x_new, v_new = hug_step(constraint, X[k], V[k], delta)
-        sigma[k] = X[k + 1] - x_new
-        tau[k] = V[k + 1] - v_new
-    return sigma, tau
 
 
 @dataclass(frozen=True)

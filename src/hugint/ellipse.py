@@ -30,7 +30,8 @@ At a turning angle p = 0, so sin^2(phi*) = (c^2 / kappa - a) / (b - a).
 The reduced field is written over arrays: orbits of one speed stack into a
 single system y = (phi_1..m, p_1..m), so a whole phase portrait is one
 checked reference solve (:func:`reduced_orbits`) and a single orbit
-(:func:`reduced_solve`) is the case m = 1.
+(:func:`reduced_solve`) is the case m = 1.  The package maps only into
+reduced coordinates (:func:`to_reduced`); the map back is a test oracle.
 """
 
 from __future__ import annotations
@@ -127,20 +128,6 @@ def to_reduced(
     p = float(v @ model.unit_tangent(phi))
     normal_speed = float(v @ model.unit_normal(phi))
     return ReducedState(phi=phi, p=p, speed=float(np.linalg.norm(v))), normal_speed
-
-
-def from_reduced(
-    model: EllipseModel, state: ReducedState, normal_sign: float = 1.0
-) -> PhaseState:
-    """Map reduced coordinates back to a Cartesian (x, v).
-
-    The reduced model only tracks the square of the normal speed;
-    ``normal_sign`` selects the branch for the normal velocity component.
-    """
-    q = np.sqrt(max(state.speed**2 - state.p**2, 0.0))
-    x = model.position(state.phi)
-    v = state.p * model.unit_tangent(state.phi) + normal_sign * q * model.unit_normal(state.phi)
-    return PhaseState(x, v)
 
 
 def tangential_speed(model: EllipseModel, x: np.ndarray, v: np.ndarray) -> float:

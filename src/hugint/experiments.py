@@ -371,9 +371,12 @@ def run_foldback(config: ExperimentConfig) -> dict:
 
     t_end = config.delta * config.steps
     dense_times = np.arange(0.0, t_end + 0.01, 0.01)
-    flow = reference_solve(constraint, initial, dense_times)
-    step_indices = np.round(trajectory.times / 0.01).astype(int)
-    tracking_gap = float(np.max(np.linalg.norm(trajectory.xs - flow.xs[step_indices], axis=1)))
+    # one solve serves the flow table and the steps, each at its own times
+    union = np.unique(np.concatenate([dense_times, trajectory.times]))
+    flow = reference_solve(constraint, initial, union)
+    dense_rows = np.searchsorted(union, dense_times)
+    step_rows = np.searchsorted(union, trajectory.times)
+    tracking_gap = float(np.max(np.linalg.norm(trajectory.xs - flow.xs[step_rows], axis=1)))
 
     reduced0, _ = to_reduced(model, initial)
     result = classify(model, reduced0)
@@ -391,7 +394,7 @@ def run_foldback(config: ExperimentConfig) -> dict:
         os.path.join(config.out, "foldback_flow.csv"),
         "foldback-flow/1",
         ["t", "x1", "x2", "v1", "v2"],
-        ((t, *flow.xs[i], *flow.vs[i]) for i, t in enumerate(dense_times)),
+        ((t, *flow.xs[i], *flow.vs[i]) for t, i in zip(dense_times, dense_rows)),
     )
     return {
         "classification": result.kind,

@@ -1,4 +1,4 @@
-"""Normal-space geometry of a level set and the derivative of its projector.
+"""Normal-space geometry of a level set: projector bundles and reflection.
 
 For a constraint map f with full-rank Jacobian J(x), the normal space of the
 level set through x is the row space of J.  With the Moore-Penrose
@@ -12,15 +12,9 @@ the constraint's ``gradient`` g, as Q = g / ||g|| (the vector that
 :func:`unit_normal` returns without a bundle) and J^+ = g / ||g||^2.  The
 projectors N = Q Q^T and T = I - Q Q^T are applied matrix-free, as
 v -> Q (Q^T v) and v -> v - Q (Q^T v), at O(n m) cost; the dense n-by-n
-matrices are formed only on request, for analysis.  The directional
-derivative of N along a vector w splits into two one-sided parts,
-
-    N'_perp(x)[w] = J^+ H(x)[w, .] T        (maps tangent -> normal)
-    N'_par(x)[w]  = (N'_perp(x)[w])^T       (maps normal -> tangent)
-
-whose sum is the full derivative; H(x)[w, .] is the m-by-n matrix of Hessian
-contractions.  These operators drive the continuous-time dynamics that the
-discrete integrator shadows.
+matrices are formed only on request, for analysis.  The derivative of N,
+which the continuous-time dynamics apply matrix-free, has its dense forms
+only among the test oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -133,45 +127,3 @@ def reflect(bundle: ProjectorBundle, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     return v - 2.0 * (bundle.basis @ (bundle.basis.T @ v))
 
-
-def nprime_perp(
-    constraint: ConstraintMap,
-    bundle: ProjectorBundle,
-    w: np.ndarray,
-    slice_: np.ndarray | None = None,
-) -> np.ndarray:
-    """Tangent-to-normal part of the derivative of N at bundle.x along w.
-
-    Returns the n-by-n matrix J^+ H(x)[w, .] T.  It kills normal vectors and
-    maps tangent vectors into the normal space; composed with itself it
-    vanishes.  Pass a precomputed ``slice_`` = H(x)[w, .] to avoid reassembly.
-    T is applied as P - (P Q) Q^T with P = J^+ H(x)[w, .], without forming it.
-    """
-    if slice_ is None:
-        slice_ = constraint.hessian_contraction(bundle.x, w)
-    P = bundle.pseudo @ slice_
-    return P - (P @ bundle.basis) @ bundle.basis.T
-
-
-def nprime_par(
-    constraint: ConstraintMap,
-    bundle: ProjectorBundle,
-    w: np.ndarray,
-    slice_: np.ndarray | None = None,
-) -> np.ndarray:
-    """Normal-to-tangent part of the derivative of N at bundle.x along w.
-
-    This is the transpose of :func:`nprime_perp` for the same direction.
-    """
-    return nprime_perp(constraint, bundle, w, slice_=slice_).T
-
-
-def nprime(
-    constraint: ConstraintMap,
-    bundle: ProjectorBundle,
-    w: np.ndarray,
-    slice_: np.ndarray | None = None,
-) -> np.ndarray:
-    """Full directional derivative of the normal projector N along w."""
-    P = nprime_perp(constraint, bundle, w, slice_=slice_)
-    return P + P.T

@@ -1,14 +1,27 @@
-"""Independent routes that cross-check the library; used only by the tests.
+"""Analysis tools and independent routes that cross-check the library;
+used only by the tests, and called by nothing in the package.
 
-Most reach a result the package computes another way, through the dense
-n-by-n projectors that a bundle builds on request, so agreement with the
-package's matrix-free code is a real check rather than a tautology.  The
-rest are measurements only the tests make: a finite-difference divergence,
-the per-step-size convergence loop, the integrated extreme of a libration,
-the reduced derivative at a state and the equilibria of the reduced system.
+Some are the paper's analysis tools, which the proofs use and the
+integrator does not: the dense derivative N' of the normal projector and its
+one-sided parts (``nprime_perp``, ``nprime_par``, ``nprime``), the flow
+embedded as a sign-alternating sequence (``embedded_sequence``) with the
+O(delta^2) residuals it leaves in the discrete update (``step_residuals``),
+power-iteration estimates of the Hessian's norm and Lipschitz constant
+(``hessian_bound_estimates``), and the chart map back from reduced ellipse
+coordinates (``from_reduced``).
+
+Most of the rest reach a result the package computes another way, through
+the dense n-by-n projectors that a bundle builds on request, so agreement
+with the package's matrix-free code is a real check rather than a tautology.
+The remainder are measurements only the tests make: a finite-difference
+divergence, the per-step-size convergence loop, the integrated extreme of a
+libration, the reduced derivative at a state and the equilibria of the
+reduced system.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -16,7 +29,7 @@ from hugint.constraints import ConstraintMap
 from hugint.dynamics import checked_solve, phase_field, reference_solve, split_velocity
 from hugint.ellipse import EllipseModel, ReducedState, reduced_field, reduced_solve
 from hugint.integrator import PhaseState, hug_step
-from hugint.projectors import ProjectorBundle, build_bundle, nprime_par, nprime_perp, reflect
+from hugint.projectors import ProjectorBundle, build_bundle, reflect
 
 
 def eliminated_step(
@@ -46,6 +59,49 @@ def bundle_step(
     y = x + 0.5 * delta * v
     v_new = reflect(build_bundle(constraint, y), v)
     return y + 0.5 * delta * v_new, v_new
+
+
+def nprime_perp(
+    constraint: ConstraintMap,
+    bundle: ProjectorBundle,
+    w: np.ndarray,
+    slice_: np.ndarray | None = None,
+) -> np.ndarray:
+    """Tangent-to-normal part of the derivative of N at bundle.x along w.
+
+    Returns the n-by-n matrix J^+ H(x)[w, .] T.  It kills normal vectors and
+    maps tangent vectors into the normal space; composed with itself it
+    vanishes.  Pass a precomputed ``slice_`` = H(x)[w, .] to avoid reassembly.
+    T is applied as P - (P Q) Q^T with P = J^+ H(x)[w, .], without forming it.
+    """
+    if slice_ is None:
+        slice_ = constraint.hessian_contraction(bundle.x, w)
+    P = bundle.pseudo @ slice_
+    return P - (P @ bundle.basis) @ bundle.basis.T
+
+
+def nprime_par(
+    constraint: ConstraintMap,
+    bundle: ProjectorBundle,
+    w: np.ndarray,
+    slice_: np.ndarray | None = None,
+) -> np.ndarray:
+    """Normal-to-tangent part of the derivative of N at bundle.x along w.
+
+    This is the transpose of :func:`nprime_perp` for the same direction.
+    """
+    return nprime_perp(constraint, bundle, w, slice_=slice_).T
+
+
+def nprime(
+    constraint: ConstraintMap,
+    bundle: ProjectorBundle,
+    w: np.ndarray,
+    slice_: np.ndarray | None = None,
+) -> np.ndarray:
+    """Full directional derivative of the normal projector N along w."""
+    P = nprime_perp(constraint, bundle, w, slice_=slice_)
+    return P + P.T
 
 
 def velocity_derivative_grouped(
@@ -111,6 +167,52 @@ def component_solve(
     return ys[:, :n], ys[:, n : 2 * n], ys[:, 2 * n :]
 
 
+def embedded_sequence(
+    constraint: ConstraintMap, initial: PhaseState, delta: float, steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample the flow at step times and alternate the normal velocity sign.
+
+    Returns (X, V), each of shape (steps+1, n), with X_k = x(k delta) and
+    V_k = v_par(k delta) + (-1)^k v_perp(k delta).  This is the flow dressed
+    up as a discrete trajectory: plugging it into the discrete update leaves
+    only O(delta^2) residuals (see :func:`step_residuals`).
+    """
+    times = delta * np.arange(steps + 1)
+    sol = reference_solve(constraint, initial, times)
+    X = sol.xs.copy()
+    V = np.empty_like(sol.vs)
+    for k in range(steps + 1):
+        bundle = build_bundle(constraint, X[k])
+        v_par, v_perp = split_velocity(bundle, sol.vs[k])
+        V[k] = v_par + (-1.0) ** k * v_perp
+    return X, V
+
+
+def step_residuals(
+    constraint: ConstraintMap, X: np.ndarray, V: np.ndarray, delta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals left when a sequence is plugged into the discrete update.
+
+    For each k, with y = X_k + (delta/2) V_k:
+
+        sigma_{k+1} = X_{k+1} - X_k - delta * T(y) V_k
+        tau_{k+1}   = V_{k+1} - (I - 2 N(y)) V_k
+
+    Returns (sigma, tau) of shape (K, n).  For the embedded flow sequence
+    both are O(delta^2) uniformly on bounded time intervals.
+    """
+    X = np.asarray(X, dtype=float)
+    V = np.asarray(V, dtype=float)
+    K = X.shape[0] - 1
+    sigma = np.empty((K, X.shape[1]))
+    tau = np.empty((K, X.shape[1]))
+    for k in range(K):
+        x_new, v_new = hug_step(constraint, X[k], V[k], delta)
+        sigma[k] = X[k + 1] - x_new
+        tau[k] = V[k + 1] - v_new
+    return sigma, tau
+
+
 def field_divergence(
     constraint: ConstraintMap, x: np.ndarray, v: np.ndarray, h: float = 1e-5
 ) -> float:
@@ -128,6 +230,71 @@ def field_divergence(
         e[i] = h
         total += (field(0.0, z + e)[i] - field(0.0, z - e)[i]) / (2.0 * h)
     return float(total)
+
+
+def hessian_bound_estimates(
+    constraint: ConstraintMap,
+    points: np.ndarray,
+    n_probes: int = 8,
+    seed: int = 0,
+) -> tuple[float, float]:
+    """Estimate (beta, gamma): a bound on ||H(x)|| over the given points and a
+    Lipschitz constant for x -> H(x) between consecutive points.
+
+    The operator norm of the bilinear map is estimated by alternating power
+    iteration over unit vectors u, w from several random starts, taking each
+    gradient through the contraction C(w) = H(x)[w, .]; gamma is estimated
+    from difference quotients of the same contractions between consecutive
+    points.  Estimates are lower bounds by construction, so callers should
+    apply a safety factor.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    rng = np.random.default_rng(seed)
+    n = constraint.ambient_dim
+
+    def op_norm(contract: Callable[[np.ndarray], np.ndarray]) -> float:
+        best = 0.0
+        for _ in range(n_probes):
+            u = rng.standard_normal(n)
+            u /= np.linalg.norm(u)
+            w = rng.standard_normal(n)
+            w /= np.linalg.norm(w)
+            for _ in range(20):
+                # maximize ||H[u, w]|| over u with w fixed, then swap roles
+                C = contract(w)
+                y = C @ u
+                if np.linalg.norm(y) == 0.0:
+                    break
+                grad_u = C.T @ y
+                nu = np.linalg.norm(grad_u)
+                if nu == 0.0:
+                    break
+                u = grad_u / nu
+                C = contract(u)
+                grad_w = C.T @ (C @ w)
+                nw = np.linalg.norm(grad_w)
+                if nw == 0.0:
+                    break
+                w = grad_w / nw
+            best = max(best, float(np.linalg.norm(contract(w) @ u)))
+        return best
+
+    beta = 0.0
+    for x in points:
+        beta = max(beta, op_norm(lambda w, x=x: constraint.hessian_contraction(x, w)))
+
+    gamma = 0.0
+    for xa, xb in zip(points[:-1], points[1:]):
+        d = float(np.linalg.norm(xb - xa))
+        if d < 1e-14:
+            continue
+        diff = op_norm(
+            lambda w, xa=xa, xb=xb: constraint.hessian_contraction(xb, w)
+            - constraint.hessian_contraction(xa, w)
+        )
+        gamma = max(gamma, diff / d)
+
+    return beta, gamma
 
 
 def per_delta_errors(
@@ -151,6 +318,20 @@ def per_delta_errors(
         two.append(errs[1])
         glob.append(errs.max())
     return np.array(one), np.array(two), np.array(glob)
+
+
+def from_reduced(
+    model: EllipseModel, state: ReducedState, normal_sign: float = 1.0
+) -> PhaseState:
+    """Map reduced coordinates back to a Cartesian (x, v).
+
+    The reduced model only tracks the square of the normal speed;
+    ``normal_sign`` selects the branch for the normal velocity component.
+    """
+    q = np.sqrt(max(state.speed**2 - state.p**2, 0.0))
+    x = model.position(state.phi)
+    v = state.p * model.unit_tangent(state.phi) + normal_sign * q * model.unit_normal(state.phi)
+    return PhaseState(x, v)
 
 
 def reduced_derivative(model: EllipseModel, state: ReducedState) -> tuple[float, float]:

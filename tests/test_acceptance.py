@@ -17,7 +17,6 @@ from hugint.constraints import (
     QuadricConstraint,
     SphereConstraint,
     SphereSlicedConstraint,
-    hessian_bound_estimates,
 )
 from hugint.dynamics import convergence_study, reference_solve
 from hugint.ellipse import (
@@ -43,9 +42,16 @@ from hugint.experiments import (
     run_ellipsoid,
 )
 from hugint.integrator import HugParams, PhaseState, hug_step, hug_trajectory, level_drift_bound
-from hugint.projectors import build_bundle, nprime, nprime_par, nprime_perp
+from hugint.projectors import build_bundle
 from hugint.sampling import IsotropicGaussian, hug_kernel
-from oracles import field_divergence, integrated_angle_extreme
+from oracles import (
+    field_divergence,
+    hessian_bound_estimates,
+    integrated_angle_extreme,
+    nprime,
+    nprime_par,
+    nprime_perp,
+)
 
 
 def _bench():

@@ -15,10 +15,10 @@ from hugint.constraints import (
     QuadricConstraint,
     SphereConstraint,
     SphereSlicedConstraint,
-    hessian_bound_estimates,
 )
 from hugint.errors import DimensionError, SingularGeometryError
 from hugint.projectors import unit_normal
+from oracles import hessian_bound_estimates
 
 
 def fd_only(constraint: ConstraintMap) -> CallableConstraint:

@@ -9,12 +9,10 @@ from conftest import random_run
 from hugint.constraints import QuadricConstraint, SphereSlicedConstraint
 from hugint.dynamics import (
     convergence_study,
-    embedded_sequence,
     fit_order,
     phase_field,
     reference_solve,
     split_velocity,
-    step_residuals,
     velocity_derivative,
 )
 from hugint.integrator import PhaseState, hug_trajectory, HugParams
@@ -22,8 +20,10 @@ from hugint.projectors import build_bundle
 from oracles import (
     component_field,
     component_solve,
+    embedded_sequence,
     field_divergence,
     per_delta_errors,
+    step_residuals,
     velocity_derivative_grouped,
 )
 
@@ -133,20 +133,31 @@ def test_embedded_sequence_alternates_normal_sign():
     assert np.abs(V - (v_par + signs[:, None] * v_perp)).max() < 1e-8
 
 
-def test_step_residuals_second_order():
-    """sigma and tau shrink as O(delta^2) when the flow is plugged into the
-    discrete update."""
+def _assert_step_residuals_second_order(constraint, initial):
     deltas = np.array([0.08, 0.04, 0.02, 0.01])
     sig_max = []
     tau_max = []
     for delta in deltas:
         steps = int(round(0.8 / delta))
-        X, V = embedded_sequence(BENCH, BENCH_STATE, delta, steps)
-        sigma, tau = step_residuals(BENCH, X, V, delta)
+        X, V = embedded_sequence(constraint, initial, delta, steps)
+        sigma, tau = step_residuals(constraint, X, V, delta)
         sig_max.append(np.linalg.norm(sigma, axis=1).max())
         tau_max.append(np.linalg.norm(tau, axis=1).max())
     assert 1.7 < fit_order(deltas, np.array(sig_max)) < 2.3
     assert 1.7 < fit_order(deltas, np.array(tau_max)) < 2.3
+
+
+def test_step_residuals_second_order():
+    """sigma and tau shrink as O(delta^2) when the flow is plugged into the
+    discrete update."""
+    _assert_step_residuals_second_order(BENCH, BENCH_STATE)
+
+
+def test_step_residuals_second_order_at_codim_2():
+    """The same O(delta^2) residuals on the sliced sphere, where the step
+    reflects through a two-dimensional normal space (criterion 07's start)."""
+    initial = PhaseState(np.array([0.73907151, 0.54626892, 0.39413414]), np.array([0.2, -0.4, 0.5]))
+    _assert_step_residuals_second_order(SphereSlicedConstraint(3), initial)
 
 
 def test_discrete_map_tracks_flow():

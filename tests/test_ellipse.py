@@ -12,7 +12,6 @@ from hugint.ellipse import (
     EllipseModel,
     ReducedState,
     classify,
-    from_reduced,
     libration_turning_points,
     reduced_orbits,
     reduced_solve,
@@ -21,7 +20,7 @@ from hugint.ellipse import (
 )
 from hugint.errors import DimensionError, OffLevelSetError, ReferenceSolveError
 from hugint.integrator import HugParams, PhaseState, hug_trajectory
-from oracles import equilibria, integrated_angle_extreme, reduced_derivative
+from oracles import equilibria, from_reduced, integrated_angle_extreme, reduced_derivative
 
 MODEL = EllipseModel(a=1.0, b=4.0)
 SPEED = float(np.sqrt(2.0))

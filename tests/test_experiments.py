@@ -11,6 +11,7 @@ import pytest
 from hugint import cli
 from hugint.cli import build_parser
 from hugint.constraints import QuadricConstraint, SphereSlicedConstraint
+from hugint.dynamics import reference_solve
 from hugint.ellipse import EllipseModel, ReducedState, reduced_solve
 from hugint.experiments import (
     BENCH_DIAG,
@@ -307,6 +308,23 @@ def test_run_foldback_summary(tmp_path):
     assert np.isclose(lo, -hi, atol=1e-12)
     schema, _, rows = read_csv(str(tmp_path / "foldback_steps.csv"))
     assert schema == "foldback-steps/1" and len(rows) == 15
+
+
+@pytest.mark.parametrize("delta, steps", [(0.015, 14), (0.013, 100)])
+def test_run_foldback_gap_is_taken_at_the_step_times(tmp_path, delta, steps):
+    """Off the flow table's 0.01 grid, each step is still compared with the
+    flow at its own time, not at the nearest grid time."""
+    cfg = ExperimentConfig(experiment="foldback", out=str(tmp_path), delta=delta, steps=steps)
+    summary = run_foldback(cfg)
+    constraint = QuadricConstraint(np.diag(BENCH_DIAG))
+    initial = PhaseState(np.asarray(cfg.x0), np.asarray(cfg.v0))
+    trajectory = hug_trajectory(constraint, initial, HugParams(delta, steps))
+    flow = reference_solve(constraint, initial, trajectory.times)
+    gap = np.max(np.linalg.norm(trajectory.xs - flow.xs, axis=1))
+    assert summary["max_tracking_gap"] == pytest.approx(gap, rel=1e-12)
+    _, _, rows = read_csv(str(tmp_path / "foldback_flow.csv"))
+    times = np.array([float(row[0]) for row in rows])
+    assert np.allclose(times, 0.01 * np.arange(times.size), rtol=0.0, atol=1e-12)
 
 
 def test_run_ellipsoid_reruns_byte_identical(tmp_path):

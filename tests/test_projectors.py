@@ -17,14 +17,8 @@ from hugint.constraints import (
 )
 from hugint.errors import DimensionError, SingularGeometryError
 from hugint.integrator import hug_step
-from hugint.projectors import (
-    build_bundle,
-    nprime,
-    nprime_par,
-    nprime_perp,
-    reflect,
-    unit_normal,
-)
+from hugint.projectors import build_bundle, reflect, unit_normal
+from oracles import nprime, nprime_par, nprime_perp
 
 
 def random_point(constraint, rng):
