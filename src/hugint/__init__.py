@@ -40,7 +40,7 @@ from .integrator import (
     hug_trajectory,
     level_drift_bound,
 )
-from .projectors import ProjectorBundle, build_bundle, reflect
+from .projectors import ProjectorBundle, build_bundle
 from .sampling import ChainRecord, IsotropicGaussian, hug_kernel, random_walk_kernel, run_chain
 
 __all__ = [
@@ -79,7 +79,6 @@ __all__ = [
     "random_walk_kernel",
     "reduced_solve",
     "reference_solve",
-    "reflect",
     "run_chain",
     "to_reduced",
 ]

@@ -15,10 +15,11 @@ midpoint gives the algebraically equivalent update
 
 The reflection needs only an orthonormal basis Q of the normal space,
 N(y) v = Q (Q^T v), so beyond the constraint's own Jacobian a step costs
-O(n m) for n ambient dimensions and m constraints.  At codimension 1 the
-basis is the unit gradient q and v' = v - 2 (q . v) q, so the step builds no
-projector bundle: q comes from the constraint's ``gradient``, closed form on
-every quadric and row 0 of the Jacobian otherwise.
+O(n m) for n ambient dimensions and m constraints and builds no projector
+bundle.  At codimension 1 the basis is the unit gradient q, from the
+constraint's ``gradient``, and v' = v - 2 (q . v) q.  Above it Q is the thin
+QR basis of J^T with no sign fix: flipping a column of Q negates (Q^T v)_j
+exactly and the product with Q undoes that exactly, so v' has the bundle's bits.
 
 :func:`hug_step` is the step.  :func:`hug_trajectory` loops over it and
 records positions, velocities, midpoints and levels for analysis; the
@@ -36,7 +37,7 @@ import numpy as np
 
 from .constraints import ConstraintMap
 from .errors import DimensionError
-from .projectors import GRADIENT_FLOOR, build_bundle, reflect, unit_normal
+from .projectors import GRADIENT_FLOOR, normal_qr, unit_normal
 
 
 @dataclass(frozen=True)
@@ -124,7 +125,7 @@ def hug_step(
     Trajectories and the Metropolis kernel both loop over it; the replicated
     studies step with its rows form, :func:`hug_step_rows`.  The midpoint is
     validated once, by :func:`unit_normal` at codimension 1 and by
-    :func:`build_bundle` above it.
+    :func:`normal_qr` above it, under the checks of :func:`build_bundle`.
     """
     v = np.asarray(v, dtype=float)
     h = 0.5 * delta
@@ -133,7 +134,8 @@ def hug_step(
         q = unit_normal(constraint, y)
         v_new = v - q * (2.0 * q.dot(v))
     else:
-        v_new = reflect(build_bundle(constraint, y), v)
+        Q, _ = normal_qr(constraint, y)
+        v_new = v - 2.0 * (Q @ (Q.T @ v))
     return y + h * v_new, v_new
 
 

@@ -1,20 +1,21 @@
-"""Normal-space geometry of a level set: projector bundles and reflection.
+"""Normal-space geometry of a level set: the normal basis and projector bundles.
 
 For a constraint map f with full-rank Jacobian J(x), the normal space of the
 level set through x is the row space of J.  With the Moore-Penrose
 pseudoinverse J^+ = J^T (J J^T)^{-1}, the orthogonal projector onto the
 normal space is N = J^+ J and the tangential projector is T = I - N.
 
-A bundle stores the point x and two n-by-m factors: the orthonormal basis Q
-of the normal space and J^+.  Above codimension 1 they come from one thin QR
-factorization J^T = Q R, with J^+ = Q R^{-T}; at codimension 1 both come from
-the constraint's ``gradient`` g, as Q = g / ||g|| (the vector that
-:func:`unit_normal` returns without a bundle) and J^+ = g / ||g||^2.  The
-projectors N = Q Q^T and T = I - Q Q^T are applied matrix-free, as
+The hug step reflects through an orthonormal basis Q of the normal space
+alone, from :func:`unit_normal` at codimension 1 and above it from
+:func:`normal_qr`, the checked thin QR factorization J^T = Q R.  A bundle
+serves the flow field: it stores x, Q and J^+ (n-by-m each), from
+:func:`normal_qr` with the column signs fixed so that diag(R) > 0 and
+J^+ = Q R^{-T}, or at codimension 1 from the ``gradient`` g, as
+Q = g / ||g|| (the vector of :func:`unit_normal`) and J^+ = g / ||g||^2.
+The projectors N = Q Q^T and T = I - Q Q^T are applied matrix-free, as
 v -> Q (Q^T v) and v -> v - Q (Q^T v), at O(n m) cost; the dense n-by-n
-matrices are formed only on request, for analysis.  The derivative of N,
-which the continuous-time dynamics apply matrix-free, has its dense forms
-only among the test oracles (``tests/oracles.py``).
+matrices are formed only on request, for analysis.  The dense derivative
+of N and the reflection through a bundle are test oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -81,12 +82,28 @@ def unit_normal(constraint: ConstraintMap, x: np.ndarray) -> np.ndarray:
     return g / math.sqrt(_gradient_norm2(g, x))
 
 
+def normal_qr(constraint: ConstraintMap, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Checked thin QR J^T = Q R of the (m, n) Jacobian at x, with Q's column
+    signs as the factorization leaves them; raises as :func:`build_bundle` does."""
+    J = checked_jacobian(constraint, x, (constraint.codim, constraint.ambient_dim))
+    Q, R = np.linalg.qr(J.T, mode="reduced")
+    if not np.isfinite(R).all():
+        raise SingularGeometryError(x, "Jacobian is not finite")
+    d = np.abs(np.diag(R))
+    if d.max() == 0.0 or d.min() <= RANK_RTOL * d.max():
+        raise SingularGeometryError(
+            x, f"Jacobian is rank deficient: diag(R) spans {d.min():.2e}..{d.max():.2e}"
+        )
+    return Q, R
+
+
 def build_bundle(constraint: ConstraintMap, x: np.ndarray) -> ProjectorBundle:
-    """Assemble the bundle of x, Q and J^+ at x; stores O(n m) numbers.
+    """Assemble the bundle of x, Q and J^+ at x for the flow field; stores O(n m) numbers.
 
     At codimension 1, Q and J^+ come from the constraint's ``gradient`` under
-    the checks of :func:`unit_normal`; above it, from a thin QR of the (m, n)
-    Jacobian.  The point is validated once, by ``gradient`` or ``jacobian``.
+    the checks of :func:`unit_normal`; above it, from :func:`normal_qr`, with
+    the signs fixed so that diag(R) > 0.  The point is validated once, by
+    ``gradient`` or ``jacobian``.
 
     Raises
     ------
@@ -103,27 +120,10 @@ def build_bundle(constraint: ConstraintMap, x: np.ndarray) -> ProjectorBundle:
         q = (g / math.sqrt(ng2))[:, None]
         pseudo = (g / ng2)[:, None]
     else:
-        J = checked_jacobian(constraint, x, (constraint.codim, constraint.ambient_dim))
-        Q, R = np.linalg.qr(J.T, mode="reduced")
+        Q, R = normal_qr(constraint, x)
         # Fix the sign ambiguity so diag(R) > 0 and the factors are unique.
         signs = np.where(np.diag(R) < 0.0, -1.0, 1.0)
-        Q = Q * signs
-        R = signs[:, None] * R
-        if not np.isfinite(R).all():
-            raise SingularGeometryError(x, "Jacobian is not finite")
-        d = np.abs(np.diag(R))
-        if d.max() == 0.0 or d.min() <= RANK_RTOL * d.max():
-            raise SingularGeometryError(
-                x, f"Jacobian is rank deficient: diag(R) spans {d.min():.2e}..{d.max():.2e}"
-            )
-        q = Q
-        pseudo = Q @ np.linalg.inv(R).T  # R is m-by-m with m small
+        q = Q * signs
+        pseudo = q @ np.linalg.inv(signs[:, None] * R).T  # R is m-by-m with m small
 
     return ProjectorBundle(x=x, basis=q, pseudo=pseudo)
-
-
-def reflect(bundle: ProjectorBundle, v: np.ndarray) -> np.ndarray:
-    """Apply the normal-space reflection (I - 2N) to v."""
-    v = np.asarray(v, dtype=float)
-    return v - 2.0 * (bundle.basis @ (bundle.basis.T @ v))
-

@@ -29,7 +29,13 @@ from hugint.constraints import ConstraintMap
 from hugint.dynamics import checked_solve, phase_field, reference_solve, split_velocity
 from hugint.ellipse import EllipseModel, ReducedState, reduced_field, reduced_solve
 from hugint.integrator import PhaseState, hug_step
-from hugint.projectors import ProjectorBundle, build_bundle, reflect
+from hugint.projectors import ProjectorBundle, build_bundle
+
+
+def reflect(bundle: ProjectorBundle, v: np.ndarray) -> np.ndarray:
+    """Apply the normal-space reflection (I - 2N) to v."""
+    v = np.asarray(v, dtype=float)
+    return v - 2.0 * (bundle.basis @ (bundle.basis.T @ v))
 
 
 def eliminated_step(
@@ -52,8 +58,9 @@ def bundle_step(
     """One step that reflects through a full projector bundle at every
     codimension; must agree with ``hug_step`` bit for bit.
 
-    ``hug_step`` reflects through the unit gradient alone at codimension 1;
-    this is the route it replaced there.
+    ``hug_step`` reflects through the unit gradient alone at codimension 1
+    and through the QR basis of :func:`~hugint.projectors.normal_qr`, with
+    no sign fix, above it; this is the route it replaced at both.
     """
     v = np.asarray(v, dtype=float)
     y = x + 0.5 * delta * v

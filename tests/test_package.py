@@ -9,7 +9,7 @@ import hugint
 #: Analysis tools that the package does not run, by the module that held them
 #: before they moved to the test oracles.
 ORACLES_BY_FORMER_MODULE = {
-    "hugint.projectors": ("nprime_perp", "nprime_par", "nprime"),
+    "hugint.projectors": ("nprime_perp", "nprime_par", "nprime", "reflect"),
     "hugint.dynamics": ("embedded_sequence", "step_residuals"),
     "hugint.constraints": ("hessian_bound_estimates",),
     "hugint.ellipse": ("from_reduced",),

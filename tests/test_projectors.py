@@ -17,8 +17,8 @@ from hugint.constraints import (
 )
 from hugint.errors import DimensionError, SingularGeometryError
 from hugint.integrator import hug_step
-from hugint.projectors import build_bundle, reflect, unit_normal
-from oracles import nprime, nprime_par, nprime_perp
+from hugint.projectors import build_bundle, unit_normal
+from oracles import nprime, nprime_par, nprime_perp, reflect
 
 
 def random_point(constraint, rng):
@@ -131,6 +131,36 @@ def test_unit_normal_raises_as_build_bundle_does(case):
     if error is DimensionError:
         with pytest.raises(error):
             constraint.gradient(x)
+
+
+_BAD_CODIM2 = {
+    "non-finite-point": (
+        SphereSlicedConstraint(3), np.array([np.nan, 0.5, 0.5]), SingularGeometryError,
+        "Jacobian is not finite",
+    ),
+    # the second gradient (cos x_0, 2 x_1, -1) is fine, the first (-2x) vanishes
+    "origin": (SphereSlicedConstraint(3), np.zeros(3), SingularGeometryError, "rank deficient"),
+    "jacobian-wrong-shape": (
+        CallableConstraint(3, 2, fn=lambda x: x[:2], jac=lambda x: np.ones((3, 3))),
+        np.ones(3),
+        DimensionError,
+        "Jacobian of shape",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_CODIM2)
+def test_codim_m_step_raises_as_build_bundle_does(case):
+    """Above codimension 1 the step takes its basis from ``normal_qr`` and
+    builds no bundle, so every geometry check must raise the same error
+    class with the same message through ``hug_step`` as through
+    ``build_bundle``."""
+    constraint, x, error, match = _BAD_CODIM2[case]
+    with pytest.raises(error, match=match) as bundle_info:
+        build_bundle(constraint, x)
+    with pytest.raises(error, match=match) as step_info:
+        hug_step(constraint, x, np.zeros_like(x), 0.1)  # the midpoint is x itself
+    assert str(step_info.value) == str(bundle_info.value)
 
 
 def test_unit_normal_is_the_codim1_bundle_basis():

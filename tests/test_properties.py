@@ -150,3 +150,29 @@ def test_codim1_step_is_bitwise_the_bundle_step(kind, n, seed):
         assert np.array_equal(X, [xr for xr, _ in singles])
         assert np.array_equal(V, [vr for _, vr in singles])
         assert np.array_equal(X1[0], xa) and np.array_equal(V1[0], va)
+
+
+@pytest.mark.parametrize("n", [3, 10, 1000])
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_codim_m_step_is_bitwise_the_bundle_step(n, seed):
+    """Above codimension 1 ``hug_step`` reflects through the thin QR basis
+    Q as the factorization leaves it, while the bundle fixes the sign of
+    each column so that diag(R) > 0; five steps must still match the bundle
+    route bit for bit.  Flipping column j of Q negates every term of
+    (Q^T v)_j exactly, so the sum is negated exactly (IEEE negation is exact
+    and round-to-nearest is symmetric), and the second product Q (Q^T v)
+    multiplies the flipped column by the flipped coefficient, which cancels
+    the flip exactly.  On the sliced sphere most midpoints have a flipped
+    column."""
+    constraint = SphereSlicedConstraint(n)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    x /= np.linalg.norm(x)
+    v = rng.standard_normal(n) * rng.uniform(0.1, 10.0)
+    delta = rng.uniform(0.01, 0.2) / np.linalg.norm(v)
+    xa, va = xb, vb = x, v
+    for _ in range(5):
+        xa, va = hug_step(constraint, xa, va, delta)
+        xb, vb = bundle_step(constraint, xb, vb, delta)
+        assert np.array_equal(xa, xb) and np.array_equal(va, vb)
