@@ -136,7 +136,9 @@ class QuadricConstraint(ConstraintMap):
     with the bits of the dense products (whose extra terms are exact zeros)
     but for a zero's sign: -2 d x reads -0.0 at a +0.0 coordinate, gemv +0.0.
     A form too large for a float reads f = -inf, without a warning, as long as
-    A x itself stays finite.
+    A x itself stays finite.  At a point with an inf coordinate the dense
+    products meet 0 * inf and read NaN where the elementwise ones read inf;
+    neither warns, so the gradient is not finite and f is not either.
     """
 
     def __init__(self, A: np.ndarray):
@@ -158,8 +160,9 @@ class QuadricConstraint(ConstraintMap):
         self.ambient_dim, self.codim = len(form), 1
         self._form, self._hessian = form, -2.0 * form
         diagonal = form.ndim == 1
-        self._product = np.multiply if diagonal else np.ndarray.dot
-        self._rows = np.multiply if diagonal else np.matvec
+        quiet = np.errstate(invalid="ignore")  # a dense 0 * inf is a NaN, not a warning
+        self._product = np.multiply if diagonal else quiet(np.ndarray.dot)
+        self._rows = np.multiply if diagonal else quiet(np.matvec)
         self._norm_bound = 2.0 * float(top_eigenvalue)
 
     def value(self, x: np.ndarray) -> np.ndarray:

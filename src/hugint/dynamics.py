@@ -36,7 +36,7 @@ import numpy as np
 
 from .constraints import ConstraintMap
 from .errors import ReferenceSolveError
-from .integrator import PhaseState, hug_step
+from .integrator import PhaseState, hug_steps
 from .projectors import ProjectorBundle, build_bundle
 
 #: (rtol, atol) of the coarse and the fine DOP853 solve behind every
@@ -199,10 +199,9 @@ def position_errors(
     errors = []
     for delta, grid in zip(deltas, grids):
         reference = xs[np.searchsorted(union, grid)]
-        x, v = initial.x, initial.v
         errs = np.empty(grid.size - 1)
-        for k in range(1, grid.size):
-            x, v = hug_step(constraint, x, v, delta)
+        stream = hug_steps(constraint, initial.x, initial.v, delta)
+        for k, (x, _) in zip(range(1, grid.size), stream):
             errs[k - 1] = np.linalg.norm(x - reference[k])
         errors.append(errs)
     return errors

@@ -583,7 +583,7 @@ def run_chain(config: ExperimentConfig) -> dict:
         os.path.join(config.out, "chain.csv"),
         "chain/1",
         ["iteration"] + [f"x{i+1}" for i in range(n)],
-        ((i, *state) for i, state in enumerate(chain.states)),
+        ((i, *state) for i, state in enumerate(chain.states.tolist())),
     )
     burn = min(1000, config.iterations // 10)
     samples = chain.states[burn:]

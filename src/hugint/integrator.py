@@ -21,17 +21,22 @@ constraint's ``gradient``, and v' = v - 2 (q . v) q.  Above it Q is the thin
 QR basis of J^T with no sign fix: flipping a column of Q negates (Q^T v)_j
 exactly and the product with Q undoes that exactly, so v' has the bundle's bits.
 
-:func:`hug_step` is the step.  :func:`hug_trajectory` loops over it and
-records positions, velocities, midpoints and levels for analysis; the
-Metropolis kernel in :mod:`hugint.sampling` loops over it too but keeps only
-the final state.  :func:`hug_step_rows` is the same codim-1 step on each row
-of a stack of states, with each row's bits those of :func:`hug_step` however
-many rows share the stack; the replicated studies step their replicates with it.
+:func:`hug_steps` is the step, written once as a stream that yields
+(x_k, v_k) for k = 1, 2, ...: it converts v and picks the codimension branch
+once, and carries h v_k from the end of step k, x_k = y + h v_k, to the start
+of step k + 1, y = x_k + h v_k.  :func:`hug_step` is its first step.
+:func:`hug_trajectory` takes K steps from the stream and records positions,
+velocities, midpoints and levels for analysis; the Metropolis kernel in
+:mod:`hugint.sampling` takes K too but keeps only the final state.
+:func:`hug_step_rows` is the same codim-1 step on each row of a stack of
+states, with each row's bits those of :func:`hug_step` however many rows
+share the stack; the replicated studies step their replicates with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -117,26 +122,47 @@ class Trajectory:
         return self.state(len(self.times) - 1)
 
 
+def hug_steps(
+    constraint: ConstraintMap, x: np.ndarray, v: np.ndarray, delta: float
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Steps of size delta from (x, v): yields (x_k, v_k) for k = 1, 2, ...
+
+    Take K steps with ``zip(range(K), stream)`` or ``islice(stream, K)``:
+    either stops before asking for step K + 1, which may raise.  Each
+    midpoint is validated as it is reached, by :func:`unit_normal` at
+    codimension 1 and by :func:`normal_qr` above it, so a singular midpoint
+    at step j raises :class:`~hugint.errors.SingularGeometryError` out of the
+    j-th ``next``.  Step k has the bits of k chained one-step calls.
+    """
+    v = np.asarray(v, dtype=float)
+    h = 0.5 * delta
+    hv = h * v
+    if constraint.codim == 1:
+        while True:
+            y = x + hv
+            q = unit_normal(constraint, y)
+            v = v - q * (2.0 * q.dot(v))
+            hv = h * v
+            x = y + hv
+            yield x, v
+    while True:
+        y = x + hv
+        Q, _ = normal_qr(constraint, y)
+        v = v - 2.0 * (Q @ (Q.T @ v))
+        hv = h * v
+        x = y + hv
+        yield x, v
+
+
 def hug_step(
     constraint: ConstraintMap, x: np.ndarray, v: np.ndarray, delta: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance (x, v) by one step of size delta; returns (x', v').
 
-    Trajectories and the Metropolis kernel both loop over it; the replicated
-    studies step with its rows form, :func:`hug_step_rows`.  The midpoint is
-    validated once, by :func:`unit_normal` at codimension 1 and by
-    :func:`normal_qr` above it, under the checks of :func:`build_bundle`.
+    The first step of :func:`hug_steps`; the replicated studies step with
+    its rows form, :func:`hug_step_rows`.
     """
-    v = np.asarray(v, dtype=float)
-    h = 0.5 * delta
-    y = x + h * v
-    if constraint.codim == 1:
-        q = unit_normal(constraint, y)
-        v_new = v - q * (2.0 * q.dot(v))
-    else:
-        Q, _ = normal_qr(constraint, y)
-        v_new = v - 2.0 * (Q @ (Q.T @ v))
-    return y + h * v_new, v_new
+    return next(hug_steps(constraint, x, v, delta))
 
 
 def hug_step_rows(
@@ -178,12 +204,11 @@ def hug_trajectory(
     xs = np.empty((K + 1, n))
     vs = np.empty((K + 1, n))
     levels = np.empty((K + 1, constraint.codim))
-    x, v = initial.x, initial.v
-    xs[0], vs[0] = x, v
-    levels[0] = constraint.value(x)
+    xs[0], vs[0] = initial.x, initial.v
+    levels[0] = constraint.value(initial.x)
     delta = params.step_size
-    for k in range(1, K + 1):
-        x, v = hug_step(constraint, x, v, delta)
+    stream = hug_steps(constraint, initial.x, initial.v, delta)
+    for k, (x, v) in zip(range(1, K + 1), stream):
         xs[k], vs[k] = x, v
         levels[k] = constraint.value(x)
     return Trajectory(

@@ -33,13 +33,20 @@ def format_cell(value) -> str:
 def write_csv(
     path: str, schema: str, header: Sequence[str], rows: Iterable[Sequence]
 ) -> None:
-    """Write rows to ``path`` with a schema comment line and a header row."""
+    """Write rows to ``path`` with a schema comment line and a header row.
+
+    A Python float cell is written with ``repr`` directly, the text
+    :func:`format_cell` gives it; rows of ``ndarray.tolist()`` take that path.
+    """
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w") as fh:
         fh.write(f"#schema={schema}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(format_cell(cell) for cell in row) + "\n")
+        fh.writelines(
+            ",".join([repr(cell) if type(cell) is float else format_cell(cell) for cell in row])
+            + "\n"
+            for row in rows
+        )
 
 
 def read_csv(path: str) -> tuple[str, list[str], list[list[str]]]:

@@ -12,11 +12,11 @@ ell difference, which the hugging property keeps small.  The kernel exploits
 that cancellation by default but can evaluate the general formula, both to
 test the shortcut and to support other velocity distributions.
 
-A proposal needs only (x_K, v_K), so the kernel loops over the integrator's
-single step function, :func:`~hugint.integrator.hug_step`, and records no
-trajectory.  Each kernel takes ell at its start and returns ell at its end,
-so :func:`run_chain` carries ell(x) from move to move and evaluates ell only
-at proposals: at x_K and nowhere in between.
+A proposal needs only (x_K, v_K), so the kernel takes K steps from the
+integrator's stream, :func:`~hugint.integrator.hug_steps`, keeps the last
+and records no trajectory.  Each kernel takes ell at its start and returns
+ell at its end, so :func:`run_chain` carries ell(x) from move to move and
+evaluates ell only at proposals: at x_K and nowhere in between.
 
 Since the moves nearly preserve ell, a chain of hugging proposals alone
 explores a single contour.  :func:`run_chain` can interleave a plain
@@ -28,13 +28,14 @@ for the low-dimensional targets exercised here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
+from itertools import islice
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 from .constraints import ConstraintMap
 from .errors import SingularGeometryError
-from .integrator import HugParams, hug_step
+from .integrator import HugParams, hug_steps
 
 LOG_DENSITY_INDEX = 0  # a codim-1 constraint's single component is the log-density
 
@@ -64,8 +65,7 @@ class IsotropicGaussian:
         )
 
 
-@dataclass(frozen=True)
-class KernelResult:
+class KernelResult(NamedTuple):
     """Outcome of a single Metropolis-Hastings move."""
 
     state: np.ndarray
@@ -99,7 +99,7 @@ def hug_kernel(
     With ``use_norm_cancellation`` (default) the velocity-distribution terms
     of log r are dropped for norm-invariant distributions, where they cancel
     exactly; pass False to evaluate the general formula.  The proposal
-    advances (x, v) with :func:`~hugint.integrator.hug_step` and keeps only
+    takes K steps from :func:`~hugint.integrator.hug_steps` and keeps only
     the final pair (x_K, v_K).  ``log_density`` is ell(x), evaluated only
     when not given; ell is otherwise read at x_K only.  A rank-deficient
     gradient at any step yields an immediate rejection at x flagged ``singular``.
@@ -110,8 +110,8 @@ def hug_kernel(
     v0 = velocity_dist.sample(rng, x)
     x_k, v_k = x, v0
     try:
-        for _ in range(params.steps):
-            x_k, v_k = hug_step(target, x_k, v_k, params.step_size)
+        for x_k, v_k in islice(hug_steps(target, x, v0, params.step_size), params.steps):
+            pass
     except SingularGeometryError:
         return KernelResult(x, False, -np.inf, log_density, singular=True)
     log_density_k = log_density_of(target, x_k)

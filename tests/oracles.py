@@ -17,19 +17,27 @@ The remainder are measurements only the tests make: a finite-difference
 divergence, the per-step-size convergence loop, the integrated extreme of a
 libration, the reduced derivative at a state and the equilibria of the
 reduced system.
+
+Three are earlier forms of package code that now runs another way, kept to
+hold it to the same bits or bytes: the one-call step (``step_reference``)
+against the step stream, a sampling chain written out move by move on it
+(``chain_reference``) against ``run_chain``, and the cell-by-cell CSV writer
+(``write_csv_reference``) against ``write_csv``.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import os
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from hugint.constraints import ConstraintMap
 from hugint.dynamics import checked_solve, phase_field, reference_solve, split_velocity
 from hugint.ellipse import EllipseModel, ReducedState, reduced_field, reduced_solve
-from hugint.integrator import PhaseState, hug_step
-from hugint.projectors import ProjectorBundle, build_bundle
+from hugint.errors import SingularGeometryError
+from hugint.integrator import HugParams, PhaseState, hug_step
+from hugint.projectors import ProjectorBundle, build_bundle, normal_qr, unit_normal
 
 
 def reflect(bundle: ProjectorBundle, v: np.ndarray) -> np.ndarray:
@@ -66,6 +74,88 @@ def bundle_step(
     y = x + 0.5 * delta * v
     v_new = reflect(build_bundle(constraint, y), v)
     return y + 0.5 * delta * v_new, v_new
+
+
+def step_reference(
+    constraint: ConstraintMap, x: np.ndarray, v: np.ndarray, delta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """One step as one call, recomputing h v from v; each step of
+    :func:`~hugint.integrator.hug_steps` must agree with it bit for bit."""
+    v = np.asarray(v, dtype=float)
+    h = 0.5 * delta
+    y = x + h * v
+    if constraint.codim == 1:
+        q = unit_normal(constraint, y)
+        v_new = v - q * (2.0 * q.dot(v))
+    else:
+        Q, _ = normal_qr(constraint, y)
+        v_new = v - 2.0 * (Q @ (Q.T @ v))
+    return y + h * v_new, v_new
+
+
+def chain_reference(
+    target: ConstraintMap,
+    initial_x: np.ndarray,
+    params: HugParams,
+    sigma: float,
+    rng: np.random.Generator,
+    iterations: int,
+    walk_scale: float | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, int]:
+    """``run_chain`` with an isotropic velocity of scale sigma, written out
+    move by move on :func:`step_reference`; returns (states, hug_accepted,
+    walk_accepted, singular_rejections).  It draws as the kernels do: the
+    velocity, K steps, the hug uniform, then the walk's normal and uniform.
+    """
+    x = np.asarray(initial_x, dtype=float)
+    ell = float(target.value(x)[0])
+    states, hug_accepted, walk_accepted, singular = [x], [], [], 0
+    for _ in range(iterations):
+        x_k, v_k = x, sigma * rng.standard_normal(x.size)
+        try:
+            for _ in range(params.steps):
+                x_k, v_k = step_reference(target, x_k, v_k, params.step_size)
+        except SingularGeometryError:
+            singular += 1
+            hug_accepted.append(False)
+        else:
+            ell_k = float(target.value(x_k)[0])
+            hug_accepted.append(bool(np.log(rng.uniform()) < ell_k - ell))
+            if hug_accepted[-1]:
+                x, ell = x_k, ell_k
+        if walk_scale is not None:
+            proposal = x + walk_scale * rng.standard_normal(x.shape)
+            ell_p = float(target.value(proposal)[0])
+            walk_accepted.append(bool(np.log(rng.uniform()) < ell_p - ell))
+            if walk_accepted[-1]:
+                x, ell = proposal, ell_p
+        states.append(x)
+    walk = np.array(walk_accepted, dtype=bool) if walk_scale is not None else None
+    return np.array(states), np.array(hug_accepted, dtype=bool), walk, singular
+
+
+def format_cell_reference(value) -> str:
+    """Deterministic text form for a CSV cell, decided cell by cell."""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if value is None:
+        return ""
+    return str(value)
+
+
+def write_csv_reference(
+    path: str, schema: str, header: Sequence[str], rows: Iterable[Sequence]
+) -> None:
+    """The CSV writer that formats every cell with :func:`format_cell_reference`
+    and writes row by row; ``write_csv`` must give the same bytes."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write(f"#schema={schema}\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(format_cell_reference(cell) for cell in row) + "\n")
 
 
 def nprime_perp(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hugint.constraints import (
     SphereSlicedConstraint,
 )
 from hugint.errors import DimensionError, SingularGeometryError
+from hugint.integrator import hug_step
 from hugint.projectors import unit_normal
 from oracles import hessian_bound_estimates
 
@@ -102,6 +104,25 @@ def test_infinite_coordinate_reads_as_a_gradient_that_is_not_finite(A):
     with np.errstate(invalid="ignore"):  # numpy's gemv warns of the 0 * inf
         with pytest.raises(SingularGeometryError, match="gradient is not finite"):
             unit_normal(quadric, np.array([np.inf, 0.5, 0.5]))
+
+
+def test_dense_quadric_at_an_infinite_coordinate_raises_without_a_warning():
+    """At x = (inf, 1, 0) the dense gemv meets 0 * inf; like the diagonal
+    form, the gradient is not finite, the value is not finite either, and
+    neither path warns, inside the step or out of it."""
+    A = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 1.0]])
+    x = np.array([np.inf, 1.0, 0.0])
+    for quadric in (QuadricConstraint(A), QuadricConstraint(np.diag(np.diag(A)))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for normal in (
+                lambda: unit_normal(quadric, x),
+                lambda: hug_step(quadric, x, np.zeros(3), 0.1),  # the midpoint is x
+            ):
+                with pytest.raises(SingularGeometryError, match="gradient is not finite"):
+                    normal()
+            assert not np.isfinite(quadric.value(x)).any()
+            assert not np.isfinite(quadric.gradient_rows(x[None])).all()
 
 
 def test_quadric_derivatives_match_the_formula_bitwise():

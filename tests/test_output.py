@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from hugint.output import ManifestTimer, format_cell, read_csv, write_csv, write_manifest
+from oracles import write_csv_reference
 
 
 def test_format_cell_types():
@@ -38,6 +39,33 @@ def test_csv_write_is_byte_stable(tmp_path):
     write_csv(a, "demo/1", ["i", "x"], rows)
     write_csv(b, "demo/1", ["i", "x"], rows)
     assert open(a, "rb").read() == open(b, "rb").read()
+
+
+def test_write_csv_gives_the_bytes_of_the_cell_by_cell_writer(tmp_path):
+    """Python floats take ``repr`` directly and every other cell
+    ``format_cell``; the bytes must be those of formatting each cell with
+    the reference writer, on rows mixing every cell type the experiments
+    write, numpy scalars and special floats among them, and on the Python
+    floats of ``tolist()`` against the array rows they came from."""
+    scales = 10.0 ** np.arange(-200, 200, 8)  # 50 rows, from 1e-200 to 1e192
+    states = np.random.default_rng(4).standard_normal((50, 3)) * scales[:, None]
+    cases = {
+        "mixed": [
+            (np.float64(0.1), 0.1, -0.0, np.nan, np.inf, -np.inf),
+            (np.float32(0.1), np.int64(-3), 7, True, False, None),
+            ("kind", None, np.float64(-0.0), np.float64(np.nan), 5e-324, 2.0**70),
+            (),
+        ],
+        "tolist": [(i, *state) for i, state in enumerate(states.tolist())],
+        "array-rows": [(i, *state) for i, state in enumerate(states)],
+        "empty": [],
+    }
+    for name, rows in cases.items():
+        got, want = tmp_path / f"{name}.csv", tmp_path / f"{name}-reference.csv"
+        write_csv(str(got), "demo/1", ["a", "b", "c", "d", "e", "f"], iter(rows))
+        write_csv_reference(str(want), "demo/1", ["a", "b", "c", "d", "e", "f"], iter(rows))
+        assert got.read_bytes() == want.read_bytes(), name
+    assert (tmp_path / "tolist.csv").read_bytes() == (tmp_path / "array-rows.csv").read_bytes()
 
 
 def test_read_csv_requires_schema_line(tmp_path):

@@ -23,8 +23,9 @@ from hugint.constraints import (
     SphereConstraint,
     SphereSlicedConstraint,
 )
-from hugint.integrator import hug_step, hug_step_rows
-from oracles import bundle_step
+from hugint.errors import SingularGeometryError
+from hugint.integrator import hug_step, hug_step_rows, hug_steps
+from oracles import bundle_step, step_reference
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=30, deadline=None)
 
@@ -176,3 +177,72 @@ def test_codim_m_step_is_bitwise_the_bundle_step(n, seed):
         xa, va = hug_step(constraint, xa, va, delta)
         xb, vb = bundle_step(constraint, xb, vb, delta)
         assert np.array_equal(xa, xb) and np.array_equal(va, vb)
+
+
+STREAM_MAPS = {
+    "diagonal-quadric": QuadricConstraint(np.diag([2.0, 1.0, 3.0])),
+    "dense-quadric": QuadricConstraint(_A),
+    "sphere": SphereConstraint(4),
+    "sliced-3": SphereSlicedConstraint(3),
+    "sliced-10": SphereSlicedConstraint(10),
+    "sliced-1000": SphereSlicedConstraint(1000),
+}
+
+
+@pytest.mark.parametrize("kind", STREAM_MAPS)
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 12))
+def test_stream_is_bitwise_the_reference_step(kind, seed, steps):
+    """``hug_steps`` carries h v_k from one step to the next instead of
+    recomputing it; each of K steps must still have the bits of the one-call
+    step, ``oracles.step_reference``, chained K times.  The yielded pairs are
+    kept until the end, so a stream that reused its arrays would fail too."""
+    constraint = STREAM_MAPS[kind]
+    n = constraint.ambient_dim
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n)
+    x /= np.linalg.norm(x)
+    v = rng.standard_normal(n) * rng.uniform(0.1, 10.0)
+    delta = rng.uniform(0.01, 0.2) / np.linalg.norm(v)
+    expected = []
+    xr, vr = x, v
+    try:
+        for _ in range(steps):
+            xr, vr = step_reference(constraint, xr, vr, delta)
+            expected.append((xr, vr))
+    except SingularGeometryError:  # rank loss on the sliced sphere; rare
+        with pytest.raises(SingularGeometryError):
+            list(zip(range(steps), hug_steps(constraint, x, v, delta)))
+    got = [pair for _, pair in zip(range(len(expected)), hug_steps(constraint, x, v, delta))]
+    assert len(got) == len(expected)
+    for (xs, vs), (xr, vr) in zip(got, expected):
+        assert np.array_equal(xs, xr) and np.array_equal(vs, vr)
+
+
+def _sheared_map(codim: int, j: int) -> CallableConstraint:
+    """f(x) = (x_2, ..., x_{m+1}) on R^3, whose Jacobian turns singular
+    (a zero gradient, or two equal rows) where x_1 > j - 1."""
+
+    def jac(x):
+        rows = np.eye(3)[1 : codim + 1]
+        if x[0] > j - 1:
+            rows = np.zeros((1, 3)) if codim == 1 else np.eye(3)[[1, 1]]
+        return rows
+
+    return CallableConstraint(3, codim, fn=lambda x: x[1 : codim + 1], jac=jac)
+
+
+@pytest.mark.parametrize("codim", [1, 2])
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(j=st.integers(1, 12))
+def test_stream_raises_at_the_step_of_the_singular_midpoint(codim, j):
+    """From x = 0 with v = e_1 and delta = 1 every normal is orthogonal to v,
+    so v never turns and the k-th midpoint is (k - 1/2) e_1.  The first
+    singular midpoint is step j's: the stream yields j - 1 steps, then
+    raises out of the j-th ``next``."""
+    stream = hug_steps(_sheared_map(codim, j), np.zeros(3), np.eye(3)[0], 1.0)
+    for k in range(1, j):
+        x, v = next(stream)
+        assert np.array_equal(x, [k, 0.0, 0.0]) and np.array_equal(v, [1.0, 0.0, 0.0])
+    with pytest.raises(SingularGeometryError):
+        next(stream)

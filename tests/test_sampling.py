@@ -20,6 +20,7 @@ from hugint.sampling import (
     random_walk_kernel,
     run_chain,
 )
+from oracles import chain_reference
 
 #: log-density -x.x, i.e. an isotropic Gaussian with variance 1/2 per axis.
 ISO_TARGET = SphereConstraint(3)
@@ -274,6 +275,46 @@ def test_run_chain_bookkeeping_and_determinism():
     assert 0.0 <= a.hug_acceptance_rate <= 1.0
     assert a.walk_accepted is not None and 0.0 <= a.walk_acceptance_rate <= 1.0
     assert a.singular_rejections == 0
+
+
+_BENCH_A = np.diag([1.0, 4.0])
+
+#: The benchmark Gaussian, and a copy whose gradient is not finite beyond
+#: x_1 = 0.8, where every hug proposal is a singular rejection.
+CHAIN_TARGETS = {
+    "quadric": QuadricConstraint(_BENCH_A),
+    "fenced": CallableConstraint(
+        2, 1, fn=lambda x: np.array([-(x @ _BENCH_A @ x)]),
+        jac=lambda x: -2.0 * _BENCH_A @ x if x[0] <= 0.8 else np.full((1, 2), np.nan),
+    ),
+}
+
+
+@pytest.mark.parametrize("walk_scale", [0.5, None], ids=["walk", "hug-only"])
+@pytest.mark.parametrize("kind", CHAIN_TARGETS)
+def test_run_chain_is_bitwise_the_reference_chain(kind, walk_scale):
+    """``run_chain`` on the step stream, with its kernels' bookkeeping, must
+    give the bits of a chain written out move by move on the one-call step,
+    drawing in the same order: the states, both acceptance arrays and the
+    singular count."""
+    target = CHAIN_TARGETS[kind]
+    x0, sigma = np.array([0.6, 0.3]), 1.3
+    record = run_chain(
+        target, x0, PARAMS, IsotropicGaussian(dim=2, sigma=sigma),
+        np.random.default_rng(21), 200, walk_scale=walk_scale,
+    )
+    states, hug_accepted, walk_accepted, singular = chain_reference(
+        target, x0, PARAMS, sigma, np.random.default_rng(21), 200, walk_scale=walk_scale
+    )
+    assert np.array_equal(record.states, states)
+    assert np.array_equal(record.hug_accepted, hug_accepted)
+    if walk_scale is None:
+        assert record.walk_accepted is None and walk_accepted is None
+    else:
+        assert np.array_equal(record.walk_accepted, walk_accepted)
+    assert record.singular_rejections == singular
+    assert (singular > 0) == (kind == "fenced")
+    assert 0 < hug_accepted.sum() < 200
 
 
 def test_run_chain_without_walk_stays_near_level_set():
