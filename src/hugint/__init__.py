@@ -40,7 +40,7 @@ from .integrator import (
     hug_trajectory,
     level_drift_bound,
 )
-from .projectors import ProjectorBundle, build_bundle
+from .projectors import build_bundle
 from .sampling import ChainRecord, IsotropicGaussian, hug_kernel, random_walk_kernel, run_chain
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "IsotropicGaussian",
     "OffLevelSetError",
     "PhaseState",
-    "ProjectorBundle",
     "QuadricConstraint",
     "ReducedState",
     "ReferenceSolveError",

@@ -15,12 +15,12 @@ structure of the one-sided derivative operators, reduces to
     dv/dt = N'_par(x)[v_par - v_perp] v_perp - N'_perp(x)[v_par - v_perp] v_par.
 
 The flow preserves phase-space volume, ||v(t)||, and f(x(t)), and is
-time-reversible.  This module evaluates the field in the reduced form,
-applying every projector matrix-free through the basis of the normal space,
-integrates it accurately with a self-checked DOP853 solve, and measures the
-convergence orders of the discrete map against the flow.  The proof's
-embedded flow sequence and its O(delta^2) step residuals are test oracles
-(``tests/oracles.py``).
+time-reversible.  This module evaluates the field in the reduced form from
+the normal basis Q and J^+ alone, splitting v once per evaluation and
+applying every projector matrix-free, integrates it accurately with a
+self-checked DOP853 solve, and measures the convergence orders of the
+discrete map against the flow.  The proof's embedded flow sequence and its
+O(delta^2) step residuals are test oracles (``tests/oracles.py``).
 
 Each experiment makes one checked solve: the error table and convergence
 study solve on the union of their step-size grids (:func:`position_errors`),
@@ -37,7 +37,7 @@ import numpy as np
 from .constraints import ConstraintMap
 from .errors import ReferenceSolveError
 from .integrator import PhaseState, hug_steps
-from .projectors import ProjectorBundle, build_bundle
+from .projectors import build_bundle
 
 #: (rtol, atol) of the coarse and the fine DOP853 solve behind every
 #: reference solution; the fine one is returned.
@@ -86,39 +86,24 @@ def checked_solve(field: Field, y0: np.ndarray, times: np.ndarray) -> np.ndarray
     return fine[index]
 
 
-def split_velocity(bundle: ProjectorBundle, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Decompose v into (tangential, normal) parts at bundle.x."""
-    v = np.asarray(v, dtype=float)
-    v_perp = bundle.basis @ (bundle.basis.T @ v)
-    return v - v_perp, v_perp
-
-
-def velocity_derivative(
-    constraint: ConstraintMap, bundle: ProjectorBundle, v: np.ndarray
-) -> np.ndarray:
-    """dv/dt in the reduced form using the velocity split.
-
-    Computes N'_par[w] v_perp - N'_perp[w] v_par for w = v_par - v_perp with
-    a single Hessian contraction, applying the operators matrix-free: T v_par
-    is v_par itself, and T u is the tangential part of u.
-    """
-    v_par, v_perp = split_velocity(bundle, v)
-    S = constraint.hessian_contraction(bundle.x, v_par - v_perp)
-    par_term, _ = split_velocity(bundle, S.T @ (bundle.pseudo.T @ v_perp))
-    perp_term = bundle.pseudo @ (S @ v_par)
-    return par_term - perp_term
-
-
 def phase_field(constraint: ConstraintMap):
-    """Return field(t, y) for the flow on y = (x, v) in R^{2n}."""
+    """Return field(t, y) for the flow on y = (x, v) in R^{2n}.
+
+    With (Q, J^+) from :func:`~hugint.projectors.build_bundle`, v splits once
+    into v_perp = Q (Q^T v) and dx/dt = v_par = v - v_perp; dv/dt takes one
+    Hessian contraction along w = v_par - v_perp, and T u is u - Q (Q^T u).
+    """
     n = constraint.ambient_dim
 
     def field(t: float, y: np.ndarray) -> np.ndarray:
         x, v = y[:n], y[n:]
-        bundle = build_bundle(constraint, x)
-        dx, _ = split_velocity(bundle, v)
-        dv = velocity_derivative(constraint, bundle, v)
-        return np.concatenate([dx, dv])
+        Q, pseudo = build_bundle(constraint, x)
+        v_perp = Q @ (Q.T @ v)
+        v_par = v - v_perp
+        S = constraint.hessian_contraction(x, v_par - v_perp)
+        u = S.T @ (pseudo.T @ v_perp)
+        dv = (u - Q @ (Q.T @ u)) - pseudo @ (S @ v_par)
+        return np.concatenate([v_par, dv])
 
     return field
 

@@ -35,7 +35,7 @@ from .ellipse import (
     tangential_speed,
     to_reduced,
 )
-from .errors import StudyFailedError
+from .errors import DimensionError, StudyFailedError
 from .integrator import HugParams, PhaseState, hug_step_rows, hug_trajectory
 from .output import write_csv
 from .projectors import unit_normal
@@ -158,7 +158,7 @@ def build_constraint(spec: dict) -> ConstraintMap:
             return SphereSlicedConstraint(int(spec.get("dim", 3)))
     except KeyError as exc:
         raise ConfigError(f"constraint kind {kind!r} is missing key {exc}") from exc
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, DimensionError) as exc:
         raise ConfigError(f"bad constraint spec: {exc}") from exc
     raise ConfigError(f"unknown constraint kind {kind!r}")
 

@@ -15,11 +15,11 @@ midpoint gives the algebraically equivalent update
 
 The reflection needs only an orthonormal basis Q of the normal space,
 N(y) v = Q (Q^T v), so beyond the constraint's own Jacobian a step costs
-O(n m) for n ambient dimensions and m constraints and builds no projector
-bundle.  At codimension 1 the basis is the unit gradient q, from the
-constraint's ``gradient``, and v' = v - 2 (q . v) q.  Above it Q is the thin
-QR basis of J^T with no sign fix: flipping a column of Q negates (Q^T v)_j
-exactly and the product with Q undoes that exactly, so v' has the bundle's bits.
+O(n m) for n ambient dimensions and m constraints and needs no pseudoinverse.
+At codimension 1 the basis is the unit gradient q, from the constraint's
+``gradient``, and v' = v - 2 (q . v) q.  Above it Q is the thin QR basis of
+J^T with no sign fix: flipping a column of Q negates (Q^T v)_j exactly and
+the product with Q undoes that exactly, so v' has the bits of a sign-fixed Q.
 
 :func:`hug_steps` is the step, written once as a stream that yields
 (x_k, v_k) for k = 1, 2, ...: it converts v and picks the codimension branch

@@ -1,27 +1,25 @@
-"""Normal-space geometry of a level set: the normal basis and projector bundles.
+"""Normal-space geometry of a level set: the normal basis and the pseudoinverse.
 
 For a constraint map f with full-rank Jacobian J(x), the normal space of the
 level set through x is the row space of J.  With the Moore-Penrose
 pseudoinverse J^+ = J^T (J J^T)^{-1}, the orthogonal projector onto the
 normal space is N = J^+ J and the tangential projector is T = I - N.
 
-The hug step reflects through an orthonormal basis Q of the normal space
-alone, from :func:`unit_normal` at codimension 1 and above it from
-:func:`normal_qr`, the checked thin QR factorization J^T = Q R.  A bundle
-serves the flow field: it stores x, Q and J^+ (n-by-m each), from
-:func:`normal_qr` with the column signs fixed so that diag(R) > 0 and
-J^+ = Q R^{-T}, or at codimension 1 from the ``gradient`` g, as
-Q = g / ||g|| (the vector of :func:`unit_normal`) and J^+ = g / ||g||^2.
+Everything here works through an orthonormal basis Q of the normal space:
+:func:`unit_normal` at codimension 1 and above it :func:`normal_qr`, the
+checked thin QR factorization J^T = Q R with the column signs as it leaves
+them.  The hug step reflects through Q alone.  The flow field also needs J^+,
+and :func:`build_bundle` returns the pair (Q, J^+), with J^+ = Q R^{-T}, or at
+codimension 1 J^+ = g / ||g||^2 beside Q = g / ||g|| for the ``gradient`` g.
 The projectors N = Q Q^T and T = I - Q Q^T are applied matrix-free, as
-v -> Q (Q^T v) and v -> v - Q (Q^T v), at O(n m) cost; the dense n-by-n
-matrices are formed only on request, for analysis.  The dense derivative
-of N and the reflection through a bundle are test oracles (``tests/oracles.py``).
+v -> Q (Q^T v) and v -> v - Q (Q^T v), at O(n m) cost, and are never formed
+as dense n-by-n matrices here; the dense projectors, the derivative of N and
+the reflection through a basis are test oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,35 +31,6 @@ RANK_RTOL = 1e-10
 
 #: Floor on ||grad f||^2 below which a single constraint's gradient counts as vanishing.
 GRADIENT_FLOOR = float(np.sqrt(np.finfo(float).tiny))
-
-
-@dataclass(frozen=True)
-class ProjectorBundle:
-    """Normal-space data shared by integrator steps and field evaluations at one point.
-
-    Attributes
-    ----------
-    x:
-        Base point, shape (n,).
-    basis:
-        Orthonormal basis Q of the normal space, shape (n, m).
-    pseudo:
-        Pseudoinverse J^+ = J^T (J J^T)^{-1}, shape (n, m).
-    """
-
-    x: np.ndarray
-    basis: np.ndarray
-    pseudo: np.ndarray
-
-    @property
-    def normal(self) -> np.ndarray:
-        """Dense projector N = Q Q^T onto the normal space, built on each access."""
-        return self.basis @ self.basis.T
-
-    @property
-    def tangent(self) -> np.ndarray:
-        """Dense projector T = I - Q Q^T onto the tangent space, built on each access."""
-        return np.eye(self.x.size) - self.basis @ self.basis.T
 
 
 def _gradient_norm2(g: np.ndarray, x: np.ndarray) -> float:
@@ -97,13 +66,13 @@ def normal_qr(constraint: ConstraintMap, x: np.ndarray) -> tuple[np.ndarray, np.
     return Q, R
 
 
-def build_bundle(constraint: ConstraintMap, x: np.ndarray) -> ProjectorBundle:
-    """Assemble the bundle of x, Q and J^+ at x for the flow field; stores O(n m) numbers.
+def build_bundle(constraint: ConstraintMap, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The normal basis Q and the pseudoinverse J^+ at x, each (n, m), for the flow field.
 
-    At codimension 1, Q and J^+ come from the constraint's ``gradient`` under
-    the checks of :func:`unit_normal`; above it, from :func:`normal_qr`, with
-    the signs fixed so that diag(R) > 0.  The point is validated once, by
-    ``gradient`` or ``jacobian``.
+    At codimension 1 they are g / ||g|| and g / ||g||^2, from the
+    constraint's ``gradient`` under the checks of :func:`unit_normal`; above
+    it, Q and J^+ = Q R^{-T} come from :func:`normal_qr`.  The point is
+    validated once, by ``gradient`` or ``jacobian``.
 
     Raises
     ------
@@ -117,13 +86,6 @@ def build_bundle(constraint: ConstraintMap, x: np.ndarray) -> ProjectorBundle:
         # Single constraint: the QR factorization collapses to a normalization.
         g = constraint.gradient(x)
         ng2 = _gradient_norm2(g, x)
-        q = (g / math.sqrt(ng2))[:, None]
-        pseudo = (g / ng2)[:, None]
-    else:
-        Q, R = normal_qr(constraint, x)
-        # Fix the sign ambiguity so diag(R) > 0 and the factors are unique.
-        signs = np.where(np.diag(R) < 0.0, -1.0, 1.0)
-        q = Q * signs
-        pseudo = q @ np.linalg.inv(signs[:, None] * R).T  # R is m-by-m with m small
-
-    return ProjectorBundle(x=x, basis=q, pseudo=pseudo)
+        return (g / math.sqrt(ng2))[:, None], (g / ng2)[:, None]
+    Q, R = normal_qr(constraint, x)
+    return Q, Q @ np.linalg.inv(R).T  # R is m-by-m with m small

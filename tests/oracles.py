@@ -11,18 +11,21 @@ power-iteration estimates of the Hessian's norm and Lipschitz constant
 coordinates (``from_reduced``).
 
 Most of the rest reach a result the package computes another way, through
-the dense n-by-n projectors that a bundle builds on request, so agreement
+the dense n-by-n projectors N and T (``dense_projectors``), so agreement
 with the package's matrix-free code is a real check rather than a tautology.
 The remainder are measurements only the tests make: a finite-difference
 divergence, the per-step-size convergence loop, the integrated extreme of a
 libration, the reduced derivative at a state and the equilibria of the
 reduced system.
 
-Three are earlier forms of package code that now runs another way, kept to
+Five are earlier forms of package code that now runs another way, kept to
 hold it to the same bits or bytes: the one-call step (``step_reference``)
 against the step stream, a sampling chain written out move by move on it
-(``chain_reference``) against ``run_chain``, and the cell-by-cell CSV writer
-(``write_csv_reference``) against ``write_csv``.
+(``chain_reference``) against ``run_chain``, the cell-by-cell CSV writer
+(``write_csv_reference``) against ``write_csv``, and the bundle with its
+column signs fixed so that diag(R) > 0 (``signed_bundle``), with the flow
+field that split v three times through it (``bundle_field``), against
+``build_bundle`` and ``phase_field``.
 """
 
 from __future__ import annotations
@@ -33,17 +36,63 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from hugint.constraints import ConstraintMap
-from hugint.dynamics import checked_solve, phase_field, reference_solve, split_velocity
+from hugint.dynamics import checked_solve, phase_field, reference_solve
 from hugint.ellipse import EllipseModel, ReducedState, reduced_field, reduced_solve
 from hugint.errors import SingularGeometryError
 from hugint.integrator import HugParams, PhaseState, hug_step
-from hugint.projectors import ProjectorBundle, build_bundle, normal_qr, unit_normal
+from hugint.projectors import build_bundle, normal_qr, unit_normal
 
 
-def reflect(bundle: ProjectorBundle, v: np.ndarray) -> np.ndarray:
-    """Apply the normal-space reflection (I - 2N) to v."""
+def dense_projectors(constraint: ConstraintMap, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The dense n-by-n projectors (N, T) = (Q Q^T, I - Q Q^T) at x, with Q
+    the normal basis of ``build_bundle``."""
+    Q, _ = build_bundle(constraint, x)
+    N = Q @ Q.T
+    return N, np.eye(Q.shape[0]) - N
+
+
+def velocity_parts(Q: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(v_par, v_perp) = (v - Q Q^T v, Q Q^T v) for the normal basis Q."""
     v = np.asarray(v, dtype=float)
-    return v - 2.0 * (bundle.basis @ (bundle.basis.T @ v))
+    v_perp = Q @ (Q.T @ v)
+    return v - v_perp, v_perp
+
+
+def reflect(Q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Apply the normal-space reflection (I - 2N) to v, with N = Q Q^T."""
+    v = np.asarray(v, dtype=float)
+    return v - 2.0 * (Q @ (Q.T @ v))
+
+
+def signed_bundle(constraint: ConstraintMap, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, J^+) with Q's column signs fixed so that diag(R) > 0 and
+    J^+ = Q (D R)^{-T} for the signs D; ``build_bundle`` leaves the signs as
+    the QR factorization does and must give the same field bit for bit."""
+    if constraint.codim == 1:
+        return build_bundle(constraint, x)
+    Q, R = normal_qr(constraint, np.asarray(x, dtype=float))
+    signs = np.where(np.diag(R) < 0.0, -1.0, 1.0)
+    q = Q * signs
+    return q, q @ np.linalg.inv(signs[:, None] * R).T
+
+
+def bundle_field(constraint: ConstraintMap):
+    """field(t, y) through :func:`signed_bundle`, splitting v three times:
+    once for dx/dt, once for dv/dt and once for the tangential part of the
+    N'_par term; ``phase_field`` must agree with it bit for bit."""
+    n = constraint.ambient_dim
+
+    def field(t: float, y: np.ndarray) -> np.ndarray:
+        x, v = y[:n], y[n:]
+        Q, pseudo = signed_bundle(constraint, x)
+        dx, _ = velocity_parts(Q, v)
+        v_par, v_perp = velocity_parts(Q, v)
+        S = constraint.hessian_contraction(x, v_par - v_perp)
+        par_term, _ = velocity_parts(Q, S.T @ (pseudo.T @ v_perp))
+        perp_term = pseudo @ (S @ v_par)
+        return np.concatenate([dx, par_term - perp_term])
+
+    return field
 
 
 def eliminated_step(
@@ -56,15 +105,15 @@ def eliminated_step(
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    bundle = build_bundle(constraint, x + 0.5 * delta * v)
-    return x + delta * (bundle.tangent @ v), reflect(bundle, v)
+    Q, _ = build_bundle(constraint, x + 0.5 * delta * v)
+    return x + delta * ((np.eye(x.size) - Q @ Q.T) @ v), reflect(Q, v)
 
 
 def bundle_step(
     constraint: ConstraintMap, x: np.ndarray, v: np.ndarray, delta: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One step that reflects through a full projector bundle at every
-    codimension; must agree with ``hug_step`` bit for bit.
+    """One step that reflects through the (n, m) basis of :func:`signed_bundle`
+    at every codimension; must agree with ``hug_step`` bit for bit.
 
     ``hug_step`` reflects through the unit gradient alone at codimension 1
     and through the QR basis of :func:`~hugint.projectors.normal_qr`, with
@@ -72,7 +121,7 @@ def bundle_step(
     """
     v = np.asarray(v, dtype=float)
     y = x + 0.5 * delta * v
-    v_new = reflect(build_bundle(constraint, y), v)
+    v_new = reflect(signed_bundle(constraint, y)[0], v)
     return y + 0.5 * delta * v_new, v_new
 
 
@@ -160,61 +209,63 @@ def write_csv_reference(
 
 def nprime_perp(
     constraint: ConstraintMap,
-    bundle: ProjectorBundle,
+    x: np.ndarray,
     w: np.ndarray,
     slice_: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Tangent-to-normal part of the derivative of N at bundle.x along w.
+    """Tangent-to-normal part of the derivative of N at x along w.
 
     Returns the n-by-n matrix J^+ H(x)[w, .] T.  It kills normal vectors and
     maps tangent vectors into the normal space; composed with itself it
     vanishes.  Pass a precomputed ``slice_`` = H(x)[w, .] to avoid reassembly.
     T is applied as P - (P Q) Q^T with P = J^+ H(x)[w, .], without forming it.
     """
+    Q, pseudo = build_bundle(constraint, x)
     if slice_ is None:
-        slice_ = constraint.hessian_contraction(bundle.x, w)
-    P = bundle.pseudo @ slice_
-    return P - (P @ bundle.basis) @ bundle.basis.T
+        slice_ = constraint.hessian_contraction(x, w)
+    P = pseudo @ slice_
+    return P - (P @ Q) @ Q.T
 
 
 def nprime_par(
     constraint: ConstraintMap,
-    bundle: ProjectorBundle,
+    x: np.ndarray,
     w: np.ndarray,
     slice_: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Normal-to-tangent part of the derivative of N at bundle.x along w.
+    """Normal-to-tangent part of the derivative of N at x along w.
 
     This is the transpose of :func:`nprime_perp` for the same direction.
     """
-    return nprime_perp(constraint, bundle, w, slice_=slice_).T
+    return nprime_perp(constraint, x, w, slice_=slice_).T
 
 
 def nprime(
     constraint: ConstraintMap,
-    bundle: ProjectorBundle,
+    x: np.ndarray,
     w: np.ndarray,
     slice_: np.ndarray | None = None,
 ) -> np.ndarray:
     """Full directional derivative of the normal projector N along w."""
-    P = nprime_perp(constraint, bundle, w, slice_=slice_)
+    P = nprime_perp(constraint, x, w, slice_=slice_)
     return P + P.T
 
 
 def velocity_derivative_grouped(
-    constraint: ConstraintMap, bundle: ProjectorBundle, v: np.ndarray
+    constraint: ConstraintMap, x: np.ndarray, v: np.ndarray
 ) -> np.ndarray:
     """dv/dt in the grouped form (N'_par[w] - N'_perp[w]) v, w = (T - N)v.
 
     Assembles the full operator matrices and applies them to the whole
-    velocity; algebraically identical to ``velocity_derivative``.
+    velocity; algebraically identical to the dv/dt of ``phase_field``.
     """
     v = np.asarray(v, dtype=float)
-    w = (bundle.tangent - bundle.normal) @ v
-    S = constraint.hessian_contraction(bundle.x, w)
+    normal, tangent = dense_projectors(constraint, x)
+    w = (tangent - normal) @ v
+    S = constraint.hessian_contraction(x, w)
     return (
-        nprime_par(constraint, bundle, w, slice_=S)
-        - nprime_perp(constraint, bundle, w, slice_=S)
+        nprime_par(constraint, x, w, slice_=S)
+        - nprime_perp(constraint, x, w, slice_=S)
     ) @ v
 
 
@@ -229,16 +280,16 @@ def component_field(constraint: ConstraintMap):
 
     def field(t: float, y: np.ndarray) -> np.ndarray:
         x, v_par, v_perp = y[:n], y[n : 2 * n], y[2 * n :]
-        bundle = build_bundle(constraint, x)
-        tangent = bundle.tangent
+        Q, pseudo = build_bundle(constraint, x)
+        tangent = np.eye(n) - Q @ Q.T
         S_par = constraint.hessian_contraction(x, v_par)
         S_perp = constraint.hessian_contraction(x, v_perp)
 
         def apply_par(S, u):
-            return tangent @ (S.T @ (bundle.pseudo.T @ u))
+            return tangent @ (S.T @ (pseudo.T @ u))
 
         def apply_perp(S, u):
-            return bundle.pseudo @ (S @ (tangent @ u))
+            return pseudo @ (S @ (tangent @ u))
 
         dv_par = -apply_par(S_perp, v_perp) - apply_perp(S_par, v_par)
         dv_perp = apply_par(S_par, v_perp) + apply_perp(S_perp, v_par)
@@ -257,8 +308,7 @@ def component_solve(
     """
     times = np.asarray(times, dtype=float)
     n = constraint.ambient_dim
-    bundle = build_bundle(constraint, initial.x)
-    v_par, v_perp = split_velocity(bundle, initial.v)
+    v_par, v_perp = velocity_parts(build_bundle(constraint, initial.x)[0], initial.v)
     y0 = np.concatenate([initial.x, v_par, v_perp])
     ys = checked_solve(component_field(constraint), y0, times)
     return ys[:, :n], ys[:, n : 2 * n], ys[:, 2 * n :]
@@ -279,8 +329,7 @@ def embedded_sequence(
     X = sol.xs.copy()
     V = np.empty_like(sol.vs)
     for k in range(steps + 1):
-        bundle = build_bundle(constraint, X[k])
-        v_par, v_perp = split_velocity(bundle, sol.vs[k])
+        v_par, v_perp = velocity_parts(build_bundle(constraint, X[k])[0], sol.vs[k])
         V[k] = v_par + (-1.0) ** k * v_perp
     return X, V
 

@@ -206,16 +206,21 @@ def test_main_exit_2_on_config_key_the_experiment_does_not_read(argv, settings, 
         ("table1", {"seed": 1.5}, "seed must be an integer"),
         ("foldback", {"delta": 10**400}, "delta is too large for a float"),
         ("table1", [1, 2], "config file must hold a JSON object"),
+        ("table1", {"constraint": {"kind": "sliced", "dim": 2}}, "need ambient_dim >= 3"),
+        ("table1", {"constraint": {"kind": "quadric", "matrix": [[1, 2, 3]]}}, "A must be square"),
+        ("table1", {"constraint": {"kind": "quadric", "matrix": [1, 2]}}, "A must be square"),
     ],
     ids=["constraint-not-object", "foldback-steps-float",
          "ellipsoid-steps-float", "ecdf-replicates-float", "chain-iterations-float",
-         "steps-bool", "dim-float", "seed-float", "delta-beyond-float", "file-not-object"],
+         "steps-bool", "dim-float", "seed-float", "delta-beyond-float", "file-not-object",
+         "sliced-dim-2", "quadric-not-square", "quadric-flat"],
 )
 def test_main_exit_2_on_badly_typed_config_value(
     experiment, settings, message, tmp_path, capsys
 ):
     """A bad value is a config error, not a traceback; ``10**400`` is a JSON
-    integer that no float can hold."""
+    integer that no float can hold, and a constraint of the wrong shape is
+    not a numerical failure."""
     config_file = tmp_path / "run.json"
     config_file.write_text(json.dumps(settings))
     code = main([experiment, "--config", str(config_file), "--out", str(tmp_path / "out")])

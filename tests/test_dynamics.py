@@ -6,25 +6,32 @@ import numpy as np
 import pytest
 
 from conftest import random_run
-from hugint.constraints import QuadricConstraint, SphereSlicedConstraint
+from hugint.constraints import (
+    AffineConstraint,
+    QuadricConstraint,
+    SphereConstraint,
+    SphereSlicedConstraint,
+)
 from hugint.dynamics import (
     convergence_study,
     fit_order,
     phase_field,
     reference_solve,
-    split_velocity,
-    velocity_derivative,
 )
 from hugint.integrator import PhaseState, hug_trajectory, HugParams
-from hugint.projectors import build_bundle
+from hugint.projectors import build_bundle, normal_qr
 from oracles import (
+    bundle_field,
     component_field,
     component_solve,
+    dense_projectors,
     embedded_sequence,
     field_divergence,
     per_delta_errors,
+    signed_bundle,
     step_residuals,
     velocity_derivative_grouped,
+    velocity_parts,
 )
 
 BENCH = QuadricConstraint(np.diag([1.0, 4.0]))
@@ -32,28 +39,66 @@ BENCH_STATE = PhaseState([np.cos(1.0), 0.5 * np.sin(1.0)], [0.0, 1.0])
 
 
 def test_split_velocity_parts():
+    """The field's dx/dt is the tangential part v_par of v, and v - v_par is normal."""
     rng = np.random.default_rng(41)
     c = SphereSlicedConstraint(3)
     x = rng.standard_normal(3)
     v = rng.standard_normal(3)
-    b = build_bundle(c, x)
-    v_par, v_perp = split_velocity(b, v)
+    N, T = dense_projectors(c, x)
+    v_par = phase_field(c)(0.0, np.concatenate([x, v]))[:3]
+    v_perp = v - v_par
     assert np.allclose(v_par + v_perp, v)
-    assert np.abs(b.normal @ v_par).max() < 1e-13  # tangential part
-    assert np.abs(b.tangent @ v_perp).max() < 1e-13  # normal part
+    assert np.abs(N @ v_par).max() < 1e-13  # tangential part
+    assert np.abs(T @ v_perp).max() < 1e-13  # normal part
 
 
 @pytest.mark.parametrize("kind", ["quadric", "sliced"])
 def test_velocity_derivative_routes_agree(kind):
-    """The reduced (matrix-free) and grouped (full-matrix) forms of dv/dt are
-    algebraically identical and implemented separately."""
+    """The reduced (matrix-free) form of dv/dt in ``phase_field`` and the
+    grouped (full-matrix) form are algebraically identical and implemented
+    separately."""
     rng = np.random.default_rng(42)
     for _ in range(10):
         constraint, x, v, _, _ = random_run(kind, rng)
-        b = build_bundle(constraint, x)
-        a = velocity_derivative(constraint, b, v)
-        g = velocity_derivative_grouped(constraint, b, v)
+        a = phase_field(constraint)(0.0, np.concatenate([x, v]))[x.size:]
+        g = velocity_derivative_grouped(constraint, x, v)
         assert np.abs(a - g).max() < 1e-13
+
+
+FIELD_MAPS = {
+    "bench-quadric": BENCH,
+    "dense-quadric": QuadricConstraint(
+        np.array([[2.0, 0.3, -0.4], [0.3, 1.0, 0.2], [-0.4, 0.2, 3.0]])
+    ),
+    "sphere-10": SphereConstraint(10),
+    "sliced-3": SphereSlicedConstraint(3),
+    "sliced-10": SphereSlicedConstraint(10),
+    "sliced-1000": SphereSlicedConstraint(1000),
+    "affine-m3": AffineConstraint(np.random.default_rng(46).standard_normal((3, 6))),
+}
+
+
+@pytest.mark.parametrize("name", FIELD_MAPS)
+def test_phase_field_is_bitwise_the_bundle_route(name):
+    """``phase_field`` splits v once through the basis of ``build_bundle``,
+    with the column signs as the QR leaves them; it must give the bits of the
+    field through the sign-fixed bundle that split v three times, and its J^+
+    the bits of the sign-fixed one.  Above codimension 1 some drawn points
+    have a negative diag(R), so a flipped column is met."""
+    constraint = FIELD_MAPS[name]
+    n = constraint.ambient_dim
+    rng = np.random.default_rng(47)
+    field, reference = phase_field(constraint), bundle_field(constraint)
+    flipped = 0
+    for _ in range(20):
+        x = rng.standard_normal(n)
+        x /= np.linalg.norm(x)
+        y = np.concatenate([x, rng.standard_normal(n)])
+        assert np.array_equal(field(0.0, y), reference(0.0, y))
+        assert np.array_equal(build_bundle(constraint, x)[1], signed_bundle(constraint, x)[1])
+        if constraint.codim > 1:
+            flipped += bool((np.diag(normal_qr(constraint, x)[1]) < 0.0).any())
+    assert constraint.codim == 1 or flipped > 0
 
 
 def test_component_field_consistent_with_phase_field():
@@ -67,11 +112,10 @@ def test_component_field_consistent_with_phase_field():
         x = rng.standard_normal(3)
         x /= np.linalg.norm(x)
         v = rng.standard_normal(3)
-        b = build_bundle(c, x)
-        v_par, v_perp = split_velocity(b, v)
+        v_par, v_perp = velocity_parts(build_bundle(c, x)[0], v)
         dz = full(0.0, np.concatenate([x, v]))
         dy = split(0.0, np.concatenate([x, v_par, v_perp]))
-        assert np.allclose(dy[:3], b.tangent @ v, atol=1e-13)  # dx/dt = v_par
+        assert np.allclose(dy[:3], dense_projectors(c, x)[1] @ v, atol=1e-13)  # dx/dt = v_par
         assert np.allclose(dy[3:6] + dy[6:9], dz[3:], atol=1e-12)
 
 

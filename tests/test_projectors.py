@@ -1,8 +1,6 @@
-"""Projector bundles and the directional derivative of the normal projector."""
+"""The normal basis and pseudoinverse, and the directional derivative of the normal projector."""
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -18,7 +16,7 @@ from hugint.constraints import (
 from hugint.errors import DimensionError, SingularGeometryError
 from hugint.integrator import hug_step
 from hugint.projectors import build_bundle, unit_normal
-from oracles import nprime, nprime_par, nprime_perp, reflect
+from oracles import dense_projectors, nprime, nprime_par, nprime_perp, reflect
 
 
 def random_point(constraint, rng):
@@ -31,40 +29,42 @@ def test_bundle_projector_algebra(kind):
     rng = np.random.default_rng(21)
     for _ in range(10):
         c = make_map(kind, rng)
-        b = build_bundle(c, random_point(c, rng))
+        x = random_point(c, rng)
+        Q, pseudo = build_bundle(c, x)
+        N, T = dense_projectors(c, x)
         n = c.ambient_dim
         eye = np.eye(n)
-        assert np.allclose(b.normal + b.tangent, eye, atol=1e-13)
-        assert np.allclose(b.normal @ b.normal, b.normal, atol=1e-13)
-        assert np.allclose(b.tangent @ b.tangent, b.tangent, atol=1e-13)
-        assert np.allclose(b.normal, b.normal.T, atol=1e-14)
-        assert np.allclose(b.normal @ b.tangent, 0.0, atol=1e-13)
+        assert np.allclose(N + T, eye, atol=1e-13)
+        assert np.allclose(N @ N, N, atol=1e-13)
+        assert np.allclose(T @ T, T, atol=1e-13)
+        assert np.allclose(N, N.T, atol=1e-14)
+        assert np.allclose(N @ T, 0.0, atol=1e-13)
         # basis is an orthonormal frame of the normal space
-        assert np.allclose(b.basis.T @ b.basis, np.eye(c.codim), atol=1e-13)
-        assert np.allclose(b.basis @ b.basis.T, b.normal, atol=1e-13)
+        assert np.allclose(Q.T @ Q, np.eye(c.codim), atol=1e-13)
+        assert np.allclose(Q @ Q.T, N, atol=1e-13)
         # J rows lie in the normal space, the pseudoinverse inverts them
-        assert np.allclose(c.jacobian(b.x) @ b.tangent, 0.0, atol=1e-11)
-        assert np.allclose(c.jacobian(b.x) @ b.pseudo, np.eye(c.codim), atol=1e-11)
+        assert np.allclose(c.jacobian(x) @ T, 0.0, atol=1e-11)
+        assert np.allclose(c.jacobian(x) @ pseudo, np.eye(c.codim), atol=1e-11)
 
 
 @pytest.mark.parametrize("make", [SphereConstraint, SphereSlicedConstraint],
                          ids=["sphere", "sliced"])
 def test_bundle_stores_o_of_n_m_numbers(make):
-    """A bundle stores x, Q and J^+ only: at n = 2000 that is well under
-    1 MB, where two dense n-by-n projectors would take 64 MB.  The dense
-    projectors are still there on request."""
+    """``build_bundle`` returns Q and J^+ only, each (n, m): at n = 2000 that
+    is well under 1 MB, where two dense n-by-n projectors would take 64 MB.
+    The test oracle builds the dense projectors from the same Q."""
     c = make(2000)
     x = np.full(2000, 1.0 / np.sqrt(2000.0))
-    b = build_bundle(c, x)
-    stored = {f.name: getattr(b, f.name) for f in dataclasses.fields(b)}
-    assert set(stored) == {"x", "basis", "pseudo"}
-    assert sum(value.nbytes for value in stored.values()) < 1_000_000
+    Q, pseudo = build_bundle(c, x)
+    assert Q.shape == pseudo.shape == (2000, c.codim)
+    assert Q.nbytes + pseudo.nbytes < 1_000_000
 
     small = make(5)
-    b = build_bundle(small, np.full(5, 1.0 / np.sqrt(5.0)))
-    Q = b.basis
-    assert np.array_equal(b.normal, Q @ Q.T)
-    assert np.array_equal(b.tangent, np.eye(5) - Q @ Q.T)
+    x = np.full(5, 1.0 / np.sqrt(5.0))
+    Q, _ = build_bundle(small, x)
+    N, T = dense_projectors(small, x)
+    assert np.array_equal(N, Q @ Q.T)
+    assert np.array_equal(T, np.eye(5) - Q @ Q.T)
 
 
 def test_codim1_path_matches_explicit_qr():
@@ -73,14 +73,14 @@ def test_codim1_path_matches_explicit_qr():
     q = QuadricConstraint(np.array([[2.0, 0.3], [0.3, 1.0]]))
     for _ in range(5):
         x = random_point(q, rng)
-        b = build_bundle(q, x)
+        basis, pseudo = build_bundle(q, x)
         J = q.jacobian(x)
         Q, R = np.linalg.qr(J.T)
         sign = -1.0 if R[0, 0] < 0 else 1.0
         Q, R = Q * sign, R * sign
-        assert np.allclose(b.basis, Q, atol=1e-13)
-        assert np.allclose(b.pseudo, Q / R[0, 0], atol=1e-13)
-        assert np.allclose(b.normal, Q @ Q.T, atol=1e-13)
+        assert np.allclose(basis, Q, atol=1e-13)
+        assert np.allclose(pseudo, Q / R[0, 0], atol=1e-13)
+        assert np.allclose(dense_projectors(q, x)[0], Q @ Q.T, atol=1e-13)
 
 
 def test_singular_gradient_raises_with_point():
@@ -168,7 +168,7 @@ def test_unit_normal_is_the_codim1_bundle_basis():
     q = QuadricConstraint(np.array([[2.0, 0.3], [0.3, 1.0]]))
     for _ in range(5):
         x = random_point(q, rng)
-        assert np.array_equal(unit_normal(q, x), build_bundle(q, x).basis[:, 0])
+        assert np.array_equal(unit_normal(q, x), build_bundle(q, x)[0][:, 0])
     with pytest.raises(DimensionError):
         unit_normal(SphereSlicedConstraint(3), np.ones(3))  # two gradients, no single normal
     with pytest.raises(DimensionError):
@@ -196,8 +196,8 @@ def test_list_jacobian_reads_as_its_array_twin():
     sliced = SphereSlicedConstraint(4)
     x = random_point(sliced, rng)
     listed, twin = build_bundle(_ListJacobian(sliced), x), build_bundle(sliced, x)
-    assert np.array_equal(listed.basis, twin.basis)
-    assert np.array_equal(listed.pseudo, twin.pseudo)
+    assert np.array_equal(listed[0], twin[0])
+    assert np.array_equal(listed[1], twin[1])
     q = QuadricConstraint(np.array([[2.0, 0.3], [0.3, 1.0]]))
     x = random_point(q, rng)
     assert np.array_equal(_ListJacobian(q).gradient(x), q.gradient(x))
@@ -220,14 +220,16 @@ def test_reflect_involution_and_isometry(kind):
     rng = np.random.default_rng(23)
     for _ in range(5):
         c = make_map(kind, rng)
-        b = build_bundle(c, random_point(c, rng))
+        x = random_point(c, rng)
+        Q, _ = build_bundle(c, x)
+        N, T = dense_projectors(c, x)
         v = rng.standard_normal(c.ambient_dim)
-        rv = reflect(b, v)
+        rv = reflect(Q, v)
         assert np.isclose(np.linalg.norm(rv), np.linalg.norm(v), atol=1e-13)
-        assert np.allclose(reflect(b, rv), v, atol=1e-13)
+        assert np.allclose(reflect(Q, rv), v, atol=1e-13)
         # tangential part fixed, normal part negated
-        assert np.allclose(b.tangent @ rv, b.tangent @ v, atol=1e-13)
-        assert np.allclose(b.normal @ rv, -(b.normal @ v), atol=1e-13)
+        assert np.allclose(T @ rv, T @ v, atol=1e-13)
+        assert np.allclose(N @ rv, -(N @ v), atol=1e-13)
 
 
 @pytest.mark.parametrize("kind", ["quadric", "sliced"])
@@ -236,29 +238,28 @@ def test_nprime_image_kernel_nilpotency_transpose(kind):
     for _ in range(5):
         c = make_map(kind, rng)
         x = random_point(c, rng)
-        b = build_bundle(c, x)
+        N, T = dense_projectors(c, x)
         w = rng.standard_normal(c.ambient_dim)
-        P = nprime_perp(c, b, w)
+        P = nprime_perp(c, x, w)
         scale = max(1.0, np.abs(P).max())
         # image inside the normal space: T P = 0
-        assert np.abs(b.tangent @ P).max() < 1e-12 * scale
+        assert np.abs(T @ P).max() < 1e-12 * scale
         # kernel contains the normal space: P N = 0
-        assert np.abs(P @ b.normal).max() < 1e-12 * scale
+        assert np.abs(P @ N).max() < 1e-12 * scale
         # nilpotent of order two
         assert np.abs(P @ P).max() < 1e-12 * scale**2
         # the tangential part is the transpose
-        assert np.allclose(nprime_par(c, b, w), P.T)
-        assert np.allclose(nprime(c, b, w), P + P.T)
+        assert np.allclose(nprime_par(c, x, w), P.T)
+        assert np.allclose(nprime(c, x, w), P + P.T)
 
 
 def test_nprime_linear_in_direction():
     rng = np.random.default_rng(25)
     c = make_map("sliced", rng)
     x = random_point(c, rng)
-    b = build_bundle(c, x)
     w1, w2 = rng.standard_normal((2, c.ambient_dim))
-    combo = nprime_perp(c, b, 2.0 * w1 - 3.0 * w2)
-    parts = 2.0 * nprime_perp(c, b, w1) - 3.0 * nprime_perp(c, b, w2)
+    combo = nprime_perp(c, x, 2.0 * w1 - 3.0 * w2)
+    parts = 2.0 * nprime_perp(c, x, w1) - 3.0 * nprime_perp(c, x, w2)
     assert np.allclose(combo, parts, atol=1e-13)
 
 
@@ -266,10 +267,9 @@ def test_nprime_precomputed_slice_matches():
     rng = np.random.default_rng(26)
     c = make_map("quadric", rng)
     x = random_point(c, rng)
-    b = build_bundle(c, x)
     w = rng.standard_normal(c.ambient_dim)
     S = c.hessian_contraction(x, w)
-    assert np.allclose(nprime_perp(c, b, w, slice_=S), nprime_perp(c, b, w))
+    assert np.allclose(nprime_perp(c, x, w, slice_=S), nprime_perp(c, x, w))
 
 
 @pytest.mark.parametrize("kind", ["quadric", "sliced"])
@@ -280,12 +280,12 @@ def test_nprime_matches_projector_finite_differences(kind):
     c = make_map(kind, rng)
     x = random_point(c, rng)
     w = rng.standard_normal(c.ambient_dim)
-    analytic = nprime(c, build_bundle(c, x), w)
+    analytic = nprime(c, x, w)
     hs = np.array([4e-3, 2e-3, 1e-3])
     errs = []
     for h in hs:
-        Np = build_bundle(c, x + h * w).normal
-        Nm = build_bundle(c, x - h * w).normal
+        Np, _ = dense_projectors(c, x + h * w)
+        Nm, _ = dense_projectors(c, x - h * w)
         errs.append(np.abs((Np - Nm) / (2.0 * h) - analytic).max())
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert 1.7 < slope < 2.3, f"FD convergence slope {slope:.3f}, errors {errs}"
@@ -309,5 +309,5 @@ def test_bivariate_quadric_closed_form():
             a * b * (w[1] * x[0] - w[0] * x[1]) / denom
             * np.outer([a * x[0], b * x[1]], [-b * x[1], a * x[0]])
         )
-        general = nprime_perp(q, build_bundle(q, x), w)
+        general = nprime_perp(q, x, w)
         assert np.abs(closed - general).max() < 1e-12

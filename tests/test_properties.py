@@ -158,9 +158,9 @@ def test_codim1_step_is_bitwise_the_bundle_step(kind, n, seed):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_codim_m_step_is_bitwise_the_bundle_step(n, seed):
     """Above codimension 1 ``hug_step`` reflects through the thin QR basis
-    Q as the factorization leaves it, while the bundle fixes the sign of
-    each column so that diag(R) > 0; five steps must still match the bundle
-    route bit for bit.  Flipping column j of Q negates every term of
+    Q as the factorization leaves it, while the signed bundle fixes the sign
+    of each column so that diag(R) > 0; five steps must still match the
+    bundle route bit for bit.  Flipping column j of Q negates every term of
     (Q^T v)_j exactly, so the sum is negated exactly (IEEE negation is exact
     and round-to-nearest is symmetric), and the second product Q (Q^T v)
     multiplies the flipped column by the flipped coefficient, which cancels
