@@ -1,15 +1,17 @@
 """Command-line entry point: one subcommand per experiment.
 
-Subcommands, their help lines and their flags come from the experiment table,
-:data:`hugint.experiments.EXPERIMENTS`; each flag's type and help come from
-its field's declaration in :class:`~hugint.experiments.ExperimentConfig`.
+Subcommands and their help lines come from the experiment table,
+:data:`hugint.experiments.EXPERIMENTS`.  Each subcommand takes ``--config``,
+``--out`` and ``--seed`` plus a flag for each field of its entry's
+``settings`` that has a help line; each flag's type and help come from its
+field's declaration in :class:`~hugint.experiments.ExperimentConfig`.
 A call that names an experiment builds the parser of that subcommand only;
 any other call (no arguments, ``-h`` or an unknown name) builds all of them.
 Settings come from an optional JSON config file overridden by command-line
-flags; the file may set the experiment's flags plus the fields declared
-without a help line, and any other key is a configuration error.  Unset
-fields take the experiment's defaults.  Every run writes its data files plus
-a manifest JSON, recording the resolved config, into the output directory.
+flags; the file may set ``out``, ``seed`` and the fields of the entry, and any
+other key is a configuration error.  Unset fields take the entry's defaults.
+Every run writes its data files plus a manifest JSON, recording the settings
+the run read, into the output directory.
 Exit codes: 0 on success, 2 on configuration errors and unwritable output,
 3 on numerical failures.
 """
@@ -20,16 +22,18 @@ import argparse
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
 from .errors import HugError
 from .experiments import EXPERIMENTS, RUNNERS, SETTINGS, ConfigError, ExperimentConfig
-from .output import ManifestTimer, write_manifest
+from .output import write_manifest
 
-def _flags(name: str) -> tuple[str, ...]:
-    """The config fields experiment ``name`` takes as flags besides ``--config``."""
-    return ("out", "seed", *EXPERIMENTS[name].flags)
+
+def _keys(name: str) -> tuple[str, ...]:
+    """The config fields experiment ``name`` reads: ``out``, ``seed`` and its entry's."""
+    return ("out", "seed", *EXPERIMENTS[name].settings)
 
 
 def build_parser(only: str | None = None) -> argparse.ArgumentParser:
@@ -46,8 +50,10 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     for name in EXPERIMENTS if only is None else (only,):
         p = sub.add_parser(name, help=EXPERIMENTS[name].help)
         p.add_argument("--config", help="JSON config file; flags override its keys")
-        for key in _flags(name):
+        for key in _keys(name):
             kind, help_line = SETTINGS[key]["kind"], SETTINGS[key]["help"]
+            if help_line is None:
+                continue
             how = dict(action="store_true", default=None) if kind is bool else dict(type=kind)
             p.add_argument("--" + key.replace("_", "-"), dest=key, help=help_line, **how)
     return parser
@@ -65,8 +71,7 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"config file is not readable JSON: {exc}") from exc
         if not isinstance(settings, dict):
             raise ConfigError("config file must hold a JSON object")
-        file_only = {key for key, setting in SETTINGS.items() if setting["help"] is None}
-        unread = set(settings) - file_only - set(_flags(args.experiment))
+        unread = set(settings) - set(_keys(args.experiment))
         if unread:
             raise ConfigError(
                 f"bad config key(s) for {args.experiment}: {', '.join(sorted(unread))}"
@@ -92,17 +97,12 @@ def main(argv: list[str] | None = None) -> int:
         # An overflow reads +-inf, and inf * 0 or inf - inf after it reads NaN;
         # the finiteness checks turn both into a rejection or exit 3, so
         # numpy's warnings would only repeat them.
-        with ManifestTimer() as timer, np.errstate(over="ignore", invalid="ignore"):
+        start = time.perf_counter()
+        with np.errstate(over="ignore", invalid="ignore"):
             summary = runner(config)
+        wall_time_s = time.perf_counter() - start
         manifest_path = f"{config.out}/{config.experiment}.manifest.json"
-        write_manifest(
-            manifest_path,
-            config.experiment,
-            config.echo(),
-            config.seed,
-            timer.wall_time_s,
-            summary=summary,
-        )
+        write_manifest(manifest_path, config.echo(), wall_time_s, summary)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,13 +1,16 @@
 """Experiment drivers behind the command-line interface.
 
-:data:`EXPERIMENTS` lists every experiment with its help line, runner, the
-config fields it takes as flags, and its defaults; :data:`RUNNERS` maps each
-name to its runner.  The fields of :class:`ExperimentConfig` declare each
-setting's kind, bound and flag help once; the config checks, the CLI flags and
-the config-file keys all read them (:data:`SETTINGS`).  Each ``run_*``
-function takes an :class:`ExperimentConfig` resolved against the experiment
-table, writes its data files (CSV with schema headers) under ``config.out``,
-and returns a summary dict that the CLI folds into the run manifest.
+:data:`EXPERIMENTS` lists every experiment with its help line, runner and
+``settings``: each config field the experiment reads, with its default.  That
+entry alone decides the experiment's flags, the config-file keys it accepts,
+the defaults of its unset fields and the ``config`` block of its manifest;
+:data:`RUNNERS` maps each name to its runner.  The fields of
+:class:`ExperimentConfig` declare each setting's kind, bound and flag help
+once, and the config checks and the CLI flags read them (:data:`SETTINGS`).
+Each ``run_*`` function takes an :class:`ExperimentConfig` resolved against
+the experiment table, writes its data files (CSV with schema headers) under
+``config.out``, and returns a summary dict that the CLI folds into the run
+manifest.
 Replicated studies draw every replicate's velocity up front, each from its own
 child of the root seed, and then step all replicates together as rows of one
 array with :func:`~hugint.integrator.hug_step_rows`, whose rows have the bits
@@ -20,7 +23,7 @@ from __future__ import annotations
 import copy
 import numbers
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -69,15 +72,17 @@ class ConfigError(Exception):
 def _setting(kind: type | None, help: str | None = None, default=None, *,
              minimum: int | None = None, positive: bool = False):
     """A config field with its kind (int, float, bool, str; None: its runner checks it),
-    bound (integer minimum, or positive and finite) and flag help (None: file-only key)."""
+    bound (integer minimum, or positive and finite) and flag help (None: no flag, a
+    config-file key only)."""
     metadata = {"kind": kind, "help": help, "minimum": minimum, "positive": positive}
     return field(default=default, metadata=metadata)
 
 
 @dataclass
 class ExperimentConfig:
-    """Experiment request; unset fields take the defaults in :data:`EXPERIMENTS`.
-    Each field's declaration is the one statement of its kind, bound and help."""
+    """Experiment request; unset fields take the defaults in the experiment's
+    ``settings`` entry of :data:`EXPERIMENTS`.  Each field's declaration is the
+    one statement of its kind, bound and help."""
 
     experiment: str
     out: str = _setting(str, "output directory (default: current directory)", ".")
@@ -90,12 +95,11 @@ class ExperimentConfig:
     t_end: float | None = _setting(float, "time horizon", positive=True)
     # the ECDF stderr needs two replicates
     replicates: int | None = _setting(int, "replicate count for sampled studies", minimum=2)
-    full_scale: bool = _setting(bool, "use publication-scale replicate and step counts", False)
+    full_scale: bool | None = _setting(bool, "use publication-scale replicate and step counts")
     iterations: int | None = _setting(int, "chain length", minimum=1)
     walk_scale: float | None = _setting(
         float, "random-walk proposal scale (interleaved move)", positive=True
     )
-    velocity_sigma: float = _setting(float, default=1.0, positive=True)
     h: float | None = _setting(float, "threshold in [0, 1]")
     dim: int | None = _setting(int, "ambient dimension")
 
@@ -125,13 +129,16 @@ class ExperimentConfig:
             if setting["positive"] and not (value > 0.0 and np.isfinite(value)):
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
         spec = EXPERIMENTS[self.experiment]
-        defaults = {**spec.defaults, **(spec.full_scale_defaults if self.full_scale else {})}
+        defaults = {**spec.settings, **(spec.full_scale_defaults if self.full_scale else {})}
         for name, value in defaults.items():
             if getattr(self, name) is None:
                 setattr(self, name, copy.deepcopy(value))
 
     def echo(self) -> dict:
-        return asdict(self)
+        """The manifest's record: the experiment, ``out``, ``seed`` and the
+        fields the experiment reads; None marks a value worked out from the data."""
+        keys = ("experiment", "out", "seed", *EXPERIMENTS[self.experiment].settings)
+        return {key: getattr(self, key) for key in keys}
 
 
 #: Each setting's declaration (kind, help, minimum, positive), by field name.
@@ -556,6 +563,8 @@ def run_sphere_tail(config: ExperimentConfig) -> dict:
         probability = sphere_tail_probability(config.h, config.dim)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    except OverflowError:  # from 0.5 * (dim - 1)
+        raise ConfigError("dim is too large for a float") from None
     write_csv(
         os.path.join(config.out, "sphere_tail.csv"),
         "sphere-tail/1",
@@ -574,9 +583,9 @@ def run_chain(config: ExperimentConfig) -> dict:
     x0 = _config_vector(config, "x0", n) if config.x0 is not None else np.eye(n)[0]
     params = HugParams(step_size=config.delta, steps=config.steps)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    velocity = IsotropicGaussian(dim=n, sigma=config.velocity_sigma)
     chain = run_sampling_chain(
-        constraint, x0, params, velocity, rng, config.iterations, walk_scale=config.walk_scale
+        constraint, x0, params, IsotropicGaussian(dim=n), rng, config.iterations,
+        walk_scale=config.walk_scale,
     )
 
     write_csv(
@@ -606,66 +615,67 @@ def run_chain(config: ExperimentConfig) -> dict:
 
 @dataclass(frozen=True)
 class Experiment:
-    """One subcommand: its help line, its runner, the config fields it takes
-    as flags (besides ``--config``, ``--out`` and ``--seed``), the defaults of
-    unset fields and, under ``full_scale``, the defaults that replace them."""
+    """One subcommand: its help line, its runner, ``settings`` (every config
+    field it reads besides ``out`` and ``seed``, mapped to its default, or to
+    None when it has none) and, under ``full_scale``, the defaults that replace
+    some of them.  Its flags are the settings with a help line; its config
+    file may set any of them."""
 
     help: str
     runner: Callable[[ExperimentConfig], dict]
-    flags: tuple[str, ...] = ()
-    defaults: dict = field(default_factory=dict)
+    settings: dict = field(default_factory=dict)
     full_scale_defaults: dict = field(default_factory=dict)
 
 
 _BENCH_CONSTRAINT = {"kind": "quadric", "diag": BENCH_DIAG}
 _BENCH_START = {"constraint": _BENCH_CONSTRAINT, "x0": BENCH_X0, "v0": BENCH_V0}
-_REPLICATED_FLAGS = ("delta", "steps", "replicates", "full_scale")
+_REPLICATED = {"delta": 0.01, "full_scale": False}
 
 EXPERIMENTS = {
     "table1": Experiment(
         "one- and two-step position errors of the benchmark per step size",
         run_table1,
-        defaults=_BENCH_START,
+        settings=_BENCH_START,
     ),
     "convergence": Experiment(
         "fitted convergence orders (one-step, two-step, global)",
         run_convergence,
-        flags=("t_end",), defaults={**_BENCH_START, "t_end": 1.0},
+        settings={**_BENCH_START, "t_end": 1.0},
     ),
     "phase-portrait": Experiment(
         "classified grid of reduced ellipse trajectories",
         run_phase_portrait,
-        flags=("t_end",), defaults={"constraint": _BENCH_CONSTRAINT, "t_end": 6.0},
+        settings={"constraint": _BENCH_CONSTRAINT, "t_end": 6.0},
     ),
     "foldback": Experiment(
         "discrete fold-back trajectory vs. the flow it shadows",
         run_foldback,
-        flags=("delta", "steps"),
-        defaults={"constraint": _BENCH_CONSTRAINT, "x0": FOLDBACK_X0, "v0": FOLDBACK_V0,
+        settings={"constraint": _BENCH_CONSTRAINT, "x0": FOLDBACK_X0, "v0": FOLDBACK_V0,
                   "delta": FOLDBACK_DELTA, "steps": FOLDBACK_STEPS},
     ),
     "ellipsoid": Experiment(
         "d_max scatter/ECDF over random unit velocities on an ellipsoid",
         run_ellipsoid,
-        flags=("dim", *_REPLICATED_FLAGS),
-        defaults={"dim": 3, "delta": 0.01, "steps": 1000, "replicates": 1000},
+        # no constraint: the preset of dim; no x0: e1
+        settings={"constraint": None, "x0": None, "dim": 3, **_REPLICATED,
+                  "steps": 1000, "replicates": 1000},
         full_scale_defaults={"steps": 10000, "replicates": 10000},
     ),
     "ecdf": Experiment(
         "matched-step d_max ECDF comparison between the 3-D and 6-D presets",
         run_ecdf,
-        flags=_REPLICATED_FLAGS,
-        defaults={"delta": 0.01, "steps": 100, "replicates": 500},
+        settings={**_REPLICATED, "steps": 100, "replicates": 500},
         full_scale_defaults={"steps": 1000, "replicates": 10000},
     ),
     "sphere-tail": Experiment(
-        "tail probability of |u.v| for v uniform on a sphere", run_sphere_tail, flags=("h", "dim")
+        "tail probability of |u.v| for v uniform on a sphere",
+        run_sphere_tail,
+        settings={"h": None, "dim": None},
     ),
     "chain": Experiment(
         "sampling chain on a Gaussian target with interleaved random walks",
         run_chain,
-        flags=("delta", "steps", "iterations", "walk_scale"),
-        defaults={"constraint": _BENCH_CONSTRAINT, "delta": 0.1, "steps": 10,
+        settings={"constraint": _BENCH_CONSTRAINT, "x0": None, "delta": 0.1, "steps": 10,
                   "iterations": 20000, "walk_scale": 0.5},
     ),
 }

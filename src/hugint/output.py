@@ -5,15 +5,14 @@ followed by a plain header row, so downstream readers can detect layout
 changes.  Floats are written with ``repr``, which is the shortest
 round-trippable form: a rerun with the same config and seed produces
 byte-identical files.  Each experiment also writes a ``*.manifest.json``
-next to its data recording the resolved config, seed, package version, and
-wall time.
+next to its data recording the settings the run read, seed, package
+version, and wall time.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -61,39 +60,20 @@ def read_csv(path: str) -> tuple[str, list[str], list[list[str]]]:
     return schema, header, rows
 
 
-class ManifestTimer:
-    """Context manager measuring wall time for the manifest."""
-
-    def __enter__(self):
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.wall_time_s = time.perf_counter() - self._start
-        return False
-
-
-def write_manifest(
-    path: str,
-    experiment: str,
-    config: dict,
-    seed: int,
-    wall_time_s: float,
-    summary: dict | None = None,
-) -> None:
-    """Write the run manifest next to the experiment's data files."""
+def write_manifest(path: str, config: dict, wall_time_s: float, summary: dict) -> None:
+    """Write the run manifest next to the experiment's data files; its
+    ``experiment`` and ``seed`` are those of the echoed ``config``."""
     from . import __version__
 
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     payload = {
-        "experiment": experiment,
+        "experiment": config["experiment"],
         "config": config,
-        "seed": seed,
+        "seed": config["seed"],
         "version": __version__,
         "wall_time_s": wall_time_s,
+        "summary": summary,
     }
-    if summary is not None:
-        payload["summary"] = summary
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
         fh.write("\n")

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from hugint.experiments import (
     BENCH_V0,
     BENCH_X0,
     EXPERIMENTS,
+    RUNNERS,
     SETTINGS,
     TABLE_DELTAS,
 )
@@ -109,13 +111,17 @@ _OUT_OF_RANGE = [
     (["convergence", "--t-end", "-1"], "t_end must be positive and finite"),
     (["sphere-tail", "--h", "2", "--dim", "3"], "h must lie in [0, 1]"),
     (["sphere-tail", "--dim", "1", "--h", "0.5"], "need dim >= 2"),
+    (["sphere-tail", "--dim", "1" + "0" * 400, "--h", "0.3"], "dim is too large for a float"),
     (["ellipsoid", "--dim", "4"], "no ellipsoid preset for dim=4"),
     (["table1", "--config", "missing.json"], "cannot read config file"),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, message", _OUT_OF_RANGE, ids=[f"{argv[0]}:{argv[1][2:]}" for argv, _ in _OUT_OF_RANGE]
+    "argv, message",
+    _OUT_OF_RANGE,
+    ids=[f"{argv[0]}:{argv[1][2:]}" + (f"-of-{len(argv[2])}-digits" if len(argv[2]) > 20 else "")
+         for argv, _ in _OUT_OF_RANGE],
 )
 def test_main_exit_2_on_out_of_range_setting(argv, message, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # where missing.json is missing
@@ -128,17 +134,18 @@ def test_main_exit_2_on_out_of_range_setting(argv, message, tmp_path, monkeypatc
 @pytest.mark.parametrize(
     "text, message",
     [
-        ('{"velocity_sigma": 0}', "velocity_sigma must be positive and finite"),
-        ('{"velocity_sigma": -1}', "velocity_sigma must be positive and finite"),
-        ('{"velocity_sigma": 1e400}', "velocity_sigma must be positive and finite"),
+        ('{"velocity_sigma": 0}', "bad config key(s) for chain: velocity_sigma"),
+        ('{"velocity_sigma": -1}', "bad config key(s) for chain: velocity_sigma"),
+        ('{"velocity_sigma": 1e400}', "bad config key(s) for chain: velocity_sigma"),
         ('{"walk_scale": -0.5}', "walk_scale must be positive and finite"),
         ('{"x0": [1, 2, 3]}', "x0 must have 2 entries"),
     ],
     ids=["sigma-zero", "sigma-negative", "sigma-overflow", "walk-scale-negative", "x0-shape"],
 )
 def test_main_exit_2_on_bad_chain_setting_in_config_file(text, message, tmp_path, capsys):
-    """A zero velocity scale would make every hug proposal a no-op, and a
-    start of the wrong dimension must not reach the integrator."""
+    """A start of the wrong dimension must not reach the integrator.  The chain
+    draws unit-scale velocities and reads no velocity scale: under its
+    norm-cancelling kernel a scale sigma only rescales delta."""
     config_file = tmp_path / "run.json"
     config_file.write_text(text)
     out = tmp_path / "out"
@@ -180,10 +187,21 @@ def test_load_config_rejects_unknown_key(tmp_path):
         (["table1"], {"replicates": 7, "workers": 3}),
         (["ellipsoid", "--replicates", "8"], {"workers": 2}),
         (["foldback"], {"experiment": "table1"}),
+        (["ecdf"], {"constraint": {"kind": "sphere", "dim": 3}}),
+        (["sphere-tail", "--h", "0.3", "--dim", "3"],
+         {"constraint": {"kind": "sphere", "dim": 3}, "x0": [1, 0, 0]}),
+        (["phase-portrait"], {"x0": [1, 0], "v0": [0, 1]}),
+        (["ellipsoid"], {"v0": [0, 1, 0]}),
+        (["chain"], {"v0": [0, 1]}),
+        (["table1"], {"velocity_sigma": 2.0}),
     ],
-    ids=["table1:replicates,workers", "ellipsoid:workers", "foldback:experiment"],
+    ids=["table1:replicates,workers", "ellipsoid:workers", "foldback:experiment",
+         "ecdf:constraint", "sphere-tail:constraint,x0", "phase-portrait:x0,v0",
+         "ellipsoid:v0", "chain:v0", "table1:velocity_sigma"],
 )
 def test_main_exit_2_on_config_key_the_experiment_does_not_read(argv, settings, tmp_path, capsys):
+    """A key outside the experiment's table entry would run on the defaults
+    and still be recorded in the manifest; it is a config error instead."""
     config_file = tmp_path / "run.json"
     config_file.write_text(json.dumps(settings))
     out = tmp_path / "out"
@@ -233,7 +251,7 @@ def _wrongly_typed(name: str) -> tuple[str, object, str]:
     """An experiment whose config file may set ``name``, a value of the wrong
     kind for it, and the start of the error it must raise."""
     kind = SETTINGS[name]["kind"]
-    experiment = next((e for e, spec in EXPERIMENTS.items() if name in spec.flags), "table1")
+    experiment = next((e for e, spec in EXPERIMENTS.items() if name in spec.settings), "table1")
     value = {str: 5, bool: "no"}.get(kind, "10")
     expected = "a number" if kind in (int, float) else f"a {kind.__name__}"
     return experiment, value, f"{name} must be {expected}, got {value!r}"
@@ -257,14 +275,15 @@ def test_main_exit_2_on_wrongly_typed_setting(name, tmp_path, monkeypatch, capsy
 
 def test_null_in_config_file_takes_the_default(tmp_path, monkeypatch, capsys):
     """A JSON null leaves its field unset, as an absent key does: as None,
-    ``out`` and ``velocity_sigma`` would raise in the runner and ``seed``
-    would leave the run unseeded."""
+    ``out`` and ``walk_scale`` would raise in the runner and ``seed`` would
+    leave the run unseeded.  A field with no default, such as the chain's
+    ``x0``, stays null in the manifest: the runner works it out."""
     monkeypatch.chdir(tmp_path)
-    settings = {"out": None, "seed": None, "velocity_sigma": None, "x0": None}
+    settings = {"out": None, "seed": None, "walk_scale": None, "x0": None}
     (tmp_path / "run.json").write_text(json.dumps(settings))
     assert main(["chain", "--iterations", "5", "--config", "run.json"]) == 0
     config = json.loads((tmp_path / "chain.manifest.json").read_text())["config"]
-    assert (config["out"], config["seed"], config["velocity_sigma"]) == (".", 0, 1.0)
+    assert (config["out"], config["seed"], config["walk_scale"], config["x0"]) == (".", 0, 0.5, None)
 
 
 @pytest.mark.parametrize(
@@ -364,10 +383,8 @@ def test_overflowing_gradient_is_a_singular_rejection_without_warning(tmp_path, 
     """At delta = 1e300 the first midpoint's gradient overflows: every chain
     proposal is rejected as singular and no floating-point warning escapes.
     At 1e308 the product A x overflows too, and with wide velocities the
-    midpoint itself does, so the gradient holds inf * 0 = NaN."""
-    for i, settings in enumerate(
-        [{"delta": 1e300}, {"delta": 1e308}, {"delta": 1e308, "velocity_sigma": 100.0}]
-    ):
+    midpoint itself does: ``test_sampling`` runs that case on the library."""
+    for i, settings in enumerate([{"delta": 1e300}, {"delta": 1e308}]):
         config_file = tmp_path / f"run{i}.json"
         config_file.write_text(json.dumps(settings))
         capsys.readouterr()
@@ -459,6 +476,41 @@ def test_main_runs_sphere_tail(tmp_path, capsys):
     assert manifest["experiment"] == "sphere-tail"
     assert manifest["seed"] == 0
     assert (tmp_path / "sphere_tail.csv").exists()
+
+
+def test_manifest_records_the_runner_wall_time(tmp_path, monkeypatch):
+    """``wall_time_s`` is the time the runner took, read around it by ``main``."""
+
+    def slow_runner(config):
+        time.sleep(0.01)
+        return {}
+
+    monkeypatch.setitem(RUNNERS, "sphere-tail", slow_runner)
+    assert main(["sphere-tail", "--h", "0.3", "--dim", "3", "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "sphere-tail.manifest.json").read_text())
+    assert 0.01 <= manifest["wall_time_s"] < 10.0
+
+
+#: Flags that make each experiment's run short; a manifest's keys do not depend on them.
+_SHORT_RUNS = {
+    "convergence": ["--t-end", "0.01"],
+    "phase-portrait": ["--t-end", "0.05"],
+    "ellipsoid": ["--steps", "2", "--replicates", "2"],
+    "ecdf": ["--steps", "2", "--replicates", "2"],
+    "sphere-tail": ["--h", "0.3", "--dim", "3"],
+    "chain": ["--iterations", "5"],
+}
+
+
+@pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+def test_manifest_config_holds_the_settings_the_experiment_reads(experiment, tmp_path):
+    """The manifest's ``config`` block records ``experiment``, ``out``,
+    ``seed`` and the fields of the experiment's table entry, and nothing else."""
+    argv = [experiment, *_SHORT_RUNS.get(experiment, []), "--out", str(tmp_path)]
+    assert main(argv) == 0
+    config = json.loads((tmp_path / f"{experiment}.manifest.json").read_text())["config"]
+    assert set(config) == {"experiment", "out", "seed", *EXPERIMENTS[experiment].settings}
+    assert config["experiment"] == experiment and config["out"] == str(tmp_path)
 
 
 def test_main_runs_convergence(tmp_path, capsys):

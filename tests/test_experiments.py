@@ -20,6 +20,7 @@ from hugint.experiments import (
     ELLIPSOID_DIAGS,
     EXPERIMENTS,
     RUNNERS,
+    SETTINGS,
     SHOWCASE_NORMAL_SPEEDS,
     ConfigError,
     ExperimentConfig,
@@ -56,10 +57,10 @@ def _subcommands(parser: argparse.ArgumentParser) -> dict:
 
 
 def test_experiment_table_scopes_cli_flags(monkeypatch):
-    """Each subcommand takes --config, --out, --seed and exactly the config
-    fields its table entry declares, both in the full parser and in the
-    one-subcommand parser that ``main`` builds for its name; the table's flags
-    and defaults are all config fields."""
+    """Each subcommand takes --config, --out, --seed and a flag for exactly
+    the fields of its table entry that have a help line, both in the full
+    parser and in the one-subcommand parser that ``main`` builds for its name;
+    the entry's settings are config fields, and so are its full-scale ones."""
     parser = build_parser()
     subcommands = _subcommands(parser)
     assert list(subcommands) == list(EXPERIMENTS) == list(RUNNERS)
@@ -73,14 +74,16 @@ def test_experiment_table_scopes_cli_flags(monkeypatch):
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     for name, experiment in EXPERIMENTS.items():
         assert RUNNERS[name] is experiment.runner
-        assert set(experiment.flags) <= fields
-        assert set(experiment.defaults) | set(experiment.full_scale_defaults) <= fields
+        assert set(experiment.full_scale_defaults) <= set(experiment.settings) <= fields
         with pytest.raises(SystemExit) as info:
             cli.main([name, "--help"])
         assert info.value.code == 0
         own = _subcommands(built.pop())
         assert list(own) == [name]
-        declared = {"--" + flag.replace("_", "-") for flag in experiment.flags}
+        declared = {
+            "--" + key.replace("_", "-")
+            for key in experiment.settings if SETTINGS[key]["help"] is not None
+        }
         for sub in (subcommands[name], own[name]):
             options = {opt for action in sub._actions for opt in action.option_strings}
             assert options - {"-h", "--help"} == {"--config", "--out", "--seed"} | declared, name

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import json
-import time
 
 import numpy as np
 import pytest
 
-from hugint.output import ManifestTimer, format_cell, read_csv, write_csv, write_manifest
+from hugint.output import format_cell, read_csv, write_csv, write_manifest
 from oracles import write_csv_reference
 
 
@@ -79,9 +78,7 @@ def test_manifest_contents(tmp_path):
     path = str(tmp_path / "run.manifest.json")
     write_manifest(
         path,
-        "demo",
-        {"seed": 3, "arr": np.array([1.0, 2.0]), "val": np.float64(0.25)},
-        seed=3,
+        {"experiment": "demo", "seed": 3, "arr": np.array([1.0, 2.0]), "val": np.float64(0.25)},
         wall_time_s=0.125,
         summary={"count": np.int64(4)},
     )
@@ -91,10 +88,5 @@ def test_manifest_contents(tmp_path):
     assert payload["config"]["val"] == 0.25
     assert payload["summary"]["count"] == 4
     assert payload["seed"] == 3
-    assert "version" in payload and "wall_time_s" in payload
-
-
-def test_manifest_timer_measures_wall_time():
-    with ManifestTimer() as timer:
-        time.sleep(0.01)
-    assert timer.wall_time_s >= 0.01
+    assert "version" in payload and payload["wall_time_s"] == 0.125
+    assert set(payload) == {"experiment", "config", "seed", "version", "wall_time_s", "summary"}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -275,6 +277,20 @@ def test_run_chain_bookkeeping_and_determinism():
     assert 0.0 <= a.hug_acceptance_rate <= 1.0
     assert a.walk_accepted is not None and 0.0 <= a.walk_acceptance_rate <= 1.0
     assert a.singular_rejections == 0
+
+
+def test_overflowing_midpoint_is_a_singular_rejection():
+    """At delta = 1e308 with velocities of scale 100 the midpoint x + (delta/2) v
+    itself overflows, so the gradient holds inf * 0 = NaN: every hug proposal
+    is rejected as singular.  Under the floating-point state the CLI runs in,
+    no warning escapes."""
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("error", RuntimeWarning)
+        chain = run_chain(
+            QuadricConstraint(np.diag([1.0, 4.0])), np.array([1.0, 0.0]), HugParams(1e308, 10),
+            IsotropicGaussian(dim=2, sigma=100.0), np.random.default_rng(0), 5, walk_scale=0.5,
+        )
+    assert chain.singular_rejections == 5 and not chain.hug_accepted.any()
 
 
 _BENCH_A = np.diag([1.0, 4.0])
