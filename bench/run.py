@@ -1,0 +1,180 @@
+"""Layer rows of the hug step, written as one JSON file.
+
+    python bench/run.py --out BENCH_<n>.json
+    python bench/run.py --before OTHER/src --before-label <commit> --out BENCH_<n>.json
+    python bench/run.py --quick --out bench.json
+
+Run from anywhere; it measures the package in this checkout's ``src/`` and,
+with ``--before``, the ``src/`` of another checkout beside it.  Each of
+``ROUNDS`` rounds measures every row in a fresh interpreter per source, BLAS
+pinned to one thread, the sources in alternating order; a row records the
+median over the rounds.  ``--quick`` is one round of short timings, to check
+that the script runs.
+
+Each row is the cost of one call or one step in µs, the best of ``timeit``
+repeats, and its ratio to ``perfbench/reference.py``'s ``small`` loop (about
+1 ms of small-array numpy calls, timed just before and just after the row).
+The ratio is what to compare across runs: on a shared host numpy code slows
+by up to 2x for seconds at a time, and the reference slows with it.  A row
+that the measured package cannot run (a function it does not have) records
+null.  The rows:
+
+- ``hug_step_rows``: one call on R = 14 rows of the 3-D ellipsoid preset,
+  all from e1, the replicated studies' shape (10 replicates, 4 showcase);
+- ``hug_steps_rows.step``: one step inside a ``hug_steps_rows`` stream on
+  the same rows;
+- ``scatter_study.step``: one step of ``experiments._scatter_study`` on the
+  same rows with its d_max bookkeeping, as the difference of two step counts;
+- ``hug_step``: one call on the 2-D benchmark quadric;
+- ``hug_steps.step``: one step inside a ``hug_steps`` stream on that quadric.
+
+The ``e2e`` group (each CLI experiment at desk defaults) is not measured yet
+and reads null.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import timeit
+from itertools import islice
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+ROUNDS = 7
+ROWS = ("hug_step_rows", "hug_steps_rows.step", "scatter_study.step", "hug_step", "hug_steps.step")
+
+
+def _best_us(fn, number: int, repeat: int, per_call: int = 1) -> float:
+    """Best of ``repeat`` timings of ``number`` calls, in µs per unit."""
+    return min(timeit.repeat(fn, number=number, repeat=repeat)) / (number * per_call) * 1e6
+
+
+def measure(quick: bool) -> dict:
+    """Every row of the ``hugint`` on ``sys.path``: {name: {"us", "ratio"} or None}."""
+    import numpy as np
+
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from reference import small
+
+    from hugint import integrator
+    from hugint.constraints import QuadricConstraint
+    from hugint.experiments import (
+        BENCH_DIAG, BENCH_V0, BENCH_X0, ELLIPSOID_DIAGS, SHOWCASE_NORMAL_SPEEDS,
+        ExperimentConfig, _scatter_study, uniform_sphere,
+    )
+
+    repeat, scale = (2, 0.05) if quick else (7, 1.0)
+    preset = QuadricConstraint(np.diag(ELLIPSOID_DIAGS[3]))
+    e1 = np.eye(3)[0]
+    rng = np.random.default_rng(0)
+    V = np.array([uniform_sphere(rng, 3) for _ in range(14)])
+    X = np.broadcast_to(e1, V.shape)
+    quadric = QuadricConstraint(np.diag(BENCH_DIAG))
+    x, v = np.array(BENCH_X0), np.array(BENCH_V0)
+    steps = max(10, int(2000 * scale))
+
+    def stream(make):
+        def run():
+            for _ in islice(make(), steps):
+                pass
+        return run
+
+    def study(k):
+        config = ExperimentConfig(experiment="ellipsoid", delta=0.01, steps=k, replicates=10)
+        return lambda: _scatter_study(preset, e1, config, 0, SHOWCASE_NORMAL_SPEEDS)
+
+    def scatter_step():
+        short, long = study(steps // 10), study(steps // 10 + steps)
+        return (_best_us(long, 1, repeat) - _best_us(short, 1, repeat)) / steps
+
+    rows_stream = getattr(integrator, "hug_steps_rows", None)
+    timers = {
+        "hug_step_rows": lambda: _best_us(
+            lambda: integrator.hug_step_rows(preset, X, V, 0.01), steps, repeat),
+        "hug_steps_rows.step": None if rows_stream is None else lambda: _best_us(
+            stream(lambda: rows_stream(preset, X, V, 0.01)), 1, repeat, steps),
+        "scatter_study.step": scatter_step,
+        "hug_step": lambda: _best_us(
+            lambda: integrator.hug_step(quadric, x, v, 0.1), 2 * steps, repeat),
+        "hug_steps.step": lambda: _best_us(
+            stream(lambda: integrator.hug_steps(quadric, x, v, 0.1)), 1, repeat, steps),
+    }
+    small_number = max(2, int(20 * scale))
+    result = {}
+    for name in ROWS:
+        if timers[name] is None:
+            result[name] = None
+            continue
+        before = _best_us(small, small_number, repeat)
+        us = timers[name]()
+        small_us = 0.5 * (before + _best_us(small, small_number, repeat))
+        result[name] = {"us": us, "ratio": us / small_us}
+    return result
+
+
+def _spawn(src: str, quick: bool) -> dict:
+    env = {**os.environ, **PINNED_ENV, "PYTHONPATH": src}
+    argv = [sys.executable, __file__, "--measure", *(["--quick"] if quick else [])]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _median_rows(rounds: list[dict]) -> dict:
+    return {
+        name: None if rounds[0][name] is None else {
+            key: statistics.median(r[name][key] for r in rounds) for key in ("us", "ratio")
+        }
+        for name in ROWS
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", help="JSON file to write")
+    parser.add_argument("--before", help="src/ of another checkout to measure beside it")
+    parser.add_argument("--before-label", default="before", help="what --before is, e.g. a commit")
+    parser.add_argument("--quick", action="store_true", help="one round of short timings")
+    parser.add_argument("--measure", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.measure:  # a child: the hugint on PYTHONPATH
+        print(json.dumps(measure(args.quick)))
+        return 0
+    if not args.out:
+        parser.error("--out is required")
+    sources = {"after": str(ROOT / "src"), **({"before": args.before} if args.before else {})}
+    rounds: dict[str, list[dict]] = {side: [] for side in sources}
+    for i in range(1 if args.quick else ROUNDS):
+        for side in (list(sources) if i % 2 else list(sources)[::-1]):
+            rounds[side].append(_spawn(sources[side], args.quick))
+    import numpy as np
+
+    medians = {side: _median_rows(rounds[side]) for side in ("before", "after") if side in rounds}
+    payload = {
+        "schema": "bench/1",
+        "provenance": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "nproc": len(os.sched_getaffinity(0)),
+            "blas_threads": PINNED_ENV["OPENBLAS_NUM_THREADS"],
+        },
+        "method": "per row: median over rounds of the best-of-repeats µs per call or step, "
+                  "and of its ratio to perfbench/reference.py's small loop",
+        "rounds": len(rounds["after"]),
+        "quick": args.quick,
+        "before_label": args.before_label if args.before else None,
+        "layer": {name: {side: medians[side][name] for side in medians} for name in ROWS},
+        "e2e": None,
+    }
+    Path(args.out).write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n", "utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

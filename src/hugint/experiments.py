@@ -13,9 +13,10 @@ the experiment table, writes its data files (CSV with schema headers) under
 manifest.
 Replicated studies draw every replicate's velocity up front, each from its own
 child of the root seed, and then step all replicates together as rows of one
-array with :func:`~hugint.integrator.hug_step_rows`, whose rows have the bits
-of single-trajectory steps, so a run is a single process and its output
-depends only on the config and the seed, not on the replicate count.
+array, taking their steps from one :func:`~hugint.integrator.hug_steps_rows`
+stream, whose rows have the bits of single-trajectory steps, so a run is a
+single process and its output depends only on the config and the seed, not on
+the replicate count.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import copy
 import numbers
 import os
 from dataclasses import dataclass, field, fields
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -39,7 +41,7 @@ from .ellipse import (
     to_reduced,
 )
 from .errors import DimensionError, StudyFailedError
-from .integrator import HugParams, PhaseState, hug_step_rows, hug_trajectory
+from .integrator import HugParams, PhaseState, hug_steps_rows, hug_trajectory
 from .output import write_csv
 from .projectors import unit_normal
 from .sampling import IsotropicGaussian, run_chain as run_sampling_chain
@@ -345,11 +347,13 @@ def run_phase_portrait(config: ExperimentConfig) -> dict:
         class_rows.append(
             (point_id, state.phi, state.p, result.kind, result.kappa, phi_min, phi_max)
         )
-    orbits = reduced_orbits(model, states, sample_times)
+    # Python floats, which write_csv formats with repr directly
+    orbits = reduced_orbits(model, states, sample_times).tolist()
+    times = sample_times.tolist()
     orbit_rows = [
         (point_id, t, phi, p)
         for point_id, orbit in enumerate(orbits)
-        for t, (phi, p) in zip(sample_times, orbit)
+        for t, (phi, p) in zip(times, orbit)
     ]
     write_csv(
         os.path.join(config.out, "portrait_classification.csv"),
@@ -392,16 +396,15 @@ def run_foldback(config: ExperimentConfig) -> dict:
         os.path.join(config.out, "foldback_steps.csv"),
         "foldback-steps/1",
         ["k", "t", "x1", "x2", "v1", "v2", "tangential_speed"],
-        (
-            (k, trajectory.times[k], *trajectory.xs[k], *trajectory.vs[k], tangential[k])
-            for k in range(config.steps + 1)
-        ),
+        ((k, *row) for k, row in enumerate(np.column_stack(
+            [trajectory.times, trajectory.xs, trajectory.vs, tangential]
+        ).tolist())),
     )
     write_csv(
         os.path.join(config.out, "foldback_flow.csv"),
         "foldback-flow/1",
         ["t", "x1", "x2", "v1", "v2"],
-        ((t, *flow.xs[i], *flow.vs[i]) for t, i in zip(dense_times, dense_rows)),
+        np.column_stack([dense_times, flow.xs[dense_rows], flow.vs[dense_rows]]).tolist(),
     )
     return {
         "classification": result.kind,
@@ -444,8 +447,11 @@ def _scatter_study(
     replicate fails.
 
     d_max is max_k ||x_k - x0|| over the hug trajectory from (x0, v), every
-    row stepped by :func:`~hugint.integrator.hug_step_rows`; a row that hits
-    singular geometry reads NaN.  The showcase velocities
+    row stepped by :func:`~hugint.integrator.hug_steps_rows`; a row that hits
+    singular geometry reads NaN.  The running maximum is kept squared, with one
+    square root at the end: ``np.linalg.norm`` along rows is
+    sqrt(add.reduce(D * D)), and sqrt is correctly rounded and monotone, so
+    this is the maximum of the norms bit for bit.  The showcase velocities
     (:func:`_showcase_velocity` of each normal speed) ride as extra rows of
     the same pass; they count neither as replicates nor as failures.
     """
@@ -460,10 +466,11 @@ def _scatter_study(
     showcase = [_showcase_velocity(q, x0, s) for s in showcase_speeds]
     V = np.array([*V0, *showcase])
     X = np.broadcast_to(x0, V.shape)
-    d_all = np.zeros(len(V))
-    for _ in range(config.steps):
-        X, V = hug_step_rows(constraint, X, V, config.delta)
-        d_all = np.maximum(d_all, np.linalg.norm(X - x0, axis=1))
+    d2 = np.zeros(len(V))
+    for X, _ in islice(hug_steps_rows(constraint, X, V, config.delta), config.steps):
+        D = X - x0
+        np.maximum(d2, np.add.reduce(D * D, axis=1), out=d2)
+    d_all = np.sqrt(d2)
     d_max, d_showcase = d_all[: len(V0)], d_all[len(V0):]
     failed = int(np.sum(~np.isfinite(d_max)))
     if failed == d_max.size:
@@ -475,10 +482,14 @@ def run_ellipsoid(config: ExperimentConfig) -> dict:
     """Scatter of (||v_perp(0)||, d_max) over random velocities, plus ECDF."""
     if config.constraint is not None:
         constraint = build_constraint(config.constraint)
+        if config.dim is not None and config.dim != constraint.ambient_dim:
+            raise ConfigError(f"dim={config.dim} disagrees with the constraint's dimension "
+                              f"{constraint.ambient_dim}; leave dim unset")
     else:
-        if config.dim not in ELLIPSOID_DIAGS:
-            raise ConfigError(f"no ellipsoid preset for dim={config.dim}; pass a constraint")
-        constraint = QuadricConstraint(np.diag(ELLIPSOID_DIAGS[config.dim]))
+        dim = 3 if config.dim is None else config.dim
+        if dim not in ELLIPSOID_DIAGS:
+            raise ConfigError(f"no ellipsoid preset for dim={dim}; pass a constraint")
+        constraint = QuadricConstraint(np.diag(ELLIPSOID_DIAGS[dim]))
     n = constraint.ambient_dim
     x0 = _config_vector(config, "x0", n) if config.x0 is not None else np.eye(n)[0]
     showcase_speeds = SHOWCASE_NORMAL_SPEEDS if n >= 3 and config.x0 is None else ()
@@ -490,14 +501,14 @@ def run_ellipsoid(config: ExperimentConfig) -> dict:
         os.path.join(config.out, "ellipsoid_scatter.csv"),
         "ellipsoid-scatter/1",
         ["replicate", "v_perp_norm", "d_max"],
-        zip(range(config.replicates), v_perp, d_max),
+        zip(range(config.replicates), v_perp.tolist(), d_max.tolist()),
     )
     fractions, probs = ecdf_points(d_max[ok])
     write_csv(
         os.path.join(config.out, "ellipsoid_ecdf.csv"),
         "ellipsoid-ecdf/1",
         ["d_max_fraction", "cumulative_probability"],
-        zip(fractions, probs),
+        zip(fractions.tolist(), probs.tolist()),
     )
     correlation = spearman_rho(v_perp[ok], d_max[ok])
 
@@ -516,7 +527,7 @@ def run_ellipsoid(config: ExperimentConfig) -> dict:
             os.path.join(config.out, "ellipsoid_showcase.csv"),
             "ellipsoid-showcase/1",
             ["v_perp_norm", "d_max"],
-            zip(SHOWCASE_NORMAL_SPEEDS, showcase),
+            zip(SHOWCASE_NORMAL_SPEEDS, showcase.tolist()),
         )
         summary["showcase_d_max"] = showcase.tolist()
     return summary
@@ -538,7 +549,7 @@ def run_ecdf(config: ExperimentConfig) -> dict:
             os.path.join(config.out, f"ecdf_n{dim}.csv"),
             "ellipsoid-ecdf/1",
             ["d_max_fraction", "cumulative_probability"],
-            zip(fractions, probs),
+            zip(fractions.tolist(), probs.tolist()),
         )
         mean = float(fractions.mean())
         stderr = float(fractions.std(ddof=1) / np.sqrt(fractions.size))
@@ -656,8 +667,8 @@ EXPERIMENTS = {
     "ellipsoid": Experiment(
         "d_max scatter/ECDF over random unit velocities on an ellipsoid",
         run_ellipsoid,
-        # no constraint: the preset of dim; no x0: e1
-        settings={"constraint": None, "x0": None, "dim": 3, **_REPLICATED,
+        # no constraint: the preset of dim, and no dim: 3; no x0: e1
+        settings={"constraint": None, "x0": None, "dim": None, **_REPLICATED,
                   "steps": 1000, "replicates": 1000},
         full_scale_defaults={"steps": 10000, "replicates": 10000},
     ),

@@ -28,9 +28,10 @@ of step k + 1, y = x_k + h v_k.  :func:`hug_step` is its first step.
 :func:`hug_trajectory` takes K steps from the stream and records positions,
 velocities, midpoints and levels for analysis; the Metropolis kernel in
 :mod:`hugint.sampling` takes K too but keeps only the final state.
-:func:`hug_step_rows` is the same codim-1 step on each row of a stack of
-states, with each row's bits those of :func:`hug_step` however many rows
-share the stack; the replicated studies step their replicates with it.
+:func:`hug_steps_rows` is the same codim-1 stream on each row of a stack
+of states, with each row's bits those of :func:`hug_steps` however many rows
+share the stack; the replicated studies step their replicates with it, and
+:func:`hug_step_rows` is its first step.
 """
 
 from __future__ import annotations
@@ -160,22 +161,25 @@ def hug_step(
     """Advance (x, v) by one step of size delta; returns (x', v').
 
     The first step of :func:`hug_steps`; the replicated studies step with
-    its rows form, :func:`hug_step_rows`.
+    its rows form, :func:`hug_steps_rows`.
     """
     return next(hug_steps(constraint, x, v, delta))
 
 
-def hug_step_rows(
+def hug_steps_rows(
     constraint: ConstraintMap, X: np.ndarray, V: np.ndarray, delta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`hug_step` on each row of X and V, shape (R, n), at codimension 1.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """:func:`hug_steps` on each row of X and V, shape (R, n), at codimension 1:
+    yields (X_k, V_k) for k = 1, 2, ...
 
-    Each row's result has the bits of :func:`hug_step` on that row alone:
+    Each row's result has the bits of :func:`hug_steps` on that row alone:
     the gradients come from the constraint's ``gradient_rows`` and the row
     dots from ``np.vecdot``, neither of which mixes rows.  A row whose
-    gradient is not finite or vanishes, where :func:`hug_step` would raise
+    gradient is not finite or vanishes, where :func:`hug_steps` would raise
     :class:`~hugint.errors.SingularGeometryError`, turns NaN without a
-    warning and stays NaN; the other rows carry on.
+    warning and stays NaN; the other rows carry on.  X and V are converted
+    and checked once, and h V_k is carried from step k to step k + 1, as in
+    :func:`hug_steps`.
     """
     X = np.asarray(X, dtype=float)
     V = np.asarray(V, dtype=float)
@@ -185,14 +189,30 @@ def hug_step_rows(
             f"rows, got codim {constraint.codim} and shapes {X.shape} and {V.shape}"
         )
     h = 0.5 * delta
-    Y = X + h * V
-    with np.errstate(over="ignore"):  # an overflowing gradient is a NaN row, as below
-        G = constraint.gradient_rows(Y)
-        gg = np.vecdot(G, G)
-    gg[~(np.isfinite(gg) & (gg > GRADIENT_FLOOR))] = np.nan
-    Q = G / np.sqrt(gg)[:, None]
-    V_new = V - Q * (2.0 * np.vecdot(Q, V))[:, None]
-    return Y + h * V_new, V_new
+    HV = h * V
+    while True:
+        Y = X + HV
+        # per step, not around the loop: a ``with`` spanning the yield would
+        # set the consumer's error state too
+        with np.errstate(over="ignore"):  # an overflowing gradient is a NaN row, as below
+            G = constraint.gradient_rows(Y)
+            gg = np.vecdot(G, G)
+        # a NaN fails the first test, so NaN rows take the mask; zero rows skip it
+        if not (GRADIENT_FLOOR < gg.min(initial=np.inf) and gg.max(initial=0.0) < np.inf):
+            gg[~(np.isfinite(gg) & (gg > GRADIENT_FLOOR))] = np.nan
+        Q = G / np.sqrt(gg)[:, None]
+        V = V - Q * (2.0 * np.vecdot(Q, V))[:, None]
+        HV = h * V
+        X = Y + HV
+        yield X, V
+
+
+def hug_step_rows(
+    constraint: ConstraintMap, X: np.ndarray, V: np.ndarray, delta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`hug_step` on each row of X and V, shape (R, n), at codimension 1;
+    the first step of :func:`hug_steps_rows`."""
+    return next(hug_steps_rows(constraint, X, V, delta))
 
 
 def hug_trajectory(

@@ -6,6 +6,7 @@ import numpy as np
 
 from hugint.constraints import (
     AffineConstraint,
+    CallableConstraint,
     QuadricConstraint,
     SphereConstraint,
     SphereSlicedConstraint,
@@ -53,3 +54,15 @@ def random_run(kind: str, rng: np.random.Generator):
     delta = float(rng.uniform(0.02, 0.1))
     steps = int(rng.integers(5, 26))
     return constraint, x0, v0, delta, steps
+
+
+def fenced_ellipsoid(fence: float) -> CallableConstraint:
+    """The 3-D ellipsoid preset f(x) = -x^T diag(1, 4, 3) x as a callable map
+    whose gradient vanishes where x_2 > fence, so that a trajectory crossing
+    the fence turns singular mid-run."""
+    d = np.array([1.0, 4.0, 3.0])
+
+    def jac(x):
+        return np.zeros((1, 3)) if x[1] > fence else (-2.0 * d * x)[None, :]
+
+    return CallableConstraint(3, 1, fn=lambda x: np.array([-((d * x) @ x)]), jac=jac)

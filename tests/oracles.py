@@ -18,9 +18,12 @@ divergence, the per-step-size convergence loop, the integrated extreme of a
 libration, the reduced derivative at a state and the equilibria of the
 reduced system.
 
-Five are earlier forms of package code that now runs another way, kept to
+Seven are earlier forms of package code that now runs another way, kept to
 hold it to the same bits or bytes: the one-call step (``step_reference``)
-against the step stream, a sampling chain written out move by move on it
+against the step stream, the one-call rows step (``step_rows_reference``)
+against the rows stream, the scatter study stepped one call at a time with
+each step's row norms taken by ``np.linalg.norm`` (``scatter_reference``)
+against ``_scatter_study``, a sampling chain written out move by move on it
 (``chain_reference``) against ``run_chain``, the cell-by-cell CSV writer
 (``write_csv_reference``) against ``write_csv``, and the bundle with its
 column signs fixed so that diag(R) > 0 (``signed_bundle``), with the flow
@@ -38,9 +41,10 @@ import numpy as np
 from hugint.constraints import ConstraintMap
 from hugint.dynamics import checked_solve, phase_field, reference_solve
 from hugint.ellipse import EllipseModel, ReducedState, reduced_field, reduced_solve
-from hugint.errors import SingularGeometryError
+from hugint.errors import DimensionError, SingularGeometryError, StudyFailedError
+from hugint.experiments import ExperimentConfig, _showcase_velocity, uniform_sphere
 from hugint.integrator import HugParams, PhaseState, hug_step
-from hugint.projectors import build_bundle, normal_qr, unit_normal
+from hugint.projectors import GRADIENT_FLOOR, build_bundle, normal_qr, unit_normal
 
 
 def dense_projectors(constraint: ConstraintMap, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -140,6 +144,61 @@ def step_reference(
         Q, _ = normal_qr(constraint, y)
         v_new = v - 2.0 * (Q @ (Q.T @ v))
     return y + h * v_new, v_new
+
+
+def step_rows_reference(
+    constraint: ConstraintMap, X: np.ndarray, V: np.ndarray, delta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """One rows step as one call, recomputing h V from V and masking the
+    singular rows on every step; each step of
+    :func:`~hugint.integrator.hug_steps_rows` must agree with it bit for bit,
+    NaN rows included."""
+    X = np.asarray(X, dtype=float)
+    V = np.asarray(V, dtype=float)
+    if constraint.codim != 1 or X.shape != V.shape or X.shape[1:] != (constraint.ambient_dim,):
+        raise DimensionError(
+            f"hug_step_rows needs a codimension-1 map and (R, {constraint.ambient_dim}) "
+            f"rows, got codim {constraint.codim} and shapes {X.shape} and {V.shape}"
+        )
+    h = 0.5 * delta
+    Y = X + h * V
+    with np.errstate(over="ignore"):  # an overflowing gradient is a NaN row, as below
+        G = constraint.gradient_rows(Y)
+        gg = np.vecdot(G, G)
+    gg[~(np.isfinite(gg) & (gg > GRADIENT_FLOOR))] = np.nan
+    Q = G / np.sqrt(gg)[:, None]
+    V_new = V - Q * (2.0 * np.vecdot(Q, V))[:, None]
+    return Y + h * V_new, V_new
+
+
+def scatter_reference(
+    constraint: ConstraintMap,
+    x0: np.ndarray,
+    config: ExperimentConfig,
+    seed: int,
+    showcase_speeds: tuple[float, ...] = (),
+) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """``experiments._scatter_study`` stepped by :func:`step_rows_reference`,
+    with the running maximum kept over ``np.linalg.norm`` of each step's
+    rows; the study must return the same four results bit for bit."""
+    V0 = np.array([
+        uniform_sphere(np.random.default_rng(child), x0.size)
+        for child in np.random.SeedSequence(seed).spawn(config.replicates)
+    ])
+    q = unit_normal(constraint, x0)
+    v_perp = np.abs(np.vecdot(V0, q))
+    showcase = [_showcase_velocity(q, x0, s) for s in showcase_speeds]
+    V = np.array([*V0, *showcase])
+    X = np.broadcast_to(x0, V.shape)
+    d_all = np.zeros(len(V))
+    for _ in range(config.steps):
+        X, V = step_rows_reference(constraint, X, V, config.delta)
+        d_all = np.maximum(d_all, np.linalg.norm(X - x0, axis=1))
+    d_max, d_showcase = d_all[: len(V0)], d_all[len(V0):]
+    failed = int(np.sum(~np.isfinite(d_max)))
+    if failed == d_max.size:
+        raise StudyFailedError(f"all {failed} replicates hit singular or non-finite geometry")
+    return v_perp, d_max, failed, d_showcase
 
 
 def chain_reference(

@@ -379,6 +379,30 @@ def test_ellipsoid_study_runs_on_a_sphere(tmp_path, capsys):
     assert summary["dim"] == 4 and summary["failed_replicates"] == 0
 
 
+def test_ellipsoid_manifest_names_only_the_dimension_the_run_used(tmp_path, capsys):
+    """``dim`` picks the preset only when no constraint is given, so with a
+    constraint it is left unset (null in the manifest) or must agree with
+    the constraint's dimension: ``--dim 6`` beside a 4-D sphere exits 2."""
+    config_file = tmp_path / "run.json"
+    config_file.write_text(json.dumps(
+        {"constraint": {"kind": "sphere", "dim": 4}, "steps": 5, "replicates": 4}
+    ))
+    for flags, dim in [([], None), (["--dim", "4"], 4)]:
+        out = tmp_path / f"out{len(flags)}"
+        assert main(["ellipsoid", "--config", str(config_file), *flags, "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["summary"]["dim"] == 4
+        assert json.loads((out / "ellipsoid.manifest.json").read_text())["config"]["dim"] == dim
+    argv = ["ellipsoid", "--config", str(config_file), "--dim", "6", "--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+    assert "dim=6 disagrees with the constraint's dimension 4" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+    # no constraint: the preset of dim, 3 when dim is unset too
+    out = tmp_path / "preset"
+    assert main(["ellipsoid", "--steps", "2", "--replicates", "2", "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["dim"] == 3
+    assert json.loads((out / "ellipsoid.manifest.json").read_text())["config"]["dim"] is None
+
+
 def test_overflowing_gradient_is_a_singular_rejection_without_warning(tmp_path, capsys):
     """At delta = 1e300 the first midpoint's gradient overflows: every chain
     proposal is rejected as singular and no floating-point warning escapes.

@@ -25,6 +25,7 @@ from hugint.experiments import (
     ConfigError,
     ExperimentConfig,
     _average_ranks,
+    _scatter_study,
     _showcase_velocity,
     build_constraint,
     ecdf_points,
@@ -42,7 +43,8 @@ from hugint.experiments import (
 from hugint.integrator import HugParams, PhaseState, hug_trajectory
 from hugint.output import read_csv
 from hugint.projectors import build_bundle
-from oracles import dense_projectors
+from conftest import fenced_ellipsoid
+from oracles import dense_projectors, scatter_reference
 
 #: A quadric whose unit normal at x0 = e1 is not e1.
 TILTED_QUADRIC = [[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]]
@@ -392,6 +394,35 @@ def test_run_ellipsoid_rows_do_not_depend_on_the_replicate_count(tmp_path):
         showcase.append((out / "ellipsoid_showcase.csv").read_bytes())
     assert scatter[0] == scatter[1][: len(scatter[0])]
     assert showcase[0] == showcase[1]
+
+
+_SCATTER_CASES = {
+    "preset-3-showcase": (QuadricConstraint(np.diag(ELLIPSOID_DIAGS[3])), SHOWCASE_NORMAL_SPEEDS),
+    "preset-6": (QuadricConstraint(np.diag(ELLIPSOID_DIAGS[6])), ()),
+    "fenced": (fenced_ellipsoid(0.05), ()),
+}
+
+
+@pytest.mark.parametrize("case", _SCATTER_CASES)
+def test_scatter_study_is_bitwise_the_reference(case):
+    """The study takes its steps from one rows stream and keeps the running
+    maximum squared, with one square root at the end; all four results must
+    have the bits of ``oracles.scatter_reference``, which steps one call at a
+    time and takes each step's ``np.linalg.norm``.  On the fenced map the
+    rows that cross x_2 = 0.05 turn NaN mid-run and count as failed."""
+    constraint, showcase_speeds = _SCATTER_CASES[case]
+    x0 = np.eye(constraint.ambient_dim)[0]
+    config = ExperimentConfig(experiment="ellipsoid", delta=0.02, steps=40, replicates=16)
+    got = _scatter_study(constraint, x0, config, 7, showcase_speeds)
+    expected = scatter_reference(constraint, x0, config, 7, showcase_speeds)
+    assert got[2] == expected[2]
+    for a, b in zip(got[:2] + got[3:], expected[:2] + expected[3:], strict=True):
+        assert np.array_equal(a, b, equal_nan=True)
+    assert len(got[3]) == len(showcase_speeds)
+    if case == "fenced":
+        assert 0 < got[2] < config.replicates
+    else:
+        assert got[2] == 0
 
 
 def test_run_ecdf_small(tmp_path):

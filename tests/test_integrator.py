@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import MAP_KINDS, random_run
+from conftest import MAP_KINDS, fenced_ellipsoid, random_run
 from hugint.constraints import QuadricConstraint, SphereConstraint, SphereSlicedConstraint
 from hugint.errors import DimensionError, SingularGeometryError
 from hugint.integrator import (
@@ -15,10 +15,11 @@ from hugint.integrator import (
     PhaseState,
     hug_step,
     hug_step_rows,
+    hug_steps_rows,
     hug_trajectory,
     level_drift_bound,
 )
-from oracles import eliminated_step
+from oracles import eliminated_step, step_rows_reference
 
 
 def test_phase_state_validation():
@@ -187,6 +188,44 @@ def test_hug_step_rows_overflowing_gradient_is_a_nan_row_without_warning(constra
     assert np.isnan(X_new[:2]).all() and np.isnan(V_new[:2]).all()
     x, v = hug_step(constraint, X[2], V[2], 0.1)
     assert np.array_equal(X_new[2], x) and np.array_equal(V_new[2], v)
+
+
+@pytest.mark.parametrize("stack", ["regular", "singular"])
+def test_rows_stream_is_bitwise_the_reference_step(stack):
+    """The k-th yield of ``hug_steps_rows`` has the bits of k chained one-call
+    rows steps, ``oracles.step_rows_reference``, NaN rows included.  In the
+    regular stack every row stays in the plane x_2 = 0, away from the fence,
+    so the stream never masks.  In the singular stack one row crosses the
+    fence at a step j > 1 and stays NaN after it, and g . g overflows on two
+    rows (the gradient itself on the second) from the first step; no
+    warning escapes, and numpy's error state is the caller's between yields."""
+    constraint = fenced_ellipsoid(0.2)
+    rng = np.random.default_rng(22)
+    X = rng.standard_normal((5, 3)) * [1.0, 0.0, 1.0]
+    X /= np.sqrt(np.vecdot(X * [1.0, 4.0, 3.0], X))[:, None]
+    V = rng.standard_normal((5, 3)) * [1.0, 0.0, 1.0]
+    if stack == "singular":
+        X = np.vstack([X, [1.0, 0.0, 0.0], [1e306, 0.0, 0.0], [1e308, 0.0, 0.0]])
+        V = np.vstack([V, [0.0, 0.5, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    errstate = np.geterr()
+    expected, Xr, Vr = [], X, V
+    for _ in range(12):
+        Xr, Vr = step_rows_reference(constraint, Xr, Vr, 0.1)
+        expected.append((Xr, Vr))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = []
+        for _, pair in zip(range(12), hug_steps_rows(constraint, X, V, 0.1)):
+            assert np.geterr() == errstate
+            got.append(pair)
+    for (Xs, Vs), (Xr, Vr) in zip(got, expected, strict=True):
+        assert np.array_equal(Xs, Xr, equal_nan=True) and np.array_equal(Vs, Vr, equal_nan=True)
+    finite = np.array([np.isfinite(Xs).all(axis=1) for Xs, _ in got])
+    assert finite[:, :5].all()
+    if stack == "singular":
+        crossing = np.flatnonzero(~finite[:, 5])
+        assert crossing[0] > 1 and np.array_equal(crossing, np.arange(crossing[0], 12))
+        assert not finite[:, 6:].any()
 
 
 def test_hug_step_rows_rejects_codim_2_and_mismatched_rows():

@@ -24,8 +24,8 @@ from hugint.constraints import (
     SphereSlicedConstraint,
 )
 from hugint.errors import SingularGeometryError
-from hugint.integrator import hug_step, hug_step_rows, hug_steps
-from oracles import bundle_step, step_reference
+from hugint.integrator import hug_step, hug_step_rows, hug_steps, hug_steps_rows
+from oracles import bundle_step, step_reference, step_rows_reference
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=30, deadline=None)
 
@@ -217,6 +217,27 @@ def test_stream_is_bitwise_the_reference_step(kind, seed, steps):
     assert len(got) == len(expected)
     for (xs, vs), (xr, vr) in zip(got, expected):
         assert np.array_equal(xs, xr) and np.array_equal(vs, vr)
+
+
+@pytest.mark.parametrize("kind", [kind for kind in STREAM_MAPS if STREAM_MAPS[kind].codim == 1])
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6), steps=st.integers(1, 12))
+def test_rows_stream_is_bitwise_the_reference_rows_step(kind, seed, rows, steps):
+    """``hug_steps_rows`` carries h V_k from one step to the next and skips
+    the NaN mask while every row is regular; each of K steps must still have
+    the bits of the one-call rows step, ``oracles.step_rows_reference``,
+    chained K times."""
+    constraint = STREAM_MAPS[kind]
+    n = constraint.ambient_dim
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((rows, n))
+    X /= np.linalg.norm(X, axis=1)[:, None]
+    V = rng.standard_normal((rows, n)) * rng.uniform(0.1, 10.0)
+    delta = rng.uniform(0.01, 0.2) / np.linalg.norm(V, axis=1).max()
+    Xr, Vr = X, V
+    for _, (Xs, Vs) in zip(range(steps), hug_steps_rows(constraint, X, V, delta)):
+        Xr, Vr = step_rows_reference(constraint, Xr, Vr, delta)
+        assert np.array_equal(Xs, Xr, equal_nan=True) and np.array_equal(Vs, Vr, equal_nan=True)
 
 
 def _sheared_map(codim: int, j: int) -> CallableConstraint:
