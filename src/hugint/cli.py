@@ -3,8 +3,8 @@
 Subcommands and their help lines come from the experiment table,
 :data:`hugint.experiments.EXPERIMENTS`.  Each subcommand takes ``--config``,
 ``--out`` and ``--seed`` plus a flag for each field of its entry's
-``settings`` that has a help line; each flag's type and help come from its
-field's declaration in :class:`~hugint.experiments.ExperimentConfig`.
+``settings`` that has a help line; each flag takes a value, of the type its
+field declares in :class:`~hugint.experiments.ExperimentConfig`, with its help.
 A call that names an experiment builds the parser of that subcommand only;
 any other call (no arguments, ``-h`` or an unknown name) builds all of them.
 Settings come from an optional JSON config file overridden by command-line
@@ -51,11 +51,9 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=EXPERIMENTS[name].help)
         p.add_argument("--config", help="JSON config file; flags override its keys")
         for key in _keys(name):
-            kind, help_line = SETTINGS[key]["kind"], SETTINGS[key]["help"]
-            if help_line is None:
-                continue
-            how = dict(action="store_true", default=None) if kind is bool else dict(type=kind)
-            p.add_argument("--" + key.replace("_", "-"), dest=key, help=help_line, **how)
+            if SETTINGS[key]["help"] is not None:
+                p.add_argument("--" + key.replace("_", "-"), dest=key,
+                               type=SETTINGS[key]["kind"], help=SETTINGS[key]["help"])
     return parser
 
 

@@ -250,7 +250,7 @@ class SphereSlicedConstraint(ConstraintMap):
     m > 1 code paths.
     """
 
-    def __init__(self, ambient_dim: int = 3):
+    def __init__(self, ambient_dim: int):
         if ambient_dim < 3:
             raise DimensionError("need ambient_dim >= 3")
         self.ambient_dim = ambient_dim

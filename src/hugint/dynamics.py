@@ -44,6 +44,8 @@ from .projectors import build_bundle
 REFERENCE_TOLERANCES = ((1e-12, 1e-14), (1e-13, 1e-15))
 #: Largest gap allowed between the two solves at any output time.
 REFERENCE_MAX_GAP = 1e-10
+#: Errors at or below this sit in roundoff and would corrupt an order fit.
+ROUNDOFF_FLOOR = 1e-12
 
 Field = Callable[[float, np.ndarray], np.ndarray]
 
@@ -154,15 +156,14 @@ class ConvergenceStudy:
         return fit_order(self.deltas, self.global_err)
 
 
-def fit_order(deltas: np.ndarray, errors: np.ndarray, floor: float = 1e-12) -> float:
+def fit_order(deltas: np.ndarray, errors: np.ndarray) -> float:
     """Least-squares slope of log(error) against log(delta).
 
-    Pairs with error below ``floor`` are dropped: they sit in roundoff and
-    would corrupt the fit.  Requires at least two usable pairs.
+    Pairs with error at or below :data:`ROUNDOFF_FLOOR` are dropped; two must remain.
     """
     deltas = np.asarray(deltas, dtype=float)
     errors = np.asarray(errors, dtype=float)
-    keep = errors > floor
+    keep = errors > ROUNDOFF_FLOOR
     if keep.sum() < 2:
         raise ValueError("need at least two error values above the roundoff floor")
     slope, _ = np.polyfit(np.log(deltas[keep]), np.log(errors[keep]), 1)

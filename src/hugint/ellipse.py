@@ -46,6 +46,8 @@ from .integrator import PhaseState
 
 #: Relative tolerance used to call a configuration a separatrix.
 SEPARATRIX_RTOL = 1e-12
+#: Largest |a x1^2 + b x2^2 - 1| of a point that counts as on the ellipse.
+LEVEL_SET_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -105,9 +107,7 @@ class EllipseModel:
         return (state.speed**2 - state.p**2) / float(self.mu(state.phi))
 
 
-def to_reduced(
-    model: EllipseModel, state: PhaseState, tol: float = 1e-10
-) -> tuple[ReducedState, float]:
+def to_reduced(model: EllipseModel, state: PhaseState) -> tuple[ReducedState, float]:
     """Map a Cartesian (x, v) on the level set to reduced coordinates.
 
     Returns the reduced state and the signed normal speed v . n(phi), which
@@ -116,14 +116,14 @@ def to_reduced(
     Raises
     ------
     OffLevelSetError
-        If -a x1^2 - b x2^2 differs from -1 by more than ``tol``.
+        If |a x1^2 + b x2^2 - 1| is NaN or exceeds :data:`LEVEL_SET_TOL`.
     """
     x, v = state.x, state.v
     if x.shape != (2,):
         raise DimensionError(f"the reduced model is two-dimensional, got shape {x.shape}")
     residual = abs(model.a * x[0] ** 2 + model.b * x[1] ** 2 - 1.0)
-    if residual > tol:
-        raise OffLevelSetError(x, residual, tol)
+    if not residual <= LEVEL_SET_TOL:  # a NaN residual fails this test too
+        raise OffLevelSetError(x, residual, LEVEL_SET_TOL)
     phi = model.angle_of(x)
     p = float(v @ model.unit_tangent(phi))
     normal_speed = float(v @ model.unit_normal(phi))
@@ -188,20 +188,20 @@ class Classification:
     turning_points: tuple[float, float] | None
 
 
-def classify(model: EllipseModel, state: ReducedState, rtol: float = SEPARATRIX_RTOL) -> Classification:
+def classify(model: EllipseModel, state: ReducedState) -> Classification:
     """Classify the trajectory through ``state`` using the first integral.
 
     Compares kappa * max(a, b) (the largest value c^2 - p^2 can reach) with
     c^2.  Strictly smaller means p never vanishes (rotation); strictly larger
-    means turning angles exist (libration); equality within ``rtol`` is the
-    separatrix.  Works for either ordering of a and b: swapping the two
+    means turning angles exist (libration); equality within :data:`SEPARATRIX_RTOL`
+    is the separatrix.  Works for either ordering of a and b: swapping the two
     coordinate axes maps the model with a > b onto one with a < b, and the
     criterion only involves the swap-invariant quantity max(a, b).
     """
     kappa = model.kappa(state)
     c2 = state.speed**2
     peak = kappa * max(model.a, model.b)
-    if abs(peak - c2) <= rtol * c2:
+    if abs(peak - c2) <= SEPARATRIX_RTOL * c2:
         return Classification(kind="separatrix", kappa=kappa, turning_points=None)
     if peak < c2:
         return Classification(kind="rotation", kappa=kappa, turning_points=None)

@@ -6,7 +6,8 @@ entry alone decides the experiment's flags, the config-file keys it accepts,
 the defaults of its unset fields and the ``config`` block of its manifest;
 :data:`RUNNERS` maps each name to its runner.  The fields of
 :class:`ExperimentConfig` declare each setting's kind, bound and flag help
-once, and the config checks and the CLI flags read them (:data:`SETTINGS`).
+once (:data:`SETTINGS`); the config checks and the CLI flags, each taking a
+value, read them.
 Each ``run_*`` function takes an :class:`ExperimentConfig` resolved against
 the experiment table, writes its data files (CSV with schema headers) under
 ``config.out``, and returns a summary dict that the CLI folds into the run
@@ -40,7 +41,7 @@ from .ellipse import (
     tangential_speed,
     to_reduced,
 )
-from .errors import DimensionError, StudyFailedError
+from .errors import DimensionError, OffLevelSetError, StudyFailedError
 from .integrator import HugParams, PhaseState, hug_steps_rows, hug_trajectory
 from .output import write_csv
 from .projectors import unit_normal
@@ -73,7 +74,7 @@ class ConfigError(Exception):
 
 def _setting(kind: type | None, help: str | None = None, default=None, *,
              minimum: int | None = None, positive: bool = False):
-    """A config field with its kind (int, float, bool, str; None: its runner checks it),
+    """A config field with its kind (int, float, str; None: its runner checks it),
     bound (integer minimum, or positive and finite) and flag help (None: no flag, a
     config-file key only)."""
     metadata = {"kind": kind, "help": help, "minimum": minimum, "positive": positive}
@@ -97,7 +98,6 @@ class ExperimentConfig:
     t_end: float | None = _setting(float, "time horizon", positive=True)
     # the ECDF stderr needs two replicates
     replicates: int | None = _setting(int, "replicate count for sampled studies", minimum=2)
-    full_scale: bool | None = _setting(bool, "use publication-scale replicate and step counts")
     iterations: int | None = _setting(int, "chain length", minimum=1)
     walk_scale: float | None = _setting(
         float, "random-walk proposal scale (interleaved move)", positive=True
@@ -130,9 +130,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be >= {setting['minimum']}, got {value}")
             if setting["positive"] and not (value > 0.0 and np.isfinite(value)):
                 raise ConfigError(f"{name} must be positive and finite, got {value}")
-        spec = EXPERIMENTS[self.experiment]
-        defaults = {**spec.settings, **(spec.full_scale_defaults if self.full_scale else {})}
-        for name, value in defaults.items():
+        for name, value in EXPERIMENTS[self.experiment].settings.items():
             if getattr(self, name) is None:
                 setattr(self, name, copy.deepcopy(value))
 
@@ -151,7 +149,7 @@ def build_constraint(spec: dict) -> ConstraintMap:
     """Build a constraint map from a config dict.
 
     Supported kinds: ``quadric`` (with ``diag`` or ``matrix``), ``sphere``
-    (with ``dim``), ``sliced`` (with ``dim``).
+    (with ``dim``), ``sliced`` (with ``dim``, 3 when it is left out).
     """
     if not isinstance(spec, dict):
         raise ConfigError(f"a constraint must be a JSON object, got {spec!r}")
@@ -375,6 +373,13 @@ def run_foldback(config: ExperimentConfig) -> dict:
     model = _ellipse_model(config)
     constraint = QuadricConstraint(np.diag([model.a, model.b]))
     initial = _config_start(config, constraint)
+    try:
+        reduced0, _ = to_reduced(model, initial)
+    except OffLevelSetError as exc:
+        if not np.isfinite(initial.x).all():  # a non-finite start is a numerical failure
+            raise
+        raise ConfigError(f"x0 must lie on the ellipse {model.a:g} x1^2 + {model.b:g} x2^2 = 1 "
+                          f"(residual {exc.residual:.3e}), got {config.x0!r}") from exc
     trajectory = hug_trajectory(constraint, initial, HugParams(config.delta, config.steps))
     tangential = np.array([tangential_speed(model, x, v) for x, v in zip(trajectory.xs, trajectory.vs)])
     signs = np.sign(tangential)
@@ -389,7 +394,6 @@ def run_foldback(config: ExperimentConfig) -> dict:
     step_rows = np.searchsorted(union, trajectory.times)
     tracking_gap = float(np.max(np.linalg.norm(trajectory.xs - flow.xs[step_rows], axis=1)))
 
-    reduced0, _ = to_reduced(model, initial)
     result = classify(model, reduced0)
 
     write_csv(
@@ -628,19 +632,17 @@ def run_chain(config: ExperimentConfig) -> dict:
 class Experiment:
     """One subcommand: its help line, its runner, ``settings`` (every config
     field it reads besides ``out`` and ``seed``, mapped to its default, or to
-    None when it has none) and, under ``full_scale``, the defaults that replace
-    some of them.  Its flags are the settings with a help line; its config
-    file may set any of them."""
+    None when it has none).  Its flags are the settings with a help line; its
+    config file may set any of them.  The paper's study sizes are flag values:
+    ``ellipsoid --steps 10000 --replicates 10000``, ``ecdf --steps 1000 --replicates 10000``."""
 
     help: str
     runner: Callable[[ExperimentConfig], dict]
     settings: dict = field(default_factory=dict)
-    full_scale_defaults: dict = field(default_factory=dict)
 
 
 _BENCH_CONSTRAINT = {"kind": "quadric", "diag": BENCH_DIAG}
 _BENCH_START = {"constraint": _BENCH_CONSTRAINT, "x0": BENCH_X0, "v0": BENCH_V0}
-_REPLICATED = {"delta": 0.01, "full_scale": False}
 
 EXPERIMENTS = {
     "table1": Experiment(
@@ -668,15 +670,13 @@ EXPERIMENTS = {
         "d_max scatter/ECDF over random unit velocities on an ellipsoid",
         run_ellipsoid,
         # no constraint: the preset of dim, and no dim: 3; no x0: e1
-        settings={"constraint": None, "x0": None, "dim": None, **_REPLICATED,
+        settings={"constraint": None, "x0": None, "dim": None, "delta": 0.01,
                   "steps": 1000, "replicates": 1000},
-        full_scale_defaults={"steps": 10000, "replicates": 10000},
     ),
     "ecdf": Experiment(
         "matched-step d_max ECDF comparison between the 3-D and 6-D presets",
         run_ecdf,
-        settings={**_REPLICATED, "steps": 100, "replicates": 500},
-        full_scale_defaults={"steps": 1000, "replicates": 10000},
+        settings={"delta": 0.01, "steps": 100, "replicates": 500},
     ),
     "sphere-tail": Experiment(
         "tail probability of |u.v| for v uniform on a sphere",

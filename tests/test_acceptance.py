@@ -119,6 +119,38 @@ def test_criterion_02_convergence_orders():
     )
 
 
+def _dense_quadric():
+    """A dense, non-diagonal SPD quadric at n = 6 with a unit-speed start, all drawn at seed 6."""
+    rng = np.random.default_rng(6)
+    M = rng.standard_normal((6, 6))
+    x0, v0 = rng.standard_normal((2, 6))
+    return QuadricConstraint(M @ M.T + np.eye(6)), PhaseState(x0, v0 / np.linalg.norm(v0))
+
+
+_BEYOND_THE_ELLIPSE = {
+    "dense-quadric-6": _dense_quadric,
+    "sliced-3": lambda: (SphereSlicedConstraint(3),
+                         PhaseState([0.73907151, 0.54626892, 0.39413414], [0.2, -0.4, 0.5])),
+    "sliced-4": lambda: (SphereSlicedConstraint(4),
+                         PhaseState([0.6, 0.5, 0.4, 0.3], [0.2, -0.4, 0.5, 0.1])),
+}
+
+
+@pytest.mark.parametrize("case", list(_BEYOND_THE_ELLIPSE))
+def test_criterion_02_orders_beyond_the_ellipse(case):
+    """Criterion 02's orders, in its ranges, away from n = 2 and m = 1: on a
+    dense quadric at n = 6 and on the codim-2 sliced sphere at n = 3 and 4."""
+    constraint, initial = _BEYOND_THE_ELLIPSE[case]()
+    study = convergence_study(constraint, initial, np.asarray(TABLE_DELTAS), horizon=1.0)
+    assert 1.8 <= study.one_step_order <= 2.2, f"{case}: one-step order {study.one_step_order}"
+    assert 2.6 <= study.two_step_order <= 3.4, f"{case}: two-step order {study.two_step_order}"
+    assert 1.8 <= study.global_order <= 2.2, f"{case}: global order {study.global_order}"
+    print(
+        f"criterion 02 ({case}): orders one={study.one_step_order:.3f} "
+        f"two={study.two_step_order:.3f} global={study.global_order:.3f}"
+    )
+
+
 def _fd_phase_det(constraint, x0, v0, delta, h=1e-5):
     n = x0.size
     z0 = np.concatenate([x0, v0])

@@ -93,9 +93,11 @@ def test_parser_scopes_flags_to_experiments(capsys):
         build_parser().parse_args(["table1", "--delta", "0.1"])
     with pytest.raises(SystemExit):
         build_parser().parse_args(["foldback", "--h", "0.5"])
-    with pytest.raises(SystemExit) as info:
-        build_parser().parse_args(["ellipsoid", "--workers", "2"])
-    assert info.value.code == 2
+    for argv in (["ellipsoid", "--workers", "2"], ["ellipsoid", "--full-scale"],
+                 ["ecdf", "--full-scale"]):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(argv)
+        assert info.value.code == 2, argv
     # main's one-subcommand parser prints the full parser's usage line
     code, err = _exit_code_and_stderr(["chain", "--bogus"], capsys)
     assert code == 2
@@ -194,10 +196,11 @@ def test_load_config_rejects_unknown_key(tmp_path):
         (["ellipsoid"], {"v0": [0, 1, 0]}),
         (["chain"], {"v0": [0, 1]}),
         (["table1"], {"velocity_sigma": 2.0}),
+        (["ellipsoid"], {"full_scale": True}),
     ],
     ids=["table1:replicates,workers", "ellipsoid:workers", "foldback:experiment",
          "ecdf:constraint", "sphere-tail:constraint,x0", "phase-portrait:x0,v0",
-         "ellipsoid:v0", "chain:v0", "table1:velocity_sigma"],
+         "ellipsoid:v0", "chain:v0", "table1:velocity_sigma", "ellipsoid:full_scale"],
 )
 def test_main_exit_2_on_config_key_the_experiment_does_not_read(argv, settings, tmp_path, capsys):
     """A key outside the experiment's table entry would run on the defaults
@@ -252,7 +255,7 @@ def _wrongly_typed(name: str) -> tuple[str, object, str]:
     kind for it, and the start of the error it must raise."""
     kind = SETTINGS[name]["kind"]
     experiment = next((e for e, spec in EXPERIMENTS.items() if name in spec.settings), "table1")
-    value = {str: 5, bool: "no"}.get(kind, "10")
+    value = 5 if kind is str else "10"
     expected = "a number" if kind in (int, float) else f"a {kind.__name__}"
     return experiment, value, f"{name} must be {expected}, got {value!r}"
 
@@ -262,8 +265,7 @@ def _wrongly_typed(name: str) -> tuple[str, object, str]:
 )
 def test_main_exit_2_on_wrongly_typed_setting(name, tmp_path, monkeypatch, capsys):
     """Every setting with a declared kind is checked before any runner starts:
-    ``{"out": 5}`` must not fail only after the run, and a truthy
-    ``{"full_scale": "no"}`` must not select the publication-scale study."""
+    ``{"out": 5}`` must not fail only after the run."""
     experiment, value, message = _wrongly_typed(name)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "run.json").write_text(json.dumps({name: value}))
@@ -312,13 +314,17 @@ def test_main_exit_2_when_out_is_not_a_directory(argv, below, tmp_path, capsys):
         ("convergence", {"x0": [1.0]}, "x0 must have 2 entries"),
         ("convergence", {"v0": [1, 2, 3]}, "v0 must have 2 entries"),
         ("foldback", {"v0": [[1.0], [0.5, 0.5]]}, "v0 must be a list of numbers"),
+        ("foldback", {"x0": [2.0, 0.0]}, "x0 must lie on the ellipse 1 x1^2 + 4 x2^2 = 1"),
+        ("foldback", {"x0": [1.0000001, 0.0]}, "x0 must lie on the ellipse"),
     ],
     ids=["portrait-not-spd", "foldback-not-spd", "table1-x0-string", "convergence-x0-short",
-         "convergence-v0-long", "foldback-v0-ragged"],
+         "convergence-v0-long", "foldback-v0-ragged", "foldback-x0-off-ellipse",
+         "foldback-x0-just-off-ellipse"],
 )
 def test_main_exit_2_on_bad_ellipse_or_start(experiment, settings, message, tmp_path, capsys):
-    """An ellipse that is not positive definite and a start that is not a
-    vector of the constraint's dimension are configuration errors."""
+    """An ellipse that is not positive definite, a start that is not a
+    vector of the constraint's dimension and a fold-back start off the model's
+    ellipse are configuration errors, found before any step or solve."""
     config_file = tmp_path / "run.json"
     config_file.write_text(json.dumps(settings))
     out = tmp_path / "out"
@@ -473,14 +479,21 @@ def test_main_exit_2_on_missing_required_setting(tmp_path, capsys):
 
 def test_main_exit_3_on_singular_geometry(tmp_path, capsys):
     """A fold-back whose first midpoint is the origin hits a zero gradient,
-    and a codim-2 error table from a non-finite start hits a NaN Jacobian."""
+    a fold-back from a NaN start is off every level set, and a codim-2 error
+    table from a non-finite start hits a NaN Jacobian."""
     config_file = tmp_path / "singular.json"
-    config_file.write_text(json.dumps({"x0": [-0.05, 0.0], "v0": [1.0, 0.0]}))
+    # the first midpoint x0 + (0.1 / 2) v0 is the origin
+    config_file.write_text(json.dumps({"x0": [1.0, 0.0], "v0": [-20.0, 0.0]}))
     code = main(
         ["foldback", "--config", str(config_file), "--out", str(tmp_path)]
     )
     assert code == 3
-    assert "numerical failure" in capsys.readouterr().err
+    assert "gradient vanishes" in capsys.readouterr().err
+
+    config_file.write_text(json.dumps({"x0": [float("nan"), 0.0]}))
+    code = main(["foldback", "--config", str(config_file), "--out", str(tmp_path)])
+    assert code == 3
+    assert "numerical failure: point is off the level set" in capsys.readouterr().err
 
     config_file.write_text(json.dumps(
         {"constraint": {"kind": "sliced"}, "x0": [float("nan"), 0.5, 0.5], "v0": [1.0, 0.0, 0.0]}

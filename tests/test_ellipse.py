@@ -74,8 +74,10 @@ def test_to_from_reduced_roundtrip():
 
 
 def test_to_reduced_rejects_off_level_points():
-    with pytest.raises(OffLevelSetError):
-        to_reduced(MODEL, PhaseState([1.1, 0.0], [0.0, 1.0]))
+    """A NaN point is on no level set: it must not pass as a NaN angle."""
+    for x in ([1.1, 0.0], [np.nan, 0.0]):
+        with pytest.raises(OffLevelSetError):
+            to_reduced(MODEL, PhaseState(x, [0.0, 1.0]))
     with pytest.raises(DimensionError):
         to_reduced(MODEL, PhaseState([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]))
 

@@ -62,7 +62,7 @@ def test_experiment_table_scopes_cli_flags(monkeypatch):
     """Each subcommand takes --config, --out, --seed and a flag for exactly
     the fields of its table entry that have a help line, both in the full
     parser and in the one-subcommand parser that ``main`` builds for its name;
-    the entry's settings are config fields, and so are its full-scale ones."""
+    the entry's settings are config fields."""
     parser = build_parser()
     subcommands = _subcommands(parser)
     assert list(subcommands) == list(EXPERIMENTS) == list(RUNNERS)
@@ -76,7 +76,7 @@ def test_experiment_table_scopes_cli_flags(monkeypatch):
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
     for name, experiment in EXPERIMENTS.items():
         assert RUNNERS[name] is experiment.runner
-        assert set(experiment.full_scale_defaults) <= set(experiment.settings) <= fields
+        assert set(experiment.settings) <= fields
         with pytest.raises(SystemExit) as info:
             cli.main([name, "--help"])
         assert info.value.code == 0
