@@ -12,12 +12,13 @@ median over the rounds.  ``--quick`` is one round of short timings, to check
 that the script runs.
 
 Each row is the cost of one call or one step in µs, the best of ``timeit``
-repeats, and its ratio to ``perfbench/reference.py``'s ``small`` loop (about
-1 ms of small-array numpy calls, timed just before and just after the row).
-The ratio is what to compare across runs: on a shared host numpy code slows
-by up to 2x for seconds at a time, and the reference slows with it.  A row
-that the measured package cannot run (a function it does not have) records
-null.  The rows:
+repeats, and its ratio to a reference loop of ``perfbench/reference.py``,
+timed just before and just after the row: ``dense`` (about 10 ms of n = 1000
+reflection work) for the ``hug_trajectory`` rows, ``small`` (about 1 ms of
+small-array numpy calls) for the others.  The ratio is what to compare
+across runs: on a shared host numpy code slows by up to 2x for seconds at a
+time, and the reference slows with it.  A row that the measured package
+cannot run (a function it does not have) records null.  The rows:
 
 - ``hug_step_rows``: one call on R = 14 rows of the 3-D ellipsoid preset,
   all from e1, the replicated studies' shape (10 replicates, 4 showcase);
@@ -26,7 +27,13 @@ null.  The rows:
 - ``scatter_study.step``: one step of ``experiments._scatter_study`` on the
   same rows with its d_max bookkeeping, as the difference of two step counts;
 - ``hug_step``: one call on the 2-D benchmark quadric;
-- ``hug_steps.step``: one step inside a ``hug_steps`` stream on that quadric.
+- ``hug_steps.step``: one step inside a ``hug_steps`` stream on that quadric;
+- ``hug_trajectory.sphere1000`` and ``hug_trajectory.sliced1000``: one
+  20-step trajectory at delta = 0.05 on the sphere and the sliced sphere at
+  n = 1000, from perfbench ``highdim``'s seed-0 start;
+- ``cli.main.sphere_tail``: one in-process ``cli.main`` call of
+  ``sphere-tail --h 0.3 --dim 3`` into a temporary directory, the CLI's
+  fixed cost (parse, config, runner, CSV, manifest, summary).
 
 The ``e2e`` group (each CLI experiment at desk defaults) is not measured yet
 and reads null.
@@ -35,12 +42,15 @@ and reads null.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import timeit
 from itertools import islice
 from pathlib import Path
@@ -48,7 +58,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 ROUNDS = 7
-ROWS = ("hug_step_rows", "hug_steps_rows.step", "scatter_study.step", "hug_step", "hug_steps.step")
+ROWS = ("hug_step_rows", "hug_steps_rows.step", "scatter_study.step", "hug_step", "hug_steps.step",
+        "hug_trajectory.sphere1000", "hug_trajectory.sliced1000", "cli.main.sphere_tail")
+DENSE_ROWS = ("hug_trajectory.sphere1000", "hug_trajectory.sliced1000")
 
 
 def _best_us(fn, number: int, repeat: int, per_call: int = 1) -> float:
@@ -61,10 +73,10 @@ def measure(quick: bool) -> dict:
     import numpy as np
 
     sys.path.insert(0, str(ROOT / "perfbench"))
-    from reference import small
+    from reference import dense, small
 
-    from hugint import integrator
-    from hugint.constraints import QuadricConstraint
+    from hugint import cli, integrator
+    from hugint.constraints import QuadricConstraint, SphereConstraint, SphereSlicedConstraint
     from hugint.experiments import (
         BENCH_DIAG, BENCH_V0, BENCH_X0, ELLIPSOID_DIAGS, SHOWCASE_NORMAL_SPEEDS,
         ExperimentConfig, _scatter_study, uniform_sphere,
@@ -94,6 +106,20 @@ def measure(quick: bool) -> dict:
         short, long = study(steps // 10), study(steps // 10 + steps)
         return (_best_us(long, 1, repeat) - _best_us(short, 1, repeat)) / steps
 
+    x1000, v1000 = (g / np.linalg.norm(g) for g in np.random.default_rng(0).standard_normal((2, 1000)))
+    high = integrator.PhaseState(x1000, v1000)
+    high_params = integrator.HugParams(0.05, 20)
+
+    def trajectory(constraint):
+        return lambda: _best_us(
+            lambda: integrator.hug_trajectory(constraint, high, high_params),
+            max(2, int(50 * scale)), repeat)
+
+    def cli_main():
+        with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+            argv = ["sphere-tail", "--h", "0.3", "--dim", "3", "--out", out]
+            return _best_us(lambda: cli.main(argv), max(2, int(200 * scale)), repeat)
+
     rows_stream = getattr(integrator, "hug_steps_rows", None)
     timers = {
         "hug_step_rows": lambda: _best_us(
@@ -105,17 +131,21 @@ def measure(quick: bool) -> dict:
             lambda: integrator.hug_step(quadric, x, v, 0.1), 2 * steps, repeat),
         "hug_steps.step": lambda: _best_us(
             stream(lambda: integrator.hug_steps(quadric, x, v, 0.1)), 1, repeat, steps),
+        "hug_trajectory.sphere1000": trajectory(SphereConstraint(1000)),
+        "hug_trajectory.sliced1000": trajectory(SphereSlicedConstraint(1000)),
+        "cli.main.sphere_tail": cli_main,
     }
-    small_number = max(2, int(20 * scale))
+    small_number, dense_number = max(2, int(20 * scale)), max(2, int(2 * scale))
     result = {}
     for name in ROWS:
         if timers[name] is None:
             result[name] = None
             continue
-        before = _best_us(small, small_number, repeat)
+        reference, number = (dense, dense_number) if name in DENSE_ROWS else (small, small_number)
+        before = _best_us(reference, number, repeat)
         us = timers[name]()
-        small_us = 0.5 * (before + _best_us(small, small_number, repeat))
-        result[name] = {"us": us, "ratio": us / small_us}
+        reference_us = 0.5 * (before + _best_us(reference, number, repeat))
+        result[name] = {"us": us, "ratio": us / reference_us}
     return result
 
 
@@ -165,7 +195,8 @@ def main(argv: list[str] | None = None) -> int:
             "blas_threads": PINNED_ENV["OPENBLAS_NUM_THREADS"],
         },
         "method": "per row: median over rounds of the best-of-repeats µs per call or step, "
-                  "and of its ratio to perfbench/reference.py's small loop",
+                  "and of its ratio to perfbench/reference.py's dense loop (hug_trajectory "
+                  "rows) or small loop (the others)",
         "rounds": len(rounds["after"]),
         "quick": args.quick,
         "before_label": args.before_label if args.before else None,

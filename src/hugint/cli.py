@@ -7,6 +7,7 @@ Subcommands and their help lines come from the experiment table,
 field declares in :class:`~hugint.experiments.ExperimentConfig`, with its help.
 A call that names an experiment builds the parser of that subcommand only;
 any other call (no arguments, ``-h`` or an unknown name) builds all of them.
+Each parser is built once per process and reused by later calls.
 Settings come from an optional JSON config file overridden by command-line
 flags; the file may set ``out``, ``seed`` and the fields of the entry, and any
 other key is a configuration error.  Unset fields take the entry's defaults.
@@ -19,6 +20,7 @@ Exit codes: 0 on success, 2 on configuration errors and unwritable output,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -36,9 +38,11 @@ def _keys(name: str) -> tuple[str, ...]:
     return ("out", "seed", *EXPERIMENTS[name].settings)
 
 
+@functools.cache
 def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     """The ``hugint`` parser with a subcommand for every experiment, or for
-    the experiment ``only`` alone, whose usage line still lists every name."""
+    the experiment ``only`` alone, whose usage line still lists every name;
+    cached, since a parser keeps no state between ``parse_args`` calls."""
     parser = argparse.ArgumentParser(
         prog="hugint",
         description="Run experiments for the level-set hugging integrator.",

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import checked_solve
-from .errors import DimensionError, OffLevelSetError
+from .errors import DimensionError, OffLevelSetError, SingularGeometryError
 from .integrator import PhaseState
 
 #: Relative tolerance used to call a configuration a separatrix.
@@ -117,6 +117,8 @@ def to_reduced(model: EllipseModel, state: PhaseState) -> tuple[ReducedState, fl
     ------
     OffLevelSetError
         If |a x1^2 + b x2^2 - 1| is NaN or exceeds :data:`LEVEL_SET_TOL`.
+    SingularGeometryError
+        If v is not finite, which would read as a NaN tangential speed.
     """
     x, v = state.x, state.v
     if x.shape != (2,):
@@ -124,6 +126,8 @@ def to_reduced(model: EllipseModel, state: PhaseState) -> tuple[ReducedState, fl
     residual = abs(model.a * x[0] ** 2 + model.b * x[1] ** 2 - 1.0)
     if not residual <= LEVEL_SET_TOL:  # a NaN residual fails this test too
         raise OffLevelSetError(x, residual, LEVEL_SET_TOL)
+    if not np.isfinite(v).all():
+        raise SingularGeometryError(x, "velocity is not finite")
     phi = model.angle_of(x)
     p = float(v @ model.unit_tangent(phi))
     normal_speed = float(v @ model.unit_normal(phi))

@@ -11,8 +11,8 @@ class HugError(Exception):
 
 class SingularGeometryError(HugError):
     """Raised when the geometry at a point is unusable: the constraint
-    Jacobian loses rank, or it or the gradient is not finite.  ``detail``
-    names the cause.
+    Jacobian loses rank, or it, the gradient or the velocity to be mapped
+    to reduced coordinates is not finite.  ``detail`` names the cause.
 
     The offending point is kept on the exception so callers (samplers,
     experiment drivers) can decide how to recover, e.g. by rejecting a

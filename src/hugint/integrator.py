@@ -25,9 +25,11 @@ the product with Q undoes that exactly, so v' has the bits of a sign-fixed Q.
 (x_k, v_k) for k = 1, 2, ...: it converts v and picks the codimension branch
 once, and carries h v_k from the end of step k, x_k = y + h v_k, to the start
 of step k + 1, y = x_k + h v_k.  :func:`hug_step` is its first step.
-:func:`hug_trajectory` takes K steps from the stream and records positions,
-velocities, midpoints and levels for analysis; the Metropolis kernel in
-:mod:`hugint.sampling` takes K too but keeps only the final state.
+:func:`hug_trajectory` takes K steps from the stream and records only the
+positions and velocities; the :class:`Trajectory` it returns derives step
+times, midpoints and levels from them when read, and keeps the constraint to
+evaluate the levels with.  The Metropolis kernel in :mod:`hugint.sampling`
+takes K too but keeps only the final state.
 :func:`hug_steps_rows` is the same codim-1 stream on each row of a stack
 of states, with each row's bits those of :func:`hug_steps` however many rows
 share the stack; the replicated studies step their replicates with it, and
@@ -37,6 +39,7 @@ share the stack; the replicated studies step their replicates with it, and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -82,28 +85,37 @@ class HugParams:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A discrete trajectory with per-step diagnostics.
+    """A discrete trajectory: the states it stepped through, with its
+    diagnostics derived from them when read.
 
-    Attributes
-    ----------
-    times:
-        Step times k * delta, shape (K+1,).
-    xs, vs:
-        Positions and velocities, shape (K+1, n).
-    midpoints:
-        Halfway points x_k + (delta/2) v_k, shape (K, n).
-    levels:
-        Constraint values f(x_k), shape (K+1, m).
-    params:
-        The parameters the trajectory was generated with.
+    Stored: ``xs`` and ``vs``, positions and velocities of shape (K+1, n);
+    ``params``, the parameters it was generated with; and ``constraint``, the
+    map it was stepped on.  Derived: ``times``, ``midpoints``, ``speeds`` and
+    ``level_drift`` on every read, and ``levels`` on the first read, then kept.
     """
 
-    times: np.ndarray
     xs: np.ndarray
     vs: np.ndarray
-    midpoints: np.ndarray
-    levels: np.ndarray
     params: HugParams
+    constraint: ConstraintMap
+
+    @property
+    def times(self) -> np.ndarray:
+        """Step times k * delta, shape (K+1,)."""
+        return self.params.step_size * np.arange(len(self.xs))
+
+    @property
+    def midpoints(self) -> np.ndarray:
+        """Halfway points x_k + (delta/2) v_k, shape (K, n)."""
+        return self.xs[:-1] + 0.5 * self.params.step_size * self.vs[:-1]
+
+    @cached_property
+    def levels(self) -> np.ndarray:
+        """Constraint values f(x_k), shape (K+1, m), one ``value`` call per state."""
+        levels = np.empty((len(self.xs), self.constraint.codim))
+        for k, x in enumerate(self.xs):
+            levels[k] = self.constraint.value(x)
+        return levels
 
     @property
     def speeds(self) -> np.ndarray:
@@ -120,7 +132,7 @@ class Trajectory:
 
     @property
     def final(self) -> PhaseState:
-        return self.state(len(self.times) - 1)
+        return self.state(len(self.xs) - 1)
 
 
 def hug_steps(
@@ -218,27 +230,17 @@ def hug_step_rows(
 def hug_trajectory(
     constraint: ConstraintMap, initial: PhaseState, params: HugParams
 ) -> Trajectory:
-    """Run ``params.steps`` steps from ``initial`` and record diagnostics."""
+    """Run ``params.steps`` steps from ``initial`` and record the states; the
+    diagnostics are derived from them when read (see :class:`Trajectory`)."""
     K = params.steps
     n = initial.x.shape[0]
     xs = np.empty((K + 1, n))
     vs = np.empty((K + 1, n))
-    levels = np.empty((K + 1, constraint.codim))
     xs[0], vs[0] = initial.x, initial.v
-    levels[0] = constraint.value(initial.x)
-    delta = params.step_size
-    stream = hug_steps(constraint, initial.x, initial.v, delta)
+    stream = hug_steps(constraint, initial.x, initial.v, params.step_size)
     for k, (x, v) in zip(range(1, K + 1), stream):
         xs[k], vs[k] = x, v
-        levels[k] = constraint.value(x)
-    return Trajectory(
-        times=delta * np.arange(K + 1),
-        xs=xs,
-        vs=vs,
-        midpoints=xs[:-1] + 0.5 * delta * vs[:-1],
-        levels=levels,
-        params=params,
-    )
+    return Trajectory(xs=xs, vs=vs, params=params, constraint=constraint)
 
 
 def level_drift_bound(

@@ -18,17 +18,19 @@ divergence, the per-step-size convergence loop, the integrated extreme of a
 libration, the reduced derivative at a state and the equilibria of the
 reduced system.
 
-Seven are earlier forms of package code that now runs another way, kept to
+Eight are earlier forms of package code that now runs another way, kept to
 hold it to the same bits or bytes: the one-call step (``step_reference``)
 against the step stream, the one-call rows step (``step_rows_reference``)
-against the rows stream, the scatter study stepped one call at a time with
-each step's row norms taken by ``np.linalg.norm`` (``scatter_reference``)
-against ``_scatter_study``, a sampling chain written out move by move on it
-(``chain_reference``) against ``run_chain``, the cell-by-cell CSV writer
-(``write_csv_reference``) against ``write_csv``, and the bundle with its
-column signs fixed so that diag(R) > 0 (``signed_bundle``), with the flow
-field that split v three times through it (``bundle_field``), against
-``build_bundle`` and ``phase_field``.
+against the rows stream, the trajectory that recorded its times, midpoints
+and levels as it stepped (``trajectory_reference``) against the
+``Trajectory`` that derives them when read, the scatter study stepped one
+call at a time with each step's row norms taken by ``np.linalg.norm``
+(``scatter_reference``) against ``_scatter_study``, a sampling chain
+written out move by move on it (``chain_reference``) against ``run_chain``,
+the cell-by-cell CSV writer (``write_csv_reference``) against ``write_csv``,
+and the bundle with its column signs fixed so that diag(R) > 0
+(``signed_bundle``), with the flow field that split v three times through it
+(``bundle_field``), against ``build_bundle`` and ``phase_field``.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from hugint.dynamics import checked_solve, phase_field, reference_solve
 from hugint.ellipse import EllipseModel, ReducedState, reduced_field, reduced_solve
 from hugint.errors import DimensionError, SingularGeometryError, StudyFailedError
 from hugint.experiments import ExperimentConfig, _showcase_velocity, uniform_sphere
-from hugint.integrator import HugParams, PhaseState, hug_step
+from hugint.integrator import HugParams, PhaseState, hug_step, hug_steps
 from hugint.projectors import GRADIENT_FLOOR, build_bundle, normal_qr, unit_normal
 
 
@@ -144,6 +146,35 @@ def step_reference(
         Q, _ = normal_qr(constraint, y)
         v_new = v - 2.0 * (Q @ (Q.T @ v))
     return y + h * v_new, v_new
+
+
+def trajectory_reference(
+    constraint: ConstraintMap, initial: PhaseState, params: HugParams
+) -> dict[str, np.ndarray]:
+    """A trajectory recorded eagerly, one ``value`` call per step as it is
+    taken: every field of :func:`~hugint.integrator.hug_trajectory`'s
+    ``Trajectory``, stored or derived, must agree with it bit for bit."""
+    K = params.steps
+    n = initial.x.shape[0]
+    xs = np.empty((K + 1, n))
+    vs = np.empty((K + 1, n))
+    levels = np.empty((K + 1, constraint.codim))
+    xs[0], vs[0] = initial.x, initial.v
+    levels[0] = constraint.value(initial.x)
+    delta = params.step_size
+    stream = hug_steps(constraint, initial.x, initial.v, delta)
+    for k, (x, v) in zip(range(1, K + 1), stream):
+        xs[k], vs[k] = x, v
+        levels[k] = constraint.value(x)
+    return {
+        "times": delta * np.arange(K + 1),
+        "xs": xs,
+        "vs": vs,
+        "midpoints": xs[:-1] + 0.5 * delta * vs[:-1],
+        "levels": levels,
+        "speeds": np.linalg.norm(vs, axis=1),
+        "level_drift": np.linalg.norm(levels - levels[0], axis=1),
+    }
 
 
 def step_rows_reference(

@@ -21,6 +21,8 @@ from hugint.experiments import (
     BENCH_V0,
     BENCH_X0,
     EXPERIMENTS,
+    FOLDBACK_DELTA,
+    FOLDBACK_STEPS,
     RUNNERS,
     SETTINGS,
     TABLE_DELTAS,
@@ -479,7 +481,8 @@ def test_main_exit_2_on_missing_required_setting(tmp_path, capsys):
 
 def test_main_exit_3_on_singular_geometry(tmp_path, capsys):
     """A fold-back whose first midpoint is the origin hits a zero gradient,
-    a fold-back from a NaN start is off every level set, and a codim-2 error
+    a fold-back from a NaN start is off every level set, a fold-back with a
+    NaN velocity fails in the map to reduced coordinates, and a codim-2 error
     table from a non-finite start hits a NaN Jacobian."""
     config_file = tmp_path / "singular.json"
     # the first midpoint x0 + (0.1 / 2) v0 is the origin
@@ -495,6 +498,11 @@ def test_main_exit_3_on_singular_geometry(tmp_path, capsys):
     assert code == 3
     assert "numerical failure: point is off the level set" in capsys.readouterr().err
 
+    config_file.write_text(json.dumps({"v0": [float("nan"), 0.0]}))
+    code = main(["foldback", "--config", str(config_file), "--out", str(tmp_path)])
+    assert code == 3
+    assert "(velocity is not finite)" in capsys.readouterr().err
+
     config_file.write_text(json.dumps(
         {"constraint": {"kind": "sliced"}, "x0": [float("nan"), 0.5, 0.5], "v0": [1.0, 0.0, 0.0]}
     ))
@@ -502,6 +510,22 @@ def test_main_exit_3_on_singular_geometry(tmp_path, capsys):
     code = main(["table1", "--config", str(config_file), "--out", str(tmp_path)])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_main_reuses_its_parser_without_keeping_values(tmp_path, capsys):
+    """Two ``main`` calls in one process share the cached parser; the second,
+    without the first call's flags, reads the defaults and not its values."""
+    first = ["foldback", "--delta", "0.2", "--steps", "5", "--seed", "7"]
+    assert main([*first, "--out", str(tmp_path / "first")]) == 0
+    assert main(["foldback", "--out", str(tmp_path / "second")]) == 0
+    assert build_parser("foldback") is build_parser("foldback")
+    configs = [
+        json.loads((tmp_path / run / "foldback.manifest.json").read_text())["config"]
+        for run in ("first", "second")
+    ]
+    assert [(c["delta"], c["steps"], c["seed"]) for c in configs] == [
+        (0.2, 5, 7), (FOLDBACK_DELTA, FOLDBACK_STEPS, 0)
+    ]
 
 
 def test_main_runs_sphere_tail(tmp_path, capsys):

@@ -18,7 +18,12 @@ from hugint.ellipse import (
     tangential_speed,
     to_reduced,
 )
-from hugint.errors import DimensionError, OffLevelSetError, ReferenceSolveError
+from hugint.errors import (
+    DimensionError,
+    OffLevelSetError,
+    ReferenceSolveError,
+    SingularGeometryError,
+)
 from hugint.integrator import HugParams, PhaseState, hug_trajectory
 from oracles import equilibria, from_reduced, integrated_angle_extreme, reduced_derivative
 
@@ -80,6 +85,14 @@ def test_to_reduced_rejects_off_level_points():
             to_reduced(MODEL, PhaseState(x, [0.0, 1.0]))
     with pytest.raises(DimensionError):
         to_reduced(MODEL, PhaseState([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]))
+
+
+def test_to_reduced_rejects_non_finite_velocity():
+    """A NaN or infinite velocity must not pass as a NaN tangential speed,
+    which ``classify`` would then meet as a bare ``ValueError``."""
+    for v in ([np.nan, 0.0], [0.0, np.inf]):
+        with pytest.raises(SingularGeometryError, match="velocity is not finite"):
+            to_reduced(MODEL, PhaseState([1.0, 0.0], v))
 
 
 def test_tangential_speed_tolerates_off_level_points():

@@ -10,6 +10,7 @@ import pytest
 from conftest import MAP_KINDS, fenced_ellipsoid, random_run
 from hugint.constraints import QuadricConstraint, SphereConstraint, SphereSlicedConstraint
 from hugint.errors import DimensionError, SingularGeometryError
+from hugint.experiments import BENCH_DIAG, BENCH_V0, BENCH_X0
 from hugint.integrator import (
     HugParams,
     PhaseState,
@@ -19,7 +20,7 @@ from hugint.integrator import (
     hug_trajectory,
     level_drift_bound,
 )
-from oracles import eliminated_step, step_rows_reference
+from oracles import eliminated_step, step_rows_reference, trajectory_reference
 
 
 def test_phase_state_validation():
@@ -71,6 +72,60 @@ def test_trajectory_bookkeeping():
     for k in range(7):
         x, v = hug_step(constraint, x, v, 0.05)
         assert np.allclose(t.xs[k + 1], x) and np.allclose(t.vs[k + 1], v)
+
+
+TRAJECTORY_CASES = ("sphere1000", "sliced1000", "quadric", "callable")
+
+
+def _trajectory_case(kind: str):
+    """(constraint, initial, params): 20 steps on the sphere and the sliced
+    sphere at n = 1000, as in perfbench ``highdim``, 40 on the 2-D benchmark
+    quadric, and 40 on the 3-D ellipsoid preset as a ``CallableConstraint``."""
+    if kind in ("sphere1000", "sliced1000"):
+        constraint = SphereConstraint(1000) if kind == "sphere1000" else SphereSlicedConstraint(1000)
+        x0, v0 = np.random.default_rng(24).standard_normal((2, 1000))
+        start = PhaseState(x0 / np.linalg.norm(x0), v0 / np.linalg.norm(v0))
+        return constraint, start, HugParams(0.05, 20)
+    if kind == "quadric":
+        constraint = QuadricConstraint(np.diag(BENCH_DIAG))
+        return constraint, PhaseState(BENCH_X0, BENCH_V0), HugParams(0.05, 40)
+    start = PhaseState([1.0, 0.0, 0.0], [0.0, 0.6, -0.8])
+    return fenced_ellipsoid(np.inf), start, HugParams(0.05, 40)
+
+
+@pytest.mark.parametrize("kind", TRAJECTORY_CASES)
+def test_trajectory_fields_are_bitwise_the_eager_recorder(kind):
+    """Stored and derived fields alike have the bits of the trajectory that
+    recorded times, midpoints and levels as it stepped."""
+    constraint, initial, params = _trajectory_case(kind)
+    t = hug_trajectory(constraint, initial, params)
+    expected = trajectory_reference(constraint, initial, params)
+    for name, array in expected.items():
+        assert np.array_equal(getattr(t, name), array), name
+    assert np.array_equal(t.final.x, expected["xs"][-1])
+
+
+@pytest.mark.parametrize("kind", TRAJECTORY_CASES)
+def test_trajectory_evaluates_levels_once_on_first_read(kind):
+    """``hug_trajectory`` makes no ``value`` call, nor does reading any field
+    but the levels; the first read of ``levels`` makes one call per state and
+    later reads reuse it."""
+    constraint, initial, params = _trajectory_case(kind)
+    value, calls = constraint.value, []
+
+    def counting_value(x):
+        calls.append(x)
+        return value(x)
+
+    constraint.value = counting_value
+    t = hug_trajectory(constraint, initial, params)
+    for name in ("times", "midpoints", "speeds", "final"):
+        getattr(t, name)
+    assert calls == []
+    levels = t.levels
+    assert len(calls) == params.steps + 1
+    assert t.levels is levels and t.level_drift.shape == (params.steps + 1,)
+    assert len(calls) == params.steps + 1
 
 
 @pytest.mark.parametrize("kind", MAP_KINDS)
