@@ -14,11 +14,13 @@ that the script runs.
 Each row is the cost of one call or one step in µs, the best of ``timeit``
 repeats, and its ratio to a reference loop of ``perfbench/reference.py``,
 timed just before and just after the row: ``dense`` (about 10 ms of n = 1000
-reflection work) for the ``hug_trajectory`` rows, ``small`` (about 1 ms of
-small-array numpy calls) for the others.  The ratio is what to compare
+reflection work) for the n = 1000 rows, ``small`` (about 1 ms of small-array
+numpy calls) for the others.  The ratio is what to compare
 across runs: on a shared host numpy code slows by up to 2x for seconds at a
 time, and the reference slows with it.  A row that the measured package
-cannot run (a function it does not have) records null.  The rows:
+cannot run (a function it does not have) records null.  Beside each median
+the row records the first and third quartiles over the rounds, so a run
+whose rounds spread widely shows as one.  The rows:
 
 - ``hug_step_rows``: one call on R = 14 rows of the 3-D ellipsoid preset,
   all from e1, the replicated studies' shape (10 replicates, 4 showcase);
@@ -28,6 +30,12 @@ cannot run (a function it does not have) records null.  The rows:
   same rows with its d_max bookkeeping, as the difference of two step counts;
 - ``hug_step``: one call on the 2-D benchmark quadric;
 - ``hug_steps.step``: one step inside a ``hug_steps`` stream on that quadric;
+- ``hug_steps.step.sliced3``: one step inside a ``hug_steps`` stream on the
+  sliced sphere at n = 3, from CI's codim-2 start, a reflection through
+  ``normal_qr``'s basis;
+- ``normal_qr.sliced3`` and ``normal_qr.sliced1000``: one checked QR
+  factorization of the sliced sphere's Jacobian, at CI's codim-2 start
+  (n = 3) and at perfbench ``highdim``'s seed-0 start (n = 1000);
 - ``hug_trajectory.sphere1000`` and ``hug_trajectory.sliced1000``: one
   20-step trajectory at delta = 0.05 on the sphere and the sliced sphere at
   n = 1000, from perfbench ``highdim``'s seed-0 start;
@@ -47,7 +55,6 @@ import io
 import json
 import os
 import platform
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -55,12 +62,17 @@ import timeit
 from itertools import islice
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 ROUNDS = 7
 ROWS = ("hug_step_rows", "hug_steps_rows.step", "scatter_study.step", "hug_step", "hug_steps.step",
+        "hug_steps.step.sliced3", "normal_qr.sliced3", "normal_qr.sliced1000",
         "hug_trajectory.sphere1000", "hug_trajectory.sliced1000", "cli.main.sphere_tail")
-DENSE_ROWS = ("hug_trajectory.sphere1000", "hug_trajectory.sliced1000")
+DENSE_ROWS = ("normal_qr.sliced1000", "hug_trajectory.sphere1000", "hug_trajectory.sliced1000")
+#: CI's codim-2 start on the sliced sphere at n = 3 (the tier1 workflow's sliced config).
+SLICED_X0, SLICED_V0 = (0.73907151, 0.54626892, 0.39413414), (0.2, -0.4, 0.5)
 
 
 def _best_us(fn, number: int, repeat: int, per_call: int = 1) -> float:
@@ -70,12 +82,10 @@ def _best_us(fn, number: int, repeat: int, per_call: int = 1) -> float:
 
 def measure(quick: bool) -> dict:
     """Every row of the ``hugint`` on ``sys.path``: {name: {"us", "ratio"} or None}."""
-    import numpy as np
-
     sys.path.insert(0, str(ROOT / "perfbench"))
     from reference import dense, small
 
-    from hugint import cli, integrator
+    from hugint import cli, integrator, projectors
     from hugint.constraints import QuadricConstraint, SphereConstraint, SphereSlicedConstraint
     from hugint.experiments import (
         BENCH_DIAG, BENCH_V0, BENCH_X0, ELLIPSOID_DIAGS, SHOWCASE_NORMAL_SPEEDS,
@@ -90,6 +100,8 @@ def measure(quick: bool) -> dict:
     X = np.broadcast_to(e1, V.shape)
     quadric = QuadricConstraint(np.diag(BENCH_DIAG))
     x, v = np.array(BENCH_X0), np.array(BENCH_V0)
+    sliced3 = SphereSlicedConstraint(3)
+    sliced_x, sliced_v = np.array(SLICED_X0), np.array(SLICED_V0)
     steps = max(10, int(2000 * scale))
 
     def stream(make):
@@ -108,6 +120,7 @@ def measure(quick: bool) -> dict:
 
     x1000, v1000 = (g / np.linalg.norm(g) for g in np.random.default_rng(0).standard_normal((2, 1000)))
     high = integrator.PhaseState(x1000, v1000)
+    sliced1000 = SphereSlicedConstraint(1000)
     high_params = integrator.HugParams(0.05, 20)
 
     def trajectory(constraint):
@@ -131,8 +144,14 @@ def measure(quick: bool) -> dict:
             lambda: integrator.hug_step(quadric, x, v, 0.1), 2 * steps, repeat),
         "hug_steps.step": lambda: _best_us(
             stream(lambda: integrator.hug_steps(quadric, x, v, 0.1)), 1, repeat, steps),
+        "hug_steps.step.sliced3": lambda: _best_us(
+            stream(lambda: integrator.hug_steps(sliced3, sliced_x, sliced_v, 0.1)), 1, repeat, steps),
+        "normal_qr.sliced3": lambda: _best_us(
+            lambda: projectors.normal_qr(sliced3, sliced_x), 2 * steps, repeat),
+        "normal_qr.sliced1000": lambda: _best_us(
+            lambda: projectors.normal_qr(sliced1000, x1000), max(2, int(200 * scale)), repeat),
         "hug_trajectory.sphere1000": trajectory(SphereConstraint(1000)),
-        "hug_trajectory.sliced1000": trajectory(SphereSlicedConstraint(1000)),
+        "hug_trajectory.sliced1000": trajectory(sliced1000),
         "cli.main.sphere_tail": cli_main,
     }
     small_number, dense_number = max(2, int(20 * scale)), max(2, int(2 * scale))
@@ -156,13 +175,20 @@ def _spawn(src: str, quick: bool) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def _median_rows(rounds: list[dict]) -> dict:
-    return {
-        name: None if rounds[0][name] is None else {
-            key: statistics.median(r[name][key] for r in rounds) for key in ("us", "ratio")
-        }
-        for name in ROWS
-    }
+def _summary_rows(rounds: list[dict]) -> dict:
+    """Per row, the median over the rounds of its µs and ratio, each with
+    its first and third quartiles beside it."""
+    summary = {}
+    for name in ROWS:
+        if rounds[0][name] is None:
+            summary[name] = None
+            continue
+        summary[name] = {}
+        for key in ("us", "ratio"):
+            q1, median, q3 = np.percentile([r[name][key] for r in rounds], [25, 50, 75])
+            summary[name][key] = float(median)
+            summary[name][key + "_quartiles"] = [float(q1), float(q3)]
+    return summary
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -183,11 +209,10 @@ def main(argv: list[str] | None = None) -> int:
     for i in range(1 if args.quick else ROUNDS):
         for side in (list(sources) if i % 2 else list(sources)[::-1]):
             rounds[side].append(_spawn(sources[side], args.quick))
-    import numpy as np
-
-    medians = {side: _median_rows(rounds[side]) for side in ("before", "after") if side in rounds}
+    summaries = {side: _summary_rows(rounds[side]) for side in ("before", "after")
+                 if side in rounds}
     payload = {
-        "schema": "bench/1",
+        "schema": "bench/2",
         "provenance": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -195,12 +220,13 @@ def main(argv: list[str] | None = None) -> int:
             "blas_threads": PINNED_ENV["OPENBLAS_NUM_THREADS"],
         },
         "method": "per row: median over rounds of the best-of-repeats µs per call or step, "
-                  "and of its ratio to perfbench/reference.py's dense loop (hug_trajectory "
-                  "rows) or small loop (the others)",
+                  "and of its ratio to perfbench/reference.py's dense loop (n = 1000 rows) "
+                  "or small loop (the others), each with its first and third quartiles over "
+                  "the rounds (linear interpolation)",
         "rounds": len(rounds["after"]),
         "quick": args.quick,
         "before_label": args.before_label if args.before else None,
-        "layer": {name: {side: medians[side][name] for side in medians} for name in ROWS},
+        "layer": {name: {side: summaries[side][name] for side in summaries} for name in ROWS},
         "e2e": None,
     }
     Path(args.out).write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n", "utf-8")

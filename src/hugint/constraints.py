@@ -6,14 +6,14 @@ queries four things: the value ``f(x)``, the Jacobian ``J(x)`` (rows are
 gradients of the components), the gradient ``grad f(x)`` of a codimension-1
 map (row 0 of ``J(x)``, which the codim-1 step reflects through), and the
 Hessian contraction ``H(x)[w, .]``, the m-by-n matrix whose row i is
-``w^T Hess(f_i)``.  The contraction is the one second-derivative primitive;
-the bilinear form ``H(x)[u, w]`` is derived from it.  The gradient also has
-a rows form, ``gradient_rows``, for the rows step over a stack of points;
-each of its rows has the bits of ``gradient`` at that point.  Subclasses may
-supply analytic derivatives, as the quadrics do (in O(n) for a diagonal A,
-the sphere's among them); the base class falls back to central finite
-differences, accurate enough for exploratory work, not for tight tolerances.
-Estimates of a map's Hessian norm along a path are a test oracle
+``w^T Hess(f_i)``, the one second-derivative primitive.  The gradient also
+has a rows form, ``gradient_rows``, for the rows step over a stack of
+points; each of its rows has the bits of ``gradient`` at that point.
+Subclasses may supply analytic derivatives, as the quadrics do (in O(n) for
+a diagonal A, the sphere's among them); the base class falls back to central
+finite differences, accurate enough for exploratory work, not for tight
+tolerances.  The bilinear form ``H(x)[u, w]`` built on the contraction and
+estimates of a map's Hessian norm along a path are test oracles
 (``tests/oracles.py``); a quadric knows its exact bound.
 """
 
@@ -108,10 +108,6 @@ class ConstraintMap:
         h = _fd_step(x)
         return (self.jacobian(x + h * w) - self.jacobian(x - h * w)) / (2.0 * h)
 
-    def hessian_bilinear(self, x: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Return H(x)[u, w] with shape (m,): per-component u^T Hess(f_i) w."""
-        return self.hessian_contraction(x, w) @ np.asarray(u, dtype=float)
-
     def check_point(self, x: np.ndarray) -> np.ndarray:
         """Validate shape and return x as a float array."""
         x = np.asarray(x, dtype=float)
@@ -120,11 +116,6 @@ class ConstraintMap:
                 f"expected point of shape ({self.ambient_dim},), got {x.shape}"
             )
         return x
-
-    @property
-    def manifold_dim(self) -> int:
-        """Dimension n - m of a regular level set."""
-        return self.ambient_dim - self.codim
 
 
 class QuadricConstraint(ConstraintMap):
@@ -263,7 +254,7 @@ class SphereSlicedConstraint(ConstraintMap):
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         x = self.check_point(x)
         J = np.zeros((2, self.ambient_dim))
-        J[0] = -2.0 * x
+        np.multiply(x, -2.0, out=J[0])  # the bits of -2.0 * x, without a temporary
         J[1, 0] = np.cos(x[0])
         J[1, 1] = 2.0 * x[1]
         J[1, 2] = -1.0

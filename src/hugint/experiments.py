@@ -380,7 +380,10 @@ def run_foldback(config: ExperimentConfig) -> dict:
             raise
         raise ConfigError(f"x0 must lie on the ellipse {model.a:g} x1^2 + {model.b:g} x2^2 = 1 "
                           f"(residual {exc.residual:.3e}), got {config.x0!r}") from exc
-    trajectory = hug_trajectory(constraint, initial, HugParams(config.delta, config.steps))
+    try:
+        trajectory = hug_trajectory(constraint, initial, HugParams(config.delta, config.steps))
+    except MemoryError as exc:  # the (steps + 1)-row records do not fit
+        raise ConfigError(f"steps={config.steps} is too many to record: {exc}") from exc
     tangential = np.array([tangential_speed(model, x, v) for x, v in zip(trajectory.xs, trajectory.vs)])
     signs = np.sign(tangential)
     sign_changes = int(np.sum(signs[1:] != signs[:-1]))
@@ -598,10 +601,13 @@ def run_chain(config: ExperimentConfig) -> dict:
     x0 = _config_vector(config, "x0", n) if config.x0 is not None else np.eye(n)[0]
     params = HugParams(step_size=config.delta, steps=config.steps)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    chain = run_sampling_chain(
-        constraint, x0, params, IsotropicGaussian(dim=n), rng, config.iterations,
-        walk_scale=config.walk_scale,
-    )
+    try:
+        chain = run_sampling_chain(
+            constraint, x0, params, IsotropicGaussian(dim=n), rng, config.iterations,
+            walk_scale=config.walk_scale,
+        )
+    except MemoryError as exc:  # the (iterations + 1)-row record does not fit
+        raise ConfigError(f"iterations={config.iterations} is too many to record: {exc}") from exc
 
     write_csv(
         os.path.join(config.out, "chain.csv"),

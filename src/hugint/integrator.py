@@ -231,11 +231,15 @@ def hug_trajectory(
     constraint: ConstraintMap, initial: PhaseState, params: HugParams
 ) -> Trajectory:
     """Run ``params.steps`` steps from ``initial`` and record the states; the
-    diagnostics are derived from them when read (see :class:`Trajectory`)."""
+    diagnostics are derived from them when read (see :class:`Trajectory`).
+    Records too large to allocate raise :class:`MemoryError` before any step."""
     K = params.steps
     n = initial.x.shape[0]
-    xs = np.empty((K + 1, n))
-    vs = np.empty((K + 1, n))
+    try:
+        xs = np.empty((K + 1, n))
+        vs = np.empty((K + 1, n))
+    except ValueError as exc:  # a shape beyond numpy's index range fits in no memory
+        raise MemoryError(str(exc)) from exc
     xs[0], vs[0] = initial.x, initial.v
     stream = hug_steps(constraint, initial.x, initial.v, params.step_size)
     for k, (x, v) in zip(range(1, K + 1), stream):

@@ -56,12 +56,17 @@ def normal_qr(constraint: ConstraintMap, x: np.ndarray) -> tuple[np.ndarray, np.
     signs as the factorization leaves them; raises as :func:`build_bundle` does."""
     J = checked_jacobian(constraint, x, (constraint.codim, constraint.ambient_dim))
     Q, R = np.linalg.qr(J.T, mode="reduced")
+    # one numpy call over the m^2 entries: a loop over them as Python floats
+    # is cheaper at m = 2 but dearer from about m = 12
     if not np.isfinite(R).all():
         raise SingularGeometryError(x, "Jacobian is not finite")
-    d = np.abs(np.diag(R))
-    if d.max() == 0.0 or d.min() <= RANK_RTOL * d.max():
+    # the rank test reads m floats: on Python floats it skips numpy's
+    # per-call cost, which at m = 2 is most of the test's time
+    d = [abs(r) for r in R.diagonal().tolist()]
+    low, top = min(d), max(d)
+    if top == 0.0 or low <= RANK_RTOL * top:
         raise SingularGeometryError(
-            x, f"Jacobian is rank deficient: diag(R) spans {d.min():.2e}..{d.max():.2e}"
+            x, f"Jacobian is rank deficient: diag(R) spans {low:.2e}..{top:.2e}"
         )
     return Q, R
 

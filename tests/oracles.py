@@ -7,8 +7,9 @@ one-sided parts (``nprime_perp``, ``nprime_par``, ``nprime``), the flow
 embedded as a sign-alternating sequence (``embedded_sequence``) with the
 O(delta^2) residuals it leaves in the discrete update (``step_residuals``),
 power-iteration estimates of the Hessian's norm and Lipschitz constant
-(``hessian_bound_estimates``), and the chart map back from reduced ellipse
-coordinates (``from_reduced``).
+(``hessian_bound_estimates``), the Hessian's bilinear form H(x)[u, w] built
+on the contraction (``hessian_bilinear``), and the chart map back from
+reduced ellipse coordinates (``from_reduced``).
 
 Most of the rest reach a result the package computes another way, through
 the dense n-by-n projectors N and T (``dense_projectors``), so agreement
@@ -18,19 +19,21 @@ divergence, the per-step-size convergence loop, the integrated extreme of a
 libration, the reduced derivative at a state and the equilibria of the
 reduced system.
 
-Eight are earlier forms of package code that now runs another way, kept to
-hold it to the same bits or bytes: the one-call step (``step_reference``)
-against the step stream, the one-call rows step (``step_rows_reference``)
-against the rows stream, the trajectory that recorded its times, midpoints
-and levels as it stepped (``trajectory_reference``) against the
-``Trajectory`` that derives them when read, the scatter study stepped one
-call at a time with each step's row norms taken by ``np.linalg.norm``
-(``scatter_reference``) against ``_scatter_study``, a sampling chain
-written out move by move on it (``chain_reference``) against ``run_chain``,
-the cell-by-cell CSV writer (``write_csv_reference``) against ``write_csv``,
-and the bundle with its column signs fixed so that diag(R) > 0
-(``signed_bundle``), with the flow field that split v three times through it
-(``bundle_field``), against ``build_bundle`` and ``phase_field``.
+Nine are earlier forms of package code that now runs another way, kept to
+hold it to the same bits or bytes: the checked QR factorization with its
+checks on R as numpy calls (``normal_qr_reference``) against ``normal_qr``,
+the one-call step (``step_reference``) against the step stream, the one-call
+rows step (``step_rows_reference``) against the rows stream, the trajectory
+that recorded its times, midpoints and levels as it stepped
+(``trajectory_reference``) against the ``Trajectory`` that derives them when
+read, the scatter study stepped one call at a time with each step's row
+norms taken by ``np.linalg.norm`` (``scatter_reference``) against
+``_scatter_study``, a sampling chain written out move by move on it
+(``chain_reference``) against ``run_chain``, the cell-by-cell CSV writer
+(``write_csv_reference``) against ``write_csv``, and the bundle with its
+column signs fixed so that diag(R) > 0 (``signed_bundle``), with the flow
+field that split v three times through it (``bundle_field``), against
+``build_bundle`` and ``phase_field``.
 """
 
 from __future__ import annotations
@@ -40,13 +43,13 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from hugint.constraints import ConstraintMap
+from hugint.constraints import ConstraintMap, checked_jacobian
 from hugint.dynamics import checked_solve, phase_field, reference_solve
 from hugint.ellipse import EllipseModel, ReducedState, reduced_field, reduced_solve
 from hugint.errors import DimensionError, SingularGeometryError, StudyFailedError
 from hugint.experiments import ExperimentConfig, _showcase_velocity, uniform_sphere
 from hugint.integrator import HugParams, PhaseState, hug_step, hug_steps
-from hugint.projectors import GRADIENT_FLOOR, build_bundle, normal_qr, unit_normal
+from hugint.projectors import GRADIENT_FLOOR, RANK_RTOL, build_bundle, normal_qr, unit_normal
 
 
 def dense_projectors(constraint: ConstraintMap, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -68,6 +71,22 @@ def reflect(Q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Apply the normal-space reflection (I - 2N) to v, with N = Q Q^T."""
     v = np.asarray(v, dtype=float)
     return v - 2.0 * (Q @ (Q.T @ v))
+
+
+def normal_qr_reference(constraint: ConstraintMap, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``normal_qr`` with its checks on R as numpy calls, as it ran them
+    before its rank test read Python floats; it must return the same Q and R
+    bit for bit, or raise the same error with the same message."""
+    J = checked_jacobian(constraint, x, (constraint.codim, constraint.ambient_dim))
+    Q, R = np.linalg.qr(J.T, mode="reduced")
+    if not np.isfinite(R).all():
+        raise SingularGeometryError(x, "Jacobian is not finite")
+    d = np.abs(np.diag(R))
+    if d.max() == 0.0 or d.min() <= RANK_RTOL * d.max():
+        raise SingularGeometryError(
+            x, f"Jacobian is rank deficient: diag(R) spans {d.min():.2e}..{d.max():.2e}"
+        )
+    return Q, R
 
 
 def signed_bundle(constraint: ConstraintMap, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -466,6 +485,14 @@ def field_divergence(
         e[i] = h
         total += (field(0.0, z + e)[i] - field(0.0, z - e)[i]) / (2.0 * h)
     return float(total)
+
+
+def hessian_bilinear(
+    constraint: ConstraintMap, x: np.ndarray, u: np.ndarray, w: np.ndarray
+) -> np.ndarray:
+    """H(x)[u, w] with shape (m,), per-component u^T Hess(f_i) w, from the
+    constraint's one second-derivative primitive, ``hessian_contraction``."""
+    return constraint.hessian_contraction(x, w) @ np.asarray(u, dtype=float)
 
 
 def hessian_bound_estimates(

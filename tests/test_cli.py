@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import hugint
+from hugint import experiments
 from hugint.cli import build_parser, load_config, main
 from hugint.constraints import QuadricConstraint
 from hugint.dynamics import convergence_study
@@ -62,6 +63,42 @@ def test_closed_stdout_exits_0_without_a_traceback(tmp_path):
     assert child.returncode == 0, child.stderr
     assert "Traceback" not in child.stderr and "Exception ignored" not in child.stderr
     assert (tmp_path / "sphere-tail.manifest.json").exists()
+
+
+# counts of 2**63 - 1 or more: numpy refuses the record's shape before it allocates
+_UNRECORDABLE = {
+    "foldback-steps": (["foldback", "--steps", str(2**63 - 1)], "steps=9223372036854775807"),
+    "chain-iterations": (["chain", "--iterations", str(2**63)], "iterations=9223372036854775808"),
+}
+
+
+@pytest.mark.parametrize("case", _UNRECORDABLE)
+def test_main_exit_2_on_a_count_too_large_to_record(case, tmp_path, capsys):
+    argv, message = _UNRECORDABLE[case]
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + message + " is too many to record")
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "experiment, callee", [("foldback", "hug_trajectory"), ("chain", "run_sampling_chain")]
+)
+def test_main_exit_2_when_the_record_does_not_fit_in_memory(
+    experiment, callee, tmp_path, monkeypatch, capsys
+):
+    """A MemoryError from allocating the record is a config error, as numpy's
+    refusal of a shape beyond its index range is."""
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate the record")
+
+    monkeypatch.setattr(experiments, callee, out_of_memory)
+    assert main([experiment, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Unable to allocate the record" in err
+    assert not list(tmp_path.iterdir())
 
 
 def _exit_code_and_stderr(argv, capsys) -> tuple[int, str]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import MAP_KINDS, make_map
 from hugint.constraints import (
@@ -15,8 +16,15 @@ from hugint.constraints import (
 )
 from hugint.errors import DimensionError, SingularGeometryError
 from hugint.integrator import hug_step
-from hugint.projectors import build_bundle, unit_normal
-from oracles import dense_projectors, nprime, nprime_par, nprime_perp, reflect
+from hugint.projectors import build_bundle, normal_qr, unit_normal
+from oracles import (
+    dense_projectors,
+    normal_qr_reference,
+    nprime,
+    nprime_par,
+    nprime_perp,
+    reflect,
+)
 
 
 def random_point(constraint, rng):
@@ -146,6 +154,29 @@ _BAD_CODIM2 = {
         DimensionError,
         "Jacobian of shape",
     ),
+    # R = 0: the test that diag(R) is not all zero, before the relative one
+    "jacobian-zero": (
+        CallableConstraint(3, 2, fn=lambda x: x[:2], jac=lambda x: np.zeros((2, 3))),
+        np.ones(3),
+        SingularGeometryError,
+        r"rank deficient: diag\(R\) spans 0\.00e\+00\.\.0\.00e\+00",
+    ),
+    "jacobian-parallel-rows": (
+        CallableConstraint(
+            3, 2, fn=lambda x: x[:2], jac=lambda x: [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]
+        ),
+        np.ones(3),
+        SingularGeometryError,
+        "rank deficient",
+    ),
+    "jacobian-inf": (
+        CallableConstraint(
+            3, 2, fn=lambda x: x[:2], jac=lambda x: [[np.inf, 0.0, 0.0], [0.0, 1.0, 0.0]]
+        ),
+        np.ones(3),
+        SingularGeometryError,
+        "Jacobian is not finite",
+    ),
 }
 
 
@@ -161,6 +192,44 @@ def test_codim_m_step_raises_as_build_bundle_does(case):
     with pytest.raises(error, match=match) as step_info:
         hug_step(constraint, x, np.zeros_like(x), 0.1)  # the midpoint is x itself
     assert str(step_info.value) == str(bundle_info.value)
+
+
+def _qr_outcome(factor, constraint, x):
+    """The bytes of Q and R from ``factor``, or the class and message it raised."""
+    try:
+        Q, R = factor(constraint, x)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return Q.shape, Q.tobytes(), R.shape, R.tobytes()
+
+
+# moderate floats, so that a draw is often a regular Jacobian, and finite
+# floats from subnormal to huge; one entry may then be set to a special value
+_entries = st.one_of(st.floats(-2.0, 2.0), st.floats(allow_nan=False, allow_infinity=False))
+_specials = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e308, -1e300, 5e-324])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_normal_qr_matches_its_numpy_checks(m, data):
+    """``normal_qr`` reads its rank test off Python floats; it returns the
+    reference's Q and R bit for bit, or raises the same error with the same
+    message, on Jacobians with non-finite, zero, huge, tiny and near-parallel
+    rows."""
+    n = data.draw(st.integers(m + 1, m + 3), label="n")
+    J = np.array(data.draw(st.lists(
+        st.lists(_entries, min_size=n, max_size=n), min_size=m, max_size=m), label="J"))
+    if m > 1 and data.draw(st.booleans(), label="near-parallel"):
+        eps = data.draw(st.sampled_from([0.0, 1e-13, 1e-10, 1e-7]), label="eps")
+        with np.errstate(all="ignore"):
+            J[-1] = data.draw(st.floats(-2.0, 2.0), label="scale") * J[0] + eps * J[-1]
+    if data.draw(st.booleans(), label="special"):
+        i = data.draw(st.integers(0, m - 1), label="i")
+        J[i, data.draw(st.integers(0, n - 1), label="j")] = data.draw(_specials, label="value")
+    constraint = CallableConstraint(n, m, fn=lambda x: x[:m], jac=lambda x: J)
+    x = np.ones(n)
+    assert _qr_outcome(normal_qr, constraint, x) == _qr_outcome(normal_qr_reference, constraint, x)
 
 
 def test_unit_normal_is_the_codim1_bundle_basis():
