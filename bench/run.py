@@ -22,10 +22,9 @@ cannot run (a function it does not have) records null.  Beside each median
 the row records the first and third quartiles over the rounds, so a run
 whose rounds spread widely shows as one.  The rows:
 
-- ``hug_step_rows``: one call on R = 14 rows of the 3-D ellipsoid preset,
-  all from e1, the replicated studies' shape (10 replicates, 4 showcase);
 - ``hug_steps_rows.step``: one step inside a ``hug_steps_rows`` stream on
-  the same rows;
+  R = 14 rows of the 3-D ellipsoid preset, all from e1, the replicated
+  studies' shape (10 replicates, 4 showcase);
 - ``scatter_study.step``: one step of ``experiments._scatter_study`` on the
   same rows with its d_max bookkeeping, as the difference of two step counts;
 - ``hug_step``: one call on the 2-D benchmark quadric;
@@ -67,7 +66,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 ROUNDS = 7
-ROWS = ("hug_step_rows", "hug_steps_rows.step", "scatter_study.step", "hug_step", "hug_steps.step",
+ROWS = ("hug_steps_rows.step", "scatter_study.step", "hug_step", "hug_steps.step",
         "hug_steps.step.sliced3", "normal_qr.sliced3", "normal_qr.sliced1000",
         "hug_trajectory.sphere1000", "hug_trajectory.sliced1000", "cli.main.sphere_tail")
 DENSE_ROWS = ("normal_qr.sliced1000", "hug_trajectory.sphere1000", "hug_trajectory.sliced1000")
@@ -135,8 +134,6 @@ def measure(quick: bool) -> dict:
 
     rows_stream = getattr(integrator, "hug_steps_rows", None)
     timers = {
-        "hug_step_rows": lambda: _best_us(
-            lambda: integrator.hug_step_rows(preset, X, V, 0.01), steps, repeat),
         "hug_steps_rows.step": None if rows_stream is None else lambda: _best_us(
             stream(lambda: rows_stream(preset, X, V, 0.01)), 1, repeat, steps),
         "scatter_study.step": scatter_step,

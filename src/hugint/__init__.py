@@ -21,7 +21,6 @@ from .ellipse import (
     ReducedState,
     classify,
     libration_turning_points,
-    reduced_solve,
     to_reduced,
 )
 from .errors import (
@@ -36,7 +35,6 @@ from .integrator import (
     PhaseState,
     Trajectory,
     hug_step,
-    hug_step_rows,
     hug_trajectory,
     level_drift_bound,
 )
@@ -70,13 +68,11 @@ __all__ = [
     "convergence_study",
     "hug_kernel",
     "hug_step",
-    "hug_step_rows",
     "hug_trajectory",
     "level_drift_bound",
     "libration_turning_points",
     "phase_field",
     "random_walk_kernel",
-    "reduced_solve",
     "reference_solve",
     "run_chain",
     "to_reduced",

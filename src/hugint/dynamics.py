@@ -114,18 +114,16 @@ def phase_field(constraint: ConstraintMap):
 class FlowSolution:
     """Reference solution of the phase-space flow at requested times."""
 
-    times: np.ndarray
     xs: np.ndarray
     vs: np.ndarray
 
 
 def reference_solve(constraint: ConstraintMap, initial: PhaseState, times: np.ndarray) -> FlowSolution:
     """Integrate the flow from ``initial`` through ``times`` with :func:`checked_solve`."""
-    times = np.asarray(times, dtype=float)
     n = constraint.ambient_dim
     y0 = np.concatenate([initial.x, initial.v])
     ys = checked_solve(phase_field(constraint), y0, times)
-    return FlowSolution(times=times, xs=ys[:, :n], vs=ys[:, n:])
+    return FlowSolution(xs=ys[:, :n], vs=ys[:, n:])
 
 
 @dataclass(frozen=True)
@@ -141,7 +139,6 @@ class ConvergenceStudy:
     one_step: np.ndarray
     two_step: np.ndarray
     global_err: np.ndarray
-    horizon: float
 
     @property
     def one_step_order(self) -> float:
@@ -209,5 +206,4 @@ def convergence_study(
         one_step=np.array([errs[0] for errs in errors]),
         two_step=np.array([errs[1] for errs in errors]),
         global_err=np.array([errs.max() for errs in errors]),
-        horizon=horizon,
     )

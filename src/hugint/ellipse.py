@@ -29,9 +29,9 @@ At a turning angle p = 0, so sin^2(phi*) = (c^2 / kappa - a) / (b - a).
 
 The reduced field is written over arrays: orbits of one speed stack into a
 single system y = (phi_1..m, p_1..m), so a whole phase portrait is one
-checked reference solve (:func:`reduced_orbits`) and a single orbit
-(:func:`reduced_solve`) is the case m = 1.  The package maps only into
-reduced coordinates (:func:`to_reduced`); the map back is a test oracle.
+checked reference solve (:func:`reduced_orbits`), and a single orbit is
+the case m = 1.  The package maps only into reduced coordinates
+(:func:`to_reduced`); the map back is a test oracle.
 """
 
 from __future__ import annotations
@@ -171,14 +171,6 @@ def reduced_orbits(model: EllipseModel, states: list[ReducedState], times: np.nd
     y0 = np.array([[state.phi for state in states], [state.p for state in states]])
     ys = checked_solve(reduced_field(model, speed), y0.ravel(), times)
     return ys.reshape(len(ys), 2, len(states)).transpose(2, 0, 1)
-
-
-def reduced_solve(model: EllipseModel, initial: ReducedState, times: np.ndarray) -> np.ndarray:
-    """Integrate the reduced system through the given times.
-
-    Returns an array of shape (len(times), 2) with columns (phi, p).
-    """
-    return reduced_orbits(model, [initial], times)[0]
 
 
 @dataclass(frozen=True)

@@ -464,21 +464,24 @@ def _scatter_study(
     """
     if constraint.codim != 1:
         raise ConfigError("the ellipsoid study expects a codimension-1 constraint")
-    V0 = np.array([
-        uniform_sphere(np.random.default_rng(child), x0.size)
-        for child in np.random.SeedSequence(seed).spawn(config.replicates)
-    ])
+    R = config.replicates
+    try:  # before the R child seeds, so that a count too large costs nothing
+        V = np.empty((R + len(showcase_speeds), x0.size))
+    except (ValueError, MemoryError) as exc:  # beyond numpy's index range, or memory
+        raise ConfigError(f"replicates={R} is too many to record: {exc}") from exc
+    for row, child in zip(V, np.random.SeedSequence(seed).spawn(R)):
+        row[:] = uniform_sphere(np.random.default_rng(child), x0.size)
     q = unit_normal(constraint, x0)
-    v_perp = np.abs(np.vecdot(V0, q))
-    showcase = [_showcase_velocity(q, x0, s) for s in showcase_speeds]
-    V = np.array([*V0, *showcase])
+    v_perp = np.abs(np.vecdot(V[:R], q))
+    for row, s in zip(V[R:], showcase_speeds):
+        row[:] = _showcase_velocity(q, x0, s)
     X = np.broadcast_to(x0, V.shape)
     d2 = np.zeros(len(V))
     for X, _ in islice(hug_steps_rows(constraint, X, V, config.delta), config.steps):
         D = X - x0
         np.maximum(d2, np.add.reduce(D * D, axis=1), out=d2)
     d_all = np.sqrt(d2)
-    d_max, d_showcase = d_all[: len(V0)], d_all[len(V0):]
+    d_max, d_showcase = d_all[:R], d_all[R:]
     failed = int(np.sum(~np.isfinite(d_max)))
     if failed == d_max.size:
         raise StudyFailedError(f"all {failed} replicates hit singular or non-finite geometry")

@@ -32,8 +32,7 @@ evaluate the levels with.  The Metropolis kernel in :mod:`hugint.sampling`
 takes K too but keeps only the final state.
 :func:`hug_steps_rows` is the same codim-1 stream on each row of a stack
 of states, with each row's bits those of :func:`hug_steps` however many rows
-share the stack; the replicated studies step their replicates with it, and
-:func:`hug_step_rows` is its first step.
+share the stack; the replicated studies step their replicates with it.
 """
 
 from __future__ import annotations
@@ -127,12 +126,9 @@ class Trajectory:
         """||f(x_k) - f(x_0)|| for each step, shape (K+1,)."""
         return np.linalg.norm(self.levels - self.levels[0], axis=1)
 
-    def state(self, k: int) -> PhaseState:
-        return PhaseState(self.xs[k], self.vs[k])
-
     @property
     def final(self) -> PhaseState:
-        return self.state(len(self.xs) - 1)
+        return PhaseState(self.xs[-1], self.vs[-1])
 
 
 def hug_steps(
@@ -197,7 +193,7 @@ def hug_steps_rows(
     V = np.asarray(V, dtype=float)
     if constraint.codim != 1 or X.shape != V.shape or X.shape[1:] != (constraint.ambient_dim,):
         raise DimensionError(
-            f"hug_step_rows needs a codimension-1 map and (R, {constraint.ambient_dim}) "
+            f"hug_steps_rows needs a codimension-1 map and (R, {constraint.ambient_dim}) "
             f"rows, got codim {constraint.codim} and shapes {X.shape} and {V.shape}"
         )
     h = 0.5 * delta
@@ -217,14 +213,6 @@ def hug_steps_rows(
         HV = h * V
         X = Y + HV
         yield X, V
-
-
-def hug_step_rows(
-    constraint: ConstraintMap, X: np.ndarray, V: np.ndarray, delta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`hug_step` on each row of X and V, shape (R, n), at codimension 1;
-    the first step of :func:`hug_steps_rows`."""
-    return next(hug_steps_rows(constraint, X, V, delta))
 
 
 def hug_trajectory(

@@ -48,18 +48,6 @@ def write_csv(
         )
 
 
-def read_csv(path: str) -> tuple[str, list[str], list[list[str]]]:
-    """Read a file written by :func:`write_csv`; returns (schema, header, rows)."""
-    with open(path) as fh:
-        first = fh.readline().rstrip("\n")
-        if not first.startswith("#schema="):
-            raise ValueError(f"{path} has no #schema= line")
-        schema = first[len("#schema=") :]
-        header = fh.readline().rstrip("\n").split(",")
-        rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
-    return schema, header, rows
-
-
 def write_manifest(path: str, config: dict, wall_time_s: float, summary: dict) -> None:
     """Write the run manifest next to the experiment's data files; its
     ``experiment`` and ``seed`` are those of the echoed ``config``."""

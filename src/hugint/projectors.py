@@ -64,7 +64,7 @@ def normal_qr(constraint: ConstraintMap, x: np.ndarray) -> tuple[np.ndarray, np.
     # per-call cost, which at m = 2 is most of the test's time
     d = [abs(r) for r in R.diagonal().tolist()]
     low, top = min(d), max(d)
-    if top == 0.0 or low <= RANK_RTOL * top:
+    if low <= RANK_RTOL * top:
         raise SingularGeometryError(
             x, f"Jacobian is rank deficient: diag(R) spans {low:.2e}..{top:.2e}"
         )

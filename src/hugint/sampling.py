@@ -8,9 +8,9 @@ the log-density ell, and accepts with probability min(1, r),
 Because each step reflects the velocity with an orthogonal matrix, ||v_K||
 equals ||v_0||; for an isotropic, position-independent Gaussian q the two q
 terms therefore cancel exactly, and the acceptance ratio reduces to the
-ell difference, which the hugging property keeps small.  The kernel exploits
-that cancellation by default but can evaluate the general formula, both to
-test the shortcut and to support other velocity distributions.
+ell difference, which the hugging property keeps small.  The kernel takes
+that shortcut when the distribution declares itself ``norm_invariant`` and
+evaluates the general formula for any other velocity distribution.
 
 A proposal needs only (x_K, v_K), so the kernel takes K steps from the
 integrator's stream, :func:`~hugint.integrator.hug_steps`, keeps the last
@@ -91,14 +91,13 @@ def hug_kernel(
     params: HugParams,
     velocity_dist: IsotropicGaussian,
     rng: np.random.Generator,
-    use_norm_cancellation: bool = True,
     log_density: float | None = None,
 ) -> KernelResult:
     """One hugging Metropolis-Hastings move from x.
 
-    With ``use_norm_cancellation`` (default) the velocity-distribution terms
-    of log r are dropped for norm-invariant distributions, where they cancel
-    exactly; pass False to evaluate the general formula.  The proposal
+    The velocity-distribution terms of log r are dropped when the
+    distribution's ``norm_invariant`` is True, where they cancel exactly, and
+    evaluated by the general formula otherwise.  The proposal
     takes K steps from :func:`~hugint.integrator.hug_steps` and keeps only
     the final pair (x_K, v_K).  ``log_density`` is ell(x), evaluated only
     when not given; ell is otherwise read at x_K only.  A rank-deficient
@@ -116,7 +115,7 @@ def hug_kernel(
         return KernelResult(x, False, -np.inf, log_density, singular=True)
     log_density_k = log_density_of(target, x_k)
     log_ratio = log_density_k - log_density
-    if not (use_norm_cancellation and getattr(velocity_dist, "norm_invariant", False)):
+    if not getattr(velocity_dist, "norm_invariant", False):
         log_ratio += velocity_dist.log_density(v_k, x_k) - velocity_dist.log_density(v0, x)
     accepted = np.log(rng.uniform()) < log_ratio
     if not accepted:

@@ -14,10 +14,13 @@ reduced ellipse coordinates (``from_reduced``).
 Most of the rest reach a result the package computes another way, through
 the dense n-by-n projectors N and T (``dense_projectors``), so agreement
 with the package's matrix-free code is a real check rather than a tautology.
-The remainder are measurements only the tests make: a finite-difference
-divergence, the per-step-size convergence loop, the integrated extreme of a
-libration, the reduced derivative at a state and the equilibria of the
-reduced system.
+The remainder are measurements and fixtures only the tests use: a
+finite-difference divergence, the per-step-size convergence loop, the
+integrated extreme of a libration, the reduced derivative at a state, the
+equilibria of the reduced system, the reader of the files ``write_csv``
+writes (``read_csv``), and an isotropic Gaussian that does not declare itself
+norm-invariant (``GeneralFormulaGaussian``), so that the kernel evaluates the
+general acceptance formula on it.
 
 Nine are earlier forms of package code that now runs another way, kept to
 hold it to the same bits or bytes: the checked QR factorization with its
@@ -45,11 +48,12 @@ import numpy as np
 
 from hugint.constraints import ConstraintMap, checked_jacobian
 from hugint.dynamics import checked_solve, phase_field, reference_solve
-from hugint.ellipse import EllipseModel, ReducedState, reduced_field, reduced_solve
+from hugint.ellipse import EllipseModel, ReducedState, reduced_field, reduced_orbits
 from hugint.errors import DimensionError, SingularGeometryError, StudyFailedError
 from hugint.experiments import ExperimentConfig, _showcase_velocity, uniform_sphere
 from hugint.integrator import HugParams, PhaseState, hug_step, hug_steps
 from hugint.projectors import GRADIENT_FLOOR, RANK_RTOL, build_bundle, normal_qr, unit_normal
+from hugint.sampling import IsotropicGaussian
 
 
 def dense_projectors(constraint: ConstraintMap, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -207,7 +211,7 @@ def step_rows_reference(
     V = np.asarray(V, dtype=float)
     if constraint.codim != 1 or X.shape != V.shape or X.shape[1:] != (constraint.ambient_dim,):
         raise DimensionError(
-            f"hug_step_rows needs a codimension-1 map and (R, {constraint.ambient_dim}) "
+            f"hug_steps_rows needs a codimension-1 map and (R, {constraint.ambient_dim}) "
             f"rows, got codim {constraint.codim} and shapes {X.shape} and {V.shape}"
         )
     h = 0.5 * delta
@@ -292,6 +296,12 @@ def chain_reference(
     return np.array(states), np.array(hug_accepted, dtype=bool), walk, singular
 
 
+class GeneralFormulaGaussian(IsotropicGaussian):
+    """N(0, sigma^2 I) on which ``hug_kernel`` evaluates the general formula."""
+
+    norm_invariant = False
+
+
 def format_cell_reference(value) -> str:
     """Deterministic text form for a CSV cell, decided cell by cell."""
     if isinstance(value, (float, np.floating)):
@@ -314,6 +324,18 @@ def write_csv_reference(
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(format_cell_reference(cell) for cell in row) + "\n")
+
+
+def read_csv(path: str) -> tuple[str, list[str], list[list[str]]]:
+    """Read a file written by ``write_csv``; returns (schema, header, rows)."""
+    with open(path) as fh:
+        first = fh.readline().rstrip("\n")
+        if not first.startswith("#schema="):
+            raise ValueError(f"{path} has no #schema= line")
+        schema = first[len("#schema=") :]
+        header = fh.readline().rstrip("\n").split(",")
+        rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
+    return schema, header, rows
 
 
 def nprime_perp(
@@ -614,7 +636,7 @@ def integrated_angle_extreme(
     to far better accuracy than the grid spacing.
     """
     times = np.arange(0.0, t_final + dt, dt)
-    ys = reduced_solve(model, initial, times)
+    ys = reduced_orbits(model, [initial], times)[0]
     phi = np.abs(ys[:, 0])
     i = int(np.argmax(phi))
     if i == 0 or i == len(phi) - 1:

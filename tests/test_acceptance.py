@@ -23,7 +23,7 @@ from hugint.ellipse import (
     EllipseModel,
     classify,
     libration_turning_points,
-    reduced_solve,
+    reduced_orbits,
     tangential_speed,
     to_reduced,
 )
@@ -42,8 +42,9 @@ from hugint.experiments import (
     run_ellipsoid,
 )
 from hugint.integrator import HugParams, PhaseState, hug_step, hug_trajectory, level_drift_bound
-from hugint.sampling import IsotropicGaussian, hug_kernel
+from hugint.sampling import hug_kernel
 from oracles import (
+    GeneralFormulaGaussian,
     dense_projectors,
     field_divergence,
     hessian_bound_estimates,
@@ -336,7 +337,7 @@ def test_criterion_08_foldback_geometry():
     assert result.kind == "libration", f"classified as {result.kind}"
 
     times = np.linspace(0.0, 8.0, 161)
-    ys = reduced_solve(model, reduced0, times)
+    ys = reduced_orbits(model, [reduced0], times)[0]
     kappas = np.array(
         [model.kappa(type(reduced0)(phi, p, reduced0.speed)) for phi, p in ys]
     )
@@ -411,11 +412,11 @@ def test_criterion_10_sampler_acceptance_and_moments(tmp_path):
     target = SphereConstraint(3)
     x = np.array([0.6, -0.8, 0.0])
     params = HugParams(0.1, 10)
-    velocity = IsotropicGaussian(dim=3)
+    velocity = GeneralFormulaGaussian(dim=3)
     rng = np.random.default_rng(1010)
     worst = 0.0
     for _ in range(200):
-        result = hug_kernel(target, x, params, velocity, rng, use_norm_cancellation=False)
+        result = hug_kernel(target, x, params, velocity, rng)
         assert result.accepted
         worst = max(worst, abs(result.log_ratio))
         x = result.state

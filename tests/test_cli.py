@@ -29,7 +29,7 @@ from hugint.experiments import (
     TABLE_DELTAS,
 )
 from hugint.integrator import PhaseState
-from hugint.output import read_csv
+from oracles import read_csv
 
 
 def _child_env() -> dict:
@@ -78,6 +78,29 @@ def test_main_exit_2_on_a_count_too_large_to_record(case, tmp_path, capsys):
     assert main([*argv, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: " + message + " is too many to record")
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+class _NoSpawnSeedSequence(np.random.SeedSequence):
+    """A seed sequence that fails if asked for child seeds."""
+
+    def spawn(self, n_children):
+        raise AssertionError(f"spawned {n_children} child seeds")
+
+
+@pytest.mark.parametrize("experiment", ["ellipsoid", "ecdf"])
+def test_main_exit_2_on_a_replicate_count_too_large_to_record(
+    experiment, tmp_path, monkeypatch, capsys
+):
+    """numpy refuses the (R, n) velocity block before any of the R child
+    seeds is spawned, so the run ends at once instead of growing a list of R
+    seeds until memory runs out."""
+    monkeypatch.setattr(np.random, "SeedSequence", _NoSpawnSeedSequence)
+    argv = [experiment, "--replicates", str(2**63 - 1), "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: replicates=9223372036854775807 is too many to record")
     assert "Traceback" not in err
     assert not list(tmp_path.iterdir())
 

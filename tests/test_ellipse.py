@@ -14,7 +14,6 @@ from hugint.ellipse import (
     classify,
     libration_turning_points,
     reduced_orbits,
-    reduced_solve,
     tangential_speed,
     to_reduced,
 )
@@ -110,7 +109,7 @@ def test_kappa_conserved_along_reduced_solve():
         p0 = rng.uniform(-0.9, 0.9) * SPEED
         state = ReducedState(phi=phi0, p=p0, speed=SPEED)
         times = np.linspace(0.0, 8.0, 33)
-        ys = reduced_solve(MODEL, state, times)
+        ys = reduced_orbits(MODEL, [state], times)[0]
         kappas = (SPEED**2 - ys[:, 1] ** 2) / MODEL.mu(ys[:, 0])
         assert np.abs(kappas - MODEL.kappa(state)).max() < 1e-9
 
@@ -123,7 +122,7 @@ def test_reduced_solve_matches_cartesian_flow():
     reduced0, _ = to_reduced(MODEL, initial)
     times = np.linspace(0.0, 3.0, 31)
     cart = reference_solve(constraint, initial, times)
-    reduced = reduced_solve(MODEL, reduced0, times)
+    reduced = reduced_orbits(MODEL, [reduced0], times)[0]
     phis = np.array([MODEL.angle_of(x) for x in cart.xs])
     ps = np.array([v @ MODEL.unit_tangent(phi) for v, phi in zip(cart.vs, phis)])
     assert np.abs(phis - reduced[:, 0]).max() < 1e-7
@@ -142,7 +141,7 @@ def test_stacked_orbits_need_finite_starts_and_one_speed():
 def test_reduced_derivative_matches_solve():
     state = ReducedState(phi=0.46, p=0.35, speed=SPEED)
     h = 1e-6
-    ys = reduced_solve(MODEL, state, np.array([0.0, h, 2 * h]))
+    ys = reduced_orbits(MODEL, [state], np.array([0.0, h, 2 * h]))[0]
     mid = ReducedState(phi=float(ys[1, 0]), p=float(ys[1, 1]), speed=SPEED)
     dphi, dp = reduced_derivative(MODEL, mid)
     fd = (ys[2] - ys[0]) / (2 * h)

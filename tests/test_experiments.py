@@ -12,7 +12,7 @@ from hugint import cli
 from hugint.cli import build_parser
 from hugint.constraints import QuadricConstraint, SphereSlicedConstraint
 from hugint.dynamics import reference_solve
-from hugint.ellipse import EllipseModel, ReducedState, reduced_solve
+from hugint.ellipse import EllipseModel, ReducedState, reduced_orbits
 from hugint.experiments import (
     BENCH_DIAG,
     BENCH_V0,
@@ -41,10 +41,9 @@ from hugint.experiments import (
     uniform_sphere,
 )
 from hugint.integrator import HugParams, PhaseState, hug_trajectory
-from hugint.output import read_csv
 from hugint.projectors import build_bundle
 from conftest import fenced_ellipsoid
-from oracles import dense_projectors, scatter_reference
+from oracles import dense_projectors, read_csv, scatter_reference
 
 #: A quadric whose unit normal at x0 = e1 is not e1.
 TILTED_QUADRIC = [[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]]
@@ -301,7 +300,8 @@ def test_phase_portrait_stacked_orbits_match_single_orbit_solves(tmp_path):
     for point_id, phi0, p0, *_ in checked:
         orbit = orbits[int(point_id)]
         assert np.all(orbit[:, 0] == int(point_id))
-        single = reduced_solve(model, ReducedState(float(phi0), float(p0), summary["speed"]), times)
+        start = ReducedState(float(phi0), float(p0), summary["speed"])
+        single = reduced_orbits(model, [start], times)[0]
         assert np.abs(orbit[:, 2:] - single).max() < 1e-9
 
 

@@ -7,8 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from hugint.output import format_cell, read_csv, write_csv, write_manifest
-from oracles import write_csv_reference
+from hugint.output import format_cell, write_csv, write_manifest
+from oracles import read_csv, write_csv_reference
 
 
 def test_format_cell_types():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import inspect
 
 import hugint
 
@@ -13,19 +14,24 @@ ORACLES_BY_FORMER_MODULE = {
     "hugint.dynamics": ("embedded_sequence", "step_residuals"),
     "hugint.constraints": ("hessian_bound_estimates",),
     "hugint.ellipse": ("from_reduced",),
+    "hugint.output": ("read_csv",),
 }
 
 #: Names the package no longer has, by the module that held them: the flow
-#: field takes (Q, J^+) from ``build_bundle`` as a pair and splits v itself.
+#: field takes (Q, J^+) from ``build_bundle`` as a pair and splits v itself,
+#: and the one-step rows map and the one-orbit reduced solve are the first
+#: step of ``hug_steps_rows`` and ``reduced_orbits`` at m = 1.
 REMOVED_BY_FORMER_MODULE = {
     "hugint.projectors": ("ProjectorBundle",),
     "hugint.dynamics": ("split_velocity", "velocity_derivative"),
+    "hugint.integrator": ("hug_step_rows",),
+    "hugint.ellipse": ("reduced_solve",),
 }
 
 
 def test_public_surface_is_sorted_resolves_and_holds_no_oracle():
     assert hugint.__all__ == sorted(set(hugint.__all__))
-    assert len(hugint.__all__) == 36
+    assert len(hugint.__all__) == 34
     missing = [name for name in hugint.__all__ if not hasattr(hugint, name)]
     assert not missing
     for gone in (ORACLES_BY_FORMER_MODULE, REMOVED_BY_FORMER_MODULE):
@@ -35,3 +41,6 @@ def test_public_surface_is_sorted_resolves_and_holds_no_oracle():
                 assert not hasattr(module, name), f"{module_name}.{name}"
                 assert not hasattr(hugint, name), f"hugint.{name}"
 
+
+def test_hug_kernel_reads_norm_invariance_from_the_distribution_alone():
+    assert "use_norm_cancellation" not in inspect.signature(hugint.hug_kernel).parameters

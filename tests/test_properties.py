@@ -24,7 +24,7 @@ from hugint.constraints import (
     SphereSlicedConstraint,
 )
 from hugint.errors import SingularGeometryError
-from hugint.integrator import hug_step, hug_step_rows, hug_steps, hug_steps_rows
+from hugint.integrator import hug_step, hug_steps, hug_steps_rows
 from oracles import bundle_step, step_reference, step_rows_reference
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=30, deadline=None)
@@ -125,9 +125,9 @@ def _codim1_map(kind: str, n: int):
 def test_codim1_step_is_bitwise_the_bundle_step(kind, n, seed):
     """At codimension 1 ``hug_step`` reflects through the unit gradient and
     builds no bundle; five steps must match the bundle route bit for bit.
-    So must the rows route, ``hug_step_rows``: each row of a stack of the
-    drawn (x, v) and three more, and the drawn row alone as a one-row stack,
-    whatever else shares the stack."""
+    So must the first step of the rows stream, ``hug_steps_rows``: each row
+    of a stack of the drawn (x, v) and three more, and the drawn row alone as
+    a one-row stack, whatever else shares the stack."""
     constraint = _codim1_map(kind, n)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)
@@ -146,8 +146,8 @@ def test_codim1_step_is_bitwise_the_bundle_step(kind, n, seed):
         xb, vb = bundle_step(constraint, xb, vb, delta)
         assert np.array_equal(xa, xb) and np.array_equal(va, vb)
         singles = [hug_step(constraint, xr, vr, delta) for xr, vr in singles]
-        X, V = hug_step_rows(constraint, X, V, delta)
-        X1, V1 = hug_step_rows(constraint, X1, V1, delta)
+        X, V = next(hug_steps_rows(constraint, X, V, delta))
+        X1, V1 = next(hug_steps_rows(constraint, X1, V1, delta))
         assert np.array_equal(X, [xr for xr, _ in singles])
         assert np.array_equal(V, [vr for _, vr in singles])
         assert np.array_equal(X1[0], xa) and np.array_equal(V1[0], va)

@@ -22,7 +22,7 @@ from hugint.sampling import (
     random_walk_kernel,
     run_chain,
 )
-from oracles import chain_reference
+from oracles import GeneralFormulaGaussian, chain_reference
 
 #: log-density -x.x, i.e. an isotropic Gaussian with variance 1/2 per axis.
 ISO_TARGET = SphereConstraint(3)
@@ -63,12 +63,11 @@ def test_cancellation_and_general_formulas_agree():
     """For a norm-invariant velocity distribution the general acceptance
     formula must reduce to the shortcut."""
     target = QuadricConstraint(np.diag([1.0, 4.0]))
-    dist = IsotropicGaussian(dim=2, sigma=1.3)
     x = np.array([1.0, 0.0])
-    shortcut = hug_kernel(target, x, PARAMS, dist, np.random.default_rng(7))
-    general = hug_kernel(
-        target, x, PARAMS, dist, np.random.default_rng(7), use_norm_cancellation=False
-    )
+    shortcut = hug_kernel(target, x, PARAMS, IsotropicGaussian(dim=2, sigma=1.3),
+                          np.random.default_rng(7))
+    general = hug_kernel(target, x, PARAMS, GeneralFormulaGaussian(dim=2, sigma=1.3),
+                         np.random.default_rng(7))
     assert abs(shortcut.log_ratio - general.log_ratio) < 1e-12
     assert shortcut.accepted == general.accepted
     assert np.allclose(shortcut.state, general.state)
@@ -143,7 +142,7 @@ def test_kernel_proposal_equals_trajectory_final_state(target):
     v0 = np.array([0.2, 0.9, -0.5])
     final = hug_trajectory(target, PhaseState(x, v0), PARAMS).final
     dist = _RecordingVelocity(v0)
-    result = hug_kernel(target, x, PARAMS, dist, _AlwaysAccept(), use_norm_cancellation=False)
+    result = hug_kernel(target, x, PARAMS, dist, _AlwaysAccept())
     assert result.accepted and not result.singular
     assert np.array_equal(result.state, final.x)
     (v_k, x_k), (v_first, x_first) = dist.seen
