@@ -27,7 +27,8 @@ whose rounds spread widely shows as one.  The rows:
   studies' shape (10 replicates, 4 showcase);
 - ``scatter_study.step``: one step of ``experiments._scatter_study`` on the
   same rows with its d_max bookkeeping, as the difference of two step counts;
-- ``hug_step``: one call on the 2-D benchmark quadric;
+- ``hug_step``: one step as one call, ``next(hug_steps(...))``, on the 2-D
+  benchmark quadric;
 - ``hug_steps.step``: one step inside a ``hug_steps`` stream on that quadric;
 - ``hug_steps.step.sliced3``: one step inside a ``hug_steps`` stream on the
   sliced sphere at n = 3, from CI's codim-2 start, a reflection through
@@ -138,7 +139,7 @@ def measure(quick: bool) -> dict:
             stream(lambda: rows_stream(preset, X, V, 0.01)), 1, repeat, steps),
         "scatter_study.step": scatter_step,
         "hug_step": lambda: _best_us(
-            lambda: integrator.hug_step(quadric, x, v, 0.1), 2 * steps, repeat),
+            lambda: next(integrator.hug_steps(quadric, x, v, 0.1)), 2 * steps, repeat),
         "hug_steps.step": lambda: _best_us(
             stream(lambda: integrator.hug_steps(quadric, x, v, 0.1)), 1, repeat, steps),
         "hug_steps.step.sliced3": lambda: _best_us(

@@ -20,7 +20,6 @@ from .ellipse import (
     EllipseModel,
     ReducedState,
     classify,
-    libration_turning_points,
     to_reduced,
 )
 from .errors import (
@@ -34,7 +33,6 @@ from .integrator import (
     HugParams,
     PhaseState,
     Trajectory,
-    hug_step,
     hug_trajectory,
     level_drift_bound,
 )
@@ -67,10 +65,8 @@ __all__ = [
     "classify",
     "convergence_study",
     "hug_kernel",
-    "hug_step",
     "hug_trajectory",
     "level_drift_bound",
-    "libration_turning_points",
     "phase_field",
     "random_walk_kernel",
     "reference_solve",

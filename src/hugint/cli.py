@@ -5,9 +5,8 @@ Subcommands and their help lines come from the experiment table,
 ``--out`` and ``--seed`` plus a flag for each field of its entry's
 ``settings`` that has a help line; each flag takes a value, of the type its
 field declares in :class:`~hugint.experiments.ExperimentConfig`, with its help.
-A call that names an experiment builds the parser of that subcommand only;
-any other call (no arguments, ``-h`` or an unknown name) builds all of them.
-Each parser is built once per process and reused by later calls.
+The parser, with every subcommand, is built once per process and reused by
+later calls.
 Settings come from an optional JSON config file overridden by command-line
 flags; the file may set ``out``, ``seed`` and the fields of the entry, and any
 other key is a configuration error.  Unset fields take the entry's defaults.
@@ -33,28 +32,19 @@ from .experiments import EXPERIMENTS, RUNNERS, SETTINGS, ConfigError, Experiment
 from .output import write_manifest
 
 
-def _keys(name: str) -> tuple[str, ...]:
-    """The config fields experiment ``name`` reads: ``out``, ``seed`` and its entry's."""
-    return ("out", "seed", *EXPERIMENTS[name].settings)
-
-
 @functools.cache
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The ``hugint`` parser with a subcommand for every experiment, or for
-    the experiment ``only`` alone, whose usage line still lists every name;
-    cached, since a parser keeps no state between ``parse_args`` calls."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``hugint`` parser with a subcommand for every experiment; cached,
+    since a parser keeps no state between ``parse_args`` calls."""
     parser = argparse.ArgumentParser(
         prog="hugint",
         description="Run experiments for the level-set hugging integrator.",
     )
-    # Without every name as metavar the usage line would list ``only`` alone;
-    # the full parser keeps the default so its errors name "experiment".
-    metavar = None if only is None else "{" + ",".join(EXPERIMENTS) + "}"
-    sub = parser.add_subparsers(dest="experiment", required=True, metavar=metavar)
-    for name in EXPERIMENTS if only is None else (only,):
-        p = sub.add_parser(name, help=EXPERIMENTS[name].help)
+    sub = parser.add_subparsers(dest="experiment", required=True)
+    for name, experiment in EXPERIMENTS.items():
+        p = sub.add_parser(name, help=experiment.help)
         p.add_argument("--config", help="JSON config file; flags override its keys")
-        for key in _keys(name):
+        for key in experiment.keys:
             if SETTINGS[key]["help"] is not None:
                 p.add_argument("--" + key.replace("_", "-"), dest=key,
                                type=SETTINGS[key]["kind"], help=SETTINGS[key]["help"])
@@ -73,7 +63,7 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"config file is not readable JSON: {exc}") from exc
         if not isinstance(settings, dict):
             raise ConfigError("config file must hold a JSON object")
-        unread = set(settings) - set(_keys(args.experiment))
+        unread = set(settings) - set(EXPERIMENTS[args.experiment].keys)
         if unread:
             raise ConfigError(
                 f"bad config key(s) for {args.experiment}: {', '.join(sorted(unread))}"
@@ -86,9 +76,7 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    only = argv[0] if argv and argv[0] in EXPERIMENTS else None
-    args = build_parser(only).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = load_config(args)
     except ConfigError as exc:

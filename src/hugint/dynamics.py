@@ -174,9 +174,13 @@ def position_errors(
 
     ``steps[i]`` is the step count K of ``deltas[i]``.  One reference solve
     on the union of the grids delta_i * (0, 1, ..., K_i) serves every step
-    size; each one's rows are picked out of it by time.
+    size; each one's rows are picked out of it by time.  Grids too large to
+    allocate raise :class:`MemoryError` before the solve.
     """
-    grids = [delta * np.arange(K + 1) for delta, K in zip(deltas, steps)]
+    try:
+        grids = [delta * np.arange(K + 1) for delta, K in zip(deltas, steps)]
+    except ValueError as exc:  # a grid beyond numpy's index range fits in no memory
+        raise MemoryError(str(exc)) from exc
     union = np.unique(np.concatenate(grids))
     xs = reference_solve(constraint, initial, union).xs
     errors = []

@@ -80,19 +80,10 @@ class EllipseModel:
         """mu(phi) = a cos^2(phi) + b sin^2(phi)."""
         return self.a * np.cos(phi) ** 2 + self.b * np.sin(phi) ** 2
 
-    def position(self, phi: float) -> np.ndarray:
-        return np.array([np.cos(phi) / np.sqrt(self.a), np.sin(phi) / np.sqrt(self.b)])
-
     def unit_tangent(self, phi: float) -> np.ndarray:
         mu = self.mu(phi)
         return np.array(
             [-np.sqrt(self.b) * np.sin(phi), np.sqrt(self.a) * np.cos(phi)]
-        ) / np.sqrt(mu)
-
-    def unit_normal(self, phi: float) -> np.ndarray:
-        mu = self.mu(phi)
-        return np.array(
-            [np.sqrt(self.a) * np.cos(phi), np.sqrt(self.b) * np.sin(phi)]
         ) / np.sqrt(mu)
 
     def angle_of(self, x: np.ndarray) -> float:
@@ -107,11 +98,11 @@ class EllipseModel:
         return (state.speed**2 - state.p**2) / float(self.mu(state.phi))
 
 
-def to_reduced(model: EllipseModel, state: PhaseState) -> tuple[ReducedState, float]:
+def to_reduced(model: EllipseModel, state: PhaseState) -> ReducedState:
     """Map a Cartesian (x, v) on the level set to reduced coordinates.
 
-    Returns the reduced state and the signed normal speed v . n(phi), which
-    the reduced system itself only tracks through its square.
+    The reduced state drops the sign of the normal speed v . n(phi): the
+    reduced system only tracks its square, c^2 - p^2.
 
     Raises
     ------
@@ -130,8 +121,7 @@ def to_reduced(model: EllipseModel, state: PhaseState) -> tuple[ReducedState, fl
         raise SingularGeometryError(x, "velocity is not finite")
     phi = model.angle_of(x)
     p = float(v @ model.unit_tangent(phi))
-    normal_speed = float(v @ model.unit_normal(phi))
-    return ReducedState(phi=phi, p=p, speed=float(np.linalg.norm(v))), normal_speed
+    return ReducedState(phi=phi, p=p, speed=float(np.linalg.norm(v)))
 
 
 def tangential_speed(model: EllipseModel, x: np.ndarray, v: np.ndarray) -> float:
@@ -192,42 +182,38 @@ def classify(model: EllipseModel, state: ReducedState) -> Classification:
     means turning angles exist (libration); equality within :data:`SEPARATRIX_RTOL`
     is the separatrix.  Works for either ordering of a and b: swapping the two
     coordinate axes maps the model with a > b onto one with a < b, and the
-    criterion only involves the swap-invariant quantity max(a, b).
+    criterion only involves the swap-invariant quantity max(a, b).  On a
+    circle (a == b) kappa * max(a, b) is c^2 - p^2, so a peak above c^2 there
+    comes only from rounding or an overflow of kappa; p is constant there, so
+    such a start is a rotation.
     """
     kappa = model.kappa(state)
     c2 = state.speed**2
     peak = kappa * max(model.a, model.b)
     if abs(peak - c2) <= SEPARATRIX_RTOL * c2:
         return Classification(kind="separatrix", kappa=kappa, turning_points=None)
-    if peak < c2:
+    if peak < c2 or model.a == model.b:
         return Classification(kind="rotation", kappa=kappa, turning_points=None)
     return Classification(
-        kind="libration", kappa=kappa, turning_points=libration_turning_points(model, state)
+        kind="libration", kappa=kappa, turning_points=_turning_points(model, state, kappa)
     )
 
 
-def libration_turning_points(model: EllipseModel, state: ReducedState) -> tuple[float, float]:
-    """Angles (phi_min, phi_max) where p vanishes, bracketing the enclosed center.
+def _turning_points(model: EllipseModel, state: ReducedState, kappa: float) -> tuple[float, float]:
+    """Angles (phi_min, phi_max) where p vanishes on the libration through
+    ``state`` of first integral ``kappa``, bracketing the enclosed center.
 
     At a turning point c^2 - p^2 = kappa * mu(phi) with p = 0, so
     sin^2(phi*) = (c^2 / kappa - a) / (b - a) for the representative angle
     phi* in [0, pi/2].  For a < b the libration encloses a center at a
     multiple of pi and the turning points are center -+ phi*; for a > b the
     centers sit at odd multiples of pi/2 and the bracket is
-    (phi* + k pi, pi - phi* + k pi).  Only defined for librations with a != b.
+    (phi* + k pi, pi - phi* + k pi).  :func:`classify` calls it only with
+    a != b and kappa > 0, where sin^2(phi*) lies in [0, 1] but for rounding:
+    a start at a turning point can read -1e-17, so it is clamped to [0, 1].
     """
-    if model.a == model.b:
-        raise ValueError("turning points are undefined on a circle (a == b)")
-    kappa = model.kappa(state)
-    if kappa <= 0.0:
-        raise ValueError("no turning points: kappa = 0 means p never vanishes")
     s2 = (state.speed**2 / kappa - model.a) / (model.b - model.a)
-    if not 0.0 <= s2 <= 1.0 + 1e-12:
-        raise ValueError(
-            f"no turning points: sin^2(phi*) = {s2:.6f} outside [0, 1]; "
-            "the trajectory is not a libration"
-        )
-    half = float(np.arcsin(np.sqrt(min(s2, 1.0))))
+    half = float(np.arcsin(np.sqrt(min(max(s2, 0.0), 1.0))))
     if model.a < model.b:
         center = np.pi * np.round(state.phi / np.pi)
         return float(center - half), float(center + half)

@@ -135,9 +135,9 @@ class ExperimentConfig:
                 setattr(self, name, copy.deepcopy(value))
 
     def echo(self) -> dict:
-        """The manifest's record: the experiment, ``out``, ``seed`` and the
-        fields the experiment reads; None marks a value worked out from the data."""
-        keys = ("experiment", "out", "seed", *EXPERIMENTS[self.experiment].settings)
+        """The manifest's record: the experiment and the fields it reads, its
+        entry's :attr:`Experiment.keys`; None marks a value worked out from the data."""
+        keys = ("experiment", *EXPERIMENTS[self.experiment].keys)
         return {key: getattr(self, key) for key in keys}
 
 
@@ -294,7 +294,10 @@ def run_convergence(config: ExperimentConfig) -> dict:
     """Order measurement: one-step, two-step, and global errors with fitted slopes."""
     constraint = build_constraint(config.constraint)
     initial = _config_start(config, constraint)
-    study = convergence_study(constraint, initial, np.asarray(TABLE_DELTAS), horizon=config.t_end)
+    try:
+        study = convergence_study(constraint, initial, np.asarray(TABLE_DELTAS), horizon=config.t_end)
+    except (MemoryError, OverflowError) as exc:  # the step grids do not fit, or count past inf
+        raise ConfigError(f"t_end={config.t_end} is too long to record: {exc}") from exc
     write_csv(
         os.path.join(config.out, "convergence.csv"),
         "convergence/1",
@@ -332,7 +335,10 @@ def run_phase_portrait(config: ExperimentConfig) -> dict:
     speed = float(np.sqrt(2.0))
     phis = np.linspace(-0.75 * np.pi, 0.75 * np.pi, 7)
     ps = np.linspace(-speed, speed, 9)
-    sample_times = np.arange(0.0, config.t_end + 0.05, 0.05)
+    try:
+        sample_times = np.arange(0.0, config.t_end + 0.05, 0.05)
+    except (ValueError, MemoryError) as exc:  # beyond numpy's index range, or memory
+        raise ConfigError(f"t_end={config.t_end} is too long to record: {exc}") from exc
     states = [
         ReducedState(phi=float(phi0), p=float(p0), speed=speed) for p0 in ps for phi0 in phis
     ]
@@ -374,7 +380,7 @@ def run_foldback(config: ExperimentConfig) -> dict:
     constraint = QuadricConstraint(np.diag([model.a, model.b]))
     initial = _config_start(config, constraint)
     try:
-        reduced0, _ = to_reduced(model, initial)
+        reduced0 = to_reduced(model, initial)
     except OffLevelSetError as exc:
         if not np.isfinite(initial.x).all():  # a non-finite start is a numerical failure
             raise
@@ -389,7 +395,11 @@ def run_foldback(config: ExperimentConfig) -> dict:
     sign_changes = int(np.sum(signs[1:] != signs[:-1]))
 
     t_end = config.delta * config.steps
-    dense_times = np.arange(0.0, t_end + 0.01, 0.01)
+    try:
+        dense_times = np.arange(0.0, t_end + 0.01, 0.01)
+    except (ValueError, MemoryError) as exc:  # beyond numpy's index range, or memory
+        raise ConfigError(f"delta={config.delta} times steps={config.steps} is too long "
+                          f"to record: {exc}") from exc
     # one solve serves the flow table and the steps, each at its own times
     union = np.unique(np.concatenate([dense_times, trajectory.times]))
     flow = reference_solve(constraint, initial, union)
@@ -648,6 +658,11 @@ class Experiment:
     help: str
     runner: Callable[[ExperimentConfig], dict]
     settings: dict = field(default_factory=dict)
+
+    @property
+    def keys(self) -> tuple[str, ...]:
+        """The config fields the experiment reads: ``out``, ``seed`` and its settings."""
+        return ("out", "seed", *self.settings)
 
 
 _BENCH_CONSTRAINT = {"kind": "quadric", "diag": BENCH_DIAG}

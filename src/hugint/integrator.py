@@ -24,7 +24,7 @@ the product with Q undoes that exactly, so v' has the bits of a sign-fixed Q.
 :func:`hug_steps` is the step, written once as a stream that yields
 (x_k, v_k) for k = 1, 2, ...: it converts v and picks the codimension branch
 once, and carries h v_k from the end of step k, x_k = y + h v_k, to the start
-of step k + 1, y = x_k + h v_k.  :func:`hug_step` is its first step.
+of step k + 1, y = x_k + h v_k.
 :func:`hug_trajectory` takes K steps from the stream and records only the
 positions and velocities; the :class:`Trajectory` it returns derives step
 times, midpoints and levels from them when read, and keeps the constraint to
@@ -141,7 +141,8 @@ def hug_steps(
     midpoint is validated as it is reached, by :func:`unit_normal` at
     codimension 1 and by :func:`normal_qr` above it, so a singular midpoint
     at step j raises :class:`~hugint.errors.SingularGeometryError` out of the
-    j-th ``next``.  Step k has the bits of k chained one-step calls.
+    j-th ``next``.  One step is ``next(hug_steps(...))``, and step k has
+    the bits of k such steps chained.
     """
     v = np.asarray(v, dtype=float)
     h = 0.5 * delta
@@ -161,17 +162,6 @@ def hug_steps(
         hv = h * v
         x = y + hv
         yield x, v
-
-
-def hug_step(
-    constraint: ConstraintMap, x: np.ndarray, v: np.ndarray, delta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Advance (x, v) by one step of size delta; returns (x', v').
-
-    The first step of :func:`hug_steps`; the replicated studies step with
-    its rows form, :func:`hug_steps_rows`.
-    """
-    return next(hug_steps(constraint, x, v, delta))
 
 
 def hug_steps_rows(

@@ -9,7 +9,9 @@ O(delta^2) residuals it leaves in the discrete update (``step_residuals``),
 power-iteration estimates of the Hessian's norm and Lipschitz constant
 (``hessian_bound_estimates``), the Hessian's bilinear form H(x)[u, w] built
 on the contraction (``hessian_bilinear``), and the chart map back from
-reduced ellipse coordinates (``from_reduced``).
+reduced ellipse coordinates (``from_reduced``), with the point and unit
+normal of the ellipse at an angle that it builds on (``ellipse_position``,
+``ellipse_normal``).
 
 Most of the rest reach a result the package computes another way, through
 the dense n-by-n projectors N and T (``dense_projectors``), so agreement
@@ -51,7 +53,7 @@ from hugint.dynamics import checked_solve, phase_field, reference_solve
 from hugint.ellipse import EllipseModel, ReducedState, reduced_field, reduced_orbits
 from hugint.errors import DimensionError, SingularGeometryError, StudyFailedError
 from hugint.experiments import ExperimentConfig, _showcase_velocity, uniform_sphere
-from hugint.integrator import HugParams, PhaseState, hug_step, hug_steps
+from hugint.integrator import HugParams, PhaseState, hug_steps
 from hugint.projectors import GRADIENT_FLOOR, RANK_RTOL, build_bundle, normal_qr, unit_normal
 from hugint.sampling import IsotropicGaussian
 
@@ -127,7 +129,7 @@ def bundle_field(constraint: ConstraintMap):
 def eliminated_step(
     constraint: ConstraintMap, x: np.ndarray, v: np.ndarray, delta: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One step in midpoint-eliminated form; must agree with ``hug_step``.
+    """One step in midpoint-eliminated form; must agree with one step of ``hug_steps``.
 
     Uses x' = x + delta * T(y) v and v' = (I - 2 N(y)) v with
     y = x + (delta/2) v.
@@ -142,9 +144,9 @@ def bundle_step(
     constraint: ConstraintMap, x: np.ndarray, v: np.ndarray, delta: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """One step that reflects through the (n, m) basis of :func:`signed_bundle`
-    at every codimension; must agree with ``hug_step`` bit for bit.
+    at every codimension; must agree with one step of ``hug_steps`` bit for bit.
 
-    ``hug_step`` reflects through the unit gradient alone at codimension 1
+    ``hug_steps`` reflects through the unit gradient alone at codimension 1
     and through the QR basis of :func:`~hugint.projectors.normal_qr`, with
     no sign fix, above it; this is the route it replaced at both.
     """
@@ -484,7 +486,7 @@ def step_residuals(
     sigma = np.empty((K, X.shape[1]))
     tau = np.empty((K, X.shape[1]))
     for k in range(K):
-        x_new, v_new = hug_step(constraint, X[k], V[k], delta)
+        x_new, v_new = next(hug_steps(constraint, X[k], V[k], delta))
         sigma[k] = X[k + 1] - x_new
         tau[k] = V[k + 1] - v_new
     return sigma, tau
@@ -597,12 +599,25 @@ def per_delta_errors(
         x, v = initial.x, initial.v
         errs = np.empty(K)
         for k in range(K):
-            x, v = hug_step(constraint, x, v, delta)
+            x, v = next(hug_steps(constraint, x, v, delta))
             errs[k] = np.linalg.norm(x - sol.xs[k + 1])
         one.append(errs[0])
         two.append(errs[1])
         glob.append(errs.max())
     return np.array(one), np.array(two), np.array(glob)
+
+
+def ellipse_position(model: EllipseModel, phi: float) -> np.ndarray:
+    """x(phi) = [cos(phi)/sqrt(a), sin(phi)/sqrt(b)] on the ellipse."""
+    return np.array([np.cos(phi) / np.sqrt(model.a), np.sin(phi) / np.sqrt(model.b)])
+
+
+def ellipse_normal(model: EllipseModel, phi: float) -> np.ndarray:
+    """n(phi) = mu^{-1/2} [sqrt(a) cos(phi), sqrt(b) sin(phi)], the outward unit normal."""
+    mu = model.mu(phi)
+    return np.array(
+        [np.sqrt(model.a) * np.cos(phi), np.sqrt(model.b) * np.sin(phi)]
+    ) / np.sqrt(mu)
 
 
 def from_reduced(
@@ -614,8 +629,8 @@ def from_reduced(
     ``normal_sign`` selects the branch for the normal velocity component.
     """
     q = np.sqrt(max(state.speed**2 - state.p**2, 0.0))
-    x = model.position(state.phi)
-    v = state.p * model.unit_tangent(state.phi) + normal_sign * q * model.unit_normal(state.phi)
+    x = ellipse_position(model, state.phi)
+    v = state.p * model.unit_tangent(state.phi) + normal_sign * q * ellipse_normal(model, state.phi)
     return PhaseState(x, v)
 
 

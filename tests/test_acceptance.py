@@ -22,7 +22,6 @@ from hugint.dynamics import convergence_study, reference_solve
 from hugint.ellipse import (
     EllipseModel,
     classify,
-    libration_turning_points,
     reduced_orbits,
     tangential_speed,
     to_reduced,
@@ -41,7 +40,7 @@ from hugint.experiments import (
     run_ecdf,
     run_ellipsoid,
 )
-from hugint.integrator import HugParams, PhaseState, hug_step, hug_trajectory, level_drift_bound
+from hugint.integrator import HugParams, PhaseState, hug_steps, hug_trajectory, level_drift_bound
 from hugint.sampling import hug_kernel
 from oracles import (
     GeneralFormulaGaussian,
@@ -66,8 +65,8 @@ def _bench_errors():
     one, two = [], []
     for delta in TABLE_DELTAS:
         sol = reference_solve(constraint, initial, np.array([0.0, delta, 2.0 * delta]))
-        x1, v1 = hug_step(constraint, initial.x, initial.v, delta)
-        x2, _ = hug_step(constraint, x1, v1, delta)
+        x1, v1 = next(hug_steps(constraint, initial.x, initial.v, delta))
+        x2, _ = next(hug_steps(constraint, x1, v1, delta))
         one.append(float(np.linalg.norm(x1 - sol.xs[1])))
         two.append(float(np.linalg.norm(x2 - sol.xs[2])))
     return one, two
@@ -159,8 +158,8 @@ def _fd_phase_det(constraint, x0, v0, delta, h=1e-5):
     for i in range(2 * n):
         e = np.zeros(2 * n)
         e[i] = h
-        xp, vp = hug_step(constraint, (z0 + e)[:n], (z0 + e)[n:], delta)
-        xm, vm = hug_step(constraint, (z0 - e)[:n], (z0 - e)[n:], delta)
+        xp, vp = next(hug_steps(constraint, (z0 + e)[:n], (z0 + e)[n:], delta))
+        xm, vm = next(hug_steps(constraint, (z0 - e)[:n], (z0 - e)[n:], delta))
         cols.append((np.concatenate([xp, vp]) - np.concatenate([xm, vm])) / (2 * h))
     return float(np.linalg.det(np.array(cols).T))
 
@@ -331,7 +330,7 @@ def test_criterion_08_foldback_geometry():
     exactly twice in 14 steps."""
     model = EllipseModel(a=BENCH_DIAG[0], b=BENCH_DIAG[1])
     initial = PhaseState(np.asarray(FOLDBACK_X0), np.asarray(FOLDBACK_V0))
-    reduced0, _ = to_reduced(model, initial)
+    reduced0 = to_reduced(model, initial)
 
     result = classify(model, reduced0)
     assert result.kind == "libration", f"classified as {result.kind}"
@@ -344,7 +343,7 @@ def test_criterion_08_foldback_geometry():
     kappa_drift = float(np.max(np.abs(kappas - kappas[0])))
     assert kappa_drift <= 1e-9, f"kappa drift {kappa_drift}"
 
-    lo, hi = libration_turning_points(model, reduced0)
+    lo, hi = result.turning_points
     expected = float(np.arcsin(1.0 / np.sqrt(21.0)))
     assert abs(hi - expected) <= 1e-12, f"turning angle {hi} vs {expected}"
     assert abs(lo + expected) <= 1e-12

@@ -65,10 +65,19 @@ def test_closed_stdout_exits_0_without_a_traceback(tmp_path):
     assert (tmp_path / "sphere-tail.manifest.json").exists()
 
 
-# counts of 2**63 - 1 or more: numpy refuses the record's shape before it allocates
+# counts of 2**63 - 1 or more, and horizons of 1e300: numpy refuses the
+# record's or the time grid's shape before it allocates; a horizon past inf
+# is refused when its step count is rounded to an integer
 _UNRECORDABLE = {
-    "foldback-steps": (["foldback", "--steps", str(2**63 - 1)], "steps=9223372036854775807"),
-    "chain-iterations": (["chain", "--iterations", str(2**63)], "iterations=9223372036854775808"),
+    "foldback-steps": (["foldback", "--steps", str(2**63 - 1)],
+                       "steps=9223372036854775807 is too many"),
+    "chain-iterations": (["chain", "--iterations", str(2**63)],
+                         "iterations=9223372036854775808 is too many"),
+    "phase-portrait-t-end": (["phase-portrait", "--t-end", "1e300"], "t_end=1e+300 is too long"),
+    "convergence-t-end": (["convergence", "--t-end", "1e300"], "t_end=1e+300 is too long"),
+    "convergence-t-end-past-inf": (["convergence", "--t-end", "1e308"], "t_end=1e+308 is too long"),
+    "foldback-delta-steps": (["foldback", "--delta", "1e18", "--steps", "1"],
+                             "delta=1e+18 times steps=1 is too long"),
 }
 
 
@@ -77,9 +86,38 @@ def test_main_exit_2_on_a_count_too_large_to_record(case, tmp_path, capsys):
     argv, message = _UNRECORDABLE[case]
     assert main([*argv, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: " + message + " is too many to record")
+    assert err.startswith("config error: " + message + " to record")
     assert "Traceback" not in err
     assert not list(tmp_path.iterdir())
+
+
+def test_a_start_at_a_turning_point_runs(tmp_path, capsys):
+    """On these ellipses sin^2 of the turning angle of a start at p = 0 on a
+    center rounds below 0; the start is a libration whose turning points
+    close on it, in the portrait's classification and in the fold-back."""
+    portrait = tmp_path / "portrait.json"
+    portrait.write_text(json.dumps({"constraint": {"kind": "quadric", "diag": [1.613, 9.497]}}))
+    # at the default t_end = 6 the stacked solve fails its accuracy check on
+    # this ellipse (exit 3); the classification comes before the solve
+    argv = ["phase-portrait", "--config", str(portrait), "--t-end", "1", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    _, header, rows = read_csv(str(tmp_path / "portrait_classification.csv"))
+    by_start = {(row[1], row[2]): dict(zip(header, row)) for row in rows}
+    center = by_start[("0.0", "0.0")]
+    assert (center["kind"], center["phi_min"], center["phi_max"]) == ("libration", "0.0", "0.0")
+
+    a, b = 7.4693691908392505, 8.533571531119144
+    foldback = tmp_path / "foldback.json"
+    foldback.write_text(json.dumps({
+        "constraint": {"kind": "quadric", "diag": [a, b]},
+        "x0": [1.0 / np.sqrt(a), 0.0], "v0": [0.780765227688968, 0.0],
+    }))
+    assert main(["foldback", "--config", str(foldback), "--out", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    summary = json.loads(out)["summary"]
+    assert (summary["classification"], summary["turning_points"]) == ("libration", [0.0, 0.0])
 
 
 class _NoSpawnSeedSequence(np.random.SeedSequence):
@@ -160,7 +198,7 @@ def test_parser_scopes_flags_to_experiments(capsys):
         with pytest.raises(SystemExit) as info:
             build_parser().parse_args(argv)
         assert info.value.code == 2, argv
-    # main's one-subcommand parser prints the full parser's usage line
+    # main parses with that parser, so its errors print its usage line
     code, err = _exit_code_and_stderr(["chain", "--bogus"], capsys)
     assert code == 2
     assert err == build_parser().format_usage() + "hugint: error: unrecognized arguments: --bogus\n"
@@ -578,7 +616,7 @@ def test_main_reuses_its_parser_without_keeping_values(tmp_path, capsys):
     first = ["foldback", "--delta", "0.2", "--steps", "5", "--seed", "7"]
     assert main([*first, "--out", str(tmp_path / "first")]) == 0
     assert main(["foldback", "--out", str(tmp_path / "second")]) == 0
-    assert build_parser("foldback") is build_parser("foldback")
+    assert build_parser() is build_parser()
     configs = [
         json.loads((tmp_path / run / "foldback.manifest.json").read_text())["config"]
         for run in ("first", "second")

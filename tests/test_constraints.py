@@ -18,7 +18,7 @@ from hugint.constraints import (
     SphereSlicedConstraint,
 )
 from hugint.errors import DimensionError, SingularGeometryError
-from hugint.integrator import hug_step
+from hugint.integrator import hug_steps
 from hugint.projectors import unit_normal
 from oracles import hessian_bilinear, hessian_bound_estimates
 
@@ -117,7 +117,7 @@ def test_dense_quadric_at_an_infinite_coordinate_raises_without_a_warning():
             warnings.simplefilter("error")
             for normal in (
                 lambda: unit_normal(quadric, x),
-                lambda: hug_step(quadric, x, np.zeros(3), 0.1),  # the midpoint is x
+                lambda: next(hug_steps(quadric, x, np.zeros(3), 0.1)),  # the midpoint is x
             ):
                 with pytest.raises(SingularGeometryError, match="gradient is not finite"):
                     normal()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hugint.constraints import QuadricConstraint
 from hugint.dynamics import reference_solve
@@ -12,7 +13,6 @@ from hugint.ellipse import (
     EllipseModel,
     ReducedState,
     classify,
-    libration_turning_points,
     reduced_orbits,
     tangential_speed,
     to_reduced,
@@ -24,7 +24,14 @@ from hugint.errors import (
     SingularGeometryError,
 )
 from hugint.integrator import HugParams, PhaseState, hug_trajectory
-from oracles import equilibria, from_reduced, integrated_angle_extreme, reduced_derivative
+from oracles import (
+    ellipse_normal,
+    ellipse_position,
+    equilibria,
+    from_reduced,
+    integrated_angle_extreme,
+    reduced_derivative,
+)
 
 MODEL = EllipseModel(a=1.0, b=4.0)
 SPEED = float(np.sqrt(2.0))
@@ -42,10 +49,10 @@ def test_reduced_state_speed_cap():
 
 def test_frame_orthonormal_and_on_level_set():
     for phi in np.linspace(-np.pi, np.pi, 17):
-        x = MODEL.position(phi)
+        x = ellipse_position(MODEL, phi)
         assert np.isclose(MODEL.a * x[0] ** 2 + MODEL.b * x[1] ** 2, 1.0, atol=1e-14)
         t = MODEL.unit_tangent(phi)
-        n = MODEL.unit_normal(phi)
+        n = ellipse_normal(MODEL, phi)
         assert np.isclose(t @ t, 1.0, atol=1e-14)
         assert np.isclose(n @ n, 1.0, atol=1e-14)
         assert np.isclose(t @ n, 0.0, atol=1e-14)
@@ -56,7 +63,7 @@ def test_frame_orthonormal_and_on_level_set():
 
 def test_angle_of_inverts_position():
     for phi in np.linspace(-3.0, 3.0, 13):
-        assert np.isclose(MODEL.angle_of(MODEL.position(phi)), phi, atol=1e-13)
+        assert np.isclose(MODEL.angle_of(ellipse_position(MODEL, phi)), phi, atol=1e-13)
     with pytest.raises(DimensionError):
         MODEL.angle_of(np.zeros(3))
 
@@ -66,8 +73,9 @@ def test_to_from_reduced_roundtrip():
     for _ in range(10):
         phi = rng.uniform(-np.pi, np.pi)
         v = rng.standard_normal(2)
-        state = PhaseState(MODEL.position(phi), v)
-        reduced, normal_speed = to_reduced(MODEL, state)
+        state = PhaseState(ellipse_position(MODEL, phi), v)
+        reduced = to_reduced(MODEL, state)
+        normal_speed = float(v @ ellipse_normal(MODEL, reduced.phi))
         assert np.isclose(reduced.phi, phi, atol=1e-13)
         assert np.isclose(reduced.speed, np.linalg.norm(v), atol=1e-13)
         # the two components account for the whole speed
@@ -96,7 +104,7 @@ def test_to_reduced_rejects_non_finite_velocity():
 
 def test_tangential_speed_tolerates_off_level_points():
     # discrete iterates sit slightly off the level set; only the angle is used
-    x = 1.001 * MODEL.position(0.3)
+    x = 1.001 * ellipse_position(MODEL, 0.3)
     v = np.array([0.2, -0.5])
     expected = v @ MODEL.unit_tangent(0.3)
     assert np.isclose(tangential_speed(MODEL, x, v), expected, atol=1e-12)
@@ -119,7 +127,7 @@ def test_reduced_solve_matches_cartesian_flow():
     reduced trajectory: the two routes share no code."""
     constraint = QuadricConstraint(np.diag([MODEL.a, MODEL.b]))
     initial = PhaseState([1.0, 0.0], [np.sqrt(7.0) / 2.0, 0.5])
-    reduced0, _ = to_reduced(MODEL, initial)
+    reduced0 = to_reduced(MODEL, initial)
     times = np.linspace(0.0, 3.0, 31)
     cart = reference_solve(constraint, initial, times)
     reduced = reduced_orbits(MODEL, [reduced0], times)[0]
@@ -162,13 +170,13 @@ def test_classification_criterion():
 
 def test_turning_points_bracket_both_orderings():
     state = ReducedState(phi=0.3, p=0.2, speed=SPEED)
-    lo, hi = libration_turning_points(MODEL, state)
+    lo, hi = classify(MODEL, state).turning_points
     assert lo < state.phi < hi
     assert np.isclose(lo, -hi, atol=1e-13)  # symmetric about the center at 0
     # mirrored model: librations enclose pi/2 instead
     swapped = EllipseModel(a=4.0, b=1.0)
     state2 = ReducedState(phi=np.pi / 2.0 - 0.3, p=-0.2, speed=SPEED)
-    lo2, hi2 = libration_turning_points(swapped, state2)
+    lo2, hi2 = classify(swapped, state2).turning_points
     assert lo2 < state2.phi < hi2
     # swapping the axes maps one bracket onto the other
     assert np.isclose(lo2, np.pi / 2.0 - hi, atol=1e-13)
@@ -177,17 +185,33 @@ def test_turning_points_bracket_both_orderings():
 
 def test_turning_points_shifted_center():
     state = ReducedState(phi=np.pi - 0.25, p=0.1, speed=SPEED)
-    lo, hi = libration_turning_points(MODEL, state)
+    lo, hi = classify(MODEL, state).turning_points
     assert np.isclose(0.5 * (lo + hi), np.pi, atol=1e-13)
     assert lo < state.phi < hi
 
 
-def test_turning_points_undefined_cases():
-    with pytest.raises(ValueError):
-        libration_turning_points(EllipseModel(2.0, 2.0), ReducedState(0.1, 0.1, 1.0))
-    with pytest.raises(ValueError):
-        # a rotation has no turning points
-        libration_turning_points(MODEL, ReducedState(0.7, SPEED, SPEED))
+#: any positive finite a and b; c up to 1e150, whose square is a float
+#: (``speed**2`` raises ``OverflowError`` past about 1.34e154); p = c u, |u| <= 1
+_ELLIPSE_AXES = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(a=_ELLIPSE_AXES, b=_ELLIPSE_AXES, c=st.floats(0.0, 1e150),
+       u=st.floats(-1.0, 1.0), phi=st.floats(-10.0, 10.0))
+# starts at p = 0 on a center where sin^2 of the turning angle rounds below 0
+@example(a=1.613, b=9.497, c=SPEED, u=0.0, phi=0.0)
+@example(a=7.4693691908392505, b=8.533571531119144, c=0.780765227688968, u=0.0, phi=0.0)
+@example(a=1e-300, b=1e-300, c=1e150, u=0.5, phi=0.3)  # kappa overflows on a circle
+def test_classify_never_raises(a, b, c, u, phi):
+    """Every start is a rotation, a libration or the separatrix, and a
+    libration's turning points are ordered."""
+    result = classify(EllipseModel(a, b), ReducedState(phi=phi, p=c * u, speed=c))
+    assert result.kind in ("rotation", "libration", "separatrix")
+    if result.kind == "libration":
+        lo, hi = result.turning_points
+        assert lo <= hi
+    else:
+        assert result.turning_points is None
 
 
 def test_turning_points_match_integrated_extreme():

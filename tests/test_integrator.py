@@ -14,7 +14,7 @@ from hugint.experiments import BENCH_DIAG, BENCH_V0, BENCH_X0
 from hugint.integrator import (
     HugParams,
     PhaseState,
-    hug_step,
+    hug_steps,
     hug_steps_rows,
     hug_trajectory,
     level_drift_bound,
@@ -47,7 +47,7 @@ def test_step_matches_eliminated_form(kind):
     rng = np.random.default_rng(31)
     for _ in range(5):
         constraint, x0, v0, delta, _ = random_run(kind, rng)
-        xa, va = hug_step(constraint, x0, v0, delta)
+        xa, va = next(hug_steps(constraint, x0, v0, delta))
         xb, vb = eliminated_step(constraint, x0, v0, delta)
         assert np.abs(xa - xb).max() < 1e-13
         assert np.abs(va - vb).max() < 1e-13
@@ -68,7 +68,7 @@ def test_trajectory_bookkeeping():
     # replaying single steps reproduces the trajectory
     x, v = initial.x, initial.v
     for k in range(7):
-        x, v = hug_step(constraint, x, v, 0.05)
+        x, v = next(hug_steps(constraint, x, v, 0.05))
         assert np.allclose(t.xs[k + 1], x) and np.allclose(t.vs[k + 1], v)
 
 
@@ -196,8 +196,8 @@ def test_phase_volume_preserved_fd():
         for i in range(2 * n):
             e = np.zeros(2 * n)
             e[i] = h
-            xp, vp = hug_step(constraint, (z0 + e)[:n], (z0 + e)[n:], delta)
-            xm, vm = hug_step(constraint, (z0 - e)[:n], (z0 - e)[n:], delta)
+            xp, vp = next(hug_steps(constraint, (z0 + e)[:n], (z0 + e)[n:], delta))
+            xm, vm = next(hug_steps(constraint, (z0 - e)[:n], (z0 - e)[n:], delta))
             cols.append((np.concatenate([xp, vp]) - np.concatenate([xm, vm])) / (2 * h))
         det = np.linalg.det(np.array(cols).T)
         assert abs(abs(det) - 1.0) < 1e-6, f"{kind}: |det| = {abs(det)}"
@@ -208,7 +208,7 @@ def test_singular_start_raises():
     constraint = SphereConstraint(2)
     with pytest.raises(SingularGeometryError):
         # the first midpoint lands exactly on the gradient zero at the origin
-        hug_step(constraint, np.array([-0.05, 0.0]), np.array([1.0, 0.0]), 0.1)
+        next(hug_steps(constraint, np.array([-0.05, 0.0]), np.array([1.0, 0.0]), 0.1))
 
 
 def test_hug_step_rows_masks_singular_rows():
@@ -228,18 +228,18 @@ def test_hug_step_rows_masks_singular_rows():
     ids=["quadric", "sphere"],
 )
 def test_hug_step_rows_overflowing_gradient_is_a_nan_row_without_warning(constraint):
-    """Where ``hug_step`` reads "gradient is not finite", the row turns NaN
+    """Where ``hug_steps`` reads "gradient is not finite", the row turns NaN
     and no floating-point warning escapes: g . g overflows at the first row,
     and at the second the gradient itself does."""
     X = np.array([[1e306, 0.0, 0.0], [1e308, 1e308, 0.0], [1.0, 0.0, 0.0]])
     V = np.array([[0.0, 1.0, 0.0]] * 3)
     with pytest.raises(SingularGeometryError, match="gradient is not finite"):
-        hug_step(constraint, X[0], V[0], 0.1)
+        next(hug_steps(constraint, X[0], V[0], 0.1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         X_new, V_new = next(hug_steps_rows(constraint, X, V, 0.1))
     assert np.isnan(X_new[:2]).all() and np.isnan(V_new[:2]).all()
-    x, v = hug_step(constraint, X[2], V[2], 0.1)
+    x, v = next(hug_steps(constraint, X[2], V[2], 0.1))
     assert np.array_equal(X_new[2], x) and np.array_equal(V_new[2], v)
 
 

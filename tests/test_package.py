@@ -17,21 +17,27 @@ ORACLES_BY_FORMER_MODULE = {
     "hugint.output": ("read_csv",),
 }
 
+#: ``EllipseModel`` methods that moved to the test oracles, where
+#: ``from_reduced`` builds on them (``ellipse_position``, ``ellipse_normal``).
+ORACLE_METHODS_OF_ELLIPSE_MODEL = ("position", "unit_normal")
+
 #: Names the package no longer has, by the module that held them: the flow
-#: field takes (Q, J^+) from ``build_bundle`` as a pair and splits v itself,
-#: and the one-step rows map and the one-orbit reduced solve are the first
-#: step of ``hug_steps_rows`` and ``reduced_orbits`` at m = 1.
+#: field takes (Q, J^+) from ``build_bundle`` as a pair and splits v itself;
+#: the one-step map, the one-step rows map and the one-orbit reduced solve
+#: are the first step of ``hug_steps``, ``hug_steps_rows`` and
+#: ``reduced_orbits`` at m = 1; and a libration's turning points are
+#: ``classify(...).turning_points``.
 REMOVED_BY_FORMER_MODULE = {
     "hugint.projectors": ("ProjectorBundle",),
     "hugint.dynamics": ("split_velocity", "velocity_derivative"),
-    "hugint.integrator": ("hug_step_rows",),
-    "hugint.ellipse": ("reduced_solve",),
+    "hugint.integrator": ("hug_step", "hug_step_rows"),
+    "hugint.ellipse": ("reduced_solve", "libration_turning_points"),
 }
 
 
 def test_public_surface_is_sorted_resolves_and_holds_no_oracle():
     assert hugint.__all__ == sorted(set(hugint.__all__))
-    assert len(hugint.__all__) == 34
+    assert len(hugint.__all__) == 32
     missing = [name for name in hugint.__all__ if not hasattr(hugint, name)]
     assert not missing
     for gone in (ORACLES_BY_FORMER_MODULE, REMOVED_BY_FORMER_MODULE):
@@ -40,6 +46,8 @@ def test_public_surface_is_sorted_resolves_and_holds_no_oracle():
             for name in names:
                 assert not hasattr(module, name), f"{module_name}.{name}"
                 assert not hasattr(hugint, name), f"hugint.{name}"
+    for name in ORACLE_METHODS_OF_ELLIPSE_MODEL:
+        assert not hasattr(hugint.EllipseModel, name), f"EllipseModel.{name}"
 
 
 def test_hug_kernel_reads_norm_invariance_from_the_distribution_alone():

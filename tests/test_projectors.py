@@ -15,7 +15,7 @@ from hugint.constraints import (
     SphereSlicedConstraint,
 )
 from hugint.errors import DimensionError, SingularGeometryError
-from hugint.integrator import hug_step
+from hugint.integrator import hug_steps
 from hugint.projectors import build_bundle, normal_qr, unit_normal
 from oracles import (
     dense_projectors,
@@ -128,14 +128,14 @@ _BAD_GEOMETRY = {
 def test_unit_normal_raises_as_build_bundle_does(case):
     """The codim-1 step takes its normal from ``unit_normal`` and builds no
     bundle, so every geometry check must raise the same error class on both
-    routes and through ``hug_step``; a shape error already in ``gradient``."""
+    routes and through ``hug_steps``; a shape error already in ``gradient``."""
     constraint, x, error = _BAD_GEOMETRY[case]
     with pytest.raises(error):
         build_bundle(constraint, x)
     with pytest.raises(error):
         unit_normal(constraint, x)
     with pytest.raises(error):
-        hug_step(constraint, x, np.zeros_like(x), 0.1)  # the midpoint is x itself
+        next(hug_steps(constraint, x, np.zeros_like(x), 0.1))  # the midpoint is x itself
     if error is DimensionError:
         with pytest.raises(error):
             constraint.gradient(x)
@@ -184,13 +184,13 @@ _BAD_CODIM2 = {
 def test_codim_m_step_raises_as_build_bundle_does(case):
     """Above codimension 1 the step takes its basis from ``normal_qr`` and
     builds no bundle, so every geometry check must raise the same error
-    class with the same message through ``hug_step`` as through
+    class with the same message through ``hug_steps`` as through
     ``build_bundle``."""
     constraint, x, error, match = _BAD_CODIM2[case]
     with pytest.raises(error, match=match) as bundle_info:
         build_bundle(constraint, x)
     with pytest.raises(error, match=match) as step_info:
-        hug_step(constraint, x, np.zeros_like(x), 0.1)  # the midpoint is x itself
+        next(hug_steps(constraint, x, np.zeros_like(x), 0.1))  # the midpoint is x itself
     assert str(step_info.value) == str(bundle_info.value)
 
 

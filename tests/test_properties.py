@@ -24,7 +24,7 @@ from hugint.constraints import (
     SphereSlicedConstraint,
 )
 from hugint.errors import SingularGeometryError
-from hugint.integrator import hug_step, hug_steps, hug_steps_rows
+from hugint.integrator import hug_steps, hug_steps_rows
 from oracles import bundle_step, step_reference, step_rows_reference
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=30, deadline=None)
@@ -77,7 +77,7 @@ def _draw(kind, data):
 @given(data=st.data())
 def test_step_preserves_speed(kind, data):
     constraint, x, v, delta = _draw(kind, data)
-    _, v_new = hug_step(constraint, x, v, delta)
+    _, v_new = next(hug_steps(constraint, x, v, delta))
     speed = np.linalg.norm(v)
     assert abs(np.linalg.norm(v_new) - speed) <= 1e-13 * speed
 
@@ -87,7 +87,7 @@ def test_step_preserves_speed(kind, data):
 @given(data=st.data())
 def test_each_half_segment_has_length_half_delta_speed(kind, data):
     constraint, x, v, delta = _draw(kind, data)
-    x_new, _ = hug_step(constraint, x, v, delta)
+    x_new, _ = next(hug_steps(constraint, x, v, delta))
     y = x + 0.5 * delta * v
     half = 0.5 * delta * np.linalg.norm(v)
     tol = 1e-13 * (1.0 + np.linalg.norm(x))
@@ -100,8 +100,8 @@ def test_each_half_segment_has_length_half_delta_speed(kind, data):
 @given(data=st.data())
 def test_stepping_back_from_the_flipped_velocity_returns(kind, data):
     constraint, x, v, delta = _draw(kind, data)
-    x_new, v_new = hug_step(constraint, x, v, delta)
-    x_back, v_back = hug_step(constraint, x_new, -v_new, delta)
+    x_new, v_new = next(hug_steps(constraint, x, v, delta))
+    x_back, v_back = next(hug_steps(constraint, x_new, -v_new, delta))
     scale = 1.0 + np.linalg.norm(x) + np.linalg.norm(v)
     assert np.abs(x_back - x).max() <= 1e-10 * scale
     assert np.abs(v_back + v).max() <= 1e-10 * scale
@@ -123,7 +123,7 @@ def _codim1_map(kind: str, n: int):
 @settings(derandomize=True, max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_codim1_step_is_bitwise_the_bundle_step(kind, n, seed):
-    """At codimension 1 ``hug_step`` reflects through the unit gradient and
+    """At codimension 1 ``hug_steps`` reflects through the unit gradient and
     builds no bundle; five steps must match the bundle route bit for bit.
     So must the first step of the rows stream, ``hug_steps_rows``: each row
     of a stack of the drawn (x, v) and three more, and the drawn row alone as
@@ -142,10 +142,10 @@ def test_codim1_step_is_bitwise_the_bundle_step(kind, n, seed):
     singles = list(zip(X, V))
     X1, V1 = X[:1], V[:1]
     for _ in range(5):
-        xa, va = hug_step(constraint, xa, va, delta)
+        xa, va = next(hug_steps(constraint, xa, va, delta))
         xb, vb = bundle_step(constraint, xb, vb, delta)
         assert np.array_equal(xa, xb) and np.array_equal(va, vb)
-        singles = [hug_step(constraint, xr, vr, delta) for xr, vr in singles]
+        singles = [next(hug_steps(constraint, xr, vr, delta)) for xr, vr in singles]
         X, V = next(hug_steps_rows(constraint, X, V, delta))
         X1, V1 = next(hug_steps_rows(constraint, X1, V1, delta))
         assert np.array_equal(X, [xr for xr, _ in singles])
@@ -157,7 +157,7 @@ def test_codim1_step_is_bitwise_the_bundle_step(kind, n, seed):
 @settings(derandomize=True, max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_codim_m_step_is_bitwise_the_bundle_step(n, seed):
-    """Above codimension 1 ``hug_step`` reflects through the thin QR basis
+    """Above codimension 1 ``hug_steps`` reflects through the thin QR basis
     Q as the factorization leaves it, while the signed bundle fixes the sign
     of each column so that diag(R) > 0; five steps must still match the
     bundle route bit for bit.  Flipping column j of Q negates every term of
@@ -174,7 +174,7 @@ def test_codim_m_step_is_bitwise_the_bundle_step(n, seed):
     delta = rng.uniform(0.01, 0.2) / np.linalg.norm(v)
     xa, va = xb, vb = x, v
     for _ in range(5):
-        xa, va = hug_step(constraint, xa, va, delta)
+        xa, va = next(hug_steps(constraint, xa, va, delta))
         xb, vb = bundle_step(constraint, xb, vb, delta)
         assert np.array_equal(xa, xb) and np.array_equal(va, vb)
 
