@@ -10,7 +10,6 @@ from .constraints import (
 )
 from .dynamics import (
     ConvergenceStudy,
-    FlowSolution,
     convergence_study,
     phase_field,
     reference_solve,
@@ -48,7 +47,6 @@ __all__ = [
     "ConvergenceStudy",
     "DimensionError",
     "EllipseModel",
-    "FlowSolution",
     "HugError",
     "HugParams",
     "IsotropicGaussian",

@@ -22,21 +22,24 @@ self-checked DOP853 solve, and measures the convergence orders of the
 discrete map against the flow.  The proof's embedded flow sequence and its
 O(delta^2) step residuals are test oracles (``tests/oracles.py``).
 
-Each experiment makes one checked solve: the error table and convergence
-study solve on the union of their step-size grids (:func:`position_errors`),
-and a phase portrait solves its orbits stacked as one reduced ellipse system.
+Each experiment makes one checked solve, capped at
+:data:`REFERENCE_MAX_EVALS` field evaluations a pass.  The error table, the
+convergence study and the fold-back step first and then solve once at the
+steps' own times, all step sizes together; a phase portrait solves its orbits
+stacked as one reduced ellipse system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Callable
 
 import numpy as np
 
 from .constraints import ConstraintMap
 from .errors import ReferenceSolveError
-from .integrator import PhaseState, hug_steps
+from .integrator import HugParams, PhaseState, hug_trajectory
 from .projectors import build_bundle
 
 #: (rtol, atol) of the coarse and the fine DOP853 solve behind every
@@ -44,6 +47,8 @@ from .projectors import build_bundle
 REFERENCE_TOLERANCES = ((1e-12, 1e-14), (1e-13, 1e-15))
 #: Largest gap allowed between the two solves at any output time.
 REFERENCE_MAX_GAP = 1e-10
+#: Most field evaluations either DOP853 pass may make before the solve is refused.
+REFERENCE_MAX_EVALS = 200_000
 #: Errors at or below this sit in roundoff and would corrupt an order fit.
 ROUNDOFF_FLOOR = 1e-12
 
@@ -51,21 +56,21 @@ Field = Callable[[float, np.ndarray], np.ndarray]
 
 
 def checked_solve(field: Field, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Integrate y' = field(t, y) through nondecreasing ``times`` with DOP853.
+    """Integrate y' = field(t, y) through ``times``, in any order, with DOP853.
 
-    The solve runs at both :data:`REFERENCE_TOLERANCES`.  If y0 is not
-    finite, either solve reports failure, or the two differ by more than
-    :data:`REFERENCE_MAX_GAP` at any output time, the solution is not trusted
-    and :class:`ReferenceSolveError` is raised.  Returns the fine solution,
-    of shape (len(times), len(y0)): row 0 is y0 itself (times[0] is the
-    initial time) and repeated times give identical rows.
+    y0 is the state at the earliest time.  The solve runs at both
+    :data:`REFERENCE_TOLERANCES`.  If y0 is not finite, either solve reports
+    failure or makes more than :data:`REFERENCE_MAX_EVALS` field evaluations,
+    or the two differ by more than :data:`REFERENCE_MAX_GAP` at any output
+    time, the solution is not trusted and :class:`ReferenceSolveError` is
+    raised.  Returns the fine solution, of shape (len(times), len(y0)), its
+    rows in the order of ``times``: the earliest time's rows are y0 itself,
+    and repeated times give identical rows.
     """
     from scipy.integrate import solve_ivp  # imported here so that ``import hugint`` loads no SciPy
 
     times = np.asarray(times, dtype=float)
     y0 = np.asarray(y0, dtype=float)
-    if np.any(np.diff(times) < 0.0):
-        raise ValueError("times must be nondecreasing")
     if not np.isfinite(y0).all():
         raise ReferenceSolveError(f"initial state is not finite: {y0!r}")
     grid, index = np.unique(times, return_inverse=True)
@@ -73,7 +78,14 @@ def checked_solve(field: Field, y0: np.ndarray, times: np.ndarray) -> np.ndarray
     for rtol, atol in REFERENCE_TOLERANCES:
         ys = np.tile(y0, (grid.size, 1))
         if grid.size > 1:
-            sol = solve_ivp(field, (grid[0], grid[-1]), y0, method="DOP853",
+            evals = count(1)
+
+            def counted(t, y):
+                if next(evals) > REFERENCE_MAX_EVALS:
+                    raise ReferenceSolveError(f"DOP853 passed {REFERENCE_MAX_EVALS} field evaluations")
+                return field(t, y)
+
+            sol = solve_ivp(counted, (grid[0], grid[-1]), y0, method="DOP853",
                             t_eval=grid, rtol=rtol, atol=atol)
             if not sol.success:
                 raise ReferenceSolveError(f"DOP853 failed at rtol={rtol:.0e}: {sol.message}")
@@ -110,20 +122,15 @@ def phase_field(constraint: ConstraintMap):
     return field
 
 
-@dataclass(frozen=True)
-class FlowSolution:
-    """Reference solution of the phase-space flow at requested times."""
-
-    xs: np.ndarray
-    vs: np.ndarray
-
-
-def reference_solve(constraint: ConstraintMap, initial: PhaseState, times: np.ndarray) -> FlowSolution:
-    """Integrate the flow from ``initial`` through ``times`` with :func:`checked_solve`."""
+def reference_solve(
+    constraint: ConstraintMap, initial: PhaseState, times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate the flow from ``initial`` through ``times`` with
+    :func:`checked_solve`; returns (xs, vs), a row for each time."""
     n = constraint.ambient_dim
     y0 = np.concatenate([initial.x, initial.v])
     ys = checked_solve(phase_field(constraint), y0, times)
-    return FlowSolution(xs=ys[:, :n], vs=ys[:, n:])
+    return ys[:, :n], ys[:, n:]
 
 
 @dataclass(frozen=True)
@@ -167,47 +174,25 @@ def fit_order(deltas: np.ndarray, errors: np.ndarray) -> float:
     return float(slope)
 
 
-def position_errors(
-    constraint: ConstraintMap, initial: PhaseState, deltas: np.ndarray, steps: list[int]
-) -> list[np.ndarray]:
-    """Position errors ||x_k - x(k delta)||, k = 1..K, for each step size.
-
-    ``steps[i]`` is the step count K of ``deltas[i]``.  One reference solve
-    on the union of the grids delta_i * (0, 1, ..., K_i) serves every step
-    size; each one's rows are picked out of it by time.  Grids too large to
-    allocate raise :class:`MemoryError` before the solve.
-    """
-    try:
-        grids = [delta * np.arange(K + 1) for delta, K in zip(deltas, steps)]
-    except ValueError as exc:  # a grid beyond numpy's index range fits in no memory
-        raise MemoryError(str(exc)) from exc
-    union = np.unique(np.concatenate(grids))
-    xs = reference_solve(constraint, initial, union).xs
-    errors = []
-    for delta, grid in zip(deltas, grids):
-        reference = xs[np.searchsorted(union, grid)]
-        errs = np.empty(grid.size - 1)
-        stream = hug_steps(constraint, initial.x, initial.v, delta)
-        for k, (x, _) in zip(range(1, grid.size), stream):
-            errs[k - 1] = np.linalg.norm(x - reference[k])
-        errors.append(errs)
-    return errors
-
-
 def convergence_study(
     constraint: ConstraintMap, initial: PhaseState, deltas: np.ndarray, horizon: float = 1.0
 ) -> ConvergenceStudy:
     """Measure one-step, two-step, and global errors for each step size.
 
-    Steps with k * delta <= horizon (K = round(horizon / delta)) enter the
-    global error; the one- and two-step errors use the same trajectories.
+    Steps with k * delta <= horizon (K = round(horizon / delta), at least 2)
+    enter the global error; the one- and two-step errors use the same
+    trajectories, all stepped before one reference solve at their step times.
     """
     deltas = np.asarray(deltas, dtype=float)
-    steps = [max(2, int(round(horizon / delta))) for delta in deltas]
-    errors = position_errors(constraint, initial, deltas, steps)
+    runs = [hug_trajectory(constraint, initial, HugParams(delta, max(2, round(horizon / delta))))
+            for delta in deltas]
+    xs, _ = reference_solve(constraint, initial, np.concatenate([run.times for run in runs]))
+    D = np.concatenate([run.xs for run in runs]) - xs
+    # row k of each run: ||x_k - x(k delta)||, with the bits of np.linalg.norm on that row alone
+    errors = np.split(np.sqrt(np.vecdot(D, D)), np.cumsum([len(run.xs) for run in runs])[:-1])
     return ConvergenceStudy(
         deltas=deltas,
-        one_step=np.array([errs[0] for errs in errors]),
-        two_step=np.array([errs[1] for errs in errors]),
-        global_err=np.array([errs.max() for errs in errors]),
+        one_step=np.array([errs[1] for errs in errors]),
+        two_step=np.array([errs[2] for errs in errors]),
+        global_err=np.array([errs[1:].max() for errs in errors]),
     )

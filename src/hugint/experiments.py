@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .constraints import ConstraintMap, QuadricConstraint, SphereConstraint, SphereSlicedConstraint
-from .dynamics import convergence_study, position_errors, reference_solve
+from .dynamics import convergence_study, reference_solve
 from .ellipse import (
     EllipseModel,
     ReducedState,
@@ -267,10 +267,9 @@ def run_table1(config: ExperimentConfig) -> dict:
     """One- and two-step position errors of the benchmark across step sizes."""
     constraint = build_constraint(config.constraint)
     initial = _config_start(config, constraint)
-    deltas = np.asarray(TABLE_DELTAS)
-    errors = position_errors(constraint, initial, deltas, [2] * len(deltas))
-    one = np.array([errs[0] for errs in errors])
-    two = np.array([errs[1] for errs in errors])
+    # at horizon 0 every step size takes two steps
+    study = convergence_study(constraint, initial, np.asarray(TABLE_DELTAS), horizon=0.0)
+    deltas, one, two = study.deltas, study.one_step, study.two_step
     rows = [
         (delta, one[i], two[i], one[i - 1] / one[i] if i else None,
          two[i - 1] / two[i] if i else None)
@@ -401,11 +400,9 @@ def run_foldback(config: ExperimentConfig) -> dict:
         raise ConfigError(f"delta={config.delta} times steps={config.steps} is too long "
                           f"to record: {exc}") from exc
     # one solve serves the flow table and the steps, each at its own times
-    union = np.unique(np.concatenate([dense_times, trajectory.times]))
-    flow = reference_solve(constraint, initial, union)
-    dense_rows = np.searchsorted(union, dense_times)
-    step_rows = np.searchsorted(union, trajectory.times)
-    tracking_gap = float(np.max(np.linalg.norm(trajectory.xs - flow.xs[step_rows], axis=1)))
+    xs, vs = reference_solve(constraint, initial, np.concatenate([dense_times, trajectory.times]))
+    dense = len(dense_times)
+    tracking_gap = float(np.max(np.linalg.norm(trajectory.xs - xs[dense:], axis=1)))
 
     result = classify(model, reduced0)
 
@@ -421,7 +418,7 @@ def run_foldback(config: ExperimentConfig) -> dict:
         os.path.join(config.out, "foldback_flow.csv"),
         "foldback-flow/1",
         ["t", "x1", "x2", "v1", "v2"],
-        np.column_stack([dense_times, flow.xs[dense_rows], flow.vs[dense_rows]]).tolist(),
+        np.column_stack([dense_times, xs[:dense], vs[:dense]]).tolist(),
     )
     return {
         "classification": result.kind,

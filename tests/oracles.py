@@ -24,14 +24,16 @@ writes (``read_csv``), and an isotropic Gaussian that does not declare itself
 norm-invariant (``GeneralFormulaGaussian``), so that the kernel evaluates the
 general acceptance formula on it.
 
-Nine are earlier forms of package code that now runs another way, kept to
+Ten are earlier forms of package code that now runs another way, kept to
 hold it to the same bits or bytes: the checked QR factorization with its
 checks on R as numpy calls (``normal_qr_reference``) against ``normal_qr``,
 the one-call step (``step_reference``) against the step stream, the one-call
 rows step (``step_rows_reference``) against the rows stream, the trajectory
 that recorded its times, midpoints and levels as it stepped
 (``trajectory_reference``) against the ``Trajectory`` that derives them when
-read, the scatter study stepped one call at a time with each step's row
+read, the position errors read off one solve on the union of the step-size
+grids (``position_errors_reference``) against ``convergence_study``, the
+scatter study stepped one call at a time with each step's row
 norms taken by ``np.linalg.norm`` (``scatter_reference``) against
 ``_scatter_study``, a sampling chain written out move by move on it
 (``chain_reference``) against ``run_chain``, the cell-by-cell CSV writer
@@ -200,6 +202,35 @@ def trajectory_reference(
         "speeds": np.linalg.norm(vs, axis=1),
         "level_drift": np.linalg.norm(levels - levels[0], axis=1),
     }
+
+
+def position_errors_reference(
+    constraint: ConstraintMap, initial: PhaseState, deltas: np.ndarray, steps: list[int]
+) -> list[np.ndarray]:
+    """Position errors ||x_k - x(k delta)||, k = 1..K, for each step size.
+
+    ``steps[i]`` is the step count K of ``deltas[i]``.  One reference solve
+    on the union of the grids delta_i * (0, 1, ..., K_i) serves every step
+    size; each one's rows are picked out of it by time.  Grids too large to
+    allocate raise :class:`MemoryError` before the solve.
+    :func:`~hugint.dynamics.convergence_study`'s errors must agree with these
+    bit for bit.
+    """
+    try:
+        grids = [delta * np.arange(K + 1) for delta, K in zip(deltas, steps)]
+    except ValueError as exc:  # a grid beyond numpy's index range fits in no memory
+        raise MemoryError(str(exc)) from exc
+    union = np.unique(np.concatenate(grids))
+    xs, _ = reference_solve(constraint, initial, union)
+    errors = []
+    for delta, grid in zip(deltas, grids):
+        reference = xs[np.searchsorted(union, grid)]
+        errs = np.empty(grid.size - 1)
+        stream = hug_steps(constraint, initial.x, initial.v, delta)
+        for k, (x, _) in zip(range(1, grid.size), stream):
+            errs[k - 1] = np.linalg.norm(x - reference[k])
+        errors.append(errs)
+    return errors
 
 
 def step_rows_reference(
@@ -458,11 +489,11 @@ def embedded_sequence(
     only O(delta^2) residuals (see :func:`step_residuals`).
     """
     times = delta * np.arange(steps + 1)
-    sol = reference_solve(constraint, initial, times)
-    X = sol.xs.copy()
-    V = np.empty_like(sol.vs)
+    xs, vs = reference_solve(constraint, initial, times)
+    X = xs.copy()
+    V = np.empty_like(vs)
     for k in range(steps + 1):
-        v_par, v_perp = velocity_parts(build_bundle(constraint, X[k])[0], sol.vs[k])
+        v_par, v_perp = velocity_parts(build_bundle(constraint, X[k])[0], vs[k])
         V[k] = v_par + (-1.0) ** k * v_perp
     return X, V
 
@@ -589,18 +620,18 @@ def per_delta_errors(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(one-step, two-step, global) errors with one reference solve per step size.
 
-    The loop ``convergence_study`` replaced by a single solve on the union
-    of the grids; its errors must agree with the study's.
+    The loop ``convergence_study`` replaced by a single solve at the step
+    times of every step size; its errors must agree with the study's.
     """
     one, two, glob = [], [], []
     for delta in deltas:
         K = max(2, int(round(horizon / delta)))
-        sol = reference_solve(constraint, initial, delta * np.arange(K + 1))
+        xs, _ = reference_solve(constraint, initial, delta * np.arange(K + 1))
         x, v = initial.x, initial.v
         errs = np.empty(K)
         for k in range(K):
             x, v = next(hug_steps(constraint, x, v, delta))
-            errs[k] = np.linalg.norm(x - sol.xs[k + 1])
+            errs[k] = np.linalg.norm(x - xs[k + 1])
         one.append(errs[0])
         two.append(errs[1])
         glob.append(errs.max())

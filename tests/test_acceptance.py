@@ -64,11 +64,11 @@ def _bench_errors():
     constraint, initial = _bench()
     one, two = [], []
     for delta in TABLE_DELTAS:
-        sol = reference_solve(constraint, initial, np.array([0.0, delta, 2.0 * delta]))
+        xs, _ = reference_solve(constraint, initial, np.array([0.0, delta, 2.0 * delta]))
         x1, v1 = next(hug_steps(constraint, initial.x, initial.v, delta))
         x2, _ = next(hug_steps(constraint, x1, v1, delta))
-        one.append(float(np.linalg.norm(x1 - sol.xs[1])))
-        two.append(float(np.linalg.norm(x2 - sol.xs[2])))
+        one.append(float(np.linalg.norm(x1 - xs[1])))
+        two.append(float(np.linalg.norm(x2 - xs[2])))
     return one, two
 
 
@@ -310,15 +310,15 @@ def test_criterion_07_flow_invariants():
     ]
     times = np.linspace(0.0, 2.0, 81)
     for constraint, initial in cases:
-        sol = reference_solve(constraint, initial, times)
-        sq = np.sum(sol.vs**2, axis=1)
+        xs, vs = reference_solve(constraint, initial, times)
+        sq = np.sum(vs**2, axis=1)
         sq_drift = float(np.max(np.abs(sq - sq[0])))
-        levels = np.array([constraint.value(x) for x in sol.xs])
+        levels = np.array([constraint.value(x) for x in xs])
         level_drift = float(np.max(np.abs(levels - levels[0])))
         assert sq_drift <= 1e-10, f"||v||^2 drift {sq_drift}"
         assert level_drift <= 1e-10, f"level drift {level_drift}"
         for i in range(0, len(times), 10):
-            div = abs(field_divergence(constraint, sol.xs[i], sol.vs[i]))
+            div = abs(field_divergence(constraint, xs[i], vs[i]))
             assert div <= 1e-6, f"divergence {div} at t={times[i]}"
     print(f"criterion 07: worst drifts ||v||^2={sq_drift:.2e} level={level_drift:.2e}")
 

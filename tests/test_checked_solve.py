@@ -1,4 +1,5 @@
-"""Reference solver: accuracy, the output-time contract, and the two-solve self-check."""
+"""Reference solver: accuracy, the output-time contract, the evaluation cap and
+the two-solve self-check."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from hugint import dynamics
 from hugint.dynamics import REFERENCE_TOLERANCES, checked_solve
 from hugint.errors import ReferenceSolveError
 
@@ -27,9 +29,14 @@ def test_checked_solve_hits_output_times_exactly():
     assert np.abs(ys[:, 0] - 2.0 * np.exp(-times)).max() < 1e-12
 
 
-def test_checked_solve_rejects_decreasing_times():
-    with pytest.raises(ValueError):
-        checked_solve(decay, np.array([1.0]), np.array([0.0, 1.0, 0.5]))
+def test_checked_solve_takes_times_in_any_order():
+    """Shuffled times give, bit for bit, the sorted solve's rows in the
+    shuffled order; y0 is the state at the earliest time."""
+    times = np.linspace(0.0, 2.0, 9)
+    ys = checked_solve(decay, np.array([1.0, 2.0]), times)
+    order = np.random.default_rng(5).permutation(times.size)
+    assert not np.array_equal(order, np.arange(times.size))
+    assert np.array_equal(checked_solve(decay, np.array([1.0, 2.0]), times[order]), ys[order])
 
 
 def test_checked_solve_repeated_time_is_held():
@@ -56,6 +63,16 @@ def test_checked_solve_raises_on_solver_failure():
     # y' = y^2 from 1 blows up at t = 1
     with pytest.raises(ReferenceSolveError, match="DOP853 failed"):
         checked_solve(lambda t, y: y**2, np.array([1.0]), np.array([0.0, 2.0]))
+
+
+def test_checked_solve_raises_past_its_evaluation_cap(monkeypatch):
+    """A pass that needs more field evaluations than the cap is refused
+    rather than left to run; the same solve passes under the real cap."""
+    times = np.array([0.0, 50.0])
+    checked_solve(decay, np.array([1.0]), times)
+    monkeypatch.setattr(dynamics, "REFERENCE_MAX_EVALS", 50)
+    with pytest.raises(ReferenceSolveError, match="passed 50 field evaluations"):
+        checked_solve(decay, np.array([1.0]), times)
 
 
 def test_checked_solve_raises_on_non_finite_initial_state():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import hugint
-from hugint import experiments
+from hugint import dynamics, experiments
 from hugint.cli import build_parser, load_config, main
 from hugint.constraints import QuadricConstraint
 from hugint.dynamics import convergence_study
@@ -118,6 +118,21 @@ def test_a_start_at_a_turning_point_runs(tmp_path, capsys):
     assert err == ""
     summary = json.loads(out)["summary"]
     assert (summary["classification"], summary["turning_points"]) == ("libration", [0.0, 0.0])
+
+
+def test_main_exit_3_when_a_reference_solve_passes_its_evaluation_cap(
+    tmp_path, monkeypatch, capsys
+):
+    """On this ellipse the portrait's stacked solve would run for minutes;
+    past the cap on field evaluations it is refused instead.  The cap is
+    lowered so that the refusal comes at once."""
+    monkeypatch.setattr(dynamics, "REFERENCE_MAX_EVALS", 2000)
+    config = tmp_path / "extreme.json"
+    config.write_text(json.dumps({"constraint": {"kind": "quadric", "diag": [1e-8, 1e8]}}))
+    argv = ["phase-portrait", "--config", str(config), "--t-end", "0.1", "--out", str(tmp_path)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: DOP853 passed 2000 field evaluations\n"
 
 
 class _NoSpawnSeedSequence(np.random.SeedSequence):

@@ -28,6 +28,7 @@ from oracles import (
     embedded_sequence,
     field_divergence,
     per_delta_errors,
+    position_errors_reference,
     signed_bundle,
     step_residuals,
     velocity_derivative_grouped,
@@ -36,6 +37,7 @@ from oracles import (
 
 BENCH = QuadricConstraint(np.diag([1.0, 4.0]))
 BENCH_STATE = PhaseState([np.cos(1.0), 0.5 * np.sin(1.0)], [0.0, 1.0])
+SLICED_STATE = PhaseState([0.73907151, 0.54626892, 0.39413414], [0.2, -0.4, 0.5])
 
 
 def test_split_velocity_parts():
@@ -121,10 +123,10 @@ def test_component_field_consistent_with_phase_field():
 
 def test_component_solve_matches_reference():
     times = np.linspace(0.0, 1.5, 7)
-    sol = reference_solve(BENCH, BENCH_STATE, times)
+    flow_xs, flow_vs = reference_solve(BENCH, BENCH_STATE, times)
     xs, v_par, v_perp = component_solve(BENCH, BENCH_STATE, times)
-    assert np.abs(xs - sol.xs).max() < 1e-9
-    assert np.abs((v_par + v_perp) - sol.vs).max() < 1e-9
+    assert np.abs(xs - flow_xs).max() < 1e-9
+    assert np.abs((v_par + v_perp) - flow_vs).max() < 1e-9
 
 
 @pytest.mark.parametrize(
@@ -142,19 +144,19 @@ def test_component_solve_matches_reference():
 )
 def test_flow_conserves_speed_and_level(constraint, state):
     times = np.linspace(0.0, 2.0, 21)
-    sol = reference_solve(constraint, state, times)
-    speeds = np.linalg.norm(sol.vs, axis=1)
+    xs, vs = reference_solve(constraint, state, times)
+    speeds = np.linalg.norm(vs, axis=1)
     assert np.abs(speeds - speeds[0]).max() < 1e-10
-    levels = np.array([constraint.value(x) for x in sol.xs])
+    levels = np.array([constraint.value(x) for x in xs])
     assert np.abs(levels - levels[0]).max() < 1e-10
 
 
 def test_flow_time_reversible():
     times = np.array([0.0, 1.0])
-    fwd = reference_solve(BENCH, BENCH_STATE, times)
-    back = reference_solve(BENCH, PhaseState(fwd.xs[-1], -fwd.vs[-1]), times)
-    assert np.abs(back.xs[-1] - BENCH_STATE.x).max() < 1e-8
-    assert np.abs(-back.vs[-1] - BENCH_STATE.v).max() < 1e-8
+    fwd_xs, fwd_vs = reference_solve(BENCH, BENCH_STATE, times)
+    back_xs, back_vs = reference_solve(BENCH, PhaseState(fwd_xs[-1], -fwd_vs[-1]), times)
+    assert np.abs(back_xs[-1] - BENCH_STATE.x).max() < 1e-8
+    assert np.abs(-back_vs[-1] - BENCH_STATE.v).max() < 1e-8
 
 
 @pytest.mark.parametrize("kind", ["quadric", "sliced"])
@@ -208,8 +210,8 @@ def test_discrete_map_tracks_flow():
     """A moderate-step trajectory stays within O(delta^2) of the flow."""
     delta, steps = 0.05, 20
     t = hug_trajectory(BENCH, BENCH_STATE, HugParams(delta, steps))
-    sol = reference_solve(BENCH, BENCH_STATE, t.times)
-    gap = np.linalg.norm(t.xs - sol.xs, axis=1).max()
+    xs, _ = reference_solve(BENCH, BENCH_STATE, t.times)
+    gap = np.linalg.norm(t.xs - xs, axis=1).max()
     assert gap < 10.0 * delta**2, f"tracking gap {gap:.3e}"
 
 
@@ -230,9 +232,29 @@ def test_convergence_study_bench_orders():
     assert 1.7 < study.global_order < 2.3
 
 
+@pytest.mark.parametrize("horizon", [0.0, 0.01, 1.0])
+@pytest.mark.parametrize(
+    "constraint,state",
+    [(BENCH, BENCH_STATE), (SphereSlicedConstraint(3), SLICED_STATE)],
+    ids=["quadric", "sliced"],
+)
+def test_convergence_study_is_bitwise_the_union_grid_reference(constraint, state, horizon):
+    """Stepping first and solving once at the concatenated step times gives,
+    bit for bit, the errors read off one solve on the union of the grids and
+    stepped by a stream; at horizon 0 every step size takes two steps, as in
+    the error table, and at 0.01 the grids end at different times."""
+    deltas = 1.0 / 2.0 ** np.arange(4, 9)
+    study = convergence_study(constraint, state, deltas, horizon=horizon)
+    steps = [max(2, int(round(horizon / delta))) for delta in deltas]
+    errors = position_errors_reference(constraint, state, deltas, steps)
+    assert np.array_equal(study.one_step, [errs[0] for errs in errors])
+    assert np.array_equal(study.two_step, [errs[1] for errs in errors])
+    assert np.array_equal(study.global_err, [errs.max() for errs in errors])
+
+
 @pytest.mark.parametrize("horizon", [0.01, 1.0])
 def test_convergence_study_union_grid_matches_per_delta_solves(horizon):
-    """One reference solve on the union of the step-size grids gives the
+    """One reference solve at the step times of every step size gives the
     errors of one solve per step size; at horizon 0.01 the grids end at
     different times."""
     deltas = 1.0 / 2.0 ** np.arange(4, 9)

@@ -129,10 +129,10 @@ def test_reduced_solve_matches_cartesian_flow():
     initial = PhaseState([1.0, 0.0], [np.sqrt(7.0) / 2.0, 0.5])
     reduced0 = to_reduced(MODEL, initial)
     times = np.linspace(0.0, 3.0, 31)
-    cart = reference_solve(constraint, initial, times)
+    xs, vs = reference_solve(constraint, initial, times)
     reduced = reduced_orbits(MODEL, [reduced0], times)[0]
-    phis = np.array([MODEL.angle_of(x) for x in cart.xs])
-    ps = np.array([v @ MODEL.unit_tangent(phi) for v, phi in zip(cart.vs, phis)])
+    phis = np.array([MODEL.angle_of(x) for x in xs])
+    ps = np.array([v @ MODEL.unit_tangent(phi) for v, phi in zip(vs, phis)])
     assert np.abs(phis - reduced[:, 0]).max() < 1e-7
     assert np.abs(ps - reduced[:, 1]).max() < 1e-7
 

@@ -25,11 +25,13 @@ ORACLE_METHODS_OF_ELLIPSE_MODEL = ("position", "unit_normal")
 #: field takes (Q, J^+) from ``build_bundle`` as a pair and splits v itself;
 #: the one-step map, the one-step rows map and the one-orbit reduced solve
 #: are the first step of ``hug_steps``, ``hug_steps_rows`` and
-#: ``reduced_orbits`` at m = 1; and a libration's turning points are
-#: ``classify(...).turning_points``.
+#: ``reduced_orbits`` at m = 1; a libration's turning points are
+#: ``classify(...).turning_points``; ``reference_solve`` returns (xs, vs) as a
+#: tuple; and ``convergence_study`` steps first and solves once at the step
+#: times, in place of ``position_errors``' union grid.
 REMOVED_BY_FORMER_MODULE = {
     "hugint.projectors": ("ProjectorBundle",),
-    "hugint.dynamics": ("split_velocity", "velocity_derivative"),
+    "hugint.dynamics": ("split_velocity", "velocity_derivative", "FlowSolution", "position_errors"),
     "hugint.integrator": ("hug_step", "hug_step_rows"),
     "hugint.ellipse": ("reduced_solve", "libration_turning_points"),
 }
@@ -37,7 +39,7 @@ REMOVED_BY_FORMER_MODULE = {
 
 def test_public_surface_is_sorted_resolves_and_holds_no_oracle():
     assert hugint.__all__ == sorted(set(hugint.__all__))
-    assert len(hugint.__all__) == 32
+    assert len(hugint.__all__) == 31
     missing = [name for name in hugint.__all__ if not hasattr(hugint, name)]
     assert not missing
     for gone in (ORACLES_BY_FORMER_MODULE, REMOVED_BY_FORMER_MODULE):
