@@ -79,11 +79,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    runner = RUNNERS[config.experiment]
-    try:
+        runner = RUNNERS[config.experiment]
         # An overflow reads +-inf, and inf * 0 or inf - inf after it reads NaN;
         # the finiteness checks turn both into a rejection or exit 3, so
         # numpy's warnings would only repeat them.

@@ -92,7 +92,7 @@ def checked_solve(field: Field, y0: np.ndarray, times: np.ndarray) -> np.ndarray
             ys[1:] = sol.y.T[1:]
         solves.append(ys)
     coarse, fine = solves
-    gap = float(np.max(np.linalg.norm(coarse - fine, axis=1)))
+    gap = float(np.max(np.linalg.norm(coarse - fine, axis=1), initial=0.0))  # 0 for no rows
     if not np.isfinite(gap) or gap > REFERENCE_MAX_GAP:
         raise ReferenceSolveError(
             f"tolerance check failed: max gap {gap:.3e} > {REFERENCE_MAX_GAP:.3e}"

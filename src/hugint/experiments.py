@@ -25,6 +25,7 @@ from __future__ import annotations
 import copy
 import numbers
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from itertools import islice
 from typing import Callable
@@ -70,6 +71,16 @@ SHOWCASE_NORMAL_SPEEDS = (0.2023, 0.5673, 0.6647, 0.7357)
 
 class ConfigError(Exception):
     """Invalid or incomplete experiment configuration."""
+
+
+@contextmanager
+def _recorded(setting: str):
+    """Turn the refusal of a record or time grid too large (a shape past numpy's index
+    range or memory, a step count past inf) into a :class:`ConfigError` "{setting} to record"."""
+    try:
+        yield
+    except (ValueError, MemoryError, OverflowError) as exc:
+        raise ConfigError(f"{setting} to record: {exc}") from exc
 
 
 def _setting(kind: type | None, help: str | None = None, default=None, *,
@@ -293,10 +304,8 @@ def run_convergence(config: ExperimentConfig) -> dict:
     """Order measurement: one-step, two-step, and global errors with fitted slopes."""
     constraint = build_constraint(config.constraint)
     initial = _config_start(config, constraint)
-    try:
+    with _recorded(f"t_end={config.t_end} is too long"):
         study = convergence_study(constraint, initial, np.asarray(TABLE_DELTAS), horizon=config.t_end)
-    except (MemoryError, OverflowError) as exc:  # the step grids do not fit, or count past inf
-        raise ConfigError(f"t_end={config.t_end} is too long to record: {exc}") from exc
     write_csv(
         os.path.join(config.out, "convergence.csv"),
         "convergence/1",
@@ -334,10 +343,8 @@ def run_phase_portrait(config: ExperimentConfig) -> dict:
     speed = float(np.sqrt(2.0))
     phis = np.linspace(-0.75 * np.pi, 0.75 * np.pi, 7)
     ps = np.linspace(-speed, speed, 9)
-    try:
+    with _recorded(f"t_end={config.t_end} is too long"):
         sample_times = np.arange(0.0, config.t_end + 0.05, 0.05)
-    except (ValueError, MemoryError) as exc:  # beyond numpy's index range, or memory
-        raise ConfigError(f"t_end={config.t_end} is too long to record: {exc}") from exc
     states = [
         ReducedState(phi=float(phi0), p=float(p0), speed=speed) for p0 in ps for phi0 in phis
     ]
@@ -385,20 +392,15 @@ def run_foldback(config: ExperimentConfig) -> dict:
             raise
         raise ConfigError(f"x0 must lie on the ellipse {model.a:g} x1^2 + {model.b:g} x2^2 = 1 "
                           f"(residual {exc.residual:.3e}), got {config.x0!r}") from exc
-    try:
+    with _recorded(f"steps={config.steps} is too many"):
         trajectory = hug_trajectory(constraint, initial, HugParams(config.delta, config.steps))
-    except MemoryError as exc:  # the (steps + 1)-row records do not fit
-        raise ConfigError(f"steps={config.steps} is too many to record: {exc}") from exc
     tangential = np.array([tangential_speed(model, x, v) for x, v in zip(trajectory.xs, trajectory.vs)])
     signs = np.sign(tangential)
     sign_changes = int(np.sum(signs[1:] != signs[:-1]))
 
     t_end = config.delta * config.steps
-    try:
+    with _recorded(f"delta={config.delta} times steps={config.steps} is too long"):
         dense_times = np.arange(0.0, t_end + 0.01, 0.01)
-    except (ValueError, MemoryError) as exc:  # beyond numpy's index range, or memory
-        raise ConfigError(f"delta={config.delta} times steps={config.steps} is too long "
-                          f"to record: {exc}") from exc
     # one solve serves the flow table and the steps, each at its own times
     xs, vs = reference_solve(constraint, initial, np.concatenate([dense_times, trajectory.times]))
     dense = len(dense_times)
@@ -472,10 +474,9 @@ def _scatter_study(
     if constraint.codim != 1:
         raise ConfigError("the ellipsoid study expects a codimension-1 constraint")
     R = config.replicates
-    try:  # before the R child seeds, so that a count too large costs nothing
+    # before the R child seeds, so that a count too large costs nothing
+    with _recorded(f"replicates={R} is too many"):
         V = np.empty((R + len(showcase_speeds), x0.size))
-    except (ValueError, MemoryError) as exc:  # beyond numpy's index range, or memory
-        raise ConfigError(f"replicates={R} is too many to record: {exc}") from exc
     for row, child in zip(V, np.random.SeedSequence(seed).spawn(R)):
         row[:] = uniform_sphere(np.random.default_rng(child), x0.size)
     q = unit_normal(constraint, x0)
@@ -493,6 +494,14 @@ def _scatter_study(
     if failed == d_max.size:
         raise StudyFailedError(f"all {failed} replicates hit singular or non-finite geometry")
     return v_perp, d_max, failed, d_showcase
+
+
+def _write_ecdf(path: str, d_max: np.ndarray) -> np.ndarray:
+    """Write the ECDF CSV of the finite d_max values to path; returns their fractions."""
+    fractions, probs = ecdf_points(d_max[np.isfinite(d_max)])
+    write_csv(path, "ellipsoid-ecdf/1", ["d_max_fraction", "cumulative_probability"],
+              zip(fractions.tolist(), probs.tolist()))
+    return fractions
 
 
 def run_ellipsoid(config: ExperimentConfig) -> dict:
@@ -520,13 +529,7 @@ def run_ellipsoid(config: ExperimentConfig) -> dict:
         ["replicate", "v_perp_norm", "d_max"],
         zip(range(config.replicates), v_perp.tolist(), d_max.tolist()),
     )
-    fractions, probs = ecdf_points(d_max[ok])
-    write_csv(
-        os.path.join(config.out, "ellipsoid_ecdf.csv"),
-        "ellipsoid-ecdf/1",
-        ["d_max_fraction", "cumulative_probability"],
-        zip(fractions.tolist(), probs.tolist()),
-    )
+    _write_ecdf(os.path.join(config.out, "ellipsoid_ecdf.csv"), d_max)
     correlation = spearman_rho(v_perp[ok], d_max[ok])
 
     summary = {
@@ -560,14 +563,7 @@ def run_ecdf(config: ExperimentConfig) -> dict:
         constraint = QuadricConstraint(np.diag(ELLIPSOID_DIAGS[dim]))
         x0 = np.eye(dim)[0]
         _, d_max, failed, _ = _scatter_study(constraint, x0, config, config.seed + dim)
-        ok = np.isfinite(d_max)
-        fractions, probs = ecdf_points(d_max[ok])
-        write_csv(
-            os.path.join(config.out, f"ecdf_n{dim}.csv"),
-            "ellipsoid-ecdf/1",
-            ["d_max_fraction", "cumulative_probability"],
-            zip(fractions.tolist(), probs.tolist()),
-        )
+        fractions = _write_ecdf(os.path.join(config.out, f"ecdf_n{dim}.csv"), d_max)
         mean = float(fractions.mean())
         stderr = float(fractions.std(ddof=1) / np.sqrt(fractions.size))
         means[dim] = (mean, stderr)
@@ -611,13 +607,11 @@ def run_chain(config: ExperimentConfig) -> dict:
     x0 = _config_vector(config, "x0", n) if config.x0 is not None else np.eye(n)[0]
     params = HugParams(step_size=config.delta, steps=config.steps)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    try:
+    with _recorded(f"iterations={config.iterations} is too many"):
         chain = run_sampling_chain(
             constraint, x0, params, IsotropicGaussian(dim=n), rng, config.iterations,
             walk_scale=config.walk_scale,
         )
-    except MemoryError as exc:  # the (iterations + 1)-row record does not fit
-        raise ConfigError(f"iterations={config.iterations} is too many to record: {exc}") from exc
 
     write_csv(
         os.path.join(config.out, "chain.csv"),

@@ -210,14 +210,11 @@ def hug_trajectory(
 ) -> Trajectory:
     """Run ``params.steps`` steps from ``initial`` and record the states; the
     diagnostics are derived from them when read (see :class:`Trajectory`).
-    Records too large to allocate raise :class:`MemoryError` before any step."""
+    The records are allocated first, so numpy refuses ones too large before any step."""
     K = params.steps
     n = initial.x.shape[0]
-    try:
-        xs = np.empty((K + 1, n))
-        vs = np.empty((K + 1, n))
-    except ValueError as exc:  # a shape beyond numpy's index range fits in no memory
-        raise MemoryError(str(exc)) from exc
+    xs = np.empty((K + 1, n))
+    vs = np.empty((K + 1, n))
     xs[0], vs[0] = initial.x, initial.v
     stream = hug_steps(constraint, initial.x, initial.v, params.step_size)
     for k, (x, v) in zip(range(1, K + 1), stream):

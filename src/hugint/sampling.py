@@ -181,15 +181,12 @@ def run_chain(
 
     Each iteration performs one hugging move and, when ``walk_scale`` is
     given, one random-walk Metropolis move afterwards; ell(x) passes from
-    each move to the next.  A record too large to allocate raises
-    :class:`MemoryError` before the first move.
+    each move to the next.  The record is allocated first, so numpy refuses
+    one too large (``ValueError`` or ``MemoryError``) before any move.
     """
     x = np.asarray(initial_x, dtype=float)
     log_density = log_density_of(target, x)
-    try:
-        states = np.empty((iterations + 1, x.size))
-    except ValueError as exc:  # a shape beyond numpy's index range fits in no memory
-        raise MemoryError(str(exc)) from exc
+    states = np.empty((iterations + 1, x.size))
     states[0] = x
     hug_accepted = np.zeros(iterations, dtype=bool)
     walk_accepted = np.zeros(iterations, dtype=bool) if walk_scale is not None else None

@@ -8,8 +8,11 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from hugint import dynamics
-from hugint.dynamics import REFERENCE_TOLERANCES, checked_solve
+from hugint.constraints import QuadricConstraint
+from hugint.dynamics import REFERENCE_TOLERANCES, checked_solve, reference_solve
 from hugint.errors import ReferenceSolveError
+from hugint.experiments import BENCH_DIAG, BENCH_V0, BENCH_X0
+from hugint.integrator import PhaseState
 
 
 def decay(t, y):
@@ -73,6 +76,17 @@ def test_checked_solve_raises_past_its_evaluation_cap(monkeypatch):
     monkeypatch.setattr(dynamics, "REFERENCE_MAX_EVALS", 50)
     with pytest.raises(ReferenceSolveError, match="passed 50 field evaluations"):
         checked_solve(decay, np.array([1.0]), times)
+
+
+def test_checked_solve_empty_times_give_no_rows():
+    """No output time gives no rows, from ``checked_solve`` and from
+    ``reference_solve``; a non-finite y0 is refused all the same."""
+    assert checked_solve(decay, np.array([1.0, 2.0]), np.array([])).shape == (0, 2)
+    initial = PhaseState(BENCH_X0, BENCH_V0)
+    xs, vs = reference_solve(QuadricConstraint(np.diag(BENCH_DIAG)), initial, np.array([]))
+    assert xs.shape == vs.shape == (0, 2)
+    with pytest.raises(ReferenceSolveError, match="not finite"):
+        checked_solve(decay, np.array([np.nan, 1.0]), np.array([]))
 
 
 def test_checked_solve_raises_on_non_finite_initial_state():

@@ -158,9 +158,18 @@ def test_main_exit_2_on_a_replicate_count_too_large_to_record(
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize(
-    "experiment, callee", [("foldback", "hug_trajectory"), ("chain", "run_sampling_chain")]
-)
+# the call that allocates each experiment's record, and the setting that its
+# refusal names at the experiment's defaults
+_RECORD_CALLEES = [("foldback", "hug_trajectory"), ("chain", "run_sampling_chain"),
+                   ("convergence", "convergence_study")]
+_RECORD_SETTINGS = {
+    "foldback": "steps=14 is too many",
+    "chain": "iterations=20000 is too many",
+    "convergence": "t_end=1.0 is too long",
+}
+
+
+@pytest.mark.parametrize("experiment, callee", _RECORD_CALLEES)
 def test_main_exit_2_when_the_record_does_not_fit_in_memory(
     experiment, callee, tmp_path, monkeypatch, capsys
 ):
@@ -174,6 +183,25 @@ def test_main_exit_2_when_the_record_does_not_fit_in_memory(
     assert main([experiment, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "Unable to allocate the record" in err
+    assert err.startswith(f"config error: {_RECORD_SETTINGS[experiment]} to record")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("experiment, callee", _RECORD_CALLEES)
+def test_main_exit_2_when_numpy_refuses_the_record_shape(
+    experiment, callee, tmp_path, monkeypatch, capsys
+):
+    """numpy's ValueError for a record shape beyond its index range, out of
+    the call that allocates the record, is a config error naming the setting."""
+
+    def refused(*args, **kwargs):
+        raise ValueError("Maximum allowed dimension exceeded")
+
+    monkeypatch.setattr(experiments, callee, refused)
+    assert main([experiment, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"config error: {_RECORD_SETTINGS[experiment]} to record: "
+                   "Maximum allowed dimension exceeded\n")
     assert not list(tmp_path.iterdir())
 
 

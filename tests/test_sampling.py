@@ -217,15 +217,19 @@ def test_singular_rejection_returns_the_log_density_it_was_given():
 
 
 class _CountingQuadric(QuadricConstraint):
-    """Quadric target that counts its ``value`` calls."""
+    """Quadric target that counts its ``value`` and ``gradient`` calls."""
 
     def __init__(self, A):
         super().__init__(A)
-        self.value_calls = 0
+        self.value_calls = self.gradient_calls = 0
 
     def value(self, x):
         self.value_calls += 1
         return super().value(x)
+
+    def gradient(self, x):
+        self.gradient_calls += 1
+        return super().gradient(x)
 
 
 @pytest.mark.parametrize("walk_scale, per_iteration", [(0.5, 2), (None, 1)], ids=["walk", "hug-only"])
@@ -241,6 +245,21 @@ def test_run_chain_evaluates_the_log_density_once_per_move(walk_scale, per_itera
     )
     assert target.value_calls == per_iteration * iterations + 1
     assert 0.0 < record.hug_acceptance_rate
+
+
+@pytest.mark.parametrize("record", ["trajectory", "chain"])
+def test_a_record_too_large_is_refused_before_any_step(record):
+    """numpy refuses a (2**63, n) record with its own ValueError before the
+    first step of ``hug_trajectory`` or the first move of ``run_chain``, so
+    the target's gradient is never asked for."""
+    target = _CountingQuadric(np.diag([1.0, 4.0]))
+    with pytest.raises(ValueError, match="Maximum allowed dimension exceeded"):
+        if record == "trajectory":
+            hug_trajectory(target, PhaseState([1.0, 0.0], [0.0, 1.0]), HugParams(0.1, 2**63 - 1))
+        else:
+            run_chain(target, np.array([1.0, 0.0]), PARAMS, IsotropicGaussian(dim=2),
+                      np.random.default_rng(12), 2**63 - 1)
+    assert target.gradient_calls == 0
 
 
 def test_random_walk_kernel_acceptance_rule():
