@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .constraints import ConstraintMap
-from .errors import ReferenceSolveError
+from .errors import ReferenceSolveError, StudyFailedError
 from .integrator import HugParams, PhaseState, hug_trajectory
 from .projectors import build_bundle
 
@@ -163,13 +163,14 @@ class ConvergenceStudy:
 def fit_order(deltas: np.ndarray, errors: np.ndarray) -> float:
     """Least-squares slope of log(error) against log(delta).
 
-    Pairs with error at or below :data:`ROUNDOFF_FLOOR` are dropped; two must remain.
+    Pairs with error at or below :data:`ROUNDOFF_FLOOR` are dropped; two must
+    remain, else :class:`~hugint.errors.StudyFailedError`.
     """
     deltas = np.asarray(deltas, dtype=float)
     errors = np.asarray(errors, dtype=float)
     keep = errors > ROUNDOFF_FLOOR
     if keep.sum() < 2:
-        raise ValueError("need at least two error values above the roundoff floor")
+        raise StudyFailedError("need at least two error values above the roundoff floor")
     slope, _ = np.polyfit(np.log(deltas[keep]), np.log(errors[keep]), 1)
     return float(slope)
 

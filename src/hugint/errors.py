@@ -48,4 +48,6 @@ class ReferenceSolveError(HugError):
 
 
 class StudyFailedError(HugError):
-    """Raised when every replicate of a replicated study fails numerically."""
+    """Raised when a study's runs leave nothing to summarize: every replicate
+    of a replicated study fails numerically, or too few errors of a
+    convergence study sit above the roundoff floor to fit an order."""

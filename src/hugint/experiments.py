@@ -306,18 +306,20 @@ def run_convergence(config: ExperimentConfig) -> dict:
     initial = _config_start(config, constraint)
     with _recorded(f"t_end={config.t_end} is too long"):
         study = convergence_study(constraint, initial, np.asarray(TABLE_DELTAS), horizon=config.t_end)
+    # fitted first, so that errors all in roundoff fail the run before any file is written
+    summary = {
+        "horizon": config.t_end,
+        "one_step_order": study.one_step_order,
+        "two_step_order": study.two_step_order,
+        "global_order": study.global_order,
+    }
     write_csv(
         os.path.join(config.out, "convergence.csv"),
         "convergence/1",
         ["delta", "one_step_error", "two_step_error", "global_error"],
         zip(study.deltas, study.one_step, study.two_step, study.global_err),
     )
-    return {
-        "horizon": config.t_end,
-        "one_step_order": study.one_step_order,
-        "two_step_order": study.two_step_order,
-        "global_order": study.global_order,
-    }
+    return summary
 
 
 # ---------------------------------------------------------------------------

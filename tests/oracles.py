@@ -24,23 +24,22 @@ writes (``read_csv``), and an isotropic Gaussian that does not declare itself
 norm-invariant (``GeneralFormulaGaussian``), so that the kernel evaluates the
 general acceptance formula on it.
 
-Ten are earlier forms of package code that now runs another way, kept to
-hold it to the same bits or bytes: the checked QR factorization with its
-checks on R as numpy calls (``normal_qr_reference``) against ``normal_qr``,
-the one-call step (``step_reference``) against the step stream, the one-call
-rows step (``step_rows_reference``) against the rows stream, the trajectory
-that recorded its times, midpoints and levels as it stepped
-(``trajectory_reference``) against the ``Trajectory`` that derives them when
-read, the position errors read off one solve on the union of the step-size
-grids (``position_errors_reference``) against ``convergence_study``, the
-scatter study stepped one call at a time with each step's row
-norms taken by ``np.linalg.norm`` (``scatter_reference``) against
-``_scatter_study``, a sampling chain written out move by move on it
-(``chain_reference``) against ``run_chain``, the cell-by-cell CSV writer
-(``write_csv_reference``) against ``write_csv``, and the bundle with its
-column signs fixed so that diag(R) > 0 (``signed_bundle``), with the flow
-field that split v three times through it (``bundle_field``), against
-``build_bundle`` and ``phase_field``.
+Ten are earlier forms of package code that now runs another way, kept to hold
+it to the same bits or bytes: the checked QR factorization through
+``np.linalg.qr`` with its checks on R as numpy calls (``normal_qr_reference``)
+against ``normal_qr``, the one-call step (``step_reference``) against the step
+stream, the one-call rows step (``step_rows_reference``) against the rows
+stream, the trajectory that recorded its times, midpoints and levels as it
+stepped (``trajectory_reference``) against the ``Trajectory`` that derives
+them when read, the position errors read off one solve on the union of the
+step-size grids (``position_errors_reference``) against ``convergence_study``,
+the scatter study stepped one call at a time with each step's row norms taken
+by ``np.linalg.norm`` (``scatter_reference``) against ``_scatter_study``, a
+sampling chain written out move by move on it (``chain_reference``) against
+``run_chain``, the cell-by-cell CSV writer (``write_csv_reference``) against
+``write_csv``, and the bundle with its column signs fixed so that diag(R) > 0
+(``signed_bundle``), with the flow field that split v three times through it
+(``bundle_field``), against ``build_bundle`` and ``phase_field``.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from hugint.ellipse import EllipseModel, ReducedState, reduced_field, reduced_or
 from hugint.errors import DimensionError, SingularGeometryError, StudyFailedError
 from hugint.experiments import ExperimentConfig, _showcase_velocity, uniform_sphere
 from hugint.integrator import HugParams, PhaseState, hug_steps
-from hugint.projectors import GRADIENT_FLOOR, RANK_RTOL, build_bundle, normal_qr, unit_normal
+from hugint.projectors import GRADIENT_FLOOR, RANK_RTOL, build_bundle, unit_normal
 from hugint.sampling import IsotropicGaussian
 
 
@@ -82,9 +81,10 @@ def reflect(Q: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def normal_qr_reference(constraint: ConstraintMap, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``normal_qr`` with its checks on R as numpy calls, as it ran them
-    before its rank test read Python floats; it must return the same Q and R
-    bit for bit, or raise the same error with the same message."""
+    """``normal_qr`` as it ran before it called numpy's QR gufuncs itself and
+    read its rank test off Python floats: the factor from ``np.linalg.qr``
+    and the checks on R as numpy calls.  It must return the same Q and R bit
+    for bit, or raise the same error with the same message."""
     J = checked_jacobian(constraint, x, (constraint.codim, constraint.ambient_dim))
     Q, R = np.linalg.qr(J.T, mode="reduced")
     if not np.isfinite(R).all():
@@ -103,7 +103,7 @@ def signed_bundle(constraint: ConstraintMap, x: np.ndarray) -> tuple[np.ndarray,
     the QR factorization does and must give the same field bit for bit."""
     if constraint.codim == 1:
         return build_bundle(constraint, x)
-    Q, R = normal_qr(constraint, np.asarray(x, dtype=float))
+    Q, R = normal_qr_reference(constraint, np.asarray(x, dtype=float))
     signs = np.where(np.diag(R) < 0.0, -1.0, 1.0)
     q = Q * signs
     return q, q @ np.linalg.inv(signs[:, None] * R).T
@@ -161,7 +161,8 @@ def bundle_step(
 def step_reference(
     constraint: ConstraintMap, x: np.ndarray, v: np.ndarray, delta: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One step as one call, recomputing h v from v; each step of
+    """One step as one call, recomputing h v from v and taking its basis
+    above codimension 1 from :func:`normal_qr_reference`; each step of
     :func:`~hugint.integrator.hug_steps` must agree with it bit for bit."""
     v = np.asarray(v, dtype=float)
     h = 0.5 * delta
@@ -170,7 +171,7 @@ def step_reference(
         q = unit_normal(constraint, y)
         v_new = v - q * (2.0 * q.dot(v))
     else:
-        Q, _ = normal_qr(constraint, y)
+        Q, _ = normal_qr_reference(constraint, y)
         v_new = v - 2.0 * (Q @ (Q.T @ v))
     return y + h * v_new, v_new
 

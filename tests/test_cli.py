@@ -736,6 +736,20 @@ def test_main_runs_convergence(tmp_path, capsys):
     assert 1.8 <= summary["global_order"] <= 2.2
 
 
+def test_main_exit_3_when_every_convergence_error_is_roundoff(tmp_path, capsys):
+    """At speed 1e-6 every error (third order in the speed) sits below the
+    roundoff floor, so no order can be fitted: exit 3 with the fit's
+    message, and no ``convergence.csv`` left behind."""
+    config_file = tmp_path / "slow.json"
+    config_file.write_text(json.dumps({"v0": [0.0, 1e-6]}))
+    out = tmp_path / "out"
+    assert main(["convergence", "--config", str(config_file), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: need at least two error values above the roundoff floor\n"
+    )
+    assert not (out / "convergence.csv").exists()
+
+
 def test_main_table1_end_to_end_deterministic(tmp_path, capsys):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):

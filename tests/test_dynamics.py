@@ -18,6 +18,7 @@ from hugint.dynamics import (
     phase_field,
     reference_solve,
 )
+from hugint.errors import StudyFailedError
 from hugint.integrator import PhaseState, hug_trajectory, HugParams
 from hugint.projectors import build_bundle, normal_qr
 from oracles import (
@@ -219,7 +220,7 @@ def test_fit_order_recovers_synthetic_slope():
     deltas = np.array([0.1, 0.05, 0.025])
     errors = 3.0 * deltas**2.5
     assert np.isclose(fit_order(deltas, errors), 2.5, atol=1e-12)
-    with pytest.raises(ValueError):
+    with pytest.raises(StudyFailedError, match="above the roundoff floor"):
         fit_order(deltas, np.full(3, 1e-15))  # everything in roundoff
 
 

@@ -209,14 +209,14 @@ _entries = st.one_of(st.floats(-2.0, 2.0), st.floats(allow_nan=False, allow_infi
 _specials = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0, 1e308, -1e300, 5e-324])
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 12])
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(data=st.data())
 def test_normal_qr_matches_its_numpy_checks(m, data):
-    """``normal_qr`` reads its rank test off Python floats; it returns the
-    reference's Q and R bit for bit, or raises the same error with the same
-    message, on Jacobians with non-finite, zero, huge, tiny and near-parallel
-    rows."""
+    """``normal_qr`` calls numpy's QR gufuncs itself and reads its rank test
+    off Python floats; it returns ``np.linalg.qr``'s Q and R bit for bit, or
+    raises the reference's error with the same message, on Jacobians with
+    non-finite, zero, huge, tiny and near-parallel rows."""
     n = data.draw(st.integers(m + 1, m + 3), label="n")
     J = np.array(data.draw(st.lists(
         st.lists(_entries, min_size=n, max_size=n), min_size=m, max_size=m), label="J"))
@@ -230,6 +230,25 @@ def test_normal_qr_matches_its_numpy_checks(m, data):
     constraint = CallableConstraint(n, m, fn=lambda x: x[:m], jac=lambda x: J)
     x = np.ones(n)
     assert _qr_outcome(normal_qr, constraint, x) == _qr_outcome(normal_qr_reference, constraint, x)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 12])
+@pytest.mark.parametrize("n", ["m+1", 1000])
+def test_normal_qr_is_numpy_qr_on_regular_jacobians(m, n):
+    """On Gaussian Jacobians, which are regular, ``normal_qr`` returns
+    ``np.linalg.qr``'s Q and R bit for bit and leaves the Jacobian that the
+    constraint hands out as it was."""
+    n = m + 1 if n == "m+1" else n
+    rng = np.random.default_rng(1000 * m + n)
+    for _ in range(5):
+        J = rng.standard_normal((m, n))
+        J_before = J.copy()
+        constraint = CallableConstraint(n, m, fn=lambda x: x[:m], jac=lambda x: J)
+        Q, R = normal_qr(constraint, np.ones(n))
+        Q_ref, R_ref = np.linalg.qr(J_before.T, mode="reduced")
+        assert (Q.shape, R.shape) == ((n, m), (m, m))
+        assert Q.tobytes() == Q_ref.tobytes() and R.tobytes() == R_ref.tobytes()
+        assert np.array_equal(J, J_before)
 
 
 def test_unit_normal_is_the_codim1_bundle_basis():
