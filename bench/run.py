@@ -39,6 +39,11 @@ whose rounds spread widely shows as one.  The rows:
 - ``hug_trajectory.sphere1000`` and ``hug_trajectory.sliced1000``: one
   20-step trajectory at delta = 0.05 on the sphere and the sliced sphere at
   n = 1000, from perfbench ``highdim``'s seed-0 start;
+- ``phase_field.quadric2``: one evaluation of the flow field
+  ``dynamics.phase_field`` on the 2-D benchmark quadric at the benchmark
+  start (``BENCH_X0``, ``BENCH_V0``);
+- ``phase_field.sliced3``: one evaluation of the flow field on the sliced
+  sphere at n = 3, at CI's codim-2 start;
 - ``cli.main.sphere_tail``: one in-process ``cli.main`` call of
   ``sphere-tail --h 0.3 --dim 3`` into a temporary directory, the CLI's
   fixed cost (parse, config, runner, CSV, manifest, summary).
@@ -69,7 +74,8 @@ PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THRE
 ROUNDS = 7
 ROWS = ("hug_steps_rows.step", "scatter_study.step", "hug_step", "hug_steps.step",
         "hug_steps.step.sliced3", "normal_qr.sliced3", "normal_qr.sliced1000",
-        "hug_trajectory.sphere1000", "hug_trajectory.sliced1000", "cli.main.sphere_tail")
+        "hug_trajectory.sphere1000", "hug_trajectory.sliced1000", "phase_field.quadric2",
+        "phase_field.sliced3", "cli.main.sphere_tail")
 DENSE_ROWS = ("normal_qr.sliced1000", "hug_trajectory.sphere1000", "hug_trajectory.sliced1000")
 #: CI's codim-2 start on the sliced sphere at n = 3 (the tier1 workflow's sliced config).
 SLICED_X0, SLICED_V0 = (0.73907151, 0.54626892, 0.39413414), (0.2, -0.4, 0.5)
@@ -85,7 +91,7 @@ def measure(quick: bool) -> dict:
     sys.path.insert(0, str(ROOT / "perfbench"))
     from reference import dense, small
 
-    from hugint import cli, integrator, projectors
+    from hugint import cli, dynamics, integrator, projectors
     from hugint.constraints import QuadricConstraint, SphereConstraint, SphereSlicedConstraint
     from hugint.experiments import (
         BENCH_DIAG, BENCH_V0, BENCH_X0, ELLIPSOID_DIAGS, SHOWCASE_NORMAL_SPEEDS,
@@ -128,6 +134,10 @@ def measure(quick: bool) -> dict:
             lambda: integrator.hug_trajectory(constraint, high, high_params),
             max(2, int(50 * scale)), repeat)
 
+    def field(constraint, x, v):
+        f, y = dynamics.phase_field(constraint), np.concatenate([x, v])
+        return lambda: _best_us(lambda: f(0.0, y), 2 * steps, repeat)
+
     def cli_main():
         with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
             argv = ["sphere-tail", "--h", "0.3", "--dim", "3", "--out", out]
@@ -150,6 +160,8 @@ def measure(quick: bool) -> dict:
             lambda: projectors.normal_qr(sliced1000, x1000), max(2, int(200 * scale)), repeat),
         "hug_trajectory.sphere1000": trajectory(SphereConstraint(1000)),
         "hug_trajectory.sliced1000": trajectory(sliced1000),
+        "phase_field.quadric2": field(quadric, x, v),
+        "phase_field.sliced3": field(sliced3, sliced_x, sliced_v),
         "cli.main.sphere_tail": cli_main,
     }
     small_number, dense_number = max(2, int(20 * scale)), max(2, int(2 * scale))

@@ -1,7 +1,6 @@
 """Reflection-based integrator for level-set manifolds and tools around it."""
 
 from .constraints import (
-    AffineConstraint,
     CallableConstraint,
     ConstraintMap,
     QuadricConstraint,
@@ -35,11 +34,9 @@ from .integrator import (
     hug_trajectory,
     level_drift_bound,
 )
-from .projectors import build_bundle
 from .sampling import ChainRecord, IsotropicGaussian, hug_kernel, random_walk_kernel, run_chain
 
 __all__ = [
-    "AffineConstraint",
     "CallableConstraint",
     "ChainRecord",
     "Classification",
@@ -59,7 +56,6 @@ __all__ = [
     "SphereConstraint",
     "SphereSlicedConstraint",
     "Trajectory",
-    "build_bundle",
     "classify",
     "convergence_study",
     "hug_kernel",

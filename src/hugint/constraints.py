@@ -196,40 +196,6 @@ class SphereConstraint(QuadricConstraint):
         return np.eye(self.ambient_dim)
 
 
-class AffineConstraint(ConstraintMap):
-    """f(x) = B x - c for a full-rank m-by-n matrix B.
-
-    Level sets are affine subspaces; the Hessian vanishes identically, so the
-    tangent/normal projectors are constant.  Useful as a degenerate test case.
-    """
-
-    def __init__(self, B: np.ndarray, c: np.ndarray | None = None):
-        B = np.atleast_2d(np.asarray(B, dtype=float))
-        m, n = B.shape
-        if m >= n:
-            raise DimensionError(f"need m < n, got B of shape {B.shape}")
-        if np.linalg.matrix_rank(B) < m:
-            raise ValueError("B must have full row rank")
-        self.B = B
-        self.c = np.zeros(m) if c is None else np.asarray(c, dtype=float)
-        if self.c.shape != (m,):
-            raise DimensionError(f"c must have shape ({m},), got {self.c.shape}")
-        self.ambient_dim = n
-        self.codim = m
-
-    def value(self, x: np.ndarray) -> np.ndarray:
-        x = self.check_point(x)
-        return self.B @ x - self.c
-
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        self.check_point(x)
-        return self.B.copy()
-
-    def hessian_contraction(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        self.check_point(x)
-        return np.zeros((self.codim, self.ambient_dim))
-
-
 class SphereSlicedConstraint(ConstraintMap):
     """Codimension-2 map on R^n (n >= 3): a sphere sliced by a wavy sheet.
 
@@ -283,6 +249,10 @@ class CallableConstraint(ConstraintMap):
     codim: int
     fn: Callable[[np.ndarray], np.ndarray]
     jac: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def __post_init__(self):
+        if not 1 <= self.codim < self.ambient_dim:
+            raise DimensionError(f"need 1 <= codim < {self.ambient_dim}, got {self.codim}")
 
     def value(self, x: np.ndarray) -> np.ndarray:
         x = self.check_point(x)

@@ -31,6 +31,7 @@ stacked as one reduced ellipse system.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import count
 from typing import Callable
@@ -38,9 +39,9 @@ from typing import Callable
 import numpy as np
 
 from .constraints import ConstraintMap
-from .errors import ReferenceSolveError, StudyFailedError
+from .errors import DimensionError, ReferenceSolveError, StudyFailedError
 from .integrator import HugParams, PhaseState, hug_trajectory
-from .projectors import build_bundle
+from .projectors import _gradient_norm2, normal_qr
 
 #: (rtol, atol) of the coarse and the fine DOP853 solve behind every
 #: reference solution; the fine one is returned.
@@ -103,15 +104,43 @@ def checked_solve(field: Field, y0: np.ndarray, times: np.ndarray) -> np.ndarray
 def phase_field(constraint: ConstraintMap):
     """Return field(t, y) for the flow on y = (x, v) in R^{2n}.
 
-    With (Q, J^+) from :func:`~hugint.projectors.build_bundle`, v splits once
-    into v_perp = Q (Q^T v) and dx/dt = v_par = v - v_perp; dv/dt takes one
-    Hessian contraction along w = v_par - v_perp, and T u is u - Q (Q^T u).
+    Its basis comes as the step's does, the branch picked once: at codim 1
+    the vectors q = g / ||g|| and J^+ = g / ||g||^2 of the ``gradient`` g,
+    checked as in ``unit_normal``; above it ``normal_qr``'s Q and Q R^{-T}.
+    v splits once into v_perp = Q (Q^T v) and dx/dt = v_par = v - v_perp,
+    dv/dt takes one Hessian contraction along w = v_par - v_perp, and T u is
+    u - Q (Q^T u).  A state or codim-1 contraction of the wrong shape raises
+    :class:`~hugint.errors.DimensionError`.
     """
     n = constraint.ambient_dim
+    shape = (2 * n,)
+    if constraint.codim == 1:
+
+        def field(t: float, y: np.ndarray) -> np.ndarray:
+            if y.shape != shape:
+                raise DimensionError(f"expected a state of shape {shape}, got {y.shape}")
+            x, v = y[:n], y[n:]
+            g = constraint.gradient(x)
+            ng2 = _gradient_norm2(g, x)
+            q, p = g / math.sqrt(ng2), g / ng2
+            v_perp = q * q.dot(v)
+            v_par = v - v_perp
+            S = constraint.hessian_contraction(x, v_par - v_perp)
+            if S.shape != (1, n):  # S[0] of an (n,) contraction would broadcast a scalar
+                raise DimensionError(f"Hessian contraction of shape {S.shape}, expected (1, {n})")
+            s = S[0]
+            u = s * p.dot(v_perp)
+            dv = (u - q * q.dot(u)) - p * s.dot(v_par)
+            return np.concatenate([v_par, dv])
+
+        return field
 
     def field(t: float, y: np.ndarray) -> np.ndarray:
+        if y.shape != shape:
+            raise DimensionError(f"expected a state of shape {shape}, got {y.shape}")
         x, v = y[:n], y[n:]
-        Q, pseudo = build_bundle(constraint, x)
+        Q, R = normal_qr(constraint, x)
+        pseudo = Q @ np.linalg.inv(R).T  # R is m-by-m with m small
         v_perp = Q @ (Q.T @ v)
         v_par = v - v_perp
         S = constraint.hessian_contraction(x, v_par - v_perp)

@@ -1,4 +1,4 @@
-"""Normal-space geometry of a level set: the normal basis and the pseudoinverse.
+"""Normal-space geometry of a level set: the orthonormal normal basis.
 
 For a constraint map f with full-rank Jacobian J(x), the normal space of the
 level set through x is the row space of J.  With the Moore-Penrose
@@ -12,13 +12,10 @@ them.  The factor calls the two LAPACK gufuncs that ``np.linalg.qr`` calls
 (``numpy.linalg._umath_linalg.qr_r_raw`` and ``qr_reduced``) directly: for
 an n-by-m matrix with m small most of ``np.linalg.qr``'s time is its Python
 wrapper, and the gufuncs give the same Q and R bit for bit.  The hug step
-reflects through Q alone.  The flow field also needs J^+, and
-:func:`build_bundle` returns the pair (Q, J^+), with J^+ = Q R^{-T}, or at
-codimension 1 J^+ = g / ||g||^2 beside Q = g / ||g|| for the ``gradient`` g.
-The projectors N = Q Q^T and T = I - Q Q^T are applied matrix-free, as
-v -> Q (Q^T v) and v -> v - Q (Q^T v), at O(n m) cost, and are never formed
-as dense n-by-n matrices here; the dense projectors, the derivative of N and
-the reflection through a basis are test oracles (``tests/oracles.py``).
+reflects through Q alone; the flow field takes the same Q and forms J^+.
+N = Q Q^T and T = I - Q Q^T are applied matrix-free, at O(n m) cost; the
+dense projectors, the derivative of N, the reflection through a basis and
+the pair (Q, J^+) as (n, m) matrices are test oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -51,8 +48,8 @@ def _gradient_norm2(g: np.ndarray, x: np.ndarray) -> float:
 
 def unit_normal(constraint: ConstraintMap, x: np.ndarray) -> np.ndarray:
     """Unit gradient g / ||g||, shape (n,), of a codimension-1 constraint at x,
-    with g from the constraint's ``gradient``: by construction the m = 1
-    basis of :func:`build_bundle`, which makes the same calls."""
+    with g from the constraint's ``gradient``: the codimension-1 normal
+    that the step reflects through and the flow field splits v with."""
     g = constraint.gradient(x)
     return g / math.sqrt(_gradient_norm2(g, x))
 
@@ -81,7 +78,7 @@ def _below_diagonal(shape: tuple[int, int]) -> np.ndarray:
 
 def normal_qr(constraint: ConstraintMap, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Checked thin QR J^T = Q R of the (m, n) Jacobian at x, with Q's column
-    signs as the factorization leaves them; raises as :func:`build_bundle` does.
+    signs as the factorization leaves them.
 
     Q and R are ``np.linalg.qr(J.T, mode="reduced")`` bit for bit: the same
     two gufuncs on the same order-preserving copy of J^T, under the same
@@ -109,28 +106,3 @@ def normal_qr(constraint: ConstraintMap, x: np.ndarray) -> tuple[np.ndarray, np.
             x, f"Jacobian is rank deficient: diag(R) spans {low:.2e}..{top:.2e}"
         )
     return Q, R
-
-
-def build_bundle(constraint: ConstraintMap, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The normal basis Q and the pseudoinverse J^+ at x, each (n, m), for the flow field.
-
-    At codimension 1 they are g / ||g|| and g / ||g||^2, from the
-    constraint's ``gradient`` under the checks of :func:`unit_normal`; above
-    it, Q and J^+ = Q R^{-T} come from :func:`normal_qr`.  The point is
-    validated once, by ``gradient`` or ``jacobian``.
-
-    Raises
-    ------
-    DimensionError
-        If x, the gradient or the Jacobian has the wrong shape.
-    SingularGeometryError
-        If the gradient vanishes, the Jacobian is rank deficient, or either is not finite.
-    """
-    x = np.asarray(x, dtype=float)
-    if constraint.codim == 1:
-        # Single constraint: the QR factorization collapses to a normalization.
-        g = constraint.gradient(x)
-        ng2 = _gradient_norm2(g, x)
-        return (g / math.sqrt(ng2))[:, None], (g / ng2)[:, None]
-    Q, R = normal_qr(constraint, x)
-    return Q, Q @ np.linalg.inv(R).T  # R is m-by-m with m small

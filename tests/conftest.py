@@ -5,14 +5,14 @@ from __future__ import annotations
 import numpy as np
 
 from hugint.constraints import (
-    AffineConstraint,
     CallableConstraint,
     QuadricConstraint,
     SphereConstraint,
     SphereSlicedConstraint,
 )
+from oracles import AffineConstraint
 
-#: The four built-in constraint map families.
+#: The four constraint map families: the package's three and the oracles' affine map.
 MAP_KINDS = ("sphere", "quadric", "affine", "sliced")
 
 

@@ -20,30 +20,37 @@ The remainder are measurements and fixtures only the tests use: a
 finite-difference divergence, the per-step-size convergence loop, the
 integrated extreme of a libration, the reduced derivative at a state, the
 equilibria of the reduced system, the reader of the files ``write_csv``
-writes (``read_csv``), and an isotropic Gaussian that does not declare itself
+writes (``read_csv``), an isotropic Gaussian that does not declare itself
 norm-invariant (``GeneralFormulaGaussian``), so that the kernel evaluates the
-general acceptance formula on it.
+general acceptance formula on it, and an affine map f(x) = B x - c whose
+Hessian vanishes (``AffineConstraint``), the degenerate family of the tests
+that run on every kind of map.
 
-Ten are earlier forms of package code that now runs another way, kept to hold
-it to the same bits or bytes: the checked QR factorization through
-``np.linalg.qr`` with its checks on R as numpy calls (``normal_qr_reference``)
-against ``normal_qr``, the one-call step (``step_reference``) against the step
-stream, the one-call rows step (``step_rows_reference``) against the rows
-stream, the trajectory that recorded its times, midpoints and levels as it
-stepped (``trajectory_reference``) against the ``Trajectory`` that derives
-them when read, the position errors read off one solve on the union of the
-step-size grids (``position_errors_reference``) against ``convergence_study``,
-the scatter study stepped one call at a time with each step's row norms taken
-by ``np.linalg.norm`` (``scatter_reference``) against ``_scatter_study``, a
+Eleven are earlier forms of package code that now runs another way, kept to
+hold it to the same bits or bytes: the checked QR factorization through
+``np.linalg.qr`` with its checks on R as numpy calls
+(``normal_qr_reference``) against ``normal_qr``, the one-call step
+(``step_reference``) against the step stream, the one-call rows step
+(``step_rows_reference``) against the rows stream, the trajectory that
+recorded its times, midpoints and levels as it stepped
+(``trajectory_reference``) against the ``Trajectory`` that derives them when
+read, the position errors read off one solve on the union of the step-size
+grids (``position_errors_reference``) against ``convergence_study``, the
+scatter study stepped one call at a time with each step's row norms taken by
+``np.linalg.norm`` (``scatter_reference``) against ``_scatter_study``, a
 sampling chain written out move by move on it (``chain_reference``) against
 ``run_chain``, the cell-by-cell CSV writer (``write_csv_reference``) against
-``write_csv``, and the bundle with its column signs fixed so that diag(R) > 0
-(``signed_bundle``), with the flow field that split v three times through it
-(``bundle_field``), against ``build_bundle`` and ``phase_field``.
+``write_csv``, the pair (Q, J^+) as (n, m) matrices at every codimension
+(``build_bundle``), the matrix-form reference on which the dense projectors,
+N'_perp and the split system's field build, against the vectors
+``phase_field`` forms at codimension 1, and that pair with its column signs
+fixed so that diag(R) > 0 (``signed_bundle``), with the flow field that split
+v three times through it (``bundle_field``), against ``phase_field``.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Callable, Iterable, Sequence
 
@@ -55,7 +62,7 @@ from hugint.ellipse import EllipseModel, ReducedState, reduced_field, reduced_or
 from hugint.errors import DimensionError, SingularGeometryError, StudyFailedError
 from hugint.experiments import ExperimentConfig, _showcase_velocity, uniform_sphere
 from hugint.integrator import HugParams, PhaseState, hug_steps
-from hugint.projectors import GRADIENT_FLOOR, RANK_RTOL, build_bundle, unit_normal
+from hugint.projectors import GRADIENT_FLOOR, RANK_RTOL, _gradient_norm2, normal_qr, unit_normal
 from hugint.sampling import IsotropicGaussian
 
 
@@ -97,10 +104,28 @@ def normal_qr_reference(constraint: ConstraintMap, x: np.ndarray) -> tuple[np.nd
     return Q, R
 
 
+def build_bundle(constraint: ConstraintMap, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The normal basis Q and the pseudoinverse J^+ at x, each (n, m): the
+    matrix form of the pair that ``phase_field`` forms itself.
+
+    At codimension 1 they are g / ||g|| and g / ||g||^2, from the
+    constraint's ``gradient`` under the checks of ``unit_normal``; above
+    it, Q and J^+ = Q R^{-T} come from ``normal_qr``.
+    """
+    x = np.asarray(x, dtype=float)
+    if constraint.codim == 1:
+        g = constraint.gradient(x)
+        ng2 = _gradient_norm2(g, x)
+        return (g / math.sqrt(ng2))[:, None], (g / ng2)[:, None]
+    Q, R = normal_qr(constraint, x)
+    return Q, Q @ np.linalg.inv(R).T
+
+
 def signed_bundle(constraint: ConstraintMap, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Q, J^+) with Q's column signs fixed so that diag(R) > 0 and
-    J^+ = Q (D R)^{-T} for the signs D; ``build_bundle`` leaves the signs as
-    the QR factorization does and must give the same field bit for bit."""
+    J^+ = Q (D R)^{-T} for the signs D; ``build_bundle`` and ``phase_field``
+    leave the signs as the QR factorization does and must give the same
+    J^+ and field bit for bit.  At codimension 1 it is ``build_bundle``."""
     if constraint.codim == 1:
         return build_bundle(constraint, x)
     Q, R = normal_qr_reference(constraint, np.asarray(x, dtype=float))
@@ -328,6 +353,40 @@ def chain_reference(
         states.append(x)
     walk = np.array(walk_accepted, dtype=bool) if walk_scale is not None else None
     return np.array(states), np.array(hug_accepted, dtype=bool), walk, singular
+
+
+class AffineConstraint(ConstraintMap):
+    """f(x) = B x - c for a full-rank m-by-n matrix B.
+
+    Level sets are affine subspaces; the Hessian vanishes identically, so the
+    tangent/normal projectors are constant.  Useful as a degenerate test case.
+    """
+
+    def __init__(self, B: np.ndarray, c: np.ndarray | None = None):
+        B = np.atleast_2d(np.asarray(B, dtype=float))
+        m, n = B.shape
+        if m >= n:
+            raise DimensionError(f"need m < n, got B of shape {B.shape}")
+        if np.linalg.matrix_rank(B) < m:
+            raise ValueError("B must have full row rank")
+        self.B = B
+        self.c = np.zeros(m) if c is None else np.asarray(c, dtype=float)
+        if self.c.shape != (m,):
+            raise DimensionError(f"c must have shape ({m},), got {self.c.shape}")
+        self.ambient_dim = n
+        self.codim = m
+
+    def value(self, x: np.ndarray) -> np.ndarray:
+        x = self.check_point(x)
+        return self.B @ x - self.c
+
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        self.check_point(x)
+        return self.B.copy()
+
+    def hessian_contraction(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        self.check_point(x)
+        return np.zeros((self.codim, self.ambient_dim))
 
 
 class GeneralFormulaGaussian(IsotropicGaussian):

@@ -10,7 +10,6 @@ import pytest
 
 from hugint.cli import main
 from hugint.constraints import (
-    AffineConstraint,
     CallableConstraint,
     ConstraintMap,
     QuadricConstraint,
@@ -20,7 +19,7 @@ from hugint.constraints import (
 from hugint.errors import DimensionError, SingularGeometryError
 from hugint.integrator import hug_steps
 from hugint.projectors import unit_normal
-from oracles import hessian_bilinear, hessian_bound_estimates
+from oracles import AffineConstraint, hessian_bilinear, hessian_bound_estimates
 
 
 def fd_only(constraint: ConstraintMap) -> CallableConstraint:
@@ -350,9 +349,17 @@ def test_callable_constraint_fd_fallbacks():
 
 
 def test_callable_constraint_shape_check():
-    c = CallableConstraint(ambient_dim=2, codim=2, fn=lambda x: np.array([x[0]]))
+    c = CallableConstraint(ambient_dim=3, codim=2, fn=lambda x: np.array([x[0]]))
     with pytest.raises(DimensionError):
-        c.value(np.zeros(2))
+        c.value(np.zeros(3))
+
+
+@pytest.mark.parametrize("ambient_dim,codim", [(2, 3), (2, 2), (3, 0), (3, -1)])
+def test_callable_constraint_refuses_a_codim_outside_one_to_n(ambient_dim, codim):
+    """A level set of R^n needs 1 <= m < n components: at m >= n the thin QR
+    of the (m, n) Jacobian is no basis, and m = 0 has no normal space."""
+    with pytest.raises(DimensionError, match="need 1 <= codim <"):
+        CallableConstraint(ambient_dim, codim, fn=lambda x: x[:codim])
 
 
 def test_check_point_shape():

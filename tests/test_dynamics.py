@@ -7,7 +7,8 @@ import pytest
 
 from conftest import random_run
 from hugint.constraints import (
-    AffineConstraint,
+    CallableConstraint,
+    ConstraintMap,
     QuadricConstraint,
     SphereConstraint,
     SphereSlicedConstraint,
@@ -18,10 +19,12 @@ from hugint.dynamics import (
     phase_field,
     reference_solve,
 )
-from hugint.errors import StudyFailedError
+from hugint.errors import DimensionError, StudyFailedError
 from hugint.integrator import PhaseState, hug_trajectory, HugParams
-from hugint.projectors import build_bundle, normal_qr
+from hugint.projectors import normal_qr
 from oracles import (
+    AffineConstraint,
+    build_bundle,
     bundle_field,
     component_field,
     component_solve,
@@ -78,15 +81,23 @@ FIELD_MAPS = {
     "sliced-10": SphereSlicedConstraint(10),
     "sliced-1000": SphereSlicedConstraint(1000),
     "affine-m3": AffineConstraint(np.random.default_rng(46).standard_normal((3, 6))),
+    # not a quadric: its contraction is the base class's central difference
+    "callable-jac": CallableConstraint(
+        3,
+        1,
+        fn=lambda x: np.array([np.sin(x[0]) + x[1] ** 2 - x[2] ** 3]),
+        jac=lambda x: np.array([[np.cos(x[0]), 2.0 * x[1], -3.0 * x[2] ** 2]]),
+    ),
 }
 
 
 @pytest.mark.parametrize("name", FIELD_MAPS)
 def test_phase_field_is_bitwise_the_bundle_route(name):
-    """``phase_field`` splits v once through the basis of ``build_bundle``,
-    with the column signs as the QR leaves them; it must give the bits of the
-    field through the sign-fixed bundle that split v three times, and its J^+
-    the bits of the sign-fixed one.  Above codimension 1 some drawn points
+    """``phase_field`` splits v once through the unit gradient, or above
+    codimension 1 the basis of ``normal_qr`` with the column signs as the QR
+    leaves them; it must give the bits of the field through the sign-fixed
+    matrix-form bundle that split v three times, and the oracle's unsigned
+    J^+ the bits of the sign-fixed one.  Above codimension 1 some drawn points
     have a negative diag(R), so a flipped column is met."""
     constraint = FIELD_MAPS[name]
     n = constraint.ambient_dim
@@ -102,6 +113,40 @@ def test_phase_field_is_bitwise_the_bundle_route(name):
         if constraint.codim > 1:
             flipped += bool((np.diag(normal_qr(constraint, x)[1]) < 0.0).any())
     assert constraint.codim == 1 or flipped > 0
+
+
+class _ContractionOfShape(ConstraintMap):
+    """The benchmark quadric with its Hessian contraction resized to ``shape``."""
+
+    def __init__(self, shape):
+        self.ambient_dim, self.codim, self.shape = 2, 1, shape
+
+    def value(self, x):
+        return BENCH.value(x)
+
+    def jacobian(self, x):
+        return BENCH.jacobian(x)
+
+    def hessian_contraction(self, x, w):
+        return np.resize(BENCH.hessian_contraction(x, w), self.shape)
+
+
+@pytest.mark.parametrize("shape", [(2,), (2, 2)], ids=["vector", "two-rows"])
+def test_codim1_contraction_of_wrong_shape_raises(shape):
+    """The codim-1 field reads row 0 of the (1, n) contraction; a contraction
+    of another shape is refused, not broadcast or cut to its first row."""
+    field = phase_field(_ContractionOfShape(shape))
+    with pytest.raises(DimensionError, match=r"Hessian contraction of shape"):
+        field(0.0, np.concatenate([BENCH_STATE.x, BENCH_STATE.v]))
+
+
+@pytest.mark.parametrize("constraint", [BENCH, SphereSlicedConstraint(3)], ids=["codim1", "codim2"])
+def test_state_of_wrong_shape_raises(constraint):
+    """A state that is not (x, v) with both of shape (n,) is refused on either branch."""
+    field, n = phase_field(constraint), constraint.ambient_dim
+    for y in (np.ones(2 * n + 1), np.ones(2 * n - 1), np.ones((2 * n, 1))):
+        with pytest.raises(DimensionError, match=r"expected a state of shape"):
+            field(0.0, y)
 
 
 def test_component_field_consistent_with_phase_field():

@@ -41,9 +41,8 @@ from hugint.experiments import (
     uniform_sphere,
 )
 from hugint.integrator import HugParams, PhaseState, hug_trajectory
-from hugint.projectors import build_bundle
 from conftest import fenced_ellipsoid
-from oracles import dense_projectors, read_csv, scatter_reference
+from oracles import build_bundle, dense_projectors, read_csv, scatter_reference
 
 #: A quadric whose unit normal at x0 = e1 is not e1.
 TILTED_QUADRIC = [[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]]

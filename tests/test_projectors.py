@@ -15,9 +15,11 @@ from hugint.constraints import (
     SphereSlicedConstraint,
 )
 from hugint.errors import DimensionError, SingularGeometryError
+from hugint.dynamics import phase_field
 from hugint.integrator import hug_steps
-from hugint.projectors import build_bundle, normal_qr, unit_normal
+from hugint.projectors import normal_qr, unit_normal
 from oracles import (
+    build_bundle,
     dense_projectors,
     normal_qr_reference,
     nprime,
@@ -32,8 +34,15 @@ def random_point(constraint, rng):
     return x / np.linalg.norm(x)
 
 
+def field_at(constraint, x):
+    """The flow field at (x, 0), which checks the geometry at x as the step does."""
+    return phase_field(constraint)(0.0, np.concatenate([x, np.zeros_like(x)]))
+
+
 @pytest.mark.parametrize("kind", MAP_KINDS)
 def test_bundle_projector_algebra(kind):
+    """The matrix-form oracle ``build_bundle`` and the dense projectors built
+    on it, which the field and N' checks take as their reference."""
     rng = np.random.default_rng(21)
     for _ in range(10):
         c = make_map(kind, rng)
@@ -58,9 +67,9 @@ def test_bundle_projector_algebra(kind):
 @pytest.mark.parametrize("make", [SphereConstraint, SphereSlicedConstraint],
                          ids=["sphere", "sliced"])
 def test_bundle_stores_o_of_n_m_numbers(make):
-    """``build_bundle`` returns Q and J^+ only, each (n, m): at n = 2000 that
-    is well under 1 MB, where two dense n-by-n projectors would take 64 MB.
-    The test oracle builds the dense projectors from the same Q."""
+    """The oracle ``build_bundle`` returns Q and J^+ only, each (n, m): at
+    n = 2000 that is well under 1 MB, where two dense n-by-n projectors would
+    take 64 MB.  The dense projectors are built from the same Q."""
     c = make(2000)
     x = np.full(2000, 1.0 / np.sqrt(2000.0))
     Q, pseudo = build_bundle(c, x)
@@ -76,7 +85,7 @@ def test_bundle_stores_o_of_n_m_numbers(make):
 
 
 def test_codim1_path_matches_explicit_qr():
-    """The m = 1 shortcut must produce the same bundle as a hand-rolled QR."""
+    """The oracle's m = 1 shortcut must produce the same bundle as a hand-rolled QR."""
     rng = np.random.default_rng(22)
     q = QuadricConstraint(np.array([[2.0, 0.3], [0.3, 1.0]]))
     for _ in range(5):
@@ -94,7 +103,7 @@ def test_codim1_path_matches_explicit_qr():
 def test_singular_gradient_raises_with_point():
     q = SphereConstraint(2)
     with pytest.raises(SingularGeometryError, match="gradient vanishes") as info:
-        build_bundle(q, np.zeros(2))
+        field_at(q, np.zeros(2))
     assert np.allclose(info.value.x, 0.0)
 
 
@@ -102,7 +111,7 @@ def test_singular_gradient_raises_with_point():
                          ids=["codim1", "codim2"])
 def test_non_finite_point_raises_with_point(constraint):
     with pytest.raises(SingularGeometryError) as info:
-        build_bundle(constraint, np.array([np.nan, 0.5, 0.5]))
+        field_at(constraint, np.array([np.nan, 0.5, 0.5]))
     assert np.isnan(info.value.x[0])
 
 
@@ -126,12 +135,13 @@ _BAD_GEOMETRY = {
 
 @pytest.mark.parametrize("case", _BAD_GEOMETRY)
 def test_unit_normal_raises_as_build_bundle_does(case):
-    """The codim-1 step takes its normal from ``unit_normal`` and builds no
-    bundle, so every geometry check must raise the same error class on both
-    routes and through ``hug_steps``; a shape error already in ``gradient``."""
+    """The codim-1 step takes its normal from ``unit_normal`` and the flow
+    field checks its gradient as ``build_bundle`` did, so every geometry
+    check must raise the same error class through the field, ``unit_normal``
+    and ``hug_steps``; a shape error already in ``gradient``."""
     constraint, x, error = _BAD_GEOMETRY[case]
     with pytest.raises(error):
-        build_bundle(constraint, x)
+        field_at(constraint, x)
     with pytest.raises(error):
         unit_normal(constraint, x)
     with pytest.raises(error):
@@ -182,16 +192,16 @@ _BAD_CODIM2 = {
 
 @pytest.mark.parametrize("case", _BAD_CODIM2)
 def test_codim_m_step_raises_as_build_bundle_does(case):
-    """Above codimension 1 the step takes its basis from ``normal_qr`` and
-    builds no bundle, so every geometry check must raise the same error
-    class with the same message through ``hug_steps`` as through
-    ``build_bundle``."""
+    """Above codimension 1 the step and the flow field both take their basis
+    from ``normal_qr``, as ``build_bundle`` did, so every geometry check must
+    raise the same error class with the same message through ``hug_steps``
+    as through the field."""
     constraint, x, error, match = _BAD_CODIM2[case]
-    with pytest.raises(error, match=match) as bundle_info:
-        build_bundle(constraint, x)
+    with pytest.raises(error, match=match) as field_info:
+        field_at(constraint, x)
     with pytest.raises(error, match=match) as step_info:
         next(hug_steps(constraint, x, np.zeros_like(x), 0.1))  # the midpoint is x itself
-    assert str(step_info.value) == str(bundle_info.value)
+    assert str(step_info.value) == str(field_info.value)
 
 
 def _qr_outcome(factor, constraint, x):
@@ -278,12 +288,12 @@ class _ListJacobian(ConstraintMap):
 
 def test_list_jacobian_reads_as_its_array_twin():
     """``checked_jacobian`` converts a Jacobian that is not a float array:
-    the codim-2 bundle and the default codim-1 ``gradient`` match the array
+    the codim-2 factor and the default codim-1 ``gradient`` match the array
     twin's bit for bit."""
     rng = np.random.default_rng(30)
     sliced = SphereSlicedConstraint(4)
     x = random_point(sliced, rng)
-    listed, twin = build_bundle(_ListJacobian(sliced), x), build_bundle(sliced, x)
+    listed, twin = normal_qr(_ListJacobian(sliced), x), normal_qr(sliced, x)
     assert np.array_equal(listed[0], twin[0])
     assert np.array_equal(listed[1], twin[1])
     q = QuadricConstraint(np.array([[2.0, 0.3], [0.3, 1.0]]))
@@ -300,7 +310,7 @@ def test_rank_deficient_jacobian_raises():
         jac=lambda x: np.vstack([2.0 * x, 4.0 * x]),
     )
     with pytest.raises(SingularGeometryError, match="rank deficient"):
-        build_bundle(c, np.array([1.0, 0.0, 0.0]))
+        field_at(c, np.array([1.0, 0.0, 0.0]))
 
 
 @pytest.mark.parametrize("kind", MAP_KINDS)

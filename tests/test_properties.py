@@ -17,7 +17,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hugint.constraints import (
-    AffineConstraint,
     CallableConstraint,
     QuadricConstraint,
     SphereConstraint,
@@ -25,7 +24,7 @@ from hugint.constraints import (
 )
 from hugint.errors import SingularGeometryError
 from hugint.integrator import hug_steps, hug_steps_rows
-from oracles import bundle_step, step_reference, step_rows_reference
+from oracles import AffineConstraint, bundle_step, step_reference, step_rows_reference
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=30, deadline=None)
 
