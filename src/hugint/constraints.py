@@ -119,7 +119,7 @@ class ConstraintMap:
 
 
 class QuadricConstraint(ConstraintMap):
-    """f(x) = -x^T A x for symmetric positive definite A (codimension 1).
+    """f(x) = -x^T A x for finite, symmetric, positive definite A (codimension 1).
 
     Level sets f = -c (c > 0) are ellipsoids.  All derivatives are analytic:
     grad f = -2 A x and the Hessian is the constant matrix -2 A, formed once.
@@ -136,6 +136,8 @@ class QuadricConstraint(ConstraintMap):
         A = np.asarray(A, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise DimensionError(f"A must be square, got shape {A.shape}")
+        if not np.isfinite(A).all():
+            raise ValueError("A must be finite")
         if not np.allclose(A, A.T):
             raise ValueError("A must be symmetric")
         d = np.diagonal(A)

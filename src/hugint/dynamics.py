@@ -109,8 +109,8 @@ def phase_field(constraint: ConstraintMap):
     checked as in ``unit_normal``; above it ``normal_qr``'s Q and Q R^{-T}.
     v splits once into v_perp = Q (Q^T v) and dx/dt = v_par = v - v_perp,
     dv/dt takes one Hessian contraction along w = v_par - v_perp, and T u is
-    u - Q (Q^T u).  A state or codim-1 contraction of the wrong shape raises
-    :class:`~hugint.errors.DimensionError`.
+    u - Q (Q^T u).  A state of the wrong shape or a contraction not of shape
+    (m, n) raises :class:`~hugint.errors.DimensionError`.
     """
     n = constraint.ambient_dim
     shape = (2 * n,)
@@ -144,6 +144,8 @@ def phase_field(constraint: ConstraintMap):
         v_perp = Q @ (Q.T @ v)
         v_par = v - v_perp
         S = constraint.hessian_contraction(x, v_par - v_perp)
+        if S.shape != Q.T.shape:  # (m, n); a wrong one would meet numpy's bare matmul error
+            raise DimensionError(f"Hessian contraction of shape {S.shape}, expected {Q.T.shape}")
         u = S.T @ (pseudo.T @ v_perp)
         dv = (u - Q @ (Q.T @ u)) - pseudo @ (S @ v_par)
         return np.concatenate([v_par, dv])

@@ -67,14 +67,14 @@ class ReducedState:
 
 @dataclass(frozen=True)
 class EllipseModel:
-    """The level set -a x1^2 - b x2^2 = -1 with its reduced dynamics."""
+    """The level set -a x1^2 - b x2^2 = -1, a and b finite and positive, with its reduced dynamics."""
 
     a: float
     b: float
 
     def __post_init__(self):
-        if not (self.a > 0.0 and self.b > 0.0):
-            raise ValueError(f"need a, b > 0, got a={self.a}, b={self.b}")
+        if not (0.0 < self.a < np.inf and 0.0 < self.b < np.inf):
+            raise ValueError(f"need finite a, b > 0, got a={self.a}, b={self.b}")
 
     def mu(self, phi: float | np.ndarray) -> float | np.ndarray:
         """mu(phi) = a cos^2(phi) + b sin^2(phi)."""

@@ -326,22 +326,18 @@ def run_convergence(config: ExperimentConfig) -> dict:
 # reduced ellipse experiments
 
 
-def _ellipse_model(config: ExperimentConfig) -> EllipseModel:
-    if not isinstance(config.constraint, dict) or config.constraint.get("kind") != "quadric":
-        raise ConfigError("ellipse experiments need a quadric constraint")
-    diag = config.constraint.get("diag")
-    try:
-        a, b = (float(entry) for entry in diag)
-        return EllipseModel(a=a, b=b)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"ellipse experiments need a positive 2-entry quadric diagonal, got {diag!r}"
-        ) from exc
+def _ellipse(config: ExperimentConfig) -> tuple[QuadricConstraint, EllipseModel]:
+    """The configured map, if it is a quadric with a diagonal 2x2 A (``diag``, ``matrix`` or
+    a 2-D ``sphere``), which it keeps as its diagonal (a, b), and the model of that ellipse."""
+    constraint = build_constraint(config.constraint)
+    if not isinstance(constraint, QuadricConstraint) or constraint._form.shape != (2,):
+        raise ConfigError(f"ellipse experiments need a diagonal 2-D quadric, got {config.constraint!r}")
+    return constraint, EllipseModel(*constraint._form.tolist())
 
 
 def run_phase_portrait(config: ExperimentConfig) -> dict:
     """Classified grid of reduced initial conditions with sampled orbits."""
-    model = _ellipse_model(config)
+    _, model = _ellipse(config)
     speed = float(np.sqrt(2.0))
     phis = np.linspace(-0.75 * np.pi, 0.75 * np.pi, 7)
     ps = np.linspace(-speed, speed, 9)
@@ -384,8 +380,7 @@ def run_phase_portrait(config: ExperimentConfig) -> dict:
 
 def run_foldback(config: ExperimentConfig) -> dict:
     """Discrete fold-back trajectory with the flow it shadows."""
-    model = _ellipse_model(config)
-    constraint = QuadricConstraint(np.diag([model.a, model.b]))
+    constraint, model = _ellipse(config)
     initial = _config_start(config, constraint)
     try:
         reduced0 = to_reduced(model, initial)

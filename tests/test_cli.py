@@ -360,7 +360,7 @@ def test_main_exit_2_on_config_key_the_experiment_does_not_read(argv, settings, 
 @pytest.mark.parametrize(
     "experiment, settings, message",
     [
-        ("foldback", {"constraint": [1, 4]}, "quadric constraint"),
+        ("foldback", {"constraint": [1, 4]}, "a constraint must be a JSON object, got [1, 4]"),
         ("foldback", {"steps": 10.5}, "steps must be an integer"),
         ("ellipsoid", {"steps": 10.5}, "steps must be an integer"),
         ("ecdf", {"replicates": 7.5}, "replicates must be an integer"),
@@ -450,9 +450,9 @@ def test_main_exit_2_when_out_is_not_a_directory(argv, below, tmp_path, capsys):
     "experiment, settings, message",
     [
         ("phase-portrait", {"constraint": {"kind": "quadric", "diag": [1, -4]}},
-         "positive 2-entry quadric diagonal, got [1, -4]"),
+         "bad constraint spec: A must be positive definite"),
         ("foldback", {"constraint": {"kind": "quadric", "diag": [1, -4]}},
-         "positive 2-entry quadric diagonal, got [1, -4]"),
+         "bad constraint spec: A must be positive definite"),
         ("table1", {"x0": "abc"}, "x0 must be a list of numbers"),
         ("convergence", {"x0": [1.0]}, "x0 must have 2 entries"),
         ("convergence", {"v0": [1, 2, 3]}, "v0 must have 2 entries"),
@@ -473,6 +473,21 @@ def test_main_exit_2_on_bad_ellipse_or_start(experiment, settings, message, tmp_
     out = tmp_path / "out"
     assert main([experiment, "--config", str(config_file), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("diag", ["[1e400, 4]", "[1, 1e400]"], ids=["a-inf", "b-inf"])
+@pytest.mark.parametrize("experiment", ["phase-portrait", "foldback", "chain", "table1"])
+def test_main_exit_2_on_an_infinite_quadric_diagonal(experiment, diag, tmp_path, capsys):
+    """JSON reads 1e400 as inf.  Every experiment reads its map through
+    ``build_constraint``, so each refuses it there, before any step, solve
+    or file, and with the same message."""
+    config_file = tmp_path / "run.json"
+    config_file.write_text('{"constraint": {"kind": "quadric", "diag": %s}}' % diag)
+    out = tmp_path / "out"
+    assert main([experiment, "--config", str(config_file), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: bad constraint spec: A must be finite" in err and "Traceback" not in err
     assert not out.exists()
 
 

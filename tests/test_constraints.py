@@ -48,6 +48,16 @@ def test_quadric_rejects_bad_matrix():
         QuadricConstraint(np.diag([1.0, -2.0]))  # not positive definite
 
 
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_quadric_rejects_a_matrix_that_is_not_finite(entry):
+    """A non-finite entry, on or off the diagonal, is named as such, before
+    the symmetry test that a NaN would fail and the definiteness test that
+    an inf on the diagonal would pass."""
+    for A in (np.diag([entry, 4.0]), np.diag([1.0, entry]), np.array([[1.0, entry], [entry, 4.0]])):
+        with pytest.raises(ValueError, match="A must be finite"):
+            QuadricConstraint(A)
+
+
 def test_sphere_is_identity_quadric():
     s = SphereConstraint(3)
     assert np.allclose(s.A, np.eye(3))

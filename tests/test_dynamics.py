@@ -116,19 +116,21 @@ def test_phase_field_is_bitwise_the_bundle_route(name):
 
 
 class _ContractionOfShape(ConstraintMap):
-    """The benchmark quadric with its Hessian contraction resized to ``shape``."""
+    """The map ``twin`` (the benchmark quadric by default) with its Hessian
+    contraction resized to ``shape``."""
 
-    def __init__(self, shape):
-        self.ambient_dim, self.codim, self.shape = 2, 1, shape
+    def __init__(self, shape, twin=BENCH):
+        self.twin, self.shape = twin, shape
+        self.ambient_dim, self.codim = twin.ambient_dim, twin.codim
 
     def value(self, x):
-        return BENCH.value(x)
+        return self.twin.value(x)
 
     def jacobian(self, x):
-        return BENCH.jacobian(x)
+        return self.twin.jacobian(x)
 
     def hessian_contraction(self, x, w):
-        return np.resize(BENCH.hessian_contraction(x, w), self.shape)
+        return np.resize(self.twin.hessian_contraction(x, w), self.shape)
 
 
 @pytest.mark.parametrize("shape", [(2,), (2, 2)], ids=["vector", "two-rows"])
@@ -138,6 +140,19 @@ def test_codim1_contraction_of_wrong_shape_raises(shape):
     field = phase_field(_ContractionOfShape(shape))
     with pytest.raises(DimensionError, match=r"Hessian contraction of shape"):
         field(0.0, np.concatenate([BENCH_STATE.x, BENCH_STATE.v]))
+
+
+@pytest.mark.parametrize("shape", [(3,), (1, 3), (4, 3)], ids=["vector", "row-0", "m+2-rows"])
+def test_codim_m_contraction_of_wrong_shape_raises(shape):
+    """The codim-m field needs the (m, n) contraction, here (2, 3) on the
+    sliced sphere; another shape is refused before any product meets it,
+    with the codim-1 branch's error, not numpy's bare matmul error."""
+    sliced = SphereSlicedConstraint(3)
+    y = np.array([0.73907151, 0.54626892, 0.39413414, 0.2, -0.4, 0.5])
+    phase_field(sliced)(0.0, y)  # the true contraction passes at this state
+    field = phase_field(_ContractionOfShape(shape, twin=sliced))
+    with pytest.raises(DimensionError, match=r"Hessian contraction of shape .*, expected \(2, 3\)"):
+        field(0.0, y)
 
 
 @pytest.mark.parametrize("constraint", [BENCH, SphereSlicedConstraint(3)], ids=["codim1", "codim2"])

@@ -38,8 +38,11 @@ SPEED = float(np.sqrt(2.0))
 
 
 def test_model_validation():
-    with pytest.raises(ValueError):
-        EllipseModel(a=-1.0, b=2.0)
+    """a and b must be finite and positive: an infinite one would read mu as
+    inf and kappa as 0 at every state."""
+    for a, b in [(-1.0, 2.0), (np.inf, 4.0), (1.0, np.inf), (np.nan, 4.0), (1.0, 0.0)]:
+        with pytest.raises(ValueError, match="need finite a, b > 0"):
+            EllipseModel(a=a, b=b)
 
 
 def test_reduced_state_speed_cap():

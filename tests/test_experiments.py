@@ -294,6 +294,44 @@ def test_phase_portrait_stacked_orbits_match_single_orbit_solves(tmp_path):
         assert np.abs(orbit[:, 2:] - single).max() < 1e-9
 
 
+@pytest.mark.parametrize(
+    "spec, diag",
+    [({"kind": "quadric", "matrix": [[1, 0], [0, 4]]}, [1, 4]), ({"kind": "sphere", "dim": 2}, [1, 1])],
+    ids=["matrix", "circle"],
+)
+def test_ellipse_experiments_write_the_bytes_of_the_diag_form(spec, diag, tmp_path):
+    """Every form of a diagonal 2-D quadric builds the map of its ``diag``
+    form, so the portrait and the fold-back write that form's bytes."""
+    for run, experiment in [(run_phase_portrait, "phase-portrait"), (run_foldback, "foldback")]:
+        written = []
+        for name, constraint in [("spec", spec), ("diag", {"kind": "quadric", "diag": diag})]:
+            out = tmp_path / f"{experiment}-{name}"
+            run(ExperimentConfig(experiment=experiment, out=str(out), constraint=constraint, t_end=1.0))
+            written.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert len(written[0]) == 2 and written[0] == written[1]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "quadric", "matrix": [[1, 0.5], [0.5, 4]]},
+        {"kind": "quadric", "matrix": [[1, 1e-300], [1e-300, 4]]},
+        {"kind": "quadric", "diag": [1, 4, 9]},
+        {"kind": "sphere", "dim": 3},
+        {"kind": "sliced", "dim": 3},
+    ],
+    ids=["dense", "off-diagonal-tiny", "3-d", "sphere-3-d", "sliced"],
+)
+def test_ellipse_experiments_refuse_a_map_that_is_not_a_diagonal_2d_quadric(spec, tmp_path):
+    """The reduced model holds only a and b, so any other map is a config
+    error, an entry off the diagonal however small included."""
+    for run, experiment in [(run_phase_portrait, "phase-portrait"), (run_foldback, "foldback")]:
+        config = ExperimentConfig(experiment=experiment, out=str(tmp_path), constraint=spec)
+        with pytest.raises(ConfigError, match="need a diagonal 2-D quadric"):
+            run(config)
+    assert not any(tmp_path.iterdir())
+
+
 def test_run_foldback_summary(tmp_path):
     cfg = ExperimentConfig(experiment="foldback", out=str(tmp_path), seed=0)
     summary = run_foldback(cfg)
