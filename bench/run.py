@@ -24,7 +24,9 @@ whose rounds spread widely shows as one.  The rows:
 
 - ``hug_steps_rows.step``: one step inside a ``hug_steps_rows`` stream on
   R = 14 rows of the 3-D ellipsoid preset, all from e1, the replicated
-  studies' shape (10 replicates, 4 showcase);
+  studies' shape (10 replicates, 4 showcase): the stream's blocks of the
+  whole run divided by its step count where the stream takes a step count
+  and yields blocks, one ``next`` per step where it yields single steps;
 - ``scatter_study.step``: one step of ``experiments._scatter_study`` on the
   same rows with its d_max bookkeeping, as the difference of two step counts;
 - ``hug_step``: one step as one call, ``next(hug_steps(...))``, on the 2-D
@@ -56,6 +58,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -143,10 +146,18 @@ def measure(quick: bool) -> dict:
             argv = ["sphere-tail", "--h", "0.3", "--dim", "3", "--out", out]
             return _best_us(lambda: cli.main(argv), max(2, int(200 * scale)), repeat)
 
-    rows_stream = getattr(integrator, "hug_steps_rows", None)
+    def rows_step():
+        rows_stream = integrator.hug_steps_rows
+        if "steps" in inspect.signature(rows_stream).parameters:  # a stream of blocks
+            def run():
+                for _ in rows_stream(preset, X, V, 0.01, steps):
+                    pass
+        else:  # a stream of single steps
+            run = stream(lambda: rows_stream(preset, X, V, 0.01))
+        return _best_us(run, 1, repeat, steps)
+
     timers = {
-        "hug_steps_rows.step": None if rows_stream is None else lambda: _best_us(
-            stream(lambda: rows_stream(preset, X, V, 0.01)), 1, repeat, steps),
+        "hug_steps_rows.step": rows_step,
         "scatter_study.step": scatter_step,
         "hug_step": lambda: _best_us(
             lambda: next(integrator.hug_steps(quadric, x, v, 0.1)), 2 * steps, repeat),

@@ -36,6 +36,7 @@ the case m = 1.  The package maps only into reduced coordinates
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,13 +53,19 @@ LEVEL_SET_TOL = 1e-10
 
 @dataclass(frozen=True)
 class ReducedState:
-    """Angle, tangential speed, and total speed on the reduced ellipse."""
+    """Angle, tangential speed, and total speed on the reduced ellipse; a
+    speed whose square is not a finite float (NaN, inf, or past about
+    1.34e154) is refused with a ``ValueError``, as is |p| above the speed."""
 
     phi: float
     p: float
     speed: float
 
     def __post_init__(self):
+        speed = float(self.speed)
+        # on Python floats, which overflow to inf without a warning
+        if not math.isfinite(speed * speed):
+            raise ValueError(f"speed {self.speed} has no finite square")
         if abs(self.p) > self.speed * (1.0 + 1e-12):
             raise ValueError(
                 f"|p| = {abs(self.p)} exceeds the total speed {self.speed}"
@@ -109,7 +116,8 @@ def to_reduced(model: EllipseModel, state: PhaseState) -> ReducedState:
     OffLevelSetError
         If |a x1^2 + b x2^2 - 1| is NaN or exceeds :data:`LEVEL_SET_TOL`.
     SingularGeometryError
-        If v is not finite, which would read as a NaN tangential speed.
+        If v is not finite, which would read as a NaN tangential speed, or
+        its speed has no finite square.
     """
     x, v = state.x, state.v
     if x.shape != (2,):
@@ -121,7 +129,10 @@ def to_reduced(model: EllipseModel, state: PhaseState) -> ReducedState:
         raise SingularGeometryError(x, "velocity is not finite")
     phi = model.angle_of(x)
     p = float(v @ model.unit_tangent(phi))
-    return ReducedState(phi=phi, p=p, speed=float(np.linalg.norm(v)))
+    try:
+        return ReducedState(phi=phi, p=p, speed=float(np.linalg.norm(v)))
+    except ValueError as exc:
+        raise SingularGeometryError(x, str(exc)) from exc
 
 
 def tangential_speed(model: EllipseModel, x: np.ndarray, v: np.ndarray) -> float:

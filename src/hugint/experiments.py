@@ -14,10 +14,11 @@ the experiment table, writes its data files (CSV with schema headers) under
 manifest.
 Replicated studies draw every replicate's velocity up front, each from its own
 child of the root seed, and then step all replicates together as rows of one
-array, taking their steps from one :func:`~hugint.integrator.hug_steps_rows`
-stream, whose rows have the bits of single-trajectory steps, so a run is a
+array, taking their steps in blocks from one
+:func:`~hugint.integrator.hug_steps_rows` stream, whose rows have the bits of
+single-trajectory steps, and reducing d_max once per block, so a run is a
 single process and its output depends only on the config and the seed, not on
-the replicate count.
+the replicate count or the block lengths.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import numbers
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -156,6 +156,13 @@ class ExperimentConfig:
 SETTINGS = {f.name: f.metadata for f in fields(ExperimentConfig) if f.metadata}
 
 
+def _integer_dim(dim) -> int:
+    """A constraint's ``dim``, refused as the int settings are: 2.0 and true are no dimension."""
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
+        raise ValueError(f"dim must be an integer, got {dim!r}")
+    return int(dim)
+
+
 def build_constraint(spec: dict) -> ConstraintMap:
     """Build a constraint map from a config dict.
 
@@ -171,9 +178,9 @@ def build_constraint(spec: dict) -> ConstraintMap:
                 return QuadricConstraint(np.diag(np.asarray(spec["diag"], dtype=float)))
             return QuadricConstraint(np.asarray(spec["matrix"], dtype=float))
         if kind == "sphere":
-            return SphereConstraint(int(spec["dim"]))
+            return SphereConstraint(_integer_dim(spec["dim"]))
         if kind == "sliced":
-            return SphereSlicedConstraint(int(spec.get("dim", 3)))
+            return SphereSlicedConstraint(_integer_dim(spec.get("dim", 3)))
     except KeyError as exc:
         raise ConfigError(f"constraint kind {kind!r} is missing key {exc}") from exc
     except (ValueError, TypeError, DimensionError) as exc:
@@ -448,6 +455,27 @@ def _showcase_velocity(q: np.ndarray, x0: np.ndarray, normal_speed: float) -> np
     return normal_speed * q + np.sqrt(1.0 - normal_speed**2) * (u / np.linalg.norm(u))
 
 
+def _d_max_rows(
+    constraint: ConstraintMap, x0: np.ndarray, V: np.ndarray, delta: float, steps: int
+) -> np.ndarray:
+    """max_k ||x_k - x0|| over ``steps`` hug steps from x0 with each row of V,
+    every row stepped by :func:`~hugint.integrator.hug_steps_rows`; a row that
+    hits singular geometry reads NaN.
+
+    The running maximum is kept squared, reduced once per block of the stream,
+    with one square root at the end: ``np.linalg.norm`` along rows is
+    sqrt(add.reduce(D * D)), add.reduce along the last axis of a block sums
+    each row as it sums that row alone, and sqrt is correctly rounded and
+    monotone, so this is the maximum of the per-step norms bit for bit.
+    """
+    d2 = np.zeros(len(V))
+    for Xs, _ in hug_steps_rows(constraint, np.broadcast_to(x0, V.shape), V, delta, steps):
+        D = Xs - x0
+        D2 = np.add.reduce(np.multiply(D, D, out=D), axis=2)
+        np.maximum(d2, np.maximum.reduce(D2, axis=0), out=d2)
+    return np.sqrt(d2)
+
+
 def _scatter_study(
     constraint: ConstraintMap,
     x0: np.ndarray,
@@ -459,12 +487,9 @@ def _scatter_study(
     random unit velocities; :class:`~hugint.errors.StudyFailedError` when every
     replicate fails.
 
-    d_max is max_k ||x_k - x0|| over the hug trajectory from (x0, v), every
-    row stepped by :func:`~hugint.integrator.hug_steps_rows`; a row that hits
-    singular geometry reads NaN.  The running maximum is kept squared, with one
-    square root at the end: ``np.linalg.norm`` along rows is
-    sqrt(add.reduce(D * D)), and sqrt is correctly rounded and monotone, so
-    this is the maximum of the norms bit for bit.  The showcase velocities
+    d_max is max_k ||x_k - x0|| over the hug trajectory from (x0, v), all
+    rows stepped together by :func:`_d_max_rows`; a row that hits singular
+    geometry reads NaN.  The showcase velocities
     (:func:`_showcase_velocity` of each normal speed) ride as extra rows of
     the same pass; they count neither as replicates nor as failures.
     """
@@ -480,12 +505,7 @@ def _scatter_study(
     v_perp = np.abs(np.vecdot(V[:R], q))
     for row, s in zip(V[R:], showcase_speeds):
         row[:] = _showcase_velocity(q, x0, s)
-    X = np.broadcast_to(x0, V.shape)
-    d2 = np.zeros(len(V))
-    for X, _ in islice(hug_steps_rows(constraint, X, V, config.delta), config.steps):
-        D = X - x0
-        np.maximum(d2, np.add.reduce(D * D, axis=1), out=d2)
-    d_all = np.sqrt(d2)
+    d_all = _d_max_rows(constraint, x0, V, config.delta, config.steps)
     d_max, d_showcase = d_all[:R], d_all[R:]
     failed = int(np.sum(~np.isfinite(d_max)))
     if failed == d_max.size:

@@ -26,12 +26,14 @@ general acceptance formula on it, and an affine map f(x) = B x - c whose
 Hessian vanishes (``AffineConstraint``), the degenerate family of the tests
 that run on every kind of map.
 
-Eleven are earlier forms of package code that now runs another way, kept to
+Thirteen are earlier forms of package code that now runs another way, kept to
 hold it to the same bits or bytes: the checked QR factorization through
 ``np.linalg.qr`` with its checks on R as numpy calls
 (``normal_qr_reference``) against ``normal_qr``, the one-call step
 (``step_reference``) against the step stream, the one-call rows step
-(``step_rows_reference``) against the rows stream, the trajectory that
+(``step_rows_reference``) against the rows stream, the rows stream one
+step per yield (``steps_rows_per_step``) with the d_max loop on it
+(``d_max_per_step``) against the blocks of ``_d_max_rows``, the trajectory that
 recorded its times, midpoints and levels as it stepped
 (``trajectory_reference``) against the ``Trajectory`` that derives them when
 read, the position errors read off one solve on the union of the step-size
@@ -52,7 +54,8 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Callable, Iterable, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -282,6 +285,45 @@ def step_rows_reference(
     Q = G / np.sqrt(gg)[:, None]
     V_new = V - Q * (2.0 * np.vecdot(Q, V))[:, None]
     return Y + h * V_new, V_new
+
+
+def steps_rows_per_step(
+    constraint: ConstraintMap, X: np.ndarray, V: np.ndarray, delta: float
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The rows stream one step per yield, (X_k, V_k) for k = 1, 2, ..., each
+    step under its own ``np.errstate``, carrying h V_k and skipping the NaN
+    mask while every row is regular, as ``hug_steps_rows`` stepped before it
+    yielded blocks."""
+    X = np.asarray(X, dtype=float)
+    V = np.asarray(V, dtype=float)
+    h = 0.5 * delta
+    HV = h * V
+    while True:
+        Y = X + HV
+        with np.errstate(over="ignore"):
+            G = constraint.gradient_rows(Y)
+            gg = np.vecdot(G, G)
+        if not (GRADIENT_FLOOR < gg.min(initial=np.inf) and gg.max(initial=0.0) < np.inf):
+            gg[~(np.isfinite(gg) & (gg > GRADIENT_FLOOR))] = np.nan
+        Q = G / np.sqrt(gg)[:, None]
+        V = V - Q * (2.0 * np.vecdot(Q, V))[:, None]
+        HV = h * V
+        X = Y + HV
+        yield X, V
+
+
+def d_max_per_step(
+    constraint: ConstraintMap, x0: np.ndarray, V: np.ndarray, delta: float, steps: int
+) -> np.ndarray:
+    """``experiments._d_max_rows`` as it was before blocks: the running maximum
+    of the squared distances updated after every step of
+    :func:`steps_rows_per_step`, one square root at the end."""
+    d2 = np.zeros(len(V))
+    stream = steps_rows_per_step(constraint, np.broadcast_to(x0, V.shape), V, delta)
+    for X, _ in islice(stream, steps):
+        D = X - x0
+        np.maximum(d2, np.add.reduce(D * D, axis=1), out=d2)
+    return np.sqrt(d2)
 
 
 def scatter_reference(

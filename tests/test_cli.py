@@ -393,6 +393,22 @@ def test_main_exit_2_on_badly_typed_config_value(
     assert "config error" in err and message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "experiment, kind", [("ellipsoid", "sphere"), ("table1", "sliced")], ids=["sphere", "sliced"]
+)
+@pytest.mark.parametrize("dim", [2.7, True, "3"], ids=["float", "bool", "string"])
+def test_main_exit_2_on_constraint_dim_not_an_integer(experiment, kind, dim, tmp_path, capsys):
+    """A constraint's ``dim`` is refused as the int settings are, where
+    ``int()`` would run 2.7 on the 2-D sphere and true on the 1-D one."""
+    config_file = tmp_path / "run.json"
+    config_file.write_text(json.dumps({"constraint": {"kind": kind, "dim": dim}}))
+    out = tmp_path / "out"
+    assert main([experiment, "--config", str(config_file), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: bad constraint spec: dim must be an integer, got {dim!r}" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def _wrongly_typed(name: str) -> tuple[str, object, str]:
     """An experiment whose config file may set ``name``, a value of the wrong
     kind for it, and the start of the error it must raise."""

@@ -50,6 +50,22 @@ def test_reduced_state_speed_cap():
         ReducedState(phi=0.0, p=1.5, speed=1.0)
 
 
+@pytest.mark.parametrize("speed", [1e160, np.float64(1e160), np.inf, np.nan])
+def test_speed_without_a_finite_square_is_refused(speed):
+    """A state whose speed squared is not a finite float is refused where it
+    is built, with no ``OverflowError`` from ``classify`` or ``kappa`` and no
+    overflow warning; ``to_reduced`` reads such a velocity as singular (its
+    ``np.linalg.norm`` overflows to inf first)."""
+    model = EllipseModel(1.0, 4.0)
+    for call in (classify, EllipseModel.kappa):
+        with pytest.raises(ValueError, match="has no finite square"):
+            call(model, ReducedState(0.3, 0.0, speed))
+    if np.isfinite(speed):
+        with pytest.raises(SingularGeometryError, match="has no finite square"), \
+                np.errstate(over="ignore"):
+            to_reduced(model, PhaseState([1.0, 0.0], [0.0, speed]))
+
+
 def test_frame_orthonormal_and_on_level_set():
     for phi in np.linspace(-np.pi, np.pi, 17):
         x = ellipse_position(MODEL, phi)
@@ -194,7 +210,7 @@ def test_turning_points_shifted_center():
 
 
 #: any positive finite a and b; c up to 1e150, whose square is a float
-#: (``speed**2`` raises ``OverflowError`` past about 1.34e154); p = c u, |u| <= 1
+#: (``ReducedState`` refuses a speed past about 1.34e154); p = c u, |u| <= 1
 _ELLIPSE_AXES = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 

@@ -25,6 +25,7 @@ from hugint.experiments import (
     ConfigError,
     ExperimentConfig,
     _average_ranks,
+    _d_max_rows,
     _scatter_study,
     _showcase_velocity,
     build_constraint,
@@ -40,9 +41,9 @@ from hugint.experiments import (
     sphere_tail_probability,
     uniform_sphere,
 )
-from hugint.integrator import HugParams, PhaseState, hug_trajectory
+from hugint.integrator import HugParams, PhaseState, hug_steps_rows, hug_trajectory
 from conftest import fenced_ellipsoid
-from oracles import build_bundle, dense_projectors, read_csv, scatter_reference
+from oracles import build_bundle, d_max_per_step, dense_projectors, read_csv, scatter_reference
 
 #: A quadric whose unit normal at x0 = e1 is not e1.
 TILTED_QUADRIC = [[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]]
@@ -450,6 +451,37 @@ def test_scatter_study_is_bitwise_the_reference(case):
         assert 0 < got[2] < config.replicates
     else:
         assert got[2] == 0
+
+
+class _FencedRows(QuadricConstraint):
+    """The 3-D ellipsoid preset whose rows gradient vanishes where x_2 > 0.03,
+    without a Python call per row."""
+
+    def gradient_rows(self, X):
+        G = super().gradient_rows(X)
+        G[X[:, 1] > 0.03] = 0.0
+        return G
+
+
+@pytest.mark.parametrize("rows, lengths", [(2000, [2, 2, 1]), (6000, [1] * 5)])
+def test_d_max_across_block_boundaries_is_bitwise_the_per_step_loop(rows, lengths):
+    """Past a third and all of ``ROWS_BLOCK_FLOATS`` (R n = 6,000 and 18,000)
+    five steps come in blocks of two or one step, and the study's d_max,
+    reduced once per block, must have the bits of the per-step loop
+    ``oracles.d_max_per_step``.  Random unit velocities at speed 0.5 stay
+    below the fence; row 1 runs along e2 at speed 1 and turns NaN at step 4,
+    the second step of a block of two."""
+    constraint = _FencedRows(np.diag(ELLIPSOID_DIAGS[3]))
+    x0 = np.eye(3)[0]
+    V = np.random.default_rng(34).standard_normal((rows, 3))
+    V *= 0.5 / np.linalg.norm(V, axis=1)[:, None]
+    V[1] = [0.0, 1.0, 0.0]
+    stream = hug_steps_rows(constraint, np.broadcast_to(x0, V.shape), V, 0.01, 5)
+    assert [len(Xs) for Xs, _ in stream] == lengths
+    assert np.isfinite(d_max_per_step(constraint, x0, V[1:2], 0.01, 3)).all()
+    got = _d_max_rows(constraint, x0, V, 0.01, 5)
+    assert got.tobytes() == d_max_per_step(constraint, x0, V, 0.01, 5).tobytes()
+    assert np.flatnonzero(np.isnan(got)).tolist() == [1]
 
 
 def test_run_ecdf_small(tmp_path):

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import warnings
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from conftest import MAP_KINDS, fenced_ellipsoid, random_run
+from hugint import integrator
 from hugint.constraints import QuadricConstraint, SphereConstraint, SphereSlicedConstraint
 from hugint.errors import DimensionError, SingularGeometryError
-from hugint.experiments import BENCH_DIAG, BENCH_V0, BENCH_X0
+from hugint.experiments import BENCH_DIAG, BENCH_V0, BENCH_X0, ELLIPSOID_DIAGS
 from hugint.integrator import (
     HugParams,
     PhaseState,
@@ -19,7 +21,7 @@ from hugint.integrator import (
     hug_trajectory,
     level_drift_bound,
 )
-from oracles import eliminated_step, step_rows_reference, trajectory_reference
+from oracles import eliminated_step, step_rows_reference, steps_rows_per_step, trajectory_reference
 
 
 def test_phase_state_validation():
@@ -219,7 +221,7 @@ def test_hug_step_rows_masks_singular_rows():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for _ in range(2):
-            X, V = next(hug_steps_rows(SphereConstraint(3), X, V, 2.0))
+            (X,), (V,) = next(hug_steps_rows(SphereConstraint(3), X, V, 2.0, 1))
     np.testing.assert_allclose(np.linalg.norm(X - x0, axis=1), [np.nan, 2.0], rtol=1e-12)
 
 
@@ -237,21 +239,23 @@ def test_hug_step_rows_overflowing_gradient_is_a_nan_row_without_warning(constra
         next(hug_steps(constraint, X[0], V[0], 0.1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        X_new, V_new = next(hug_steps_rows(constraint, X, V, 0.1))
+        (X_new,), (V_new,) = next(hug_steps_rows(constraint, X, V, 0.1, 1))
     assert np.isnan(X_new[:2]).all() and np.isnan(V_new[:2]).all()
     x, v = next(hug_steps(constraint, X[2], V[2], 0.1))
     assert np.array_equal(X_new[2], x) and np.array_equal(V_new[2], v)
 
 
 @pytest.mark.parametrize("stack", ["regular", "singular"])
-def test_rows_stream_is_bitwise_the_reference_step(stack):
-    """The k-th yield of ``hug_steps_rows`` has the bits of k chained one-call
-    rows steps, ``oracles.step_rows_reference``, NaN rows included.  In the
-    regular stack every row stays in the plane x_2 = 0, away from the fence,
-    so the stream never masks.  In the singular stack one row crosses the
-    fence at a step j > 1 and stays NaN after it, and g . g overflows on two
-    rows (the gradient itself on the second) from the first step; no
-    warning escapes, and numpy's error state is the caller's between yields."""
+def test_rows_stream_is_bitwise_the_reference_step(stack, monkeypatch):
+    """Step k of ``hug_steps_rows`` has the bits of k chained one-call rows
+    steps, ``oracles.step_rows_reference``, NaN rows included, whether the
+    12 steps come as one block or, with ``ROWS_BLOCK_FLOATS`` cut to five
+    steps' rows, as blocks of 5, 5 and 2.  In the regular stack every row
+    stays in the plane x_2 = 0, away from the fence, so the stream never
+    masks.  In the singular stack one row crosses the fence at a step j > 1
+    and stays NaN after it, and g . g overflows on two rows (the gradient
+    itself on the second) from the first step; no warning escapes, and
+    numpy's error state is the caller's between yields."""
     constraint = fenced_ellipsoid(0.2)
     rng = np.random.default_rng(22)
     X = rng.standard_normal((5, 3)) * [1.0, 0.0, 1.0]
@@ -265,26 +269,52 @@ def test_rows_stream_is_bitwise_the_reference_step(stack):
     for _ in range(12):
         Xr, Vr = step_rows_reference(constraint, Xr, Vr, 0.1)
         expected.append((Xr, Vr))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = []
-        for _, pair in zip(range(12), hug_steps_rows(constraint, X, V, 0.1)):
-            assert np.geterr() == errstate
-            got.append(pair)
-    for (Xs, Vs), (Xr, Vr) in zip(got, expected, strict=True):
-        assert np.array_equal(Xs, Xr, equal_nan=True) and np.array_equal(Vs, Vr, equal_nan=True)
-    finite = np.array([np.isfinite(Xs).all(axis=1) for Xs, _ in got])
-    assert finite[:, :5].all()
-    if stack == "singular":
-        crossing = np.flatnonzero(~finite[:, 5])
-        assert crossing[0] > 1 and np.array_equal(crossing, np.arange(crossing[0], 12))
-        assert not finite[:, 6:].any()
+    for block_floats, lengths in ((integrator.ROWS_BLOCK_FLOATS, [12]), (5 * X.size, [5, 5, 2])):
+        monkeypatch.setattr(integrator, "ROWS_BLOCK_FLOATS", block_floats)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            blocks = []
+            for pair in hug_steps_rows(constraint, X, V, 0.1, 12):
+                assert np.geterr() == errstate
+                blocks.append(pair)
+        assert [len(Xs) for Xs, _ in blocks] == lengths
+        got = [pair for Xs, Vs in blocks for pair in zip(Xs, Vs)]
+        for (Xs, Vs), (Xr, Vr) in zip(got, expected, strict=True):
+            assert np.array_equal(Xs, Xr, equal_nan=True)
+            assert np.array_equal(Vs, Vr, equal_nan=True)
+        finite = np.array([np.isfinite(Xs).all(axis=1) for Xs, _ in got])
+        assert finite[:, :5].all()
+        if stack == "singular":
+            crossing = np.flatnonzero(~finite[:, 5])
+            assert crossing[0] > 1 and np.array_equal(crossing, np.arange(crossing[0], 12))
+            assert not finite[:, 6:].any()
+
+
+@pytest.mark.parametrize(
+    "rows, steps, lengths",
+    [(14, 1, [1]), (14, 100, [100]), (14, 1000, [390, 390, 220]), (2000, 5, [2, 2, 1]),
+     (6000, 3, [1, 1, 1])],
+)
+def test_rows_blocks_add_up_to_the_step_count(rows, steps, lengths):
+    """The blocks hold as many steps as ``ROWS_BLOCK_FLOATS`` allows, one at
+    least, and add up to exactly ``steps``; they are read-only, and the last
+    block ends on the rows of the per-step stream after ``steps`` steps."""
+    constraint = QuadricConstraint(np.diag(ELLIPSOID_DIAGS[3]))
+    X = np.broadcast_to(np.eye(3)[0], (rows, 3))
+    V = np.random.default_rng(rows).standard_normal((rows, 3))
+    blocks = list(hug_steps_rows(constraint, X, V, 0.01, steps))
+    assert [len(Xs) for Xs, _ in blocks] == lengths
+    for Xs, Vs in blocks:
+        assert Xs.shape == Vs.shape == (len(Xs), rows, 3)
+        assert not (Xs.flags.writeable or Vs.flags.writeable)
+    *_, (Xr, Vr) = islice(steps_rows_per_step(constraint, X, V, 0.01), steps)
+    assert np.array_equal(blocks[-1][0][-1], Xr) and np.array_equal(blocks[-1][1][-1], Vr)
 
 
 def test_hug_step_rows_rejects_codim_2_and_mismatched_rows():
     with pytest.raises(DimensionError, match="codimension-1"):
-        next(hug_steps_rows(SphereSlicedConstraint(3), np.ones((2, 3)), np.ones((2, 3)), 0.1))
+        next(hug_steps_rows(SphereSlicedConstraint(3), np.ones((2, 3)), np.ones((2, 3)), 0.1, 1))
     with pytest.raises(DimensionError):
-        next(hug_steps_rows(SphereConstraint(3), np.ones((2, 3)), np.ones((3, 3)), 0.1))
+        next(hug_steps_rows(SphereConstraint(3), np.ones((2, 3)), np.ones((3, 3)), 0.1, 1))
     with pytest.raises(DimensionError):
-        next(hug_steps_rows(SphereConstraint(3), np.ones(3), np.ones(3), 0.1))
+        next(hug_steps_rows(SphereConstraint(3), np.ones(3), np.ones(3), 0.1, 1))

@@ -27,8 +27,8 @@ ORACLE_METHODS_OF_ELLIPSE_MODEL = ("position", "unit_normal")
 #: Names the package no longer has, by the module that held them: the flow
 #: field forms its normal basis and J^+ itself and splits v itself;
 #: the one-step map, the one-step rows map and the one-orbit reduced solve
-#: are the first step of ``hug_steps``, ``hug_steps_rows`` and
-#: ``reduced_orbits`` at m = 1; a libration's turning points are
+#: are the first step of ``hug_steps``, the one block of ``hug_steps_rows``
+#: at steps = 1 and ``reduced_orbits`` at m = 1; a libration's turning points are
 #: ``classify(...).turning_points``; ``reference_solve`` returns (xs, vs) as a
 #: tuple; and ``convergence_study`` steps first and solves once at the step
 #: times, in place of ``position_errors``' union grid.

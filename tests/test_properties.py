@@ -145,8 +145,8 @@ def test_codim1_step_is_bitwise_the_bundle_step(kind, n, seed):
         xb, vb = bundle_step(constraint, xb, vb, delta)
         assert np.array_equal(xa, xb) and np.array_equal(va, vb)
         singles = [next(hug_steps(constraint, xr, vr, delta)) for xr, vr in singles]
-        X, V = next(hug_steps_rows(constraint, X, V, delta))
-        X1, V1 = next(hug_steps_rows(constraint, X1, V1, delta))
+        (X,), (V,) = next(hug_steps_rows(constraint, X, V, delta, 1))
+        (X1,), (V1,) = next(hug_steps_rows(constraint, X1, V1, delta, 1))
         assert np.array_equal(X, [xr for xr, _ in singles])
         assert np.array_equal(V, [vr for _, vr in singles])
         assert np.array_equal(X1[0], xa) and np.array_equal(V1[0], va)
@@ -223,9 +223,9 @@ def test_stream_is_bitwise_the_reference_step(kind, seed, steps):
 @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6), steps=st.integers(1, 12))
 def test_rows_stream_is_bitwise_the_reference_rows_step(kind, seed, rows, steps):
     """``hug_steps_rows`` carries h V_k from one step to the next and skips
-    the NaN mask while every row is regular; each of K steps must still have
-    the bits of the one-call rows step, ``oracles.step_rows_reference``,
-    chained K times."""
+    the NaN mask while every row is regular; each of its K steps, which come
+    as one block, must still have the bits of the one-call rows step,
+    ``oracles.step_rows_reference``, chained K times."""
     constraint = STREAM_MAPS[kind]
     n = constraint.ambient_dim
     rng = np.random.default_rng(seed)
@@ -234,9 +234,11 @@ def test_rows_stream_is_bitwise_the_reference_rows_step(kind, seed, rows, steps)
     V = rng.standard_normal((rows, n)) * rng.uniform(0.1, 10.0)
     delta = rng.uniform(0.01, 0.2) / np.linalg.norm(V, axis=1).max()
     Xr, Vr = X, V
-    for _, (Xs, Vs) in zip(range(steps), hug_steps_rows(constraint, X, V, delta)):
+    ((Xs, Vs),) = hug_steps_rows(constraint, X, V, delta, steps)
+    assert len(Xs) == steps
+    for Xk, Vk in zip(Xs, Vs):
         Xr, Vr = step_rows_reference(constraint, Xr, Vr, delta)
-        assert np.array_equal(Xs, Xr, equal_nan=True) and np.array_equal(Vs, Vr, equal_nan=True)
+        assert np.array_equal(Xk, Xr, equal_nan=True) and np.array_equal(Vk, Vr, equal_nan=True)
 
 
 def _sheared_map(codim: int, j: int) -> CallableConstraint:
