@@ -46,6 +46,13 @@ whose rounds spread widely shows as one.  The rows:
   start (``BENCH_X0``, ``BENCH_V0``);
 - ``phase_field.sliced3``: one evaluation of the flow field on the sliced
   sphere at n = 3, at CI's codim-2 start;
+- ``hug_kernel.move``: one ``sampling.hug_kernel`` move on the 2-D
+  benchmark quadric at the chain experiment's desk settings (delta 0.1,
+  K = 10 steps, an isotropic unit Gaussian velocity), from its start e1 with
+  ell(e1) passed in, as ``run_chain`` calls it;
+- ``run_chain.iteration``: one iteration of ``sampling.run_chain`` on that
+  quadric at those settings with the random walk of scale 0.5 interleaved,
+  a chain from e1 divided by its iteration count;
 - ``cli.main.sphere_tail``: one in-process ``cli.main`` call of
   ``sphere-tail --h 0.3 --dim 3`` into a temporary directory, the CLI's
   fixed cost (parse, config, runner, CSV, manifest, summary).
@@ -78,7 +85,7 @@ ROUNDS = 7
 ROWS = ("hug_steps_rows.step", "scatter_study.step", "hug_step", "hug_steps.step",
         "hug_steps.step.sliced3", "normal_qr.sliced3", "normal_qr.sliced1000",
         "hug_trajectory.sphere1000", "hug_trajectory.sliced1000", "phase_field.quadric2",
-        "phase_field.sliced3", "cli.main.sphere_tail")
+        "phase_field.sliced3", "hug_kernel.move", "run_chain.iteration", "cli.main.sphere_tail")
 DENSE_ROWS = ("normal_qr.sliced1000", "hug_trajectory.sphere1000", "hug_trajectory.sliced1000")
 #: CI's codim-2 start on the sliced sphere at n = 3 (the tier1 workflow's sliced config).
 SLICED_X0, SLICED_V0 = (0.73907151, 0.54626892, 0.39413414), (0.2, -0.4, 0.5)
@@ -94,7 +101,7 @@ def measure(quick: bool) -> dict:
     sys.path.insert(0, str(ROOT / "perfbench"))
     from reference import dense, small
 
-    from hugint import cli, dynamics, integrator, projectors
+    from hugint import cli, dynamics, integrator, projectors, sampling
     from hugint.constraints import QuadricConstraint, SphereConstraint, SphereSlicedConstraint
     from hugint.experiments import (
         BENCH_DIAG, BENCH_V0, BENCH_X0, ELLIPSOID_DIAGS, SHOWCASE_NORMAL_SPEEDS,
@@ -141,6 +148,21 @@ def measure(quick: bool) -> dict:
         f, y = dynamics.phase_field(constraint), np.concatenate([x, v])
         return lambda: _best_us(lambda: f(0.0, y), 2 * steps, repeat)
 
+    # the chain experiment at desk settings: its start e1, delta 0.1, K 10, walk 0.5
+    chain_x, chain_params = np.eye(2)[0], integrator.HugParams(0.1, 10)
+    velocity, iterations = sampling.IsotropicGaussian(dim=2), steps // 10
+
+    def kernel_move():
+        rng, ell = np.random.default_rng(0), sampling.log_density_of(quadric, chain_x)
+        return _best_us(lambda: sampling.hug_kernel(
+            quadric, chain_x, chain_params, velocity, rng, log_density=ell), iterations, repeat)
+
+    def chain_iteration():
+        rng = np.random.default_rng(0)
+        return _best_us(lambda: sampling.run_chain(
+            quadric, chain_x, chain_params, velocity, rng, iterations, walk_scale=0.5),
+            1, repeat, iterations)
+
     def cli_main():
         with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
             argv = ["sphere-tail", "--h", "0.3", "--dim", "3", "--out", out]
@@ -173,6 +195,8 @@ def measure(quick: bool) -> dict:
         "hug_trajectory.sliced1000": trajectory(sliced1000),
         "phase_field.quadric2": field(quadric, x, v),
         "phase_field.sliced3": field(sliced3, sliced_x, sliced_v),
+        "hug_kernel.move": kernel_move,
+        "run_chain.iteration": chain_iteration,
         "cli.main.sphere_tail": cli_main,
     }
     small_number, dense_number = max(2, int(20 * scale)), max(2, int(2 * scale))

@@ -8,7 +8,9 @@ map (row 0 of ``J(x)``, which the codim-1 step reflects through), and the
 Hessian contraction ``H(x)[w, .]``, the m-by-n matrix whose row i is
 ``w^T Hess(f_i)``, the one second-derivative primitive.  The gradient also
 has a rows form, ``gradient_rows``, for the rows step over a stack of
-points; each of its rows has the bits of ``gradient`` at that point.
+points; each of its rows has the bits of ``gradient`` at that point, and a
+private unchecked form, ``_gradient``, for the midpoints of a step whose start
+is checked already.
 Subclasses may supply analytic derivatives, as the quadrics do (in O(n) for
 a diagonal A, the sphere's among them); the base class falls back to central
 finite differences, accurate enough for exploratory work, not for tight
@@ -88,6 +90,24 @@ class ConstraintMap:
         x = np.asarray(x, dtype=float)
         return checked_jacobian(self, x, (1, self.ambient_dim))[0]
 
+    def _gradient(self, y: np.ndarray) -> np.ndarray:
+        """:meth:`gradient` at a float point y of shape (n,) that the caller
+        has checked already: the codimension-1 step reads its midpoints
+        through it, so that a stream checks its start once, not every step.
+
+        The default calls :meth:`gradient`, checks and all.  A map may
+        override it with its bare closed form, as the quadrics do.  A
+        subclass that overrides :meth:`gradient` and not this hook gets the
+        default back, so the step calls its own ``gradient`` on every step.
+        """
+        return self.gradient(y)
+
+    def __init_subclass__(cls, **kwargs):
+        # an inherited bare ``_gradient`` would skip the subclass's own ``gradient``
+        super().__init_subclass__(**kwargs)
+        if "gradient" in vars(cls) and "_gradient" not in vars(cls):
+            cls._gradient = ConstraintMap._gradient
+
     def gradient_rows(self, X: np.ndarray) -> np.ndarray:
         """Return :meth:`gradient` at each row of X, shape (R, n).
 
@@ -165,6 +185,9 @@ class QuadricConstraint(ConstraintMap):
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return self._product(self._hessian, self.check_point(x))
+
+    def _gradient(self, y: np.ndarray) -> np.ndarray:
+        return self._product(self._hessian, y)  # ``gradient`` without the point check
 
     def gradient_rows(self, X: np.ndarray) -> np.ndarray:
         return self._rows(self._hessian, X)  # row by row: the bits of ``gradient``

@@ -105,8 +105,9 @@ def phase_field(constraint: ConstraintMap):
     """Return field(t, y) for the flow on y = (x, v) in R^{2n}.
 
     Its basis comes as the step's does, the branch picked once: at codim 1
-    the vectors q = g / ||g|| and J^+ = g / ||g||^2 of the ``gradient`` g,
-    checked as in ``unit_normal``; above it ``normal_qr``'s Q and Q R^{-T}.
+    the vectors q = g / ||g|| and J^+ = g / ||g||^2 of the gradient g, read
+    through ``_gradient`` as the step reads it and checked as in
+    ``unit_normal``; above it ``normal_qr``'s Q and Q R^{-T}.
     v splits once into v_perp = Q (Q^T v) and dx/dt = v_par = v - v_perp,
     dv/dt takes one Hessian contraction along w = v_par - v_perp, and T u is
     u - Q (Q^T u).  A state of the wrong shape or a contraction not of shape
@@ -120,7 +121,7 @@ def phase_field(constraint: ConstraintMap):
             if y.shape != shape:
                 raise DimensionError(f"expected a state of shape {shape}, got {y.shape}")
             x, v = y[:n], y[n:]
-            g = constraint.gradient(x)
+            g = constraint._gradient(x)  # x has shape (n,): y's shape is checked
             ng2 = _gradient_norm2(g, x)
             q, p = g / math.sqrt(ng2), g / ng2
             v_perp = q * q.dot(v)

@@ -117,7 +117,8 @@ def to_reduced(model: EllipseModel, state: PhaseState) -> ReducedState:
         If |a x1^2 + b x2^2 - 1| is NaN or exceeds :data:`LEVEL_SET_TOL`.
     SingularGeometryError
         If v is not finite, which would read as a NaN tangential speed, or
-        its speed has no finite square.
+        its speed has no finite square; the message names the speed, read
+        without overflow, and no overflow warning is raised.
     """
     x, v = state.x, state.v
     if x.shape != (2,):
@@ -129,8 +130,12 @@ def to_reduced(model: EllipseModel, state: PhaseState) -> ReducedState:
         raise SingularGeometryError(x, "velocity is not finite")
     phi = model.angle_of(x)
     p = float(v @ model.unit_tangent(phi))
+    with np.errstate(over="ignore"):  # v . v overflows past a speed of about 1.34e154
+        speed = float(np.linalg.norm(v))
+    if not math.isfinite(speed * speed):  # refused below; name the speed itself, not inf
+        speed = math.hypot(*v.tolist())
     try:
-        return ReducedState(phi=phi, p=p, speed=float(np.linalg.norm(v)))
+        return ReducedState(phi=phi, p=p, speed=speed)
     except ValueError as exc:
         raise SingularGeometryError(x, str(exc)) from exc
 

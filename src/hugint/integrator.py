@@ -22,9 +22,10 @@ J^T with no sign fix: flipping a column of Q negates (Q^T v)_j exactly and
 the product with Q undoes that exactly, so v' has the bits of a sign-fixed Q.
 
 :func:`hug_steps` is the step, written once as a stream that yields
-(x_k, v_k) for k = 1, 2, ...: it converts v and picks the codimension branch
-once, and carries h v_k from the end of step k, x_k = y + h v_k, to the start
-of step k + 1, y = x_k + h v_k.
+(x_k, v_k) for k = 1, 2, ...: it checks x and v and picks the codimension
+branch once, reads each codim-1 midpoint's gradient without checking its
+shape again, and carries h v_k from the end of step k, x_k = y + h v_k, to
+the start of step k + 1, y = x_k + h v_k.
 :func:`hug_trajectory` takes K steps from the stream and records only the
 positions and velocities; the :class:`Trajectory` it returns derives step
 times, midpoints and levels from them when read, and keeps the constraint to
@@ -41,6 +42,7 @@ once per block where it does not shrink with the number of rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -49,7 +51,7 @@ import numpy as np
 
 from .constraints import ConstraintMap
 from .errors import DimensionError
-from .projectors import GRADIENT_FLOOR, normal_qr, unit_normal
+from .projectors import GRADIENT_FLOOR, _gradient_norm2, normal_qr
 
 
 @dataclass(frozen=True)
@@ -141,29 +143,40 @@ def hug_steps(
     """Steps of size delta from (x, v): yields (x_k, v_k) for k = 1, 2, ...
 
     Take K steps with ``zip(range(K), stream)`` or ``islice(stream, K)``:
-    either stops before asking for step K + 1, which may raise.  Each
-    midpoint is validated as it is reached, by :func:`unit_normal` at
-    codimension 1 and by :func:`normal_qr` above it, so a singular midpoint
-    at step j raises :class:`~hugint.errors.SingularGeometryError` out of the
-    j-th ``next``.  One step is ``next(hug_steps(...))``, and step k has
-    the bits of k such steps chained.
+    either stops before asking for step K + 1, which may raise.  The start
+    is checked once, at the first ``next``: x and v not of shape (n,) raise
+    :class:`~hugint.errors.DimensionError`.  Each midpoint is validated as
+    it is reached, at codimension 1 by ``unit_normal``'s test of g . g on
+    the gradient from the constraint's unchecked ``_gradient``, and by
+    :func:`normal_qr` above it, so a singular midpoint at step j raises
+    :class:`~hugint.errors.SingularGeometryError` out of the j-th ``next``.
+    One step is ``next(hug_steps(...))``, and step k has the bits of k such
+    steps chained.
     """
+    x = constraint.check_point(x)
     v = np.asarray(v, dtype=float)
-    h = 0.5 * delta
-    hv = h * v
+    if v.shape != x.shape:
+        raise DimensionError(f"expected a velocity of shape {x.shape}, got {v.shape}")
+    h = np.array(0.5 * delta)  # a 0-d array: h v skips converting a Python float each step
+    hv = np.multiply(h, v)
     if constraint.codim == 1:
+        gradient = constraint._gradient  # the midpoints have the start's shape
+        s = np.empty(())  # the step's two scalars, 0-d like h: faster operands than floats
         while True:
             y = x + hv
-            q = unit_normal(constraint, y)
-            v = v - q * (2.0 * q.dot(v))
-            hv = h * v
+            g = gradient(y)
+            s[()] = math.sqrt(_gradient_norm2(g, y))
+            q = np.divide(g, s)  # unit_normal's q, bit for bit
+            s[()] = 2.0 * q.dot(v)
+            v = v - np.multiply(q, s)
+            hv = np.multiply(h, v)
             x = y + hv
             yield x, v
     while True:
         y = x + hv
         Q, _ = normal_qr(constraint, y)
         v = v - 2.0 * (Q @ (Q.T @ v))
-        hv = h * v
+        hv = np.multiply(h, v)
         x = y + hv
         yield x, v
 

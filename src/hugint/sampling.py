@@ -117,7 +117,7 @@ def hug_kernel(
     log_ratio = log_density_k - log_density
     if not getattr(velocity_dist, "norm_invariant", False):
         log_ratio += velocity_dist.log_density(v_k, x_k) - velocity_dist.log_density(v0, x)
-    accepted = np.log(rng.uniform()) < log_ratio
+    accepted = np.log(rng.random()) < log_ratio
     if not accepted:
         x_k, log_density_k = x, log_density
     return KernelResult(x_k, bool(accepted), float(log_ratio), log_density_k)
@@ -137,7 +137,7 @@ def random_walk_kernel(
     proposal = x + scale * rng.standard_normal(x.shape)
     log_density_p = log_density_of(target, proposal)
     log_ratio = log_density_p - log_density
-    accepted = np.log(rng.uniform()) < log_ratio
+    accepted = np.log(rng.random()) < log_ratio
     if not accepted:
         proposal, log_density_p = x, log_density
     return KernelResult(proposal, bool(accepted), float(log_ratio), log_density_p)

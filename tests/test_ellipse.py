@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -54,16 +56,23 @@ def test_reduced_state_speed_cap():
 def test_speed_without_a_finite_square_is_refused(speed):
     """A state whose speed squared is not a finite float is refused where it
     is built, with no ``OverflowError`` from ``classify`` or ``kappa`` and no
-    overflow warning; ``to_reduced`` reads such a velocity as singular (its
-    ``np.linalg.norm`` overflows to inf first)."""
+    overflow warning; ``to_reduced`` reads such a velocity as singular and
+    names its true speed, 1e+160, not the inf that ``np.linalg.norm`` reads,
+    without an overflow warning."""
     model = EllipseModel(1.0, 4.0)
     for call in (classify, EllipseModel.kappa):
         with pytest.raises(ValueError, match="has no finite square"):
             call(model, ReducedState(0.3, 0.0, speed))
     if np.isfinite(speed):
-        with pytest.raises(SingularGeometryError, match="has no finite square"), \
-                np.errstate(over="ignore"):
+        with pytest.raises(SingularGeometryError, match=r"speed 1e\+160 has no finite square"), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
             to_reduced(model, PhaseState([1.0, 0.0], [0.0, speed]))
+    # a speed whose square is finite keeps np.linalg.norm's bits
+    v = np.array([0.6e154, 0.8e154])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert to_reduced(model, PhaseState([1.0, 0.0], v)).speed == float(np.linalg.norm(v))
 
 
 def test_frame_orthonormal_and_on_level_set():
@@ -96,7 +105,7 @@ def test_to_from_reduced_roundtrip():
         reduced = to_reduced(MODEL, state)
         normal_speed = float(v @ ellipse_normal(MODEL, reduced.phi))
         assert np.isclose(reduced.phi, phi, atol=1e-13)
-        assert np.isclose(reduced.speed, np.linalg.norm(v), atol=1e-13)
+        assert reduced.speed == float(np.linalg.norm(v))  # np.linalg.norm's bits
         # the two components account for the whole speed
         assert np.isclose(np.hypot(reduced.p, normal_speed), reduced.speed, atol=1e-13)
         back = from_reduced(MODEL, reduced, normal_sign=np.sign(normal_speed))

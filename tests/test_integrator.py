@@ -213,6 +213,71 @@ def test_singular_start_raises():
         next(hug_steps(constraint, np.array([-0.05, 0.0]), np.array([1.0, 0.0]), 0.1))
 
 
+#: Starts of the wrong shape on the 3-D maps: a column x and a 1-vector v
+#: broadcast against the right shapes, and an (n + 1,) pair does not.
+_BAD_STARTS = {
+    "x-column": lambda x, v: (x[:, None], v),
+    "x-long": lambda x, v: (np.append(x, 0.0), v),
+    "v-short": lambda x, v: (x, v[:1]),
+    "xv-long": lambda x, v: (np.append(x, 0.0), np.append(v, 0.0)),
+}
+
+
+@pytest.mark.parametrize("bad", _BAD_STARTS)
+@pytest.mark.parametrize("kind", ["quadric", "callable", "sliced"])
+def test_stream_checks_its_start_at_the_first_next(kind, bad):
+    """A start x or v not of shape (n,) raises ``DimensionError`` at the first
+    ``next``, at codimension 1, where a quadric reads its midpoints' gradients
+    without a point check, and at codimension 2."""
+    constraint, x, v = {
+        "quadric": (QuadricConstraint(np.diag(ELLIPSOID_DIAGS[3])), np.eye(3)[0], np.ones(3)),
+        "callable": (fenced_ellipsoid(np.inf), np.eye(3)[0], np.ones(3)),
+        "sliced": (SphereSlicedConstraint(3), np.array([0.73907151, 0.54626892, 0.39413414]),
+                   np.array([0.2, -0.4, 0.5])),
+    }[kind]
+    stream = hug_steps(constraint, *_BAD_STARTS[bad](x, v), 0.1)
+    with pytest.raises(DimensionError, match="shape"):
+        next(stream)
+
+
+class _FencedGradient(QuadricConstraint):
+    """The 3-D ellipsoid preset whose public ``gradient`` reads ``beyond`` in
+    every entry where x_2 > 0.2; overriding ``gradient`` alone must put the
+    override on every step of the stream."""
+
+    def __init__(self, beyond):
+        super().__init__(np.diag(ELLIPSOID_DIAGS[3]))
+        self.beyond = beyond
+
+    def gradient(self, x):
+        g = super().gradient(x)
+        return np.full_like(g, self.beyond) if x[1] > 0.2 else g
+
+
+@pytest.mark.parametrize(
+    "beyond, message",
+    [(0.0, "gradient vanishes"), (np.inf, "gradient is not finite"),
+     (np.nan, "gradient is not finite")],
+    ids=["vanishes", "inf", "nan"],
+)
+def test_singular_gradient_at_a_later_step_raises_from_that_next(beyond, message):
+    """The start is checked once, and each midpoint's gradient still is:
+    the midpoint of step 3 is the first past the fence, so steps 1 and 2
+    have the plain quadric's bits and the third ``next`` raises
+    ``SingularGeometryError`` with ``unit_normal``'s message, at that midpoint."""
+    x, v, delta = np.eye(3)[0], np.array([0.0, 1.0, 0.5]), 0.1
+    plain = list(islice(hug_steps(QuadricConstraint(np.diag(ELLIPSOID_DIAGS[3])), x, v, delta), 2))
+    midpoint = plain[1][0] + 0.5 * delta * plain[1][1]
+    assert plain[0][0][1] + 0.5 * delta * plain[0][1][1] <= 0.2 < midpoint[1]
+    stream = hug_steps(_FencedGradient(beyond), x, v, delta)
+    for x_k, v_k in plain:
+        x_j, v_j = next(stream)
+        assert np.array_equal(x_j, x_k) and np.array_equal(v_j, v_k)
+    with pytest.raises(SingularGeometryError, match=message) as info:
+        next(stream)
+    assert np.array_equal(info.value.x, midpoint)
+
+
 def test_hug_step_rows_masks_singular_rows():
     """A row whose midpoint hits the origin of the sphere turns NaN without a
     warning, and the other row still walks e1 -> e2 -> -e1."""
