@@ -7,10 +7,10 @@ gradients of the components), the gradient ``grad f(x)`` of a codimension-1
 map (row 0 of ``J(x)``, which the codim-1 step reflects through), and the
 Hessian contraction ``H(x)[w, .]``, the m-by-n matrix whose row i is
 ``w^T Hess(f_i)``, the one second-derivative primitive.  The gradient also
-has a rows form, ``gradient_rows``, for the rows step over a stack of
-points; each of its rows has the bits of ``gradient`` at that point, and a
-private unchecked form, ``_gradient``, for the midpoints of a step whose start
-is checked already.
+has a private unchecked form, ``_gradient``, the one hook both step streams
+read: at a point whose shape the caller has checked already, a midpoint of
+the step, and at each row of a stack of such points, for the rows step,
+each row with the bits of ``gradient`` at that point.
 Subclasses may supply analytic derivatives, as the quadrics do (in O(n) for
 a diagonal A, the sphere's among them); the base class falls back to central
 finite differences, accurate enough for exploratory work, not for tight
@@ -91,30 +91,26 @@ class ConstraintMap:
         return checked_jacobian(self, x, (1, self.ambient_dim))[0]
 
     def _gradient(self, y: np.ndarray) -> np.ndarray:
-        """:meth:`gradient` at a float point y of shape (n,) that the caller
-        has checked already: the codimension-1 step reads its midpoints
-        through it, so that a stream checks its start once, not every step.
+        """:meth:`gradient` at a float point y of shape (n,), or at each row
+        of float rows y of shape (R, n), that the caller has checked already:
+        both codimension-1 streams read their midpoints through it, so that a
+        stream checks its start once, not every step.  Each row has the bits
+        of :meth:`gradient` at that row alone.
 
-        The default calls :meth:`gradient`, checks and all.  A map may
-        override it with its bare closed form, as the quadrics do.  A
-        subclass that overrides :meth:`gradient` and not this hook gets the
-        default back, so the step calls its own ``gradient`` on every step.
+        The default calls :meth:`gradient`, checks and all, on a point and on
+        each row.  A map may override it with its bare closed form, as the
+        quadrics do.  A subclass that overrides :meth:`gradient` and not this
+        hook gets the default back, so both streams call its own ``gradient``.
         """
-        return self.gradient(y)
+        if y.ndim == 1:
+            return self.gradient(y)
+        return np.array([self.gradient(x) for x in y]).reshape(len(y), self.ambient_dim)
 
     def __init_subclass__(cls, **kwargs):
         # an inherited bare ``_gradient`` would skip the subclass's own ``gradient``
         super().__init_subclass__(**kwargs)
         if "gradient" in vars(cls) and "_gradient" not in vars(cls):
             cls._gradient = ConstraintMap._gradient
-
-    def gradient_rows(self, X: np.ndarray) -> np.ndarray:
-        """Return :meth:`gradient` at each row of X, shape (R, n).
-
-        Each row has the bits of :meth:`gradient` at that row alone.  The
-        default loops :meth:`gradient` over the rows.
-        """
-        return np.array([self.gradient(x) for x in X]).reshape(len(X), self.ambient_dim)
 
     def hessian_contraction(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Return the m-by-n matrix H(x)[w, .]: entry (i, j) is w^T Hess(f_i) e_j.
@@ -184,20 +180,18 @@ class QuadricConstraint(ConstraintMap):
         return np.array([-np.vdot(self._product(x, self._form), x)])
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self._product(self._hessian, self.check_point(x))
+        # not ``self._gradient``, whose default in a subclass calls ``gradient``
+        return self._rows(self._hessian, self.check_point(x))
 
     def _gradient(self, y: np.ndarray) -> np.ndarray:
-        return self._product(self._hessian, y)  # ``gradient`` without the point check
-
-    def gradient_rows(self, X: np.ndarray) -> np.ndarray:
-        return self._rows(self._hessian, X)  # row by row: the bits of ``gradient``
+        return self._rows(self._hessian, y)  # a point or row by row: ``gradient``'s bits
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         return self.gradient(x)[None, :]
 
     def hessian_contraction(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         self.check_point(x)
-        return self._product(self._hessian, np.asarray(w, float))[None, :]
+        return self._rows(self._hessian, np.asarray(w, float))[None, :]
 
     def hessian_norm_bound(self) -> float:
         """Exact operator norm of the (constant) Hessian: 2 * lambda_max(A)."""

@@ -23,21 +23,22 @@ the product with Q undoes that exactly, so v' has the bits of a sign-fixed Q.
 
 :func:`hug_steps` is the step, written once as a stream that yields
 (x_k, v_k) for k = 1, 2, ...: it checks x and v and picks the codimension
-branch once, reads each codim-1 midpoint's gradient without checking its
-shape again, and carries h v_k from the end of step k, x_k = y + h v_k, to
-the start of step k + 1, y = x_k + h v_k.
+branch once, reads each codim-1 midpoint's gradient through the
+constraint's unchecked ``_gradient`` hook, and carries h v_k from the end
+of step k, x_k = y + h v_k, to the start of step k + 1, y = x_k + h v_k.
 :func:`hug_trajectory` takes K steps from the stream and records only the
 positions and velocities; the :class:`Trajectory` it returns derives step
 times, midpoints and levels from them when read, and keeps the constraint to
 evaluate the levels with.  The Metropolis kernel in :mod:`hugint.sampling`
 takes K too but keeps only the final state.
 :func:`hug_steps_rows` is the same codim-1 stream on each row of a stack
-of states, with each row's bits those of :func:`hug_steps` however many rows
-share the stack; the replicated studies step their replicates with it.  It
-takes the step count and yields the steps in blocks of shape (b, R, n), as
-many steps as :data:`ROWS_BLOCK_FLOATS` allows, each block stepped under one
-numpy error state of its own, so that the Python cost of a step is paid
-once per block where it does not shrink with the number of rows.
+of states, reading the same hook on the stack, with each row's bits those
+of :func:`hug_steps` however many rows share the stack; the replicated
+studies step their replicates with it.  It takes the step count and yields
+the steps in blocks of shape (b, R, n), as many steps as
+:data:`ROWS_BLOCK_FLOATS` allows, each block stepped under one numpy error
+state of its own, so that the Python cost of a step is paid once per block
+where it does not shrink with the number of rows.
 """
 
 from __future__ import annotations
@@ -199,11 +200,11 @@ def hug_steps_rows(
     rows after step j + 1 of the block, the block lengths b adding up to ``steps``.
 
     Each row's result has the bits of :func:`hug_steps` on that row alone:
-    the gradients come from the constraint's ``gradient_rows`` and the row
-    dots from ``np.vecdot``, neither of which mixes rows.  A row whose
-    gradient is not finite or vanishes, where :func:`hug_steps` would raise
-    :class:`~hugint.errors.SingularGeometryError`, turns NaN and stays NaN;
-    the other rows carry on.  X and V are converted and checked once, and
+    the gradients come from the constraint's ``_gradient`` hook, as in
+    :func:`hug_steps`, and the row dots from ``np.vecdot``, neither of which
+    mixes rows.  A row whose gradient is not finite or vanishes, where
+    :func:`hug_steps` would raise :class:`~hugint.errors.SingularGeometryError`,
+    turns NaN and stays NaN; the other rows carry on.  X and V are converted and checked once, and
     h V_k is carried from step k to step k + 1, as in :func:`hug_steps`.
     A block is as long as :data:`ROWS_BLOCK_FLOATS` allows, one step at
     least, and is stepped under one ``np.errstate(over="ignore")`` that ends
@@ -234,7 +235,7 @@ def hug_steps_rows(
         with np.errstate(over="ignore"):  # an overflowing gradient is a NaN row, as below
             for X_next, V_next in zip(Xs, Vs):
                 np.add(X, HV, out=Y)
-                G = constraint.gradient_rows(Y)
+                G = constraint._gradient(Y)
                 gg = np.vecdot(G, G)
                 # a NaN fails the first test, so NaN rows take the mask; zero rows skip it
                 if not (GRADIENT_FLOOR < np.minimum.reduce(gg, initial=np.inf)

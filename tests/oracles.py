@@ -279,7 +279,7 @@ def step_rows_reference(
     h = 0.5 * delta
     Y = X + h * V
     with np.errstate(over="ignore"):  # an overflowing gradient is a NaN row, as below
-        G = constraint.gradient_rows(Y)
+        G = constraint._gradient(Y)
         gg = np.vecdot(G, G)
     gg[~(np.isfinite(gg) & (gg > GRADIENT_FLOOR))] = np.nan
     Q = G / np.sqrt(gg)[:, None]
@@ -301,7 +301,7 @@ def steps_rows_per_step(
     while True:
         Y = X + HV
         with np.errstate(over="ignore"):
-            G = constraint.gradient_rows(Y)
+            G = constraint._gradient(Y)
             gg = np.vecdot(G, G)
         if not (GRADIENT_FLOOR < gg.min(initial=np.inf) and gg.max(initial=0.0) < np.inf):
             gg[~(np.isfinite(gg) & (gg > GRADIENT_FLOOR))] = np.nan

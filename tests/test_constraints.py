@@ -83,7 +83,7 @@ def test_closed_form_sphere_matches_dense_quadric_bitwise(n):
             for v in (x, w, X.T):
                 v[0] = 0.0
                 v[rng.random(v.shape) < 0.25] = 0.0
-            gradient, rows = quadric.gradient(x), quadric.gradient_rows(X)
+            gradient, rows = quadric.gradient(x), quadric._gradient(X)
             contraction = quadric.hessian_contraction(x, w)
             assert np.array_equal(quadric.value(x), [-np.vdot(x.dot(A), x)])
             assert np.array_equal(gradient, H.dot(x))
@@ -131,7 +131,7 @@ def test_dense_quadric_at_an_infinite_coordinate_raises_without_a_warning():
                 with pytest.raises(SingularGeometryError, match="gradient is not finite"):
                     normal()
             assert not np.isfinite(quadric.value(x)).any()
-            assert not np.isfinite(quadric.gradient_rows(x[None])).all()
+            assert not np.isfinite(quadric._gradient(x[None])).all()
 
 
 def test_quadric_derivatives_match_the_formula_bitwise():

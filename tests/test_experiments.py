@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
+import statistics
 
 import numpy as np
 import pytest
@@ -363,6 +365,11 @@ def test_run_foldback_gap_is_taken_at_the_step_times(tmp_path, delta, steps):
 
 
 def test_run_ellipsoid_reruns_byte_identical(tmp_path):
+    """Two runs at one seed write the same bytes and summaries, and the
+    showcase rows read as their own trajectories.  That last check compares
+    two BLAS routes, the rows stream's ``np.vecdot`` on rows of a block against
+    ``hug_trajectory``'s ``ndarray.dot`` on fresh arrays: they round alike
+    under the SkylakeX and Haswell OpenBLAS kernels, not under Prescott."""
     base = dict(
         experiment="ellipsoid", seed=5, dim=3, delta=0.01, steps=30, replicates=16
     )
@@ -387,7 +394,10 @@ def test_run_ellipsoid_reruns_byte_identical(tmp_path):
 def test_run_ellipsoid_uses_full_quadric_matrix(tmp_path):
     """Each scatter row's d_max is the excursion of a hug trajectory on the
     configured quadric, off-diagonal entries included, from that replicate's
-    velocity."""
+    velocity.  This compares two BLAS routes, the rows stream's ``np.vecdot``
+    on rows of a block against ``hug_trajectory``'s ``ndarray.dot`` on fresh
+    arrays: they round alike under the SkylakeX and Haswell OpenBLAS kernels,
+    not under Prescott."""
     matrix = [[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]]
     run_ellipsoid(ExperimentConfig(
         experiment="ellipsoid", out=str(tmp_path), seed=1, steps=50, replicates=4,
@@ -454,12 +464,12 @@ def test_scatter_study_is_bitwise_the_reference(case):
 
 
 class _FencedRows(QuadricConstraint):
-    """The 3-D ellipsoid preset whose rows gradient vanishes where x_2 > 0.03,
-    without a Python call per row."""
+    """The 3-D ellipsoid preset whose unchecked gradient of rows vanishes
+    where x_2 > 0.03, without a Python call per row."""
 
-    def gradient_rows(self, X):
-        G = super().gradient_rows(X)
-        G[X[:, 1] > 0.03] = 0.0
+    def _gradient(self, Y):
+        G = super()._gradient(Y)
+        G[Y[:, 1] > 0.03] = 0.0
         return G
 
 
@@ -485,6 +495,8 @@ def test_d_max_across_block_boundaries_is_bitwise_the_per_step_loop(rows, length
 
 
 def test_run_ecdf_small(tmp_path):
+    """Each dimension's mean fraction and its standard error, with the sample
+    standard deviation (N - 1 in the denominator), are read back from its CSV."""
     cfg = ExperimentConfig(
         experiment="ecdf", out=str(tmp_path), seed=3, delta=0.01, steps=20, replicates=12
     )
@@ -493,6 +505,11 @@ def test_run_ecdf_small(tmp_path):
     for dim in (3, 6):
         schema, header, rows = read_csv(str(tmp_path / f"ecdf_n{dim}.csv"))
         assert schema == "ellipsoid-ecdf/1" and len(rows) == 12
+        fractions = [float(row[0]) for row in rows]
+        stats = summary["dims"][str(dim)]
+        assert stats["mean_fraction"] == pytest.approx(statistics.fmean(fractions), rel=1e-12)
+        stderr = statistics.stdev(fractions) / math.sqrt(len(fractions))
+        assert stats["stderr"] == pytest.approx(stderr, rel=1e-12)
     assert isinstance(summary["higher_dim_mean_fraction_larger"], bool)
 
 
@@ -507,15 +524,20 @@ def test_run_sphere_tail_config(tmp_path):
 
 
 def test_run_chain_small(tmp_path):
+    """The burn-in is a tenth of a chain shorter than 10,000 iterations, and the
+    second moments are the mean squares of ``chain.csv`` past it."""
     cfg = ExperimentConfig(
-        experiment="chain", out=str(tmp_path), seed=1, iterations=300
+        experiment="chain", out=str(tmp_path), seed=1, iterations=1000
     )
     summary = run_chain(cfg)
-    assert summary["iterations"] == 300
+    assert summary["iterations"] == 1000
     assert 0.0 <= summary["hug_acceptance_rate"] <= 1.0
     assert summary["target_second_moments"] == [0.5, 0.125]
     _, _, rows = read_csv(str(tmp_path / "chain.csv"))
-    assert len(rows) == 301
+    assert len(rows) == 1001
+    assert summary["burn_in"] == 100
+    samples = np.array([[float(x) for x in row[1:]] for row in rows[100:]])
+    assert summary["second_moments"] == (samples**2).mean(axis=0).tolist()
 
 
 def test_run_chain_target_moments_of_a_non_diagonal_quadric(tmp_path):

@@ -96,7 +96,11 @@ def _trajectory_case(kind: str):
 @pytest.mark.parametrize("kind", TRAJECTORY_CASES)
 def test_trajectory_fields_are_bitwise_the_eager_recorder(kind):
     """Stored and derived fields alike have the bits of the trajectory that
-    recorded times, midpoints and levels as it stepped."""
+    recorded times, midpoints and levels as it stepped.  The callable case
+    compares two BLAS routes: its levels take ``x @ A @ x`` on rows of the
+    record against the stream's fresh arrays, which round alike under the
+    SkylakeX and Haswell OpenBLAS kernels, not under Prescott, whose dot
+    rounds by its operands' alignment."""
     constraint, initial, params = _trajectory_case(kind)
     t = hug_trajectory(constraint, initial, params)
     expected = trajectory_reference(constraint, initial, params)
@@ -243,7 +247,7 @@ def test_stream_checks_its_start_at_the_first_next(kind, bad):
 class _FencedGradient(QuadricConstraint):
     """The 3-D ellipsoid preset whose public ``gradient`` reads ``beyond`` in
     every entry where x_2 > 0.2; overriding ``gradient`` alone must put the
-    override on every step of the stream."""
+    override on every step of both streams."""
 
     def __init__(self, beyond):
         super().__init__(np.diag(ELLIPSOID_DIAGS[3]))
@@ -264,7 +268,9 @@ def test_singular_gradient_at_a_later_step_raises_from_that_next(beyond, message
     """The start is checked once, and each midpoint's gradient still is:
     the midpoint of step 3 is the first past the fence, so steps 1 and 2
     have the plain quadric's bits and the third ``next`` raises
-    ``SingularGeometryError`` with ``unit_normal``'s message, at that midpoint."""
+    ``SingularGeometryError`` with ``unit_normal``'s message, at that midpoint.
+    The rows stream reads the same override: on that one row, steps 1 and 2
+    have the same bits and the row is NaN from step 3 on."""
     x, v, delta = np.eye(3)[0], np.array([0.0, 1.0, 0.5]), 0.1
     plain = list(islice(hug_steps(QuadricConstraint(np.diag(ELLIPSOID_DIAGS[3])), x, v, delta), 2))
     midpoint = plain[1][0] + 0.5 * delta * plain[1][1]
@@ -276,6 +282,10 @@ def test_singular_gradient_at_a_later_step_raises_from_that_next(beyond, message
     with pytest.raises(SingularGeometryError, match=message) as info:
         next(stream)
     assert np.array_equal(info.value.x, midpoint)
+    [(Xs, Vs)] = hug_steps_rows(_FencedGradient(beyond), x[None], v[None], delta, 5)
+    for (x_k, v_k), X_k, V_k in zip(plain, Xs, Vs):
+        assert np.array_equal(X_k, [x_k]) and np.array_equal(V_k, [v_k])
+    assert len(Xs) == 5 and np.isnan(Xs[2:]).all() and np.isnan(Vs[2:]).all()
 
 
 def test_hug_step_rows_masks_singular_rows():

@@ -39,6 +39,14 @@ REMOVED_BY_FORMER_MODULE = {
     "hugint.ellipse": ("reduced_solve", "libration_turning_points"),
 }
 
+#: Methods the package no longer has, by the class that held them: the
+#: codim-1 gradient at each row of a stack is the unchecked ``_gradient`` hook,
+#: which takes a point or rows.
+REMOVED_METHODS_BY_CLASS = {
+    "ConstraintMap": ("gradient_rows",),
+    "QuadricConstraint": ("gradient_rows",),
+}
+
 
 def test_public_surface_is_sorted_resolves_and_holds_no_oracle():
     assert hugint.__all__ == sorted(set(hugint.__all__))
@@ -53,6 +61,9 @@ def test_public_surface_is_sorted_resolves_and_holds_no_oracle():
                 assert not hasattr(hugint, name), f"hugint.{name}"
     for name in ORACLE_METHODS_OF_ELLIPSE_MODEL:
         assert not hasattr(hugint.EllipseModel, name), f"EllipseModel.{name}"
+    for class_name, names in REMOVED_METHODS_BY_CLASS.items():
+        for name in names:
+            assert not hasattr(getattr(hugint, class_name), name), f"{class_name}.{name}"
 
 
 def test_hug_kernel_reads_norm_invariance_from_the_distribution_alone():

@@ -126,7 +126,10 @@ def test_codim1_step_is_bitwise_the_bundle_step(kind, n, seed):
     builds no bundle; five steps must match the bundle route bit for bit.
     So must the first step of the rows stream, ``hug_steps_rows``: each row
     of a stack of the drawn (x, v) and three more, and the drawn row alone as
-    a one-row stack, whatever else shares the stack."""
+    a one-row stack, whatever else shares the stack.  This compares two BLAS
+    routes, the step's ``ndarray.dot`` against the bundle's matrix products:
+    they round alike under the SkylakeX and Haswell OpenBLAS kernels, not
+    under Prescott."""
     constraint = _codim1_map(kind, n)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n)
@@ -225,7 +228,10 @@ def test_rows_stream_is_bitwise_the_reference_rows_step(kind, seed, rows, steps)
     """``hug_steps_rows`` carries h V_k from one step to the next and skips
     the NaN mask while every row is regular; each of its K steps, which come
     as one block, must still have the bits of the one-call rows step,
-    ``oracles.step_rows_reference``, chained K times."""
+    ``oracles.step_rows_reference``, chained K times.  This compares two BLAS
+    routes, ``np.vecdot`` on rows of a block against rows of fresh arrays:
+    they round alike under the SkylakeX and Haswell OpenBLAS kernels, not
+    under Prescott, whose dot rounds by its operands' alignment."""
     constraint = STREAM_MAPS[kind]
     n = constraint.ambient_dim
     rng = np.random.default_rng(seed)

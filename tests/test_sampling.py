@@ -334,6 +334,12 @@ CHAIN_TARGETS = {
 }
 
 
+#: Steps long enough that the quadric chains reject 12 to 24 of their 200 hug
+#: moves under each OpenBLAS kernel tried (SkylakeX, Haswell, Prescott); at
+#: ``PARAMS`` the quadric walk chain rejected one move or none, by kernel.
+CHAIN_PARAMS = HugParams(step_size=0.5, steps=10)
+
+
 @pytest.mark.parametrize("walk_scale", [0.5, None], ids=["walk", "hug-only"])
 @pytest.mark.parametrize("kind", CHAIN_TARGETS)
 def test_run_chain_is_bitwise_the_reference_chain(kind, walk_scale):
@@ -344,11 +350,11 @@ def test_run_chain_is_bitwise_the_reference_chain(kind, walk_scale):
     target = CHAIN_TARGETS[kind]
     x0, sigma = np.array([0.6, 0.3]), 1.3
     record = run_chain(
-        target, x0, PARAMS, IsotropicGaussian(dim=2, sigma=sigma),
+        target, x0, CHAIN_PARAMS, IsotropicGaussian(dim=2, sigma=sigma),
         np.random.default_rng(21), 200, walk_scale=walk_scale,
     )
     states, hug_accepted, walk_accepted, singular = chain_reference(
-        target, x0, PARAMS, sigma, np.random.default_rng(21), 200, walk_scale=walk_scale
+        target, x0, CHAIN_PARAMS, sigma, np.random.default_rng(21), 200, walk_scale=walk_scale
     )
     assert np.array_equal(record.states, states)
     assert np.array_equal(record.hug_accepted, hug_accepted)
