@@ -17,16 +17,18 @@ timed just before and just after the row: ``dense`` (about 10 ms of n = 1000
 reflection work) for the n = 1000 rows, ``small`` (about 1 ms of small-array
 numpy calls) for the others.  The ratio is what to compare
 across runs: on a shared host numpy code slows by up to 2x for seconds at a
-time, and the reference slows with it.  A row that the measured package
-cannot run (a function it does not have) records null.  Beside each median
+time, and the reference slows with it.  Each row resolves the functions it
+times inside its timer, so a row that the measured package cannot run (a
+function it does not have, or has with another signature: ``AttributeError``,
+``ImportError`` or ``TypeError``) records null and the other rows run on.  Beside each median
 the row records the first and third quartiles over the rounds, so a run
 whose rounds spread widely shows as one.  The rows:
 
 - ``hug_steps_rows.step``: one step inside a ``hug_steps_rows`` stream on
   R = 14 rows of the 3-D ellipsoid preset, all from e1, the replicated
   studies' shape (10 replicates, 4 showcase): the stream's blocks of the
-  whole run divided by its step count where the stream takes a step count
-  and yields blocks, one ``next`` per step where it yields single steps;
+  whole run divided by its step count (null for a stream that takes no step
+  count);
 - ``scatter_study.step``: one step of ``experiments._scatter_study`` on the
   same rows with its d_max bookkeeping, as the difference of two step counts;
 - ``hug_step``: one step as one call, ``next(hug_steps(...))``, on the 2-D
@@ -58,14 +60,16 @@ whose rounds spread widely shows as one.  The rows:
   fixed cost (parse, config, runner, CSV, manifest, summary).
 
 The ``e2e`` group (each CLI experiment at desk defaults) is not measured yet
-and reads null.
+and reads null.  The provenance block names the OpenBLAS kernel that numpy's
+bundled scipy-openblas runs on (``SkylakeX``, ``Haswell``, ...; it follows
+``OPENBLAS_CORETYPE``), or null where numpy bundles no such library.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import inspect
+import ctypes
 import io
 import json
 import os
@@ -101,19 +105,15 @@ def measure(quick: bool) -> dict:
     sys.path.insert(0, str(ROOT / "perfbench"))
     from reference import dense, small
 
-    from hugint import cli, dynamics, integrator, projectors, sampling
+    from hugint import cli, dynamics, experiments, integrator, projectors, sampling
     from hugint.constraints import QuadricConstraint, SphereConstraint, SphereSlicedConstraint
     from hugint.experiments import (
-        BENCH_DIAG, BENCH_V0, BENCH_X0, ELLIPSOID_DIAGS, SHOWCASE_NORMAL_SPEEDS,
-        ExperimentConfig, _scatter_study, uniform_sphere,
+        BENCH_DIAG, BENCH_V0, BENCH_X0, ELLIPSOID_DIAGS, SHOWCASE_NORMAL_SPEEDS, ExperimentConfig,
     )
 
     repeat, scale = (2, 0.05) if quick else (7, 1.0)
     preset = QuadricConstraint(np.diag(ELLIPSOID_DIAGS[3]))
     e1 = np.eye(3)[0]
-    rng = np.random.default_rng(0)
-    V = np.array([uniform_sphere(rng, 3) for _ in range(14)])
-    X = np.broadcast_to(e1, V.shape)
     quadric = QuadricConstraint(np.diag(BENCH_DIAG))
     x, v = np.array(BENCH_X0), np.array(BENCH_V0)
     sliced3 = SphereSlicedConstraint(3)
@@ -128,7 +128,7 @@ def measure(quick: bool) -> dict:
 
     def study(k):
         config = ExperimentConfig(experiment="ellipsoid", delta=0.01, steps=k, replicates=10)
-        return lambda: _scatter_study(preset, e1, config, 0, SHOWCASE_NORMAL_SPEEDS)
+        return lambda: experiments._scatter_study(preset, e1, config, 0, SHOWCASE_NORMAL_SPEEDS)
 
     def scatter_step():
         short, long = study(steps // 10), study(steps // 10 + steps)
@@ -145,8 +145,10 @@ def measure(quick: bool) -> dict:
             max(2, int(50 * scale)), repeat)
 
     def field(constraint, x, v):
-        f, y = dynamics.phase_field(constraint), np.concatenate([x, v])
-        return lambda: _best_us(lambda: f(0.0, y), 2 * steps, repeat)
+        def timer():
+            f, y = dynamics.phase_field(constraint), np.concatenate([x, v])
+            return _best_us(lambda: f(0.0, y), 2 * steps, repeat)
+        return timer
 
     # the chain experiment at desk settings: its start e1, delta 0.1, K 10, walk 0.5
     chain_x, chain_params = np.eye(2)[0], integrator.HugParams(0.1, 10)
@@ -169,13 +171,13 @@ def measure(quick: bool) -> dict:
             return _best_us(lambda: cli.main(argv), max(2, int(200 * scale)), repeat)
 
     def rows_step():
-        rows_stream = integrator.hug_steps_rows
-        if "steps" in inspect.signature(rows_stream).parameters:  # a stream of blocks
-            def run():
-                for _ in rows_stream(preset, X, V, 0.01, steps):
-                    pass
-        else:  # a stream of single steps
-            run = stream(lambda: rows_stream(preset, X, V, 0.01))
+        rng = np.random.default_rng(0)
+        V = np.array([experiments.uniform_sphere(rng, 3) for _ in range(14)])
+        X = np.broadcast_to(e1, V.shape)
+
+        def run():
+            for _ in integrator.hug_steps_rows(preset, X, V, 0.01, steps):
+                pass
         return _best_us(run, 1, repeat, steps)
 
     timers = {
@@ -202,15 +204,30 @@ def measure(quick: bool) -> dict:
     small_number, dense_number = max(2, int(20 * scale)), max(2, int(2 * scale))
     result = {}
     for name in ROWS:
-        if timers[name] is None:
-            result[name] = None
-            continue
         reference, number = (dense, dense_number) if name in DENSE_ROWS else (small, small_number)
         before = _best_us(reference, number, repeat)
-        us = timers[name]()
+        try:
+            us = timers[name]()
+        except (AttributeError, ImportError, TypeError):  # no such function, or another signature
+            result[name] = None
+            continue
         reference_us = 0.5 * (before + _best_us(reference, number, repeat))
         result[name] = {"us": us, "ratio": us / reference_us}
     return result
+
+
+def openblas_kernel() -> str | None:
+    """The kernel name that numpy's bundled scipy-openblas reports, or None
+    where numpy bundles no such library."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return None
 
 
 def _spawn(src: str, quick: bool) -> dict:
@@ -263,6 +280,7 @@ def main(argv: list[str] | None = None) -> int:
             "numpy": np.__version__,
             "nproc": len(os.sched_getaffinity(0)),
             "blas_threads": PINNED_ENV["OPENBLAS_NUM_THREADS"],
+            "openblas_kernel": openblas_kernel(),
         },
         "method": "per row: median over rounds of the best-of-repeats µs per call or step, "
                   "and of its ratio to perfbench/reference.py's dense loop (n = 1000 rows) "

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import HugError
 from .experiments import EXPERIMENTS, RUNNERS, SETTINGS, ConfigError, ExperimentConfig
-from .output import write_manifest
+from .output import _jsonable, write_manifest
 
 
 @functools.cache
@@ -99,8 +99,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
     try:
-        print(json.dumps({"summary": summary, "manifest": manifest_path}, indent=2, default=str),
-              flush=True)
+        print(json.dumps({"summary": summary, "manifest": manifest_path}, indent=2,
+                         default=_jsonable), flush=True)
     except BrokenPipeError:
         # the files are written; a quiet stdout keeps the flush at exit from failing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -28,9 +28,9 @@ constraint's unchecked ``_gradient`` hook, and carries h v_k from the end
 of step k, x_k = y + h v_k, to the start of step k + 1, y = x_k + h v_k.
 :func:`hug_trajectory` takes K steps from the stream and records only the
 positions and velocities; the :class:`Trajectory` it returns derives step
-times, midpoints and levels from them when read, and keeps the constraint to
-evaluate the levels with.  The Metropolis kernel in :mod:`hugint.sampling`
-takes K too but keeps only the final state.
+times, midpoints, speeds and level drift from them when read, and keeps the
+constraint to evaluate the drift with.  The Metropolis kernel in
+:mod:`hugint.sampling` takes K too but keeps only the final state.
 :func:`hug_steps_rows` is the same codim-1 stream on each row of a stack
 of states, reading the same hook on the stack, with each row's bits those
 of :func:`hug_steps` however many rows share the stack; the replicated
@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -96,8 +95,8 @@ class Trajectory:
 
     Stored: ``xs`` and ``vs``, positions and velocities of shape (K+1, n);
     ``params``, the parameters it was generated with; and ``constraint``, the
-    map it was stepped on.  Derived: ``times``, ``midpoints``, ``speeds`` and
-    ``level_drift`` on every read, and ``levels`` on the first read, then kept.
+    map it was stepped on.  Derived on every read: ``times``, ``midpoints``,
+    ``speeds`` and ``level_drift``.
     """
 
     xs: np.ndarray
@@ -115,14 +114,6 @@ class Trajectory:
         """Halfway points x_k + (delta/2) v_k, shape (K, n)."""
         return self.xs[:-1] + 0.5 * self.params.step_size * self.vs[:-1]
 
-    @cached_property
-    def levels(self) -> np.ndarray:
-        """Constraint values f(x_k), shape (K+1, m), one ``value`` call per state."""
-        levels = np.empty((len(self.xs), self.constraint.codim))
-        for k, x in enumerate(self.xs):
-            levels[k] = self.constraint.value(x)
-        return levels
-
     @property
     def speeds(self) -> np.ndarray:
         """||v_k|| for each step, shape (K+1,)."""
@@ -130,8 +121,11 @@ class Trajectory:
 
     @property
     def level_drift(self) -> np.ndarray:
-        """||f(x_k) - f(x_0)|| for each step, shape (K+1,)."""
-        return np.linalg.norm(self.levels - self.levels[0], axis=1)
+        """||f(x_k) - f(x_0)|| for each step, shape (K+1,), one ``value`` call per state."""
+        levels = np.empty((len(self.xs), self.constraint.codim))
+        for k, x in enumerate(self.xs):
+            levels[k] = self.constraint.value(x)
+        return np.linalg.norm(levels - levels[0], axis=1)
 
     @property
     def final(self) -> PhaseState:

@@ -14,9 +14,9 @@ evaluates the general formula for any other velocity distribution.
 
 A proposal needs only (x_K, v_K), so the kernel takes K steps from the
 integrator's stream, :func:`~hugint.integrator.hug_steps`, keeps the last
-and records no trajectory.  Each kernel takes ell at its start and returns
-ell at its end, so :func:`run_chain` carries ell(x) from move to move and
-evaluates ell only at proposals: at x_K and nowhere in between.
+and records no trajectory.  Each kernel is given ell at its start and
+returns ell at its end, so :func:`run_chain` carries ell(x) from move to move
+and evaluates ell only at proposals: at x_K and nowhere in between.
 
 Since the moves nearly preserve ell, a chain of hugging proposals alone
 explores a single contour.  :func:`run_chain` can interleave a plain
@@ -45,7 +45,8 @@ class IsotropicGaussian:
     """Velocity distribution N(0, sigma^2 I), independent of position.
 
     ``norm_invariant`` is True because the log-density depends on v only
-    through ||v||, which the integrator preserves.
+    through ||v||, which the integrator preserves, so :func:`hug_kernel`
+    never evaluates it.
     """
 
     norm_invariant: ClassVar[bool] = True
@@ -55,14 +56,6 @@ class IsotropicGaussian:
 
     def sample(self, rng: np.random.Generator, x: np.ndarray) -> np.ndarray:
         return self.sigma * rng.standard_normal(self.dim)
-
-    def log_density(self, v: np.ndarray, x: np.ndarray) -> float:
-        v = np.asarray(v, dtype=float)
-        return float(
-            -0.5 * (v @ v) / self.sigma**2
-            - self.dim * np.log(self.sigma)
-            - 0.5 * self.dim * np.log(2.0 * np.pi)
-        )
 
 
 class KernelResult(NamedTuple):
@@ -91,21 +84,20 @@ def hug_kernel(
     params: HugParams,
     velocity_dist: IsotropicGaussian,
     rng: np.random.Generator,
-    log_density: float | None = None,
+    log_density: float,
 ) -> KernelResult:
     """One hugging Metropolis-Hastings move from x.
 
     The velocity-distribution terms of log r are dropped when the
     distribution's ``norm_invariant`` is True, where they cancel exactly, and
-    evaluated by the general formula otherwise.  The proposal
-    takes K steps from :func:`~hugint.integrator.hug_steps` and keeps only
-    the final pair (x_K, v_K).  ``log_density`` is ell(x), evaluated only
-    when not given; ell is otherwise read at x_K only.  A rank-deficient
-    gradient at any step yields an immediate rejection at x flagged ``singular``.
+    evaluated by the general formula, through its ``log_density(v, x)``,
+    otherwise.  The proposal takes K steps from
+    :func:`~hugint.integrator.hug_steps` and keeps only the final pair
+    (x_K, v_K).  ``log_density`` is ell(x); ell is read at x_K only.  A
+    rank-deficient gradient at any step yields an immediate rejection at x
+    flagged ``singular``.
     """
     x = np.asarray(x, dtype=float)
-    if log_density is None:
-        log_density = log_density_of(target, x)
     v0 = velocity_dist.sample(rng, x)
     x_k, v_k = x, v0
     try:
@@ -128,12 +120,10 @@ def random_walk_kernel(
     x: np.ndarray,
     scale: float,
     rng: np.random.Generator,
-    log_density: float | None = None,
+    log_density: float,
 ) -> KernelResult:
     """Random-walk Metropolis move with a N(0, scale^2 I) proposal; ell(x) as in hug_kernel."""
     x = np.asarray(x, dtype=float)
-    if log_density is None:
-        log_density = log_density_of(target, x)
     proposal = x + scale * rng.standard_normal(x.shape)
     log_density_p = log_density_of(target, proposal)
     log_ratio = log_density_p - log_density

@@ -22,9 +22,10 @@ integrated extreme of a libration, the reduced derivative at a state, the
 equilibria of the reduced system, the reader of the files ``write_csv``
 writes (``read_csv``), an isotropic Gaussian that does not declare itself
 norm-invariant (``GeneralFormulaGaussian``), so that the kernel evaluates the
-general acceptance formula on it, and an affine map f(x) = B x - c whose
-Hessian vanishes (``AffineConstraint``), the degenerate family of the tests
-that run on every kind of map.
+general acceptance formula on it, with the log-density that formula reads,
+and an affine map f(x) = B x - c whose Hessian vanishes
+(``AffineConstraint``), the degenerate family of the tests that run on every
+kind of map.
 
 Thirteen are earlier forms of package code that now runs another way, kept to
 hold it to the same bits or bytes: the checked QR factorization through
@@ -35,8 +36,8 @@ hold it to the same bits or bytes: the checked QR factorization through
 step per yield (``steps_rows_per_step``) with the d_max loop on it
 (``d_max_per_step``) against the blocks of ``_d_max_rows``, the trajectory that
 recorded its times, midpoints and levels as it stepped
-(``trajectory_reference``) against the ``Trajectory`` that derives them when
-read, the position errors read off one solve on the union of the step-size
+(``trajectory_reference``) against the ``Trajectory`` that derives its fields
+when read, the position errors read off one solve on the union of the step-size
 grids (``position_errors_reference``) against ``convergence_study``, the
 scatter study stepped one call at a time with each step's row norms taken by
 ``np.linalg.norm`` (``scatter_reference``) against ``_scatter_study``, a
@@ -227,7 +228,6 @@ def trajectory_reference(
         "xs": xs,
         "vs": vs,
         "midpoints": xs[:-1] + 0.5 * delta * vs[:-1],
-        "levels": levels,
         "speeds": np.linalg.norm(vs, axis=1),
         "level_drift": np.linalg.norm(levels - levels[0], axis=1),
     }
@@ -432,9 +432,18 @@ class AffineConstraint(ConstraintMap):
 
 
 class GeneralFormulaGaussian(IsotropicGaussian):
-    """N(0, sigma^2 I) on which ``hug_kernel`` evaluates the general formula."""
+    """N(0, sigma^2 I) on which ``hug_kernel`` evaluates the general formula,
+    with the log-density that formula reads."""
 
     norm_invariant = False
+
+    def log_density(self, v: np.ndarray, x: np.ndarray) -> float:
+        v = np.asarray(v, dtype=float)
+        return float(
+            -0.5 * (v @ v) / self.sigma**2
+            - self.dim * np.log(self.sigma)
+            - 0.5 * self.dim * np.log(2.0 * np.pi)
+        )
 
 
 def format_cell_reference(value) -> str:

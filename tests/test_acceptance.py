@@ -41,7 +41,7 @@ from hugint.experiments import (
     run_ellipsoid,
 )
 from hugint.integrator import HugParams, PhaseState, hug_steps, hug_trajectory, level_drift_bound
-from hugint.sampling import hug_kernel
+from hugint.sampling import hug_kernel, log_density_of
 from oracles import (
     GeneralFormulaGaussian,
     dense_projectors,
@@ -413,12 +413,12 @@ def test_criterion_10_sampler_acceptance_and_moments(tmp_path):
     params = HugParams(0.1, 10)
     velocity = GeneralFormulaGaussian(dim=3)
     rng = np.random.default_rng(1010)
-    worst = 0.0
+    worst, ell = 0.0, log_density_of(target, x)
     for _ in range(200):
-        result = hug_kernel(target, x, params, velocity, rng)
+        result = hug_kernel(target, x, params, velocity, rng, ell)
         assert result.accepted
         worst = max(worst, abs(result.log_ratio))
-        x = result.state
+        x, ell = result.state, result.log_density
     assert worst <= 1e-12, f"|log r| reached {worst}"
 
     summary = run_chain_experiment(

@@ -205,6 +205,21 @@ def test_main_exit_2_when_numpy_refuses_the_record_shape(
     assert not list(tmp_path.iterdir())
 
 
+def test_stdout_summary_is_encoded_as_the_manifest_summary(tmp_path, monkeypatch, capsys):
+    """A numpy integer, float or array in a runner's summary prints as the
+    number or list the manifest records, not as its ``str``."""
+    summary = {"count": np.int64(4), "scale": np.float32(0.5), "moments": np.array([1.0, 2.0])}
+    monkeypatch.setitem(RUNNERS, "sphere-tail", lambda config: summary)
+    out = tmp_path / "out"
+    assert main(["sphere-tail", "--h", "0.3", "--dim", "3", "--out", str(out)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    manifest = json.loads((out / "sphere-tail.manifest.json").read_text())
+    assert printed["summary"] == manifest["summary"] == {
+        "count": 4, "scale": 0.5, "moments": [1.0, 2.0]
+    }
+    assert printed["manifest"] == str(out / "sphere-tail.manifest.json")
+
+
 def _exit_code_and_stderr(argv, capsys) -> tuple[int, str]:
     """The exit code of ``main(argv)`` and what it alone wrote to stderr."""
     capsys.readouterr()

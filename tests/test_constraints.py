@@ -191,6 +191,21 @@ def test_chain_on_sphere_target_reads_its_identity_matrix(tmp_path, capsys):
     assert summary["target_second_moments"] == [0.5, 0.5]
 
 
+@pytest.mark.parametrize("dim", [0, -1])
+def test_sphere_refuses_a_dimension_below_one(dim, tmp_path, capsys):
+    """``SphereConstraint`` refuses ambient_dim < 1, and a config file's
+    sphere of that dim is a configuration error, exit 2 before any file."""
+    with pytest.raises(ValueError, match=f"ambient_dim must be >= 1, got {dim}"):
+        SphereConstraint(dim)
+    config_file = tmp_path / "run.json"
+    config_file.write_text(json.dumps({"constraint": {"kind": "sphere", "dim": dim}}))
+    out = tmp_path / "out"
+    assert main(["ellipsoid", "--config", str(config_file), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: bad constraint spec: ambient_dim must be >= 1, got {dim}" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_affine_validation_and_zero_hessian():
     B = np.array([[1.0, 2.0, -1.0], [0.0, 1.0, 1.0]])
     c = np.array([0.5, -1.0])

@@ -64,8 +64,7 @@ def test_trajectory_bookkeeping():
     assert t.xs.shape == (8, 2) and t.vs.shape == (8, 2)
     assert t.midpoints.shape == (7, 2)
     assert np.allclose(t.midpoints, t.xs[:-1] + 0.025 * t.vs[:-1])
-    assert t.levels.shape == (8, 1)
-    assert np.allclose(t.levels[0], constraint.value(initial.x))
+    assert t.level_drift.shape == (8,) and t.level_drift[0] == 0.0
     assert np.allclose(t.final.x, t.xs[-1])
     # replaying single steps reproduces the trajectory
     x, v = initial.x, initial.v
@@ -97,8 +96,8 @@ def _trajectory_case(kind: str):
 def test_trajectory_fields_are_bitwise_the_eager_recorder(kind):
     """Stored and derived fields alike have the bits of the trajectory that
     recorded times, midpoints and levels as it stepped.  The callable case
-    compares two BLAS routes: its levels take ``x @ A @ x`` on rows of the
-    record against the stream's fresh arrays, which round alike under the
+    compares two BLAS routes: its level drift takes ``x @ A @ x`` on rows of
+    the record against the stream's fresh arrays, which round alike under the
     SkylakeX and Haswell OpenBLAS kernels, not under Prescott, whose dot
     rounds by its operands' alignment."""
     constraint, initial, params = _trajectory_case(kind)
@@ -110,10 +109,10 @@ def test_trajectory_fields_are_bitwise_the_eager_recorder(kind):
 
 
 @pytest.mark.parametrize("kind", TRAJECTORY_CASES)
-def test_trajectory_evaluates_levels_once_on_first_read(kind):
+def test_trajectory_evaluates_the_constraint_only_for_level_drift(kind):
     """``hug_trajectory`` makes no ``value`` call, nor does reading any field
-    but the levels; the first read of ``levels`` makes one call per state and
-    later reads reuse it."""
+    but the level drift; each read of ``level_drift`` makes one call per
+    state, and every read has the same bits."""
     constraint, initial, params = _trajectory_case(kind)
     value, calls = constraint.value, []
 
@@ -126,10 +125,10 @@ def test_trajectory_evaluates_levels_once_on_first_read(kind):
     for name in ("times", "midpoints", "speeds", "final"):
         getattr(t, name)
     assert calls == []
-    levels = t.levels
-    assert len(calls) == params.steps + 1
-    assert t.levels is levels and t.level_drift.shape == (params.steps + 1,)
-    assert len(calls) == params.steps + 1
+    drift = t.level_drift
+    assert len(calls) == params.steps + 1 and drift.shape == (params.steps + 1,)
+    assert np.array_equal(t.level_drift, drift)
+    assert len(calls) == 2 * (params.steps + 1)
 
 
 @pytest.mark.parametrize("kind", MAP_KINDS)

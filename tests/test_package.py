@@ -41,10 +41,15 @@ REMOVED_BY_FORMER_MODULE = {
 
 #: Methods the package no longer has, by the class that held them: the
 #: codim-1 gradient at each row of a stack is the unchecked ``_gradient`` hook,
-#: which takes a point or rows.
+#: which takes a point or rows; a trajectory's levels are read only inside
+#: ``level_drift``; and the isotropic velocity's density, which ``hug_kernel``
+#: never evaluates on a norm-invariant distribution, is the test oracle
+#: ``GeneralFormulaGaussian``'s.
 REMOVED_METHODS_BY_CLASS = {
     "ConstraintMap": ("gradient_rows",),
     "QuadricConstraint": ("gradient_rows",),
+    "Trajectory": ("levels",),
+    "IsotropicGaussian": ("log_density",),
 }
 
 
@@ -68,3 +73,9 @@ def test_public_surface_is_sorted_resolves_and_holds_no_oracle():
 
 def test_hug_kernel_reads_norm_invariance_from_the_distribution_alone():
     assert "use_norm_cancellation" not in inspect.signature(hugint.hug_kernel).parameters
+
+
+def test_kernels_require_the_log_density_at_their_start():
+    for kernel in (hugint.hug_kernel, hugint.random_walk_kernel):
+        parameter = inspect.signature(kernel).parameters["log_density"]
+        assert parameter.default is inspect.Parameter.empty, kernel.__name__

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -30,15 +31,20 @@ PARAMS = HugParams(step_size=0.1, steps=10)
 
 
 def test_isotropic_gaussian_velocity_distribution():
+    """The draws have scale sigma; the density of the general-formula copy,
+    which the kernel evaluates on it, is that of N(0, sigma^2 I)."""
     rng = np.random.default_rng(61)
     dist = IsotropicGaussian(dim=3, sigma=2.0)
     draws = np.array([dist.sample(rng, np.zeros(3)) for _ in range(2000)])
     assert abs(draws.std() - 2.0) < 0.1
     # density ratio depends only on the norms
+    general = GeneralFormulaGaussian(dim=3, sigma=2.0)
     va, vb = np.array([1.0, 0.0, 1.0]), np.array([0.0, -1.0, 1.0])
     x = np.zeros(3)
     expected = -0.5 * (va @ va - vb @ vb) / 4.0
-    assert np.isclose(dist.log_density(va, x) - dist.log_density(vb, x), expected)
+    assert np.isclose(general.log_density(va, x) - general.log_density(vb, x), expected)
+    at_zero = -3.0 * np.log(2.0 * np.sqrt(2.0 * np.pi))
+    assert np.isclose(general.log_density(np.zeros(3), x), at_zero)
 
 
 def test_log_density_of_requires_single_component():
@@ -53,10 +59,11 @@ def test_hug_kernel_accepts_isotropic_target():
     rng = np.random.default_rng(62)
     dist = IsotropicGaussian(dim=3)
     x = np.array([1.0, 0.2, -0.3])
+    ell = log_density_of(ISO_TARGET, x)
     for _ in range(50):
-        result = hug_kernel(ISO_TARGET, x, PARAMS, dist, rng)
+        result = hug_kernel(ISO_TARGET, x, PARAMS, dist, rng, ell)
         assert result.accepted and abs(result.log_ratio) < 1e-12
-        x = result.state
+        x, ell = result.state, result.log_density
 
 
 def test_cancellation_and_general_formulas_agree():
@@ -64,10 +71,11 @@ def test_cancellation_and_general_formulas_agree():
     formula must reduce to the shortcut."""
     target = QuadricConstraint(np.diag([1.0, 4.0]))
     x = np.array([1.0, 0.0])
+    ell = log_density_of(target, x)
     shortcut = hug_kernel(target, x, PARAMS, IsotropicGaussian(dim=2, sigma=1.3),
-                          np.random.default_rng(7))
+                          np.random.default_rng(7), ell)
     general = hug_kernel(target, x, PARAMS, GeneralFormulaGaussian(dim=2, sigma=1.3),
-                         np.random.default_rng(7))
+                         np.random.default_rng(7), ell)
     assert abs(shortcut.log_ratio - general.log_ratio) < 1e-12
     assert shortcut.accepted == general.accepted
     assert np.allclose(shortcut.state, general.state)
@@ -93,7 +101,8 @@ def test_singular_proposal_is_rejected_in_place():
     rng = np.random.default_rng(63)
     x = np.array([-0.05, 0.0])
     dist = _FixedVelocity([1.0, 0.0])
-    result = hug_kernel(SphereConstraint(2), x, PARAMS, dist, rng)
+    target = SphereConstraint(2)
+    result = hug_kernel(target, x, PARAMS, dist, rng, log_density_of(target, x))
     assert result.singular and not result.accepted
     assert np.allclose(result.state, x)
     assert result.log_ratio == -np.inf
@@ -142,7 +151,7 @@ def test_kernel_proposal_equals_trajectory_final_state(target):
     v0 = np.array([0.2, 0.9, -0.5])
     final = hug_trajectory(target, PhaseState(x, v0), PARAMS).final
     dist = _RecordingVelocity(v0)
-    result = hug_kernel(target, x, PARAMS, dist, _AlwaysAccept())
+    result = hug_kernel(target, x, PARAMS, dist, _AlwaysAccept(), log_density_of(target, x))
     assert result.accepted and not result.singular
     assert np.array_equal(result.state, final.x)
     (v_k, x_k), (v_first, x_first) = dist.seen
@@ -164,7 +173,8 @@ def test_singular_at_a_later_step_is_rejected_in_place():
     with pytest.raises(SingularGeometryError):
         hug_trajectory(target, PhaseState(x, v), HugParams(0.25, 3))
     result = hug_kernel(
-        target, x, HugParams(0.25, 5), _FixedVelocity(v), np.random.default_rng(65)
+        target, x, HugParams(0.25, 5), _FixedVelocity(v), np.random.default_rng(65),
+        log_density_of(target, x),
     )
     assert result.singular and not result.accepted
     assert np.array_equal(result.state, x)
@@ -201,27 +211,25 @@ def test_generator_random_is_its_uniform_draw():
 @pytest.mark.parametrize("kernel", ["hug", "walk"])
 def test_kernel_returns_the_log_density_of_its_state(kernel, outcome):
     """Each kernel hands back ell at the state it ends in, whether it moved
-    or stayed, and whether ell(x) was passed in or evaluated."""
+    or stayed: the ell(x) it was given, or ell at its proposal."""
     x = np.array([0.4, 0.1])
     # both proposals lower ell (log r about -0.009 and -0.10), so u = 1 rejects them
     rng = _Draws(1e-300 if outcome == "accepted" else 1.0)
-    for given in (None, log_density_of(_GAUSSIAN, x)):
-        if kernel == "hug":
-            dist = _FixedVelocity([1.1, 0.3])
-            result = hug_kernel(_GAUSSIAN, x, PARAMS, dist, rng, log_density=given)
-        else:
-            result = random_walk_kernel(_GAUSSIAN, x, 0.5, rng, log_density=given)
-        assert result.accepted == (outcome == "accepted") and not result.singular
-        assert np.array_equal(result.state, x) != result.accepted
-        assert result.log_density == log_density_of(_GAUSSIAN, result.state)
+    given = log_density_of(_GAUSSIAN, x)
+    if kernel == "hug":
+        dist = _FixedVelocity([1.1, 0.3])
+        result = hug_kernel(_GAUSSIAN, x, PARAMS, dist, rng, log_density=given)
+    else:
+        result = random_walk_kernel(_GAUSSIAN, x, 0.5, rng, log_density=given)
+    assert result.accepted == (outcome == "accepted") and not result.singular
+    assert np.array_equal(result.state, x) != result.accepted
+    assert result.log_density == log_density_of(_GAUSSIAN, result.state)
 
 
 def test_singular_rejection_returns_the_log_density_it_was_given():
     target = SphereConstraint(2)
     x = np.array([-0.05, 0.0])  # the first midpoint is the gradient zero at the origin
     dist = _FixedVelocity([1.0, 0.0])
-    evaluated = hug_kernel(target, x, PARAMS, dist, _Draws(0.5))
-    assert evaluated.singular and evaluated.log_density == log_density_of(target, x)
     given = hug_kernel(target, x, PARAMS, dist, _Draws(0.5), log_density=-7.0)
     assert given.singular and given.log_density == -7.0
 
@@ -277,13 +285,14 @@ def test_random_walk_kernel_acceptance_rule():
     target = QuadricConstraint(np.eye(2))
     accepted = 0
     x = np.array([0.5, 0.5])
+    ell = log_density_of(target, x)
     for _ in range(200):
-        result = random_walk_kernel(target, x, 0.4, rng)
+        result = random_walk_kernel(target, x, 0.4, rng, ell)
         if result.accepted:
             # moves to higher log-density always pass
             assert result.log_ratio > -np.inf
         accepted += result.accepted
-        x = result.state
+        x, ell = result.state, result.log_density
     assert 0 < accepted < 200  # neither stuck nor free-wheeling
 
 
@@ -365,6 +374,53 @@ def test_run_chain_is_bitwise_the_reference_chain(kind, walk_scale):
     assert record.singular_rejections == singular
     assert (singular > 0) == (kind == "fenced")
     assert 0 < hug_accepted.sum() < 200
+
+
+#: The exact-start check's target exp(-x^T A x), A = diag(1, 4), its start
+#: count R, and the 1% critical value of the Kolmogorov distribution, the
+#: limit of sqrt(R) D for R draws from the distribution tested against.
+EXACT_A = np.array([1.0, 4.0])
+EXACT_STARTS = 20_000
+KS_CRITICAL_1PCT = 1.63
+
+#: One Metropolis move of each kernel, given the target, x, the generator and ell(x).
+EXACT_HUG = HugParams(1.0, 5)
+EXACT_MOVES = {
+    "hug-isotropic": partial(hug_kernel, params=EXACT_HUG,
+                             velocity_dist=IsotropicGaussian(dim=2)),
+    "hug-general": partial(hug_kernel, params=EXACT_HUG,
+                           velocity_dist=GeneralFormulaGaussian(dim=2)),
+    "walk": partial(random_walk_kernel, scale=0.5),
+}
+
+
+@pytest.mark.parametrize("kernel", EXACT_MOVES)
+def test_one_move_from_exact_starts_keeps_the_target(kernel):
+    """A Metropolis kernel leaves its target invariant, so one move from each
+    of R starts drawn exactly from the target gives R exact draws again
+    (Geweke 2004).  For x ~ exp(-x^T A x) on R^2, s = x^T A x is Exp(1): the
+    moved draws' s must pass Kolmogorov-Smirnov against Exp(1) at 1%, and
+    their second moments must sit within 4 standard errors, 4 sqrt(2 / R),
+    of 1 / (2 a_i).  At delta 1.0 and K 5 the hug moves' log r is large
+    enough that a kernel accepting every proposal, or with log r negated or
+    halved, fails; at delta 0.5 and K 10 the halved one passed.  A kernel
+    that never moves would pass, so a quarter of the moves must be taken."""
+    target = QuadricConstraint(np.diag(EXACT_A))
+    rng = np.random.default_rng(8)
+    starts = rng.standard_normal((EXACT_STARTS, 2)) * np.sqrt(0.5 / EXACT_A)
+    ells = -(starts**2 @ EXACT_A)  # ell(x) = -x^T A x, to rounding
+    move = EXACT_MOVES[kernel]
+    results = [move(target, x, rng=rng, log_density=ell) for x, ell in zip(starts, ells.tolist())]
+    ends = np.array([result.state for result in results])
+    exp_cdf = -np.expm1(-np.sort(ends**2 @ EXACT_A))
+    ranks = np.arange(EXACT_STARTS + 1) / EXACT_STARTS
+    ks = np.sqrt(EXACT_STARTS) * max((ranks[1:] - exp_cdf).max(), (exp_cdf - ranks[:-1]).max())
+    assert ks <= KS_CRITICAL_1PCT, f"sqrt(R) D = {ks:.2f}"
+    deviations = (ends**2).mean(axis=0) * (2.0 * EXACT_A) - 1.0
+    assert np.abs(deviations).max() <= 4.0 * np.sqrt(2.0 / EXACT_STARTS), deviations
+    accepted = np.mean([result.accepted for result in results])
+    assert 0.25 <= accepted < 1.0
+    print(f"{kernel}: sqrt(R) D {ks:.2f}, moment deviations {deviations}, accepted {accepted:.3f}")
 
 
 def test_run_chain_without_walk_stays_near_level_set():
