@@ -86,11 +86,6 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 ROUNDS = 7
-ROWS = ("hug_steps_rows.step", "scatter_study.step", "hug_step", "hug_steps.step",
-        "hug_steps.step.sliced3", "normal_qr.sliced3", "normal_qr.sliced1000",
-        "hug_trajectory.sphere1000", "hug_trajectory.sliced1000", "phase_field.quadric2",
-        "phase_field.sliced3", "hug_kernel.move", "run_chain.iteration", "cli.main.sphere_tail")
-DENSE_ROWS = ("normal_qr.sliced1000", "hug_trajectory.sphere1000", "hug_trajectory.sliced1000")
 #: CI's codim-2 start on the sliced sphere at n = 3 (the tier1 workflow's sliced config).
 SLICED_X0, SLICED_V0 = (0.73907151, 0.54626892, 0.39413414), (0.2, -0.4, 0.5)
 
@@ -180,34 +175,35 @@ def measure(quick: bool) -> dict:
                 pass
         return _best_us(run, 1, repeat, steps)
 
-    timers = {
-        "hug_steps_rows.step": rows_step,
-        "scatter_study.step": scatter_step,
-        "hug_step": lambda: _best_us(
-            lambda: next(integrator.hug_steps(quadric, x, v, 0.1)), 2 * steps, repeat),
-        "hug_steps.step": lambda: _best_us(
-            stream(lambda: integrator.hug_steps(quadric, x, v, 0.1)), 1, repeat, steps),
-        "hug_steps.step.sliced3": lambda: _best_us(
-            stream(lambda: integrator.hug_steps(sliced3, sliced_x, sliced_v, 0.1)), 1, repeat, steps),
-        "normal_qr.sliced3": lambda: _best_us(
-            lambda: projectors.normal_qr(sliced3, sliced_x), 2 * steps, repeat),
-        "normal_qr.sliced1000": lambda: _best_us(
-            lambda: projectors.normal_qr(sliced1000, x1000), max(2, int(200 * scale)), repeat),
-        "hug_trajectory.sphere1000": trajectory(SphereConstraint(1000)),
-        "hug_trajectory.sliced1000": trajectory(sliced1000),
-        "phase_field.quadric2": field(quadric, x, v),
-        "phase_field.sliced3": field(sliced3, sliced_x, sliced_v),
-        "hug_kernel.move": kernel_move,
-        "run_chain.iteration": chain_iteration,
-        "cli.main.sphere_tail": cli_main,
+    # every row: its reference loop and its timer, in the order the JSON is written
+    table = {
+        "hug_steps_rows.step": (small, rows_step),
+        "scatter_study.step": (small, scatter_step),
+        "hug_step": (small, lambda: _best_us(
+            lambda: next(integrator.hug_steps(quadric, x, v, 0.1)), 2 * steps, repeat)),
+        "hug_steps.step": (small, lambda: _best_us(
+            stream(lambda: integrator.hug_steps(quadric, x, v, 0.1)), 1, repeat, steps)),
+        "hug_steps.step.sliced3": (small, lambda: _best_us(stream(
+            lambda: integrator.hug_steps(sliced3, sliced_x, sliced_v, 0.1)), 1, repeat, steps)),
+        "normal_qr.sliced3": (small, lambda: _best_us(
+            lambda: projectors.normal_qr(sliced3, sliced_x), 2 * steps, repeat)),
+        "normal_qr.sliced1000": (dense, lambda: _best_us(
+            lambda: projectors.normal_qr(sliced1000, x1000), max(2, int(200 * scale)), repeat)),
+        "hug_trajectory.sphere1000": (dense, trajectory(SphereConstraint(1000))),
+        "hug_trajectory.sliced1000": (dense, trajectory(sliced1000)),
+        "phase_field.quadric2": (small, field(quadric, x, v)),
+        "phase_field.sliced3": (small, field(sliced3, sliced_x, sliced_v)),
+        "hug_kernel.move": (small, kernel_move),
+        "run_chain.iteration": (small, chain_iteration),
+        "cli.main.sphere_tail": (small, cli_main),
     }
-    small_number, dense_number = max(2, int(20 * scale)), max(2, int(2 * scale))
+    numbers = {small: max(2, int(20 * scale)), dense: max(2, int(2 * scale))}
     result = {}
-    for name in ROWS:
-        reference, number = (dense, dense_number) if name in DENSE_ROWS else (small, small_number)
+    for name, (reference, timer) in table.items():
+        number = numbers[reference]
         before = _best_us(reference, number, repeat)
         try:
-            us = timers[name]()
+            us = timer()
         except (AttributeError, ImportError, TypeError):  # no such function, or another signature
             result[name] = None
             continue
@@ -241,7 +237,7 @@ def _summary_rows(rounds: list[dict]) -> dict:
     """Per row, the median over the rounds of its µs and ratio, each with
     its first and third quartiles beside it."""
     summary = {}
-    for name in ROWS:
+    for name in rounds[0]:
         if rounds[0][name] is None:
             summary[name] = None
             continue
@@ -289,7 +285,8 @@ def main(argv: list[str] | None = None) -> int:
         "rounds": len(rounds["after"]),
         "quick": args.quick,
         "before_label": args.before_label if args.before else None,
-        "layer": {name: {side: summaries[side][name] for side in summaries} for name in ROWS},
+        "layer": {name: {side: summaries[side][name] for side in summaries}
+                  for name in summaries["after"]},
         "e2e": None,
     }
     Path(args.out).write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n", "utf-8")

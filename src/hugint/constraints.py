@@ -120,7 +120,7 @@ class ConstraintMap:
         sits in the inner loop of field evaluations.
         """
         x = self.check_point(x)
-        w = np.asarray(w, dtype=float)
+        w = self.check_point(w)
         h = _fd_step(x)
         return (self.jacobian(x + h * w) - self.jacobian(x - h * w)) / (2.0 * h)
 
@@ -191,7 +191,7 @@ class QuadricConstraint(ConstraintMap):
 
     def hessian_contraction(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         self.check_point(x)
-        return self._rows(self._hessian, np.asarray(w, float))[None, :]
+        return self._rows(self._hessian, self.check_point(w))[None, :]
 
     def hessian_norm_bound(self) -> float:
         """Exact operator norm of the (constant) Hessian: 2 * lambda_max(A)."""
@@ -234,7 +234,7 @@ class SphereSlicedConstraint(ConstraintMap):
 
     def value(self, x: np.ndarray) -> np.ndarray:
         x = self.check_point(x)
-        return np.array([-x @ x, np.sin(x[0]) + x[1] ** 2 - x[2]])
+        return np.array([-np.vdot(x, x), np.sin(x[0]) + x[1] ** 2 - x[2]])
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         x = self.check_point(x)
@@ -247,7 +247,7 @@ class SphereSlicedConstraint(ConstraintMap):
 
     def hessian_contraction(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         x = self.check_point(x)
-        w = np.asarray(w, dtype=float)
+        w = self.check_point(w)
         M = np.zeros((2, self.ambient_dim))
         M[0] = -2.0 * w
         M[1, 0] = -np.sin(x[0]) * w[0]

@@ -31,6 +31,8 @@ from hugint.experiments import (
 from hugint.integrator import PhaseState
 from oracles import read_csv
 
+import refusals
+
 
 def _child_env() -> dict:
     """The environment of a child Python that imports this ``hugint``."""
@@ -65,30 +67,15 @@ def test_closed_stdout_exits_0_without_a_traceback(tmp_path):
     assert (tmp_path / "sphere-tail.manifest.json").exists()
 
 
-# counts of 2**63 - 1 or more, and horizons of 1e300: numpy refuses the
-# record's or the time grid's shape before it allocates; a horizon past inf
-# is refused when its step count is rounded to an integer
-_UNRECORDABLE = {
-    "foldback-steps": (["foldback", "--steps", str(2**63 - 1)],
-                       "steps=9223372036854775807 is too many"),
-    "chain-iterations": (["chain", "--iterations", str(2**63)],
-                         "iterations=9223372036854775808 is too many"),
-    "phase-portrait-t-end": (["phase-portrait", "--t-end", "1e300"], "t_end=1e+300 is too long"),
-    "convergence-t-end": (["convergence", "--t-end", "1e300"], "t_end=1e+300 is too long"),
-    "convergence-t-end-past-inf": (["convergence", "--t-end", "1e308"], "t_end=1e+308 is too long"),
-    "foldback-delta-steps": (["foldback", "--delta", "1e18", "--steps", "1"],
-                             "delta=1e+18 times steps=1 is too long"),
-}
-
-
-@pytest.mark.parametrize("case", _UNRECORDABLE)
-def test_main_exit_2_on_a_count_too_large_to_record(case, tmp_path, capsys):
-    argv, message = _UNRECORDABLE[case]
-    assert main([*argv, "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: " + message + " to record")
-    assert "Traceback" not in err
-    assert not list(tmp_path.iterdir())
+@pytest.mark.parametrize("row", refusals.ROWS, ids=[row.id for row in refusals.ROWS])
+def test_refused_run(row, tmp_path, monkeypatch, capsys):
+    """Each row of ``tests/refusals.py``: its exit code, one stderr line with
+    its message, no stdout and no file; CI puts the same rows through the
+    console script."""
+    monkeypatch.chdir(tmp_path)
+    code = main(refusals.prepare(row, tmp_path))
+    out, err = capsys.readouterr()
+    assert not refusals.problems(row, tmp_path, code, out, err), err
 
 
 def test_a_start_at_a_turning_point_runs(tmp_path, capsys):
@@ -262,59 +249,6 @@ def test_parser_scopes_flags_to_experiments(capsys):
     assert err == build_parser().format_usage() + "hugint: error: unrecognized arguments: --bogus\n"
 
 
-_OUT_OF_RANGE = [
-    (["ellipsoid", "--replicates", "0"], "replicates must be >= 2"),
-    (["foldback", "--delta", "-0.1"], "delta must be positive and finite"),
-    (["chain", "--steps", "-1"], "steps must be >= 1"),
-    (["chain", "--seed", "-1"], "seed must be >= 0"),
-    (["chain", "--iterations", "0"], "iterations must be >= 1"),
-    (["convergence", "--t-end", "-1"], "t_end must be positive and finite"),
-    (["sphere-tail", "--h", "2", "--dim", "3"], "h must lie in [0, 1]"),
-    (["sphere-tail", "--dim", "1", "--h", "0.5"], "need dim >= 2"),
-    (["sphere-tail", "--dim", "1" + "0" * 400, "--h", "0.3"], "dim is too large for a float"),
-    (["ellipsoid", "--dim", "4"], "no ellipsoid preset for dim=4"),
-    (["table1", "--config", "missing.json"], "cannot read config file"),
-]
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    _OUT_OF_RANGE,
-    ids=[f"{argv[0]}:{argv[1][2:]}" + (f"-of-{len(argv[2])}-digits" if len(argv[2]) > 20 else "")
-         for argv, _ in _OUT_OF_RANGE],
-)
-def test_main_exit_2_on_out_of_range_setting(argv, message, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)  # where missing.json is missing
-    assert main([*argv, "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and message in err and "Traceback" not in err
-    assert not list(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ('{"velocity_sigma": 0}', "bad config key(s) for chain: velocity_sigma"),
-        ('{"velocity_sigma": -1}', "bad config key(s) for chain: velocity_sigma"),
-        ('{"velocity_sigma": 1e400}', "bad config key(s) for chain: velocity_sigma"),
-        ('{"walk_scale": -0.5}', "walk_scale must be positive and finite"),
-        ('{"x0": [1, 2, 3]}', "x0 must have 2 entries"),
-    ],
-    ids=["sigma-zero", "sigma-negative", "sigma-overflow", "walk-scale-negative", "x0-shape"],
-)
-def test_main_exit_2_on_bad_chain_setting_in_config_file(text, message, tmp_path, capsys):
-    """A start of the wrong dimension must not reach the integrator.  The chain
-    draws unit-scale velocities and reads no velocity scale: under its
-    norm-cancelling kernel a scale sigma only rescales delta."""
-    config_file = tmp_path / "run.json"
-    config_file.write_text(text)
-    out = tmp_path / "out"
-    argv = ["chain", "--iterations", "10", "--config", str(config_file), "--out", str(out)]
-    assert main(argv) == 2
-    assert message in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_load_config_cli_overrides_file(tmp_path):
     config_file = tmp_path / "run.json"
     config_file.write_text(json.dumps({"seed": 5, "delta": 0.25, "out": "from-file"}))
@@ -339,89 +273,6 @@ def test_load_config_rejects_unknown_key(tmp_path):
     args = build_parser().parse_args(["table1", "--config", str(config_file)])
     with pytest.raises(Exception, match="bad config key"):
         load_config(args)
-
-
-@pytest.mark.parametrize(
-    "argv, settings",
-    [
-        (["table1"], {"replicates": 7, "workers": 3}),
-        (["ellipsoid", "--replicates", "8"], {"workers": 2}),
-        (["foldback"], {"experiment": "table1"}),
-        (["ecdf"], {"constraint": {"kind": "sphere", "dim": 3}}),
-        (["sphere-tail", "--h", "0.3", "--dim", "3"],
-         {"constraint": {"kind": "sphere", "dim": 3}, "x0": [1, 0, 0]}),
-        (["phase-portrait"], {"x0": [1, 0], "v0": [0, 1]}),
-        (["ellipsoid"], {"v0": [0, 1, 0]}),
-        (["chain"], {"v0": [0, 1]}),
-        (["table1"], {"velocity_sigma": 2.0}),
-        (["ellipsoid"], {"full_scale": True}),
-    ],
-    ids=["table1:replicates,workers", "ellipsoid:workers", "foldback:experiment",
-         "ecdf:constraint", "sphere-tail:constraint,x0", "phase-portrait:x0,v0",
-         "ellipsoid:v0", "chain:v0", "table1:velocity_sigma", "ellipsoid:full_scale"],
-)
-def test_main_exit_2_on_config_key_the_experiment_does_not_read(argv, settings, tmp_path, capsys):
-    """A key outside the experiment's table entry would run on the defaults
-    and still be recorded in the manifest; it is a config error instead."""
-    config_file = tmp_path / "run.json"
-    config_file.write_text(json.dumps(settings))
-    out = tmp_path / "out"
-    assert main([*argv, "--config", str(config_file), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "bad config key" in err and all(key in err for key in settings)
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "experiment, settings, message",
-    [
-        ("foldback", {"constraint": [1, 4]}, "a constraint must be a JSON object, got [1, 4]"),
-        ("foldback", {"steps": 10.5}, "steps must be an integer"),
-        ("ellipsoid", {"steps": 10.5}, "steps must be an integer"),
-        ("ecdf", {"replicates": 7.5}, "replicates must be an integer"),
-        ("chain", {"iterations": 100.5}, "iterations must be an integer"),
-        ("foldback", {"steps": True}, "steps must be a number"),
-        ("ellipsoid", {"dim": 3.0}, "dim must be an integer"),
-        ("table1", {"seed": 1.5}, "seed must be an integer"),
-        ("foldback", {"delta": 10**400}, "delta is too large for a float"),
-        ("table1", [1, 2], "config file must hold a JSON object"),
-        ("table1", {"constraint": {"kind": "sliced", "dim": 2}}, "need ambient_dim >= 3"),
-        ("table1", {"constraint": {"kind": "quadric", "matrix": [[1, 2, 3]]}}, "A must be square"),
-        ("table1", {"constraint": {"kind": "quadric", "matrix": [1, 2]}}, "A must be square"),
-    ],
-    ids=["constraint-not-object", "foldback-steps-float",
-         "ellipsoid-steps-float", "ecdf-replicates-float", "chain-iterations-float",
-         "steps-bool", "dim-float", "seed-float", "delta-beyond-float", "file-not-object",
-         "sliced-dim-2", "quadric-not-square", "quadric-flat"],
-)
-def test_main_exit_2_on_badly_typed_config_value(
-    experiment, settings, message, tmp_path, capsys
-):
-    """A bad value is a config error, not a traceback; ``10**400`` is a JSON
-    integer that no float can hold, and a constraint of the wrong shape is
-    not a numerical failure."""
-    config_file = tmp_path / "run.json"
-    config_file.write_text(json.dumps(settings))
-    code = main([experiment, "--config", str(config_file), "--out", str(tmp_path / "out")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and message in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize(
-    "experiment, kind", [("ellipsoid", "sphere"), ("table1", "sliced")], ids=["sphere", "sliced"]
-)
-@pytest.mark.parametrize("dim", [2.7, True, "3"], ids=["float", "bool", "string"])
-def test_main_exit_2_on_constraint_dim_not_an_integer(experiment, kind, dim, tmp_path, capsys):
-    """A constraint's ``dim`` is refused as the int settings are, where
-    ``int()`` would run 2.7 on the 2-D sphere and true on the 1-D one."""
-    config_file = tmp_path / "run.json"
-    config_file.write_text(json.dumps({"constraint": {"kind": kind, "dim": dim}}))
-    out = tmp_path / "out"
-    assert main([experiment, "--config", str(config_file), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert f"config error: bad constraint spec: dim must be an integer, got {dim!r}" in err
-    assert "Traceback" not in err and not out.exists()
 
 
 def _wrongly_typed(name: str) -> tuple[str, object, str]:
@@ -475,88 +326,6 @@ def test_main_exit_2_when_out_is_not_a_directory(argv, below, tmp_path, capsys):
     assert main([*argv, "--out", str(regular / below)]) == 2
     err = capsys.readouterr().err
     assert "cannot write output" in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize(
-    "experiment, settings, message",
-    [
-        ("phase-portrait", {"constraint": {"kind": "quadric", "diag": [1, -4]}},
-         "bad constraint spec: A must be positive definite"),
-        ("foldback", {"constraint": {"kind": "quadric", "diag": [1, -4]}},
-         "bad constraint spec: A must be positive definite"),
-        ("table1", {"x0": "abc"}, "x0 must be a list of numbers"),
-        ("convergence", {"x0": [1.0]}, "x0 must have 2 entries"),
-        ("convergence", {"v0": [1, 2, 3]}, "v0 must have 2 entries"),
-        ("foldback", {"v0": [[1.0], [0.5, 0.5]]}, "v0 must be a list of numbers"),
-        ("foldback", {"x0": [2.0, 0.0]}, "x0 must lie on the ellipse 1 x1^2 + 4 x2^2 = 1"),
-        ("foldback", {"x0": [1.0000001, 0.0]}, "x0 must lie on the ellipse"),
-    ],
-    ids=["portrait-not-spd", "foldback-not-spd", "table1-x0-string", "convergence-x0-short",
-         "convergence-v0-long", "foldback-v0-ragged", "foldback-x0-off-ellipse",
-         "foldback-x0-just-off-ellipse"],
-)
-def test_main_exit_2_on_bad_ellipse_or_start(experiment, settings, message, tmp_path, capsys):
-    """An ellipse that is not positive definite, a start that is not a
-    vector of the constraint's dimension and a fold-back start off the model's
-    ellipse are configuration errors, found before any step or solve."""
-    config_file = tmp_path / "run.json"
-    config_file.write_text(json.dumps(settings))
-    out = tmp_path / "out"
-    assert main([experiment, "--config", str(config_file), "--out", str(out)]) == 2
-    assert message in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("diag", ["[1e400, 4]", "[1, 1e400]"], ids=["a-inf", "b-inf"])
-@pytest.mark.parametrize("experiment", ["phase-portrait", "foldback", "chain", "table1"])
-def test_main_exit_2_on_an_infinite_quadric_diagonal(experiment, diag, tmp_path, capsys):
-    """JSON reads 1e400 as inf.  Every experiment reads its map through
-    ``build_constraint``, so each refuses it there, before any step, solve
-    or file, and with the same message."""
-    config_file = tmp_path / "run.json"
-    config_file.write_text('{"constraint": {"kind": "quadric", "diag": %s}}' % diag)
-    out = tmp_path / "out"
-    assert main([experiment, "--config", str(config_file), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "config error: bad constraint spec: A must be finite" in err and "Traceback" not in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("experiment", ["table1", "convergence", "foldback"])
-def test_main_exit_2_on_zero_start_velocity(experiment, tmp_path, capsys):
-    """A zero v0 never leaves x0: every error is zero, so the error-table
-    ratios are 0/0 and the convergence fit has nothing to fit."""
-    config_file = tmp_path / "run.json"
-    config_file.write_text(json.dumps({"v0": [0, 0]}))
-    out = tmp_path / "out"
-    assert main([experiment, "--config", str(config_file), "--out", str(out)]) == 2
-    assert "v0 must not be zero, got [0, 0]" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "experiment, delta",
-    [("ecdf", 1e300), ("ellipsoid", 1e300), ("ecdf", 1e308), ("ellipsoid", 1e308)],
-    ids=["ecdf", "ellipsoid", "ecdf-1e308", "ellipsoid-1e308"],
-)
-def test_main_exit_3_when_every_replicate_fails(experiment, delta, tmp_path, capsys):
-    """At delta = 1e300 every replicate's first gradient overflows, so no
-    d_max is finite and the study has nothing to report; at 1e308 the
-    midpoint itself can overflow, with no floating-point warning either."""
-    config_file = tmp_path / "run.json"
-    config_file.write_text(json.dumps({"delta": delta}))
-    code = main([experiment, "--replicates", "5", "--steps", "2", "--config", str(config_file),
-                 "--out", str(tmp_path / "out")])
-    assert code == 3
-    assert "all 5 replicates hit singular or non-finite geometry" in capsys.readouterr().err
-
-
-def test_ellipsoid_study_rejects_a_codim_2_constraint(tmp_path, capsys):
-    config_file = tmp_path / "run.json"
-    config_file.write_text(json.dumps({"constraint": {"kind": "sliced", "dim": 3}}))
-    code = main(["ellipsoid", "--config", str(config_file), "--out", str(tmp_path / "out")])
-    err = capsys.readouterr().err
-    assert code == 2 and "codimension-1" in err and "Traceback" not in err
 
 
 def test_ellipsoid_study_runs_on_a_sphere(tmp_path, capsys):
@@ -624,79 +393,6 @@ def test_overflowing_walk_proposal_is_a_plain_rejection_without_warning(tmp_path
         code = main(["chain", "--config", str(config_file), "--out", str(tmp_path / "out")])
         assert code == 0, walk_scale
         assert json.loads(capsys.readouterr().out)["summary"]["walk_acceptance_rate"] == 0.0
-
-
-def test_main_exit_3_on_overflowing_gradient(tmp_path, capsys):
-    for delta in (1e300, 1e308):
-        config_file = tmp_path / f"run-{delta:g}.json"
-        config_file.write_text(json.dumps({"delta": delta}))
-        capsys.readouterr()
-        code = main(["foldback", "--config", str(config_file), "--out", str(tmp_path / "out")])
-        assert code == 3, delta
-        err = capsys.readouterr().err
-        assert "singular geometry" in err and "(gradient is not finite)" in err
-        assert "rank deficient" not in err
-
-
-def test_main_exit_2_on_bad_json(tmp_path, capsys):
-    config_file = tmp_path / "broken.json"
-    config_file.write_text("{not json")
-    code = main(["table1", "--config", str(config_file)])
-    assert code == 2
-    assert "config error" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "content",
-    [b'{"delta": 1' + b"0" * 5000 + b"}", b'{"out": "\xff"}'],
-    ids=["integer-of-5001-digits", "not-utf-8"],
-)
-def test_main_exit_2_on_unreadable_config_file(content, tmp_path, capsys):
-    """Python reads no JSON integer of more than 4,300 digits and no bytes that
-    are not UTF-8; either file is a config error, not a traceback."""
-    config_file = tmp_path / "run.json"
-    config_file.write_bytes(content)
-    assert main(["foldback", "--config", str(config_file), "--out", str(tmp_path)]) == 2
-    assert "config error: config file is not readable JSON" in capsys.readouterr().err
-
-
-def test_main_exit_2_on_missing_required_setting(tmp_path, capsys):
-    code = main(["sphere-tail", "--out", str(tmp_path)])
-    assert code == 2
-    assert "needs both h and dim" in capsys.readouterr().err
-
-
-def test_main_exit_3_on_singular_geometry(tmp_path, capsys):
-    """A fold-back whose first midpoint is the origin hits a zero gradient,
-    a fold-back from a NaN start is off every level set, a fold-back with a
-    NaN velocity fails in the map to reduced coordinates, and a codim-2 error
-    table from a non-finite start hits a NaN Jacobian."""
-    config_file = tmp_path / "singular.json"
-    # the first midpoint x0 + (0.1 / 2) v0 is the origin
-    config_file.write_text(json.dumps({"x0": [1.0, 0.0], "v0": [-20.0, 0.0]}))
-    code = main(
-        ["foldback", "--config", str(config_file), "--out", str(tmp_path)]
-    )
-    assert code == 3
-    assert "gradient vanishes" in capsys.readouterr().err
-
-    config_file.write_text(json.dumps({"x0": [float("nan"), 0.0]}))
-    code = main(["foldback", "--config", str(config_file), "--out", str(tmp_path)])
-    assert code == 3
-    assert "numerical failure: point is off the level set" in capsys.readouterr().err
-
-    config_file.write_text(json.dumps({"v0": [float("nan"), 0.0]}))
-    code = main(["foldback", "--config", str(config_file), "--out", str(tmp_path)])
-    assert code == 3
-    assert "(velocity is not finite)" in capsys.readouterr().err
-
-    config_file.write_text(json.dumps(
-        {"constraint": {"kind": "sliced"}, "x0": [float("nan"), 0.5, 0.5], "v0": [1.0, 0.0, 0.0]}
-    ))
-    assert "NaN" in config_file.read_text()
-    code = main(["table1", "--config", str(config_file), "--out", str(tmp_path)])
-    assert code == 3
-    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_main_reuses_its_parser_without_keeping_values(tmp_path, capsys):
@@ -780,20 +476,6 @@ def test_main_runs_convergence(tmp_path, capsys):
     assert 1.8 <= summary["one_step_order"] <= 2.2
     assert 2.6 <= summary["two_step_order"] <= 3.4
     assert 1.8 <= summary["global_order"] <= 2.2
-
-
-def test_main_exit_3_when_every_convergence_error_is_roundoff(tmp_path, capsys):
-    """At speed 1e-6 every error (third order in the speed) sits below the
-    roundoff floor, so no order can be fitted: exit 3 with the fit's
-    message, and no ``convergence.csv`` left behind."""
-    config_file = tmp_path / "slow.json"
-    config_file.write_text(json.dumps({"v0": [0.0, 1e-6]}))
-    out = tmp_path / "out"
-    assert main(["convergence", "--config", str(config_file), "--out", str(out)]) == 3
-    assert capsys.readouterr().err == (
-        "numerical failure: need at least two error values above the roundoff floor\n"
-    )
-    assert not (out / "convergence.csv").exists()
 
 
 def test_main_table1_end_to_end_deterministic(tmp_path, capsys):

@@ -395,6 +395,32 @@ def test_check_point_shape():
         q.value(np.zeros((3, 1)))
 
 
+@pytest.mark.parametrize("shape", [(), (1,), (4,), (2, 3)], ids=str)
+@pytest.mark.parametrize(
+    "constraint",
+    [SphereConstraint(3), QuadricConstraint(np.array([[2, 0.5, 0], [0.5, 1, 0.2], [0, 0.2, 3]])),
+     SphereSlicedConstraint(3), CallableConstraint(3, 1, fn=lambda x: np.array([-(x @ x)]))],
+    ids=["sphere", "dense-quadric", "sliced", "callable"],
+)
+def test_hessian_contraction_refuses_a_w_not_of_shape_n(constraint, shape):
+    """w is checked as the point x is: a scalar or a (1,) w would broadcast
+    into a wrong result, and the sliced sphere would raise an IndexError."""
+    with pytest.raises(DimensionError, match=r"expected point of shape \(3,\)"):
+        constraint.hessian_contraction(np.eye(3)[0], np.ones(shape))
+
+
+def test_sliced_value_overflows_to_minus_inf_with_the_bits_of_its_dot():
+    """f_1 = -x.x reads -inf without a warning past a float, as the quadric's
+    form does, and at a finite x has the bits of -x @ x."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert SphereSlicedConstraint(3).value(np.array([1e200, 0.0, 0.0]))[0] == -np.inf
+    rng = np.random.default_rng(21)
+    for n in rng.integers(3, 1001, size=200):
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-100, 100)
+        assert SphereSlicedConstraint(int(n)).value(x)[0] == -x @ x
+
+
 def test_hessian_bounds_quadric_exact():
     """For f = -x^T A x the Hessian is the constant -2A: the operator-norm
     bound is 2 lambda_max(A) and the Lipschitz constant is zero."""
