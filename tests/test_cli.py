@@ -67,15 +67,33 @@ def test_closed_stdout_exits_0_without_a_traceback(tmp_path):
     assert (tmp_path / "sphere-tail.manifest.json").exists()
 
 
-@pytest.mark.parametrize("row", refusals.ROWS, ids=[row.id for row in refusals.ROWS])
-def test_refused_run(row, tmp_path, monkeypatch, capsys):
-    """Each row of ``tests/refusals.py``: its exit code, one stderr line with
-    its message, no stdout and no file; CI puts the same rows through the
-    console script."""
-    monkeypatch.chdir(tmp_path)
-    code = main(refusals.prepare(row, tmp_path))
-    out, err = capsys.readouterr()
-    assert not refusals.problems(row, tmp_path, code, out, err), err
+def _refusal_test(rows: list[refusals.Refusal]):
+    """The Tier-1 test of ``rows`` of ``tests/refusals.py``: each row's exit
+    code, one stderr line with its message, no stdout and no file, one case
+    per row, or one test of them all where the rows have no case ids.  CI
+    puts the same rows through the console script."""
+
+    def check(row, directory, monkeypatch, capsys):
+        directory.mkdir()
+        monkeypatch.chdir(directory)
+        code = main(refusals.prepare(row, directory))
+        out, err = capsys.readouterr()
+        assert not refusals.problems(row, directory, code, out, err), (row.argv, err)
+
+    if rows[0].case is None:
+        def test(tmp_path, monkeypatch, capsys):
+            for number, row in enumerate(rows):
+                check(row, tmp_path / str(number), monkeypatch, capsys)
+        return test
+
+    @pytest.mark.parametrize("row", rows, ids=[row.case for row in rows])
+    def test(row, tmp_path, monkeypatch, capsys):
+        check(row, tmp_path / "run", monkeypatch, capsys)
+    return test
+
+
+for _name in refusals.TABLE:
+    globals()[_name] = _refusal_test([row for row in refusals.ROWS if row.test == _name])
 
 
 def test_a_start_at_a_turning_point_runs(tmp_path, capsys):
