@@ -6,10 +6,11 @@
 
 Run from anywhere; it measures the package in this checkout's ``src/`` and,
 with ``--before``, the ``src/`` of another checkout beside it.  Each of
-``ROUNDS`` rounds measures every row in a fresh interpreter per source, BLAS
-pinned to one thread, the sources in alternating order; a row records the
-median over the rounds.  ``--quick`` is one round of short timings, to check
-that the script runs.
+``ROUNDS`` rounds measures every row in a fresh interpreter per run, BLAS
+pinned to one thread: this checkout twice and the other checkout between
+the two, the order reversed every other round.  A row records the median
+over the rounds.  ``--quick`` is one round of short timings, to check that
+the script runs.
 
 Each row is the cost of one call or one step in µs, the best of ``timeit``
 repeats, and its ratio to a reference loop of ``perfbench/reference.py``,
@@ -17,8 +18,13 @@ timed just before and just after the row: ``dense`` (about 10 ms of n = 1000
 reflection work) for the n = 1000 rows, ``small`` (about 1 ms of small-array
 numpy calls) for the others.  The ratio is what to compare
 across runs: on a shared host numpy code slows by up to 2x for seconds at a
-time, and the reference slows with it.  Each row resolves the functions it
-times inside its timer, so a row that the measured package cannot run (a
+time, and the reference slows with it.  Beside the two sides each row
+records, per round, the after side's ratio over the before side's
+(``after/before``) and the second after run's ratio over the first
+(``A/A``), each as a median with its quartiles over the rounds: the A/A
+spread is the noise of the row on code that is the same on both sides, and
+a change in ``after/before`` is a finding only outside it.  Each row
+resolves the functions it times inside its timer, so a row that the measured package cannot run (a
 function it does not have, or has with another signature: ``AttributeError``,
 ``ImportError`` or ``TypeError``) records null and the other rows run on.  Beside each median
 the row records the first and third quartiles over the rounds, so a run
@@ -31,6 +37,13 @@ whose rounds spread widely shows as one.  The rows:
   count);
 - ``scatter_study.step``: one step of ``experiments._scatter_study`` on the
   same rows with its d_max bookkeeping, as the difference of two step counts;
+- ``value.quadric2``: one ``QuadricConstraint.value`` on the 2-D benchmark
+  quadric at the benchmark start ``BENCH_X0``;
+- ``jacobian.sliced3``: one ``SphereSlicedConstraint.jacobian`` at n = 3, at
+  CI's codim-2 start;
+- ``reference_solve.quadric2``: one ``dynamics.reference_solve`` on the 2-D
+  benchmark quadric from (``BENCH_X0``, ``BENCH_V0``) at 11 times from 0 to
+  0.01;
 - ``hug_step``: one step as one call, ``next(hug_steps(...))``, on the 2-D
   benchmark quadric;
 - ``hug_steps.step``: one step inside a ``hug_steps`` stream on that quadric;
@@ -111,6 +124,7 @@ def measure(quick: bool) -> dict:
     e1 = np.eye(3)[0]
     quadric = QuadricConstraint(np.diag(BENCH_DIAG))
     x, v = np.array(BENCH_X0), np.array(BENCH_V0)
+    start, solve_times = integrator.PhaseState(x, v), np.linspace(0.0, 0.01, 11)
     sliced3 = SphereSlicedConstraint(3)
     sliced_x, sliced_v = np.array(SLICED_X0), np.array(SLICED_V0)
     steps = max(10, int(2000 * scale))
@@ -179,6 +193,12 @@ def measure(quick: bool) -> dict:
     table = {
         "hug_steps_rows.step": (small, rows_step),
         "scatter_study.step": (small, scatter_step),
+        "value.quadric2": (small, lambda: _best_us(lambda: quadric.value(x), 2 * steps, repeat)),
+        "jacobian.sliced3": (small, lambda: _best_us(
+            lambda: sliced3.jacobian(sliced_x), 2 * steps, repeat)),
+        "reference_solve.quadric2": (small, lambda: _best_us(
+            lambda: dynamics.reference_solve(quadric, start, solve_times),
+            max(2, int(50 * scale)), repeat)),
         "hug_step": (small, lambda: _best_us(
             lambda: next(integrator.hug_steps(quadric, x, v, 0.1)), 2 * steps, repeat)),
         "hug_steps.step": (small, lambda: _best_us(
@@ -233,6 +253,11 @@ def _spawn(src: str, quick: bool) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def _median_quartiles(values: list[float]) -> tuple[float, list[float]]:
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return float(median), [float(q1), float(q3)]
+
+
 def _summary_rows(rounds: list[dict]) -> dict:
     """Per row, the median over the rounds of its µs and ratio, each with
     its first and third quartiles beside it."""
@@ -243,10 +268,23 @@ def _summary_rows(rounds: list[dict]) -> dict:
             continue
         summary[name] = {}
         for key in ("us", "ratio"):
-            q1, median, q3 = np.percentile([r[name][key] for r in rounds], [25, 50, 75])
-            summary[name][key] = float(median)
-            summary[name][key + "_quartiles"] = [float(q1), float(q3)]
+            median, quartiles = _median_quartiles([r[name][key] for r in rounds])
+            summary[name][key], summary[name][key + "_quartiles"] = median, quartiles
     return summary
+
+
+def _paired_rows(top: list[dict], bottom: list[dict]) -> dict:
+    """Per row, the median and quartiles over the rounds of one run's ratio
+    over another's in the same round, or None where either run reads null."""
+    paired = {}
+    for name in top[0]:
+        if any(r[name] is None for r in (*top, *bottom)):
+            paired[name] = None
+            continue
+        median, quartiles = _median_quartiles(
+            [t[name]["ratio"] / b[name]["ratio"] for t, b in zip(top, bottom)])
+        paired[name] = {"median": median, "quartiles": quartiles}
+    return paired
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -262,15 +300,20 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if not args.out:
         parser.error("--out is required")
-    sources = {"after": str(ROOT / "src"), **({"before": args.before} if args.before else {})}
+    # this checkout twice, as "after" and "again", with the other checkout between
+    sources = {"after": str(ROOT / "src"), **({"before": args.before} if args.before else {}),
+               "again": str(ROOT / "src")}
     rounds: dict[str, list[dict]] = {side: [] for side in sources}
     for i in range(1 if args.quick else ROUNDS):
         for side in (list(sources) if i % 2 else list(sources)[::-1]):
             rounds[side].append(_spawn(sources[side], args.quick))
     summaries = {side: _summary_rows(rounds[side]) for side in ("before", "after")
                  if side in rounds}
+    paired = {"A/A": _paired_rows(rounds["again"], rounds["after"])}
+    if args.before:
+        paired["after/before"] = _paired_rows(rounds["after"], rounds["before"])
     payload = {
-        "schema": "bench/2",
+        "schema": "bench/3",
         "provenance": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -281,11 +324,14 @@ def main(argv: list[str] | None = None) -> int:
         "method": "per row: median over rounds of the best-of-repeats µs per call or step, "
                   "and of its ratio to perfbench/reference.py's dense loop (n = 1000 rows) "
                   "or small loop (the others), each with its first and third quartiles over "
-                  "the rounds (linear interpolation)",
+                  "the rounds (linear interpolation); after/before and A/A: median and "
+                  "quartiles over the rounds of the after ratio over the before ratio, and of "
+                  "the second after run's ratio over the first, in the same round",
         "rounds": len(rounds["after"]),
         "quick": args.quick,
         "before_label": args.before_label if args.before else None,
-        "layer": {name: {side: summaries[side][name] for side in summaries}
+        "layer": {name: {**{side: summaries[side][name] for side in summaries},
+                         **{key: rows[name] for key, rows in paired.items()}}
                   for name in summaries["after"]},
         "e2e": None,
     }

@@ -156,15 +156,16 @@ def hug_steps(
     hv = np.multiply(h, v)
     if constraint.codim == 1:
         gradient = constraint._gradient  # the midpoints have the start's shape
+        norm2, sqrt, multiply, divide = _gradient_norm2, math.sqrt, np.multiply, np.divide
         s = np.empty(())  # the step's two scalars, 0-d like h: faster operands than floats
         while True:
             y = x + hv
             g = gradient(y)
-            s[()] = math.sqrt(_gradient_norm2(g, y))
-            q = np.divide(g, s)  # unit_normal's q, bit for bit
+            s[()] = sqrt(norm2(g, y))
+            q = divide(g, s)  # unit_normal's q, bit for bit
             s[()] = 2.0 * q.dot(v)
-            v = v - np.multiply(q, s)
-            hv = np.multiply(h, v)
+            v = v - multiply(q, s)
+            hv = multiply(h, v)
             x = y + hv
             yield x, v
     while True:

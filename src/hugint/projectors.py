@@ -11,8 +11,10 @@ checked thin QR factorization J^T = Q R with the column signs as it leaves
 them.  The factor calls the two LAPACK gufuncs that ``np.linalg.qr`` calls
 (``numpy.linalg._umath_linalg.qr_r_raw`` and ``qr_reduced``) directly: for
 an n-by-m matrix with m small most of ``np.linalg.qr``'s time is its Python
-wrapper, and the gufuncs give the same Q and R bit for bit.  The hug step
-reflects through Q alone; the flow field takes the same Q and forms J^+.
+wrapper, and the gufuncs give the same Q and R bit for bit; g . g at
+codimension 1 calls numpy's C ``vdot`` (``constraints._vdot``) for the same
+reason.  The hug step reflects through Q alone; the flow field takes the
+same Q and forms J^+.
 N = Q Q^T and T = I - Q Q^T are applied matrix-free, at O(n m) cost; the
 dense projectors, the derivative of N, the reflection through a basis and
 the pair (Q, J^+) as (n, m) matrices are test oracles (``tests/oracles.py``).
@@ -26,7 +28,7 @@ import math
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .constraints import ConstraintMap, checked_jacobian
+from .constraints import ConstraintMap, _vdot, checked_jacobian
 from .errors import SingularGeometryError
 
 #: Relative tolerance on the diagonal of R for declaring J rank deficient.
@@ -38,7 +40,7 @@ GRADIENT_FLOOR = float(np.sqrt(np.finfo(float).tiny))
 
 def _gradient_norm2(g: np.ndarray, x: np.ndarray) -> float:
     """g . g for a single gradient g, else :class:`SingularGeometryError`."""
-    ng2 = float(np.vdot(g, g))  # the bits of g @ g; overflows to inf without a warning
+    ng2 = float(_vdot(g, g))  # the bits of g @ g; overflows to inf without a warning
     if not math.isfinite(ng2):
         raise SingularGeometryError(x, "gradient is not finite")
     if ng2 <= GRADIENT_FLOOR:

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hugint import constraints
 from hugint.cli import main
 from hugint.constraints import (
     CallableConstraint,
@@ -419,6 +420,25 @@ def test_sliced_value_overflows_to_minus_inf_with_the_bits_of_its_dot():
     for n in rng.integers(3, 1001, size=200):
         x = rng.standard_normal(n) * 10.0 ** rng.uniform(-100, 100)
         assert SphereSlicedConstraint(int(n)).value(x)[0] == -x @ x
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 50, 1000])
+def test_vdot_is_numpys_c_vdot_bit_for_bit(n):
+    """The dots that overflow without a warning (the quadric's form, the sliced
+    sphere's -x . x and the codim-1 step's g . g) call numpy's C ``vdot``, the
+    builtin that ``np.vdot`` dispatches to, and read ``np.vdot``'s bits at
+    every scale 10^k, k in [-150, 150]; at [1e200, 3] it reads inf and does
+    not warn."""
+    assert constraints._vdot is np.vdot._implementation
+    rng = np.random.default_rng(n)
+    for k in range(-150, 151, 5):
+        a, b = rng.standard_normal((2, n)) * 10.0**k
+        for x, y in ((a, b), (a, a), (b, a[::-1])):
+            assert constraints._vdot(x, y).tobytes() == np.vdot(x, y).tobytes()
+    huge = np.array([1e200, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert constraints._vdot(huge, huge) == np.inf
 
 
 def test_hessian_bounds_quadric_exact():

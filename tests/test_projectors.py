@@ -16,8 +16,8 @@ from hugint.constraints import (
 )
 from hugint.errors import DimensionError, SingularGeometryError
 from hugint.dynamics import phase_field
-from hugint.integrator import hug_steps
-from hugint.projectors import normal_qr, unit_normal
+from hugint.integrator import hug_steps, hug_steps_rows
+from hugint.projectors import GRADIENT_FLOOR, normal_qr, unit_normal
 from oracles import (
     build_bundle,
     dense_projectors,
@@ -115,21 +115,44 @@ def test_non_finite_point_raises_with_point(constraint):
     assert np.isnan(info.value.x[0])
 
 
+#: 2^-256: a gradient (FLOOR_ENTRY, FLOOR_ENTRY) has g . g = 2^-511, GRADIENT_FLOOR itself.
+FLOOR_ENTRY = 2.0**-256
+
 _BAD_GEOMETRY = {
-    "zero-gradient": (SphereConstraint(2), np.zeros(2), SingularGeometryError),
-    "non-finite-point": (SphereConstraint(3), np.array([np.nan, 0.5, 0.5]), SingularGeometryError),
-    "infinite-gradient": (SphereConstraint(3), np.array([np.inf, 0.5, 0.5]), SingularGeometryError),
+    "zero-gradient": (
+        SphereConstraint(2), np.zeros(2), SingularGeometryError, "gradient vanishes"
+    ),
+    # the floor is a vanishing gradient: the test is g . g <= GRADIENT_FLOOR
+    "gradient-at-the-floor": (
+        CallableConstraint(2, 1, fn=lambda x: x[:1], jac=lambda x: [[FLOOR_ENTRY, FLOOR_ENTRY]]),
+        np.ones(2),
+        SingularGeometryError,
+        "gradient vanishes",
+    ),
+    "non-finite-point": (
+        SphereConstraint(3), np.array([np.nan, 0.5, 0.5]), SingularGeometryError,
+        "gradient is not finite",
+    ),
+    "infinite-gradient": (
+        SphereConstraint(3), np.array([np.inf, 0.5, 0.5]), SingularGeometryError,
+        "gradient is not finite",
+    ),
     "jacobian-too-long": (
         CallableConstraint(3, 1, fn=lambda x: x[:1], jac=lambda x: np.ones(4)),
         np.ones(3),
         DimensionError,
+        r"Jacobian of shape \(1, 4\)",
     ),
     "jacobian-two-rows": (
         CallableConstraint(3, 1, fn=lambda x: x[:1], jac=lambda x: np.ones((2, 3))),
         np.ones(3),
         DimensionError,
+        r"Jacobian of shape \(2, 3\)",
     ),
-    "point-wrong-shape": (SphereConstraint(3), np.ones(2), DimensionError),
+    # the field checks the state (x, v), the others the point
+    "point-wrong-shape": (
+        SphereConstraint(3), np.ones(2), DimensionError, "expected (a state|point) of shape"
+    ),
 }
 
 
@@ -137,18 +160,47 @@ _BAD_GEOMETRY = {
 def test_unit_normal_raises_as_build_bundle_does(case):
     """The codim-1 step takes its normal from ``unit_normal`` and the flow
     field checks its gradient as ``build_bundle`` did, so every geometry
-    check must raise the same error class through the field, ``unit_normal``
-    and ``hug_steps``; a shape error already in ``gradient``."""
-    constraint, x, error = _BAD_GEOMETRY[case]
-    with pytest.raises(error):
+    check must raise the same error, with the same message, through the
+    field, ``unit_normal`` and ``hug_steps``; a shape error already in
+    ``gradient``."""
+    constraint, x, error, match = _BAD_GEOMETRY[case]
+    with pytest.raises(error, match=match):
         field_at(constraint, x)
-    with pytest.raises(error):
+    with pytest.raises(error, match=match):
         unit_normal(constraint, x)
-    with pytest.raises(error):
+    with pytest.raises(error, match=match):
         next(hug_steps(constraint, x, np.zeros_like(x), 0.1))  # the midpoint is x itself
     if error is DimensionError:
         with pytest.raises(error):
             constraint.gradient(x)
+
+
+def test_a_gradient_just_above_the_floor_steps_in_every_route():
+    """g . g = GRADIENT_FLOOR vanishes (``_BAD_GEOMETRY``), and g . g = 5 * 2^-512,
+    just above it, is a regular gradient through the field, ``unit_normal``
+    and ``hug_steps``.  In ``hug_steps_rows`` a row at the floor turns NaN
+    while a regular row beside it steps with the bits of ``hug_steps``."""
+    assert FLOOR_ENTRY**2 + FLOOR_ENTRY**2 == GRADIENT_FLOOR
+    above = CallableConstraint(
+        2, 1, fn=lambda x: x[:1], jac=lambda x: [[FLOOR_ENTRY, 2.0 * FLOOR_ENTRY]]
+    )
+    x = np.ones(2)
+    assert np.isfinite(field_at(above, x)).all()
+    assert np.allclose(unit_normal(above, x), np.array([1.0, 2.0]) / np.sqrt(5.0), rtol=1e-15)
+    x1, v1 = next(hug_steps(above, x, np.zeros(2), 0.1))
+    assert np.array_equal(x1, x) and np.array_equal(v1, np.zeros(2))
+    # grad f = FLOOR_ENTRY x: g . g is the floor at (1, 1) and 5 * 2^-512 at (1, 2)
+    radial = CallableConstraint(
+        2, 1, fn=lambda x: [0.5 * FLOOR_ENTRY * x @ x], jac=lambda x: [FLOOR_ENTRY * x]
+    )
+    X, V = np.array([[1.0, 1.0], [1.0, 2.0]]), np.array([[0.0, 0.0], [0.6, -0.8]])
+    with pytest.raises(SingularGeometryError, match="gradient vanishes"):
+        next(hug_steps(radial, X[0], V[0], 0.1))
+    [(Xs, Vs)] = hug_steps_rows(radial, X, V, 0.1, 1)
+    assert np.isnan(Xs[0, 0]).all() and np.isnan(Vs[0, 0]).all()
+    x1, v1 = next(hug_steps(radial, X[1], V[1], 0.1))
+    assert Xs[0, 1].tobytes() == x1.tobytes() and Vs[0, 1].tobytes() == v1.tobytes()
+    assert not np.array_equal(x1, X[1])
 
 
 _BAD_CODIM2 = {
