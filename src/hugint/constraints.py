@@ -103,19 +103,13 @@ class ConstraintMap:
         of :meth:`gradient` at that row alone.
 
         The default calls :meth:`gradient`, checks and all, on a point and on
-        each row.  A map may override it with its bare closed form, as the
-        quadrics do.  A subclass that overrides :meth:`gradient` and not this
-        hook gets the default back, so both streams call its own ``gradient``.
+        each row.  A map may override it with its bare closed form; a quadric
+        binds its own only where its class overrides neither this hook nor
+        :meth:`gradient`, so both streams call a subclass's own ``gradient``.
         """
         if y.ndim == 1:
             return self.gradient(y)
         return np.array([self.gradient(x) for x in y]).reshape(len(y), self.ambient_dim)
-
-    def __init_subclass__(cls, **kwargs):
-        # an inherited bare ``_gradient`` would skip the subclass's own ``gradient``
-        super().__init_subclass__(**kwargs)
-        if "gradient" in vars(cls) and "_gradient" not in vars(cls):
-            cls._gradient = ConstraintMap._gradient
 
     def hessian_contraction(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Return the m-by-n matrix H(x)[w, .]: entry (i, j) is w^T Hess(f_i) e_j.
@@ -178,6 +172,9 @@ class QuadricConstraint(ConstraintMap):
         self._product = np.multiply if diagonal else quiet(np.ndarray.dot)
         self._rows = np.multiply if diagonal else quiet(np.matvec)
         self._norm_bound = 2.0 * float(top_eigenvalue)
+        cls = type(self)  # a subclass's own ``gradient`` reaches both streams by the default hook
+        if cls.gradient is QuadricConstraint.gradient and cls._gradient is ConstraintMap._gradient:
+            self._gradient = functools.partial(self._rows, self._hessian)  # a point or row by row
 
     def value(self, x: np.ndarray) -> np.ndarray:
         x = self.check_point(x)
@@ -185,11 +182,8 @@ class QuadricConstraint(ConstraintMap):
         return np.array([-_vdot(self._product(x, self._form), x)])
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        # not ``self._gradient``, whose default in a subclass calls ``gradient``
+        # not ``self._gradient``, which in a subclass may call ``gradient``
         return self._rows(self._hessian, self.check_point(x))
-
-    def _gradient(self, y: np.ndarray) -> np.ndarray:
-        return self._rows(self._hessian, y)  # a point or row by row: ``gradient``'s bits
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         return self.gradient(x)[None, :]

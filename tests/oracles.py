@@ -27,36 +27,36 @@ and an affine map f(x) = B x - c whose Hessian vanishes
 (``AffineConstraint``), the degenerate family of the tests that run on every
 kind of map.
 
-Thirteen are earlier forms of package code that now runs another way, kept to
+Eleven are earlier forms of package code that now runs another way, kept to
 hold it to the same bits or bytes: the checked QR factorization through
 ``np.linalg.qr`` with its checks on R as numpy calls
 (``normal_qr_reference``) against ``normal_qr``, the one-call step
 (``step_reference``) against the step stream, the one-call rows step
-(``step_rows_reference``) against the rows stream, the rows stream one
-step per yield (``steps_rows_per_step``) with the d_max loop on it
-(``d_max_per_step``) against the blocks of ``_d_max_rows``, the trajectory that
-recorded its times, midpoints and levels as it stepped
-(``trajectory_reference``) against the ``Trajectory`` that derives its fields
-when read, the position errors read off one solve on the union of the step-size
-grids (``position_errors_reference``) against ``convergence_study``, the
-scatter study stepped one call at a time with each step's row norms taken by
-``np.linalg.norm`` (``scatter_reference``) against ``_scatter_study``, a
-sampling chain written out move by move on it (``chain_reference``) against
-``run_chain``, the cell-by-cell CSV writer (``write_csv_reference``) against
-``write_csv``, the pair (Q, J^+) as (n, m) matrices at every codimension
-(``build_bundle``), the matrix-form reference on which the dense projectors,
-N'_perp and the split system's field build, against the vectors
-``phase_field`` forms at codimension 1, and that pair with its column signs
-fixed so that diag(R) > 0 (``signed_bundle``), with the flow field that split
-v three times through it (``bundle_field``), against ``phase_field``.
+(``step_rows_reference``), chained, against every step and block of the
+rows stream, the trajectory that recorded its times, midpoints and levels as
+it stepped (``trajectory_reference``) against the ``Trajectory`` that
+derives its fields when read, the position errors read off one solve on the
+union of the step-size grids (``position_errors_reference``) against
+``convergence_study``, the scatter study stepped one call at a time with
+each step's row norms taken by ``np.linalg.norm`` (``scatter_reference``,
+its distances from ``d_max_reference``) against ``_scatter_study`` and the
+per-block d_max of ``_d_max_rows``, a sampling chain written out move by
+move on the one-call step (``chain_reference``) against ``run_chain``, the
+CSV writer that formats each cell with ``format_cell``
+(``write_csv_reference``) against ``write_csv``, the pair (Q, J^+) as
+(n, m) matrices at every codimension (``build_bundle``), the matrix-form
+reference on which the dense projectors, N'_perp and the split system's
+field build, against the vectors ``phase_field`` forms at codimension 1,
+and that pair with its column signs fixed so that diag(R) > 0
+(``signed_bundle``), with the flow field that split v three times through
+it (``bundle_field``), against ``phase_field``.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -66,6 +66,7 @@ from hugint.ellipse import EllipseModel, ReducedState, reduced_field, reduced_or
 from hugint.errors import DimensionError, SingularGeometryError, StudyFailedError
 from hugint.experiments import ExperimentConfig, _showcase_velocity, uniform_sphere
 from hugint.integrator import HugParams, PhaseState, hug_steps
+from hugint.output import format_cell
 from hugint.projectors import GRADIENT_FLOOR, RANK_RTOL, _gradient_norm2, normal_qr, unit_normal
 from hugint.sampling import IsotropicGaussian
 
@@ -287,43 +288,19 @@ def step_rows_reference(
     return Y + h * V_new, V_new
 
 
-def steps_rows_per_step(
-    constraint: ConstraintMap, X: np.ndarray, V: np.ndarray, delta: float
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The rows stream one step per yield, (X_k, V_k) for k = 1, 2, ..., each
-    step under its own ``np.errstate``, carrying h V_k and skipping the NaN
-    mask while every row is regular, as ``hug_steps_rows`` stepped before it
-    yielded blocks."""
-    X = np.asarray(X, dtype=float)
-    V = np.asarray(V, dtype=float)
-    h = 0.5 * delta
-    HV = h * V
-    while True:
-        Y = X + HV
-        with np.errstate(over="ignore"):
-            G = constraint._gradient(Y)
-            gg = np.vecdot(G, G)
-        if not (GRADIENT_FLOOR < gg.min(initial=np.inf) and gg.max(initial=0.0) < np.inf):
-            gg[~(np.isfinite(gg) & (gg > GRADIENT_FLOOR))] = np.nan
-        Q = G / np.sqrt(gg)[:, None]
-        V = V - Q * (2.0 * np.vecdot(Q, V))[:, None]
-        HV = h * V
-        X = Y + HV
-        yield X, V
-
-
-def d_max_per_step(
+def d_max_reference(
     constraint: ConstraintMap, x0: np.ndarray, V: np.ndarray, delta: float, steps: int
 ) -> np.ndarray:
-    """``experiments._d_max_rows`` as it was before blocks: the running maximum
-    of the squared distances updated after every step of
-    :func:`steps_rows_per_step`, one square root at the end."""
-    d2 = np.zeros(len(V))
-    stream = steps_rows_per_step(constraint, np.broadcast_to(x0, V.shape), V, delta)
-    for X, _ in islice(stream, steps):
-        D = X - x0
-        np.maximum(d2, np.add.reduce(D * D, axis=1), out=d2)
-    return np.sqrt(d2)
+    """max_k ||x_k - x0|| over ``steps`` chained :func:`step_rows_reference`
+    steps from x0 with each row of V, the running maximum kept over
+    ``np.linalg.norm`` of each step's rows; ``experiments._d_max_rows``,
+    which reduces once per block of the rows stream, must give the same bytes."""
+    X = np.broadcast_to(x0, V.shape)
+    d_max = np.zeros(len(V))
+    for _ in range(steps):
+        X, V = step_rows_reference(constraint, X, V, delta)
+        d_max = np.maximum(d_max, np.linalg.norm(X - x0, axis=1))
+    return d_max
 
 
 def scatter_reference(
@@ -333,9 +310,9 @@ def scatter_reference(
     seed: int,
     showcase_speeds: tuple[float, ...] = (),
 ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
-    """``experiments._scatter_study`` stepped by :func:`step_rows_reference`,
-    with the running maximum kept over ``np.linalg.norm`` of each step's
-    rows; the study must return the same four results bit for bit."""
+    """``experiments._scatter_study`` with its distances from
+    :func:`d_max_reference`; the study must return the same four results
+    bit for bit."""
     V0 = np.array([
         uniform_sphere(np.random.default_rng(child), x0.size)
         for child in np.random.SeedSequence(seed).spawn(config.replicates)
@@ -344,11 +321,7 @@ def scatter_reference(
     v_perp = np.abs(np.vecdot(V0, q))
     showcase = [_showcase_velocity(q, x0, s) for s in showcase_speeds]
     V = np.array([*V0, *showcase])
-    X = np.broadcast_to(x0, V.shape)
-    d_all = np.zeros(len(V))
-    for _ in range(config.steps):
-        X, V = step_rows_reference(constraint, X, V, config.delta)
-        d_all = np.maximum(d_all, np.linalg.norm(X - x0, axis=1))
+    d_all = d_max_reference(constraint, x0, V, config.delta, config.steps)
     d_max, d_showcase = d_all[: len(V0)], d_all[len(V0):]
     failed = int(np.sum(~np.isfinite(d_max)))
     if failed == d_max.size:
@@ -446,28 +419,18 @@ class GeneralFormulaGaussian(IsotropicGaussian):
         )
 
 
-def format_cell_reference(value) -> str:
-    """Deterministic text form for a CSV cell, decided cell by cell."""
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if value is None:
-        return ""
-    return str(value)
-
-
 def write_csv_reference(
     path: str, schema: str, header: Sequence[str], rows: Iterable[Sequence]
 ) -> None:
-    """The CSV writer that formats every cell with :func:`format_cell_reference`
-    and writes row by row; ``write_csv`` must give the same bytes."""
+    """The CSV writer that formats every cell with ``format_cell`` and writes
+    row by row; ``write_csv``, which writes a Python float's ``repr`` itself,
+    must give the same bytes."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w") as fh:
         fh.write(f"#schema={schema}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(format_cell_reference(cell) for cell in row) + "\n")
+            fh.write(",".join(format_cell(cell) for cell in row) + "\n")
 
 
 def read_csv(path: str) -> tuple[str, list[str], list[list[str]]]:

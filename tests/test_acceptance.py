@@ -451,3 +451,45 @@ def test_criterion_10_sampler_acceptance_and_moments(tmp_path):
         f"criterion 10: worst |log r| {worst:.2e}, "
         f"moment deviations {[f'{r:.2%}' for r in rels]}"
     )
+
+
+def _angles(v0, delta, steps):
+    """phi_k = atan2(2 x_2, x_1), k = 0..steps, the angle of the hug run from
+    (1, 0) with velocity v0 on the benchmark ellipse diag(1, 4)."""
+    constraint = QuadricConstraint(np.diag(BENCH_DIAG))
+    initial = PhaseState(np.asarray(FOLDBACK_X0), np.asarray(v0))
+    xs = hug_trajectory(constraint, initial, HugParams(delta, steps)).xs
+    return np.arctan2(2.0 * xs[:, 1], xs[:, 0])
+
+
+def _bins_hit(phi, bins=64):
+    """How many of ``bins`` equal angle bins on [-pi, pi) the angles hit."""
+    return np.unique(np.floor((phi + np.pi) * (bins / (2.0 * np.pi))).astype(int) % bins).size
+
+
+def test_criterion_11_discrete_non_coverage_over_long_horizons():
+    """Over 10^4 steps from the fold-back start the discrete map stays within
+    an O(delta^2) excess of the flow's turning angle phi*, an excess that
+    does not grow from 10^3 to 10^4 steps, so its trajectories fail to cover
+    the ellipse as the flow's do; a rotation start, and the fold-back start
+    at delta 0.2, past the discrete map's limit, hit all 64 angle bins."""
+    model = EllipseModel(a=BENCH_DIAG[0], b=BENCH_DIAG[1])
+    reduced0 = to_reduced(model, PhaseState(np.asarray(FOLDBACK_X0), np.asarray(FOLDBACK_V0)))
+    _, phi_star = classify(model, reduced0).turning_points
+    deltas = (FOLDBACK_DELTA, 0.05, 0.025, 0.0125)
+    phis = [np.abs(_angles(FOLDBACK_V0, delta, 10_000)) for delta in deltas]
+    excess = np.array([phi.max() - phi_star for phi in phis])
+    short = phis[0][: 1_000 + 1].max() - phi_star
+    assert excess[0] <= 1e-2, f"excess {excess[0]:.4e} at delta {FOLDBACK_DELTA}"
+    growth = abs(excess[0] - short) / short
+    assert growth <= 0.01, f"excess {excess[0]:.4e} over 10^4 steps vs {short:.4e} over 10^3"
+    order, _ = np.polyfit(np.log(deltas[1:]), np.log(excess[1:]), 1)
+    assert 1.8 <= order <= 2.2, f"excess order {order}"
+    rotation = _bins_hit(_angles((0.0, 1.0), FOLDBACK_DELTA, 10_000))
+    limit = _bins_hit(_angles(FOLDBACK_V0, 0.2, 10_000))
+    assert rotation == limit == 64, f"bins hit: rotation {rotation}, fold-back at 0.2 {limit}"
+    print(
+        f"criterion 11: excess {excess[0]:.4e} (bound 1e-2), "
+        f"{growth:.3%} above its 10^3-step value, order {order:.3f}, "
+        f"bins {rotation}/64 and {limit}/64"
+    )

@@ -45,7 +45,7 @@ from hugint.experiments import (
 )
 from hugint.integrator import HugParams, PhaseState, hug_steps_rows, hug_trajectory
 from conftest import fenced_ellipsoid
-from oracles import build_bundle, d_max_per_step, dense_projectors, read_csv, scatter_reference
+from oracles import build_bundle, d_max_reference, dense_projectors, read_csv, scatter_reference
 
 #: A quadric whose unit normal at x0 = e1 is not e1.
 TILTED_QUADRIC = [[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 3.0]]
@@ -465,10 +465,11 @@ def test_scatter_study_is_bitwise_the_reference(case):
 
 class _FencedRows(QuadricConstraint):
     """The 3-D ellipsoid preset whose unchecked gradient of rows vanishes
-    where x_2 > 0.03, without a Python call per row."""
+    where x_2 > 0.03, one product over the rows without a Python call per
+    row; the study and its reference both read this hook."""
 
     def _gradient(self, Y):
-        G = super()._gradient(Y)
+        G = Y * self._hessian
         G[Y[:, 1] > 0.03] = 0.0
         return G
 
@@ -477,10 +478,10 @@ class _FencedRows(QuadricConstraint):
 def test_d_max_across_block_boundaries_is_bitwise_the_per_step_loop(rows, lengths):
     """Past a third and all of ``ROWS_BLOCK_FLOATS`` (R n = 6,000 and 18,000)
     five steps come in blocks of two or one step, and the study's d_max,
-    reduced once per block, must have the bits of the per-step loop
-    ``oracles.d_max_per_step``.  Random unit velocities at speed 0.5 stay
-    below the fence; row 1 runs along e2 at speed 1 and turns NaN at step 4,
-    the second step of a block of two."""
+    reduced once per block, must have the bits of the per-step loop over
+    ``np.linalg.norm``, ``oracles.d_max_reference``.  Random unit velocities
+    at speed 0.5 stay below the fence; row 1 runs along e2 at speed 1 and
+    turns NaN at step 4, the second step of a block of two."""
     constraint = _FencedRows(np.diag(ELLIPSOID_DIAGS[3]))
     x0 = np.eye(3)[0]
     V = np.random.default_rng(34).standard_normal((rows, 3))
@@ -488,9 +489,9 @@ def test_d_max_across_block_boundaries_is_bitwise_the_per_step_loop(rows, length
     V[1] = [0.0, 1.0, 0.0]
     stream = hug_steps_rows(constraint, np.broadcast_to(x0, V.shape), V, 0.01, 5)
     assert [len(Xs) for Xs, _ in stream] == lengths
-    assert np.isfinite(d_max_per_step(constraint, x0, V[1:2], 0.01, 3)).all()
+    assert np.isfinite(d_max_reference(constraint, x0, V[1:2], 0.01, 3)).all()
     got = _d_max_rows(constraint, x0, V, 0.01, 5)
-    assert got.tobytes() == d_max_per_step(constraint, x0, V, 0.01, 5).tobytes()
+    assert got.tobytes() == d_max_reference(constraint, x0, V, 0.01, 5).tobytes()
     assert np.flatnonzero(np.isnan(got)).tolist() == [1]
 
 

@@ -21,7 +21,7 @@ from hugint.integrator import (
     hug_trajectory,
     level_drift_bound,
 )
-from oracles import eliminated_step, step_rows_reference, steps_rows_per_step, trajectory_reference
+from oracles import eliminated_step, step_rows_reference, trajectory_reference
 
 
 def test_phase_state_validation():
@@ -372,7 +372,8 @@ def test_rows_stream_is_bitwise_the_reference_step(stack, monkeypatch):
 def test_rows_blocks_add_up_to_the_step_count(rows, steps, lengths):
     """The blocks hold as many steps as ``ROWS_BLOCK_FLOATS`` allows, one at
     least, and add up to exactly ``steps``; they are read-only, and the last
-    block ends on the rows of the per-step stream after ``steps`` steps."""
+    block ends on the rows of ``steps`` chained one-call rows steps,
+    ``oracles.step_rows_reference``."""
     constraint = QuadricConstraint(np.diag(ELLIPSOID_DIAGS[3]))
     X = np.broadcast_to(np.eye(3)[0], (rows, 3))
     V = np.random.default_rng(rows).standard_normal((rows, 3))
@@ -381,7 +382,9 @@ def test_rows_blocks_add_up_to_the_step_count(rows, steps, lengths):
     for Xs, Vs in blocks:
         assert Xs.shape == Vs.shape == (len(Xs), rows, 3)
         assert not (Xs.flags.writeable or Vs.flags.writeable)
-    *_, (Xr, Vr) = islice(steps_rows_per_step(constraint, X, V, 0.01), steps)
+    Xr, Vr = X, V
+    for _ in range(steps):
+        Xr, Vr = step_rows_reference(constraint, Xr, Vr, 0.01)
     assert np.array_equal(blocks[-1][0][-1], Xr) and np.array_equal(blocks[-1][1][-1], Vr)
 
 

@@ -12,12 +12,21 @@ from oracles import read_csv, write_csv_reference
 
 
 def test_format_cell_types():
+    """Every cell type of the writer test's mixed rows, whose reference
+    writer formats with ``format_cell`` itself."""
     assert format_cell(0.1) == repr(0.1)
     assert format_cell(np.float64(0.1)) == repr(0.1)  # no numpy repr leakage
+    assert format_cell(np.float32(0.1)) == repr(float(np.float32(0.1)))
     assert format_cell(np.int64(3)) == "3"
+    assert format_cell(np.int64(-3)) == "-3"
     assert format_cell(7) == "7"
+    assert format_cell(True) == "1" and format_cell(False) == "0"
     assert format_cell(None) == ""
     assert format_cell("kind") == "kind"
+    assert [format_cell(x) for x in (-0.0, np.nan, np.inf, -np.inf, 5e-324, 2.0**70)] == [
+        "-0.0", "nan", "inf", "-inf", "5e-324", "1.1805916207174113e+21"
+    ]
+    assert [format_cell(np.float64(x)) for x in (-0.0, np.nan)] == ["-0.0", "nan"]
 
 
 def test_csv_roundtrip(tmp_path):
@@ -42,8 +51,9 @@ def test_csv_write_is_byte_stable(tmp_path):
 
 def test_write_csv_gives_the_bytes_of_the_cell_by_cell_writer(tmp_path):
     """Python floats take ``repr`` directly and every other cell
-    ``format_cell``; the bytes must be those of formatting each cell with
-    the reference writer, on rows mixing every cell type the experiments
+    ``format_cell``; the bytes must be those of the reference writer, which
+    formats each cell with ``format_cell`` (pinned by
+    :func:`test_format_cell_types`), on rows mixing every cell type the experiments
     write, numpy scalars and special floats among them, and on the Python
     floats of ``tolist()`` against the array rows they came from."""
     scales = 10.0 ** np.arange(-200, 200, 8)  # 50 rows, from 1e-200 to 1e192
