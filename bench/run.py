@@ -15,11 +15,11 @@ the script runs.
 Each row is the cost of one call or one step in µs, the best of ``timeit``
 repeats, and its ratio to a reference loop of ``perfbench/reference.py``,
 timed just before and just after the row: ``dense`` (about 10 ms of n = 1000
-reflection work) for the n = 1000 rows, ``small`` (about 1 ms of small-array
-numpy calls) for the others.  The ratio is what to compare
-across runs: on a shared host numpy code slows by up to 2x for seconds at a
-time, and the reference slows with it.  Beside the two sides each row
-records, per round, the after side's ratio over the before side's
+reflection work) for the n = 1000 rows and the R = 10,004 rows step,
+``small`` (about 1 ms of small-array numpy calls) for the others.  The
+ratio is what to compare across runs: on a shared host numpy code slows by
+up to 2x for seconds at a time, and the reference slows with it.  Beside
+the two sides each row records, per round, the after side's ratio over the before side's
 (``after/before``) and the second after run's ratio over the first
 (``A/A``), each as a median with its quartiles over the rounds: the A/A
 spread is the noise of the row on code that is the same on both sides, and
@@ -35,6 +35,10 @@ whose rounds spread widely shows as one.  The rows:
   studies' shape (10 replicates, 4 showcase): the stream's blocks of the
   whole run divided by its step count (null for a stream that takes no step
   count);
+- ``hug_steps_rows.step.rows10004``: one step inside a ``hug_steps_rows``
+  stream on R = 10,004 rows of that preset from e1, the paper-size
+  ``ellipsoid`` study's shape (10,000 replicates, 4 showcase), where every
+  step is a block of its own;
 - ``scatter_study.step``: one step of ``experiments._scatter_study`` on the
   same rows with its d_max bookkeeping, as the difference of two step counts;
 - ``value.quadric2``: one ``QuadricConstraint.value`` on the 2-D benchmark
@@ -179,19 +183,22 @@ def measure(quick: bool) -> dict:
             argv = ["sphere-tail", "--h", "0.3", "--dim", "3", "--out", out]
             return _best_us(lambda: cli.main(argv), max(2, int(200 * scale)), repeat)
 
-    def rows_step():
-        rng = np.random.default_rng(0)
-        V = np.array([experiments.uniform_sphere(rng, 3) for _ in range(14)])
-        X = np.broadcast_to(e1, V.shape)
+    def rows_step(rows, steps):
+        def timer():
+            rng = np.random.default_rng(0)
+            V = np.array([experiments.uniform_sphere(rng, 3) for _ in range(rows)])
+            X = np.broadcast_to(e1, V.shape)
 
-        def run():
-            for _ in integrator.hug_steps_rows(preset, X, V, 0.01, steps):
-                pass
-        return _best_us(run, 1, repeat, steps)
+            def run():
+                for _ in integrator.hug_steps_rows(preset, X, V, 0.01, steps):
+                    pass
+            return _best_us(run, 1, repeat, steps)
+        return timer
 
     # every row: its reference loop and its timer, in the order the JSON is written
     table = {
-        "hug_steps_rows.step": (small, rows_step),
+        "hug_steps_rows.step": (small, rows_step(14, steps)),
+        "hug_steps_rows.step.rows10004": (dense, rows_step(10_004, max(10, steps // 20))),
         "scatter_study.step": (small, scatter_step),
         "value.quadric2": (small, lambda: _best_us(lambda: quadric.value(x), 2 * steps, repeat)),
         "jacobian.sliced3": (small, lambda: _best_us(
@@ -322,11 +329,12 @@ def main(argv: list[str] | None = None) -> int:
             "openblas_kernel": openblas_kernel(),
         },
         "method": "per row: median over rounds of the best-of-repeats µs per call or step, "
-                  "and of its ratio to perfbench/reference.py's dense loop (n = 1000 rows) "
-                  "or small loop (the others), each with its first and third quartiles over "
-                  "the rounds (linear interpolation); after/before and A/A: median and "
-                  "quartiles over the rounds of the after ratio over the before ratio, and of "
-                  "the second after run's ratio over the first, in the same round",
+                  "and of its ratio to perfbench/reference.py's dense loop (n = 1000 and "
+                  "R = 10,004 rows) or small loop (the others), each with its first and "
+                  "third quartiles over the rounds (linear interpolation); after/before and "
+                  "A/A: median and quartiles over the rounds of the after ratio over the "
+                  "before ratio, and of the second after run's ratio over the first, in the "
+                  "same round",
         "rounds": len(rounds["after"]),
         "quick": args.quick,
         "before_label": args.before_label if args.before else None,

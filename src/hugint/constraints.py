@@ -100,7 +100,8 @@ class ConstraintMap:
         of float rows y of shape (R, n), that the caller has checked already:
         both codimension-1 streams read their midpoints through it, so that a
         stream checks its start once, not every step.  Each row has the bits
-        of :meth:`gradient` at that row alone.
+        of :meth:`gradient` at that row alone.  The rows stream passes NaN rows,
+        and a failed row's unmasked values until its block of steps ends.
 
         The default calls :meth:`gradient`, checks and all, on a point and on
         each row.  A map may override it with its bare closed form; a quadric

@@ -35,10 +35,10 @@ constraint to evaluate the drift with.  The Metropolis kernel in
 of states, reading the same hook on the stack, with each row's bits those
 of :func:`hug_steps` however many rows share the stack; the replicated
 studies step their replicates with it.  It takes the step count and yields
-the steps in blocks of shape (b, R, n), as many steps as
-:data:`ROWS_BLOCK_FLOATS` allows, each block stepped under one numpy error
-state of its own, so that the Python cost of a step is paid once per block
-where it does not shrink with the number of rows.
+the steps in blocks of shape (b, R, n), as many as :data:`ROWS_BLOCK_FLOATS`
+allows, each stepped under one numpy error state of its own and screened
+once, after its last step: a row whose g . g fails at a step is NaN from
+that step on, and the Python cost of both is paid once per block.
 """
 
 from __future__ import annotations
@@ -195,17 +195,17 @@ def hug_steps_rows(
     rows after step j + 1 of the block, the block lengths b adding up to ``steps``.
 
     Each row's result has the bits of :func:`hug_steps` on that row alone:
-    the gradients come from the constraint's ``_gradient`` hook, as in
-    :func:`hug_steps`, and the row dots from ``np.vecdot``, neither of which
-    mixes rows.  A row whose gradient is not finite or vanishes, where
-    :func:`hug_steps` would raise :class:`~hugint.errors.SingularGeometryError`,
-    turns NaN and stays NaN; the other rows carry on.  X and V are converted and checked once, and
-    h V_k is carried from step k to step k + 1, as in :func:`hug_steps`.
-    A block is as long as :data:`ROWS_BLOCK_FLOATS` allows, one step at
-    least, and is stepped under one ``np.errstate(over="ignore")`` that ends
-    before it is yielded, so no overflow warning escapes and the consumer
-    keeps its own error state.  The next block starts from the last rows of
-    this one, which are read-only.
+    the gradients come from the constraint's ``_gradient`` hook and the row
+    dots from ``np.vecdot``, neither of which mixes rows.  A row whose
+    gradient is not finite or vanishes at step j, where :func:`hug_steps`
+    would raise :class:`~hugint.errors.SingularGeometryError`, is NaN from
+    step j on; the others carry on.  X and V are converted and checked once,
+    and h V_k is carried from step to step.  A block holds as many steps as
+    :data:`ROWS_BLOCK_FLOATS` allows, one at least; its steps keep g . g and
+    run unmasked, under one ``np.errstate`` ignoring overflow, invalid and
+    divide, and it is screened once, after its last step.  The error state
+    ends before the yield, so no warning escapes and the consumer keeps its
+    own.  The next block starts from this one's last rows, read-only.
     """
     X = np.asarray(X, dtype=float)
     V = np.asarray(V, dtype=float)
@@ -215,7 +215,9 @@ def hug_steps_rows(
             f"rows, got codim {constraint.codim} and shapes {X.shape} and {V.shape}"
         )
     block = max(1, ROWS_BLOCK_FLOATS // max(1, X.size))
-    h, two = np.array(0.5 * delta), np.array(2.0)
+    h, two, gradient = np.array(0.5 * delta), np.array(2.0), constraint._gradient
+    add, subtract, multiply, divide, sqrt, vecdot = (
+        np.add, np.subtract, np.multiply, np.divide, np.sqrt, np.vecdot)
     HV = h * V
     # Few, large allocations keep glibc from returning heap pages and faulting
     # them back in on every step: the midpoints and unit normals are rewritten
@@ -223,26 +225,28 @@ def hug_steps_rows(
     # R = 10,004 rows a 2,000-step study read 13k page faults at each of five
     # heap layouts, against up to 98k with fresh arrays each step.
     Y, Q = np.empty((2, *X.shape))
+    s = np.empty(len(X))  # each row's sqrt(g . g), then its 2 q . v
+    S = s[:, None]  # s as a column, so that a step makes no view
     for start in range(0, steps, block):
         Xs, Vs = np.empty((2, min(block, steps - start), *X.shape))
-        # one error state per block; a ``with`` spanning the yield would set
-        # the consumer's error state too
-        with np.errstate(over="ignore"):  # an overflowing gradient is a NaN row, as below
-            for X_next, V_next in zip(Xs, Vs):
-                np.add(X, HV, out=Y)
-                G = constraint._gradient(Y)
-                gg = np.vecdot(G, G)
-                # a NaN fails the first test, so NaN rows take the mask; zero rows skip it
-                if not (GRADIENT_FLOOR < np.minimum.reduce(gg, initial=np.inf)
-                        and np.maximum.reduce(gg, initial=0.0) < np.inf):
-                    gg[~(np.isfinite(gg) & (gg > GRADIENT_FLOOR))] = np.nan
+        GG = np.empty(Xs.shape[:2])  # each step's row dots g . g
+        # a ``with`` spanning the yield would set the consumer's error state too
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # 0/0 in a failed row
+            for gg, X_next, V_next in zip(GG, Xs, Vs):
+                add(X, HV, out=Y)
+                G = gradient(Y)
+                sqrt(vecdot(G, G, out=gg), out=s)
                 # V - Q (2 Q.V), written into the step's own arrays and the block
-                np.divide(G, np.sqrt(gg, out=gg)[:, None], out=Q)
-                QV = np.vecdot(Q, V)
-                np.multiply(Q, np.multiply(two, QV, out=QV)[:, None], out=Q)
-                V = np.subtract(V, Q, out=V_next)
-                np.multiply(h, V, out=HV)
-                X = np.add(Y, HV, out=X_next)
+                divide(G, S, out=Q)
+                multiply(two, vecdot(Q, V, out=s), out=s)
+                multiply(Q, S, out=Q)
+                V = subtract(V, Q, out=V_next)
+                multiply(h, V, out=HV)
+                X = add(Y, HV, out=X_next)
+            if not (GRADIENT_FLOOR < np.minimum.reduce(GG, None, initial=np.inf)  # NaN fails
+                    and np.maximum.reduce(GG, None, initial=0.0) < np.inf):
+                failed = np.logical_or.accumulate(~(np.isfinite(GG) & (GG > GRADIENT_FLOOR)))
+                Xs[failed] = Vs[failed] = np.nan  # a NaN x makes every later midpoint NaN
         Xs.flags.writeable = Vs.flags.writeable = False
         yield Xs, Vs
 

@@ -481,12 +481,17 @@ def test_d_max_across_block_boundaries_is_bitwise_the_per_step_loop(rows, length
     reduced once per block, must have the bits of the per-step loop over
     ``np.linalg.norm``, ``oracles.d_max_reference``.  Random unit velocities
     at speed 0.5 stay below the fence; row 1 runs along e2 at speed 1 and
-    turns NaN at step 4, the second step of a block of two."""
+    turns NaN at step 4, the second step of a block of two.  Row 2 runs along
+    e3 at speed 100, about 1 unit a step round the x1-x3 ellipse, so its
+    distance from e1 peaks inside a block, not at the block's last step: a
+    d_max that read only each block's last step would fail the blocks of
+    two, though not the blocks of one step, where the two are the same."""
     constraint = _FencedRows(np.diag(ELLIPSOID_DIAGS[3]))
     x0 = np.eye(3)[0]
     V = np.random.default_rng(34).standard_normal((rows, 3))
     V *= 0.5 / np.linalg.norm(V, axis=1)[:, None]
     V[1] = [0.0, 1.0, 0.0]
+    V[2] = [0.0, 0.0, 100.0]
     stream = hug_steps_rows(constraint, np.broadcast_to(x0, V.shape), V, 0.01, 5)
     assert [len(Xs) for Xs, _ in stream] == lengths
     assert np.isfinite(d_max_reference(constraint, x0, V[1:2], 0.01, 3)).all()

@@ -325,11 +325,11 @@ def test_rows_stream_is_bitwise_the_reference_step(stack, monkeypatch):
     steps, ``oracles.step_rows_reference``, NaN rows included, whether the
     12 steps come as one block or, with ``ROWS_BLOCK_FLOATS`` cut to five
     steps' rows, as blocks of 5, 5 and 2.  In the regular stack every row
-    stays in the plane x_2 = 0, away from the fence, so the stream never
-    masks.  In the singular stack one row crosses the fence at a step j > 1
-    and stays NaN after it, and g . g overflows on two rows (the gradient
-    itself on the second) from the first step; no warning escapes, and
-    numpy's error state is the caller's between yields."""
+    stays in the plane x_2 = 0, away from the fence, so no block's screen
+    finds a failed row.  In the singular stack one row crosses the fence at
+    a step j > 1 and is NaN from step j on, and g . g overflows on two rows
+    (the gradient itself on the second) from the first step; no warning
+    escapes, and numpy's error state is the caller's between yields."""
     constraint = fenced_ellipsoid(0.2)
     rng = np.random.default_rng(22)
     X = rng.standard_normal((5, 3)) * [1.0, 0.0, 1.0]
@@ -362,6 +362,69 @@ def test_rows_stream_is_bitwise_the_reference_step(stack, monkeypatch):
             crossing = np.flatnonzero(~finite[:, 5])
             assert crossing[0] > 1 and np.array_equal(crossing, np.arange(crossing[0], 12))
             assert not finite[:, 6:].any()
+
+
+class _SlabRows(QuadricConstraint):
+    """The 3-D ellipsoid preset whose unchecked gradient of rows is scaled by
+    1e-100 inside the slab 0.03 < x_2 < 0.06: g . g there is about 1e-200,
+    below ``GRADIENT_FLOOR``, yet g / ||g|| is still the finite unit normal,
+    so a row in the slab steps on with finite values unless it is masked."""
+
+    def _gradient(self, Y):
+        G = Y * self._hessian
+        G[(0.03 < Y[:, 1]) & (Y[:, 1] < 0.06)] *= 1e-100
+        return G
+
+
+@pytest.mark.parametrize(
+    "steps_a_block, lengths",
+    [(12, [12]), (4, [4, 4, 4]), (3, [3, 3, 3, 3]), (5, [5, 5, 2])],
+    ids=["one-block", "first", "middle", "last"],
+)
+def test_rows_screen_at_block_edges_is_bitwise_the_reference_step(
+    steps_a_block, lengths, monkeypatch
+):
+    """Row 0 crosses the slab of ``_SlabRows`` in one step: the midpoint of
+    step 5 (index 4) is the only one inside it, so steps 6 on would be
+    regular again.  Its first failing step falls in the middle of the only
+    block, which is also the last, then first in a block of four, in the
+    middle of a block of three and last in a block of five.  Each step has
+    the bits of chained ``oracles.step_rows_reference``, which masks every
+    step; row 0 is NaN from step 5 to the end and the rows in the plane
+    x_2 = 0 stay finite; no warning escapes, and numpy's error state is the
+    caller's between yields."""
+    constraint = _SlabRows(np.diag(ELLIPSOID_DIAGS[3]))
+    rng = np.random.default_rng(42)
+    X = rng.standard_normal((4, 3)) * [1.0, 0.0, 1.0]
+    X /= np.sqrt(np.vecdot(X * [1.0, 4.0, 3.0], X))[:, None]
+    V = rng.standard_normal((4, 3)) * [1.0, 0.0, 1.0]
+    X = np.vstack([[0.96, -0.14, 0.0], X])
+    V = np.vstack([[0.224, 0.384, 0.0], V])
+    plain, midpoints, Xr, Vr = QuadricConstraint(np.diag(ELLIPSOID_DIAGS[3])), [], X, V
+    for _ in range(12):
+        midpoints.append(Xr[0, 1] + 0.05 * Vr[0, 1])
+        Xr, Vr = step_rows_reference(plain, Xr, Vr, 0.1)
+    assert [j for j, y in enumerate(midpoints) if 0.03 < y < 0.06] == [4]
+    expected, Xr, Vr = [], X, V
+    for _ in range(12):
+        Xr, Vr = step_rows_reference(constraint, Xr, Vr, 0.1)
+        expected.append((Xr, Vr))
+    monkeypatch.setattr(integrator, "ROWS_BLOCK_FLOATS", steps_a_block * X.size)
+    errstate = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        blocks = []
+        for pair in hug_steps_rows(constraint, X, V, 0.1, 12):
+            assert np.geterr() == errstate
+            blocks.append(pair)
+    assert [len(Xs) for Xs, _ in blocks] == lengths
+    got = [pair for Xs, Vs in blocks for pair in zip(Xs, Vs)]
+    for (Xs, Vs), (Xr, Vr) in zip(got, expected, strict=True):
+        assert np.array_equal(Xs, Xr, equal_nan=True) and np.array_equal(Vs, Vr, equal_nan=True)
+    Xs, Vs = (np.array(side) for side in zip(*got))
+    assert np.isfinite(Xs[:4]).all() and np.isfinite(Vs[:4]).all()
+    assert np.isnan(Xs[4:, 0]).all() and np.isnan(Vs[4:, 0]).all()
+    assert np.isfinite(Xs[:, 1:]).all() and np.isfinite(Vs[:, 1:]).all()
 
 
 @pytest.mark.parametrize(

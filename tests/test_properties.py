@@ -225,8 +225,8 @@ def test_stream_is_bitwise_the_reference_step(kind, seed, steps):
 @settings(derandomize=True, max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6), steps=st.integers(1, 12))
 def test_rows_stream_is_bitwise_the_reference_rows_step(kind, seed, rows, steps):
-    """``hug_steps_rows`` carries h V_k from one step to the next and skips
-    the NaN mask while every row is regular; each of its K steps, which come
+    """``hug_steps_rows`` carries h V_k from one step to the next and screens
+    g . g once per block, not once per step; each of its K steps, which come
     as one block, must still have the bits of the one-call rows step,
     ``oracles.step_rows_reference``, chained K times.  This compares two BLAS
     routes, ``np.vecdot`` on rows of a block against rows of fresh arrays:
