@@ -65,6 +65,9 @@ whose rounds spread widely shows as one.  The rows:
   start (``BENCH_X0``, ``BENCH_V0``);
 - ``phase_field.sliced3``: one evaluation of the flow field on the sliced
   sphere at n = 3, at CI's codim-2 start;
+- ``reduced_field.portrait63``: one evaluation of the stacked reduced field
+  ``ellipse.reduced_field`` on diag(1, 4) at the ``phase-portrait``
+  experiment's start, its 63 orbits of speed sqrt(2);
 - ``hug_kernel.move``: one ``sampling.hug_kernel`` move on the 2-D
   benchmark quadric at the chain experiment's desk settings (delta 0.1,
   K = 10 steps, an isotropic unit Gaussian velocity), from its start e1 with
@@ -117,7 +120,7 @@ def measure(quick: bool) -> dict:
     sys.path.insert(0, str(ROOT / "perfbench"))
     from reference import dense, small
 
-    from hugint import cli, dynamics, experiments, integrator, projectors, sampling
+    from hugint import cli, dynamics, ellipse, experiments, integrator, projectors, sampling
     from hugint.constraints import QuadricConstraint, SphereConstraint, SphereSlicedConstraint
     from hugint.experiments import (
         BENCH_DIAG, BENCH_V0, BENCH_X0, ELLIPSOID_DIAGS, SHOWCASE_NORMAL_SPEEDS, ExperimentConfig,
@@ -162,6 +165,14 @@ def measure(quick: bool) -> dict:
             f, y = dynamics.phase_field(constraint), np.concatenate([x, v])
             return _best_us(lambda: f(0.0, y), 2 * steps, repeat)
         return timer
+
+    def portrait_field():
+        # run_phase_portrait's 63 starts, stacked as reduced_orbits stacks them
+        speed = float(np.sqrt(2.0))
+        phis, ps = np.linspace(-0.75 * np.pi, 0.75 * np.pi, 7), np.linspace(-speed, speed, 9)
+        f = ellipse.reduced_field(ellipse.EllipseModel(*BENCH_DIAG), speed)
+        y = np.concatenate([np.tile(phis, ps.size), np.repeat(ps, phis.size)])
+        return _best_us(lambda: f(0.0, y), 2 * steps, repeat)
 
     # the chain experiment at desk settings: its start e1, delta 0.1, K 10, walk 0.5
     chain_x, chain_params = np.eye(2)[0], integrator.HugParams(0.1, 10)
@@ -220,6 +231,7 @@ def measure(quick: bool) -> dict:
         "hug_trajectory.sliced1000": (dense, trajectory(sliced1000)),
         "phase_field.quadric2": (small, field(quadric, x, v)),
         "phase_field.sliced3": (small, field(sliced3, sliced_x, sliced_v)),
+        "reduced_field.portrait63": (small, portrait_field),
         "hug_kernel.move": (small, kernel_move),
         "run_chain.iteration": (small, chain_iteration),
         "cli.main.sphere_tail": (small, cli_main),

@@ -41,7 +41,7 @@ import numpy as np
 from .constraints import ConstraintMap
 from .errors import DimensionError, ReferenceSolveError, StudyFailedError
 from .integrator import HugParams, PhaseState, hug_trajectory
-from .projectors import _gradient_norm2, normal_qr
+from .projectors import _gradient_norm2, _inverse, normal_qr
 
 #: (rtol, atol) of the coarse and the fine DOP853 solve behind every
 #: reference solution; the fine one is returned.
@@ -112,27 +112,49 @@ def phase_field(constraint: ConstraintMap):
     dv/dt takes one Hessian contraction along w = v_par - v_perp, and T u is
     u - Q (Q^T u).  A state of the wrong shape or a contraction not of shape
     (m, n) raises :class:`~hugint.errors.DimensionError`.
+
+    Each call writes dx/dt and dv/dt into the two halves of one new array,
+    which the solver keeps as its derivative.  The hooks and ufuncs are
+    bound once, when the field is built.  At codim 1 the scalars ||g||^2,
+    ||g|| and the four dots enter in turn through one reused 0-d array, so
+    one field is not for two threads at once.  Above it R^{-1} comes from
+    the LAPACK gufunc behind ``np.linalg.inv``, without its wrapper, and the
+    products are ``ndarray.dot``.  Every bit is that of the plain form:
+    numpy-float operands, ``np.linalg.inv``, ``@`` and one ``np.concatenate``.
     """
     n = constraint.ambient_dim
     shape = (2 * n,)
+    contract = constraint.hessian_contraction
+    multiply, subtract = np.multiply, np.subtract
     if constraint.codim == 1:
+        gradient, norm2, sqrt, divide = constraint._gradient, _gradient_norm2, math.sqrt, np.divide
+        scalar = np.empty(())  # a faster operand than a Python or numpy float, with the same bits
 
         def field(t: float, y: np.ndarray) -> np.ndarray:
             if y.shape != shape:
                 raise DimensionError(f"expected a state of shape {shape}, got {y.shape}")
             x, v = y[:n], y[n:]
-            g = constraint._gradient(x)  # x has shape (n,): y's shape is checked
-            ng2 = _gradient_norm2(g, x)
-            q, p = g / math.sqrt(ng2), g / ng2
-            v_perp = q * q.dot(v)
-            v_par = v - v_perp
-            S = constraint.hessian_contraction(x, v_par - v_perp)
+            g = gradient(x)  # x has shape (n,): y's shape is checked
+            ng2 = norm2(g, x)
+            scalar[()] = ng2
+            p = divide(g, scalar)
+            scalar[()] = sqrt(ng2)
+            q = divide(g, scalar)
+            scalar[()] = q.dot(v)
+            v_perp = multiply(q, scalar)
+            out = np.empty(shape)  # new on every call: the solver keeps it
+            v_par = subtract(v, v_perp, out[:n])
+            S = contract(x, v_par - v_perp)
             if S.shape != (1, n):  # S[0] of an (n,) contraction would broadcast a scalar
                 raise DimensionError(f"Hessian contraction of shape {S.shape}, expected (1, {n})")
             s = S[0]
-            u = s * p.dot(v_perp)
-            dv = (u - q * q.dot(u)) - p * s.dot(v_par)
-            return np.concatenate([v_par, dv])
+            scalar[()] = p.dot(v_perp)
+            u = multiply(s, scalar)
+            scalar[()] = q.dot(u)
+            u_par = subtract(u, multiply(q, scalar))
+            scalar[()] = s.dot(v_par)
+            subtract(u_par, multiply(p, scalar), out[n:])  # dv/dt
+            return out
 
         return field
 
@@ -141,15 +163,17 @@ def phase_field(constraint: ConstraintMap):
             raise DimensionError(f"expected a state of shape {shape}, got {y.shape}")
         x, v = y[:n], y[n:]
         Q, R = normal_qr(constraint, x)
-        pseudo = Q @ np.linalg.inv(R).T  # R is m-by-m with m small
-        v_perp = Q @ (Q.T @ v)
-        v_par = v - v_perp
-        S = constraint.hessian_contraction(x, v_par - v_perp)
-        if S.shape != Q.T.shape:  # (m, n); a wrong one would meet numpy's bare matmul error
-            raise DimensionError(f"Hessian contraction of shape {S.shape}, expected {Q.T.shape}")
-        u = S.T @ (pseudo.T @ v_perp)
-        dv = (u - Q @ (Q.T @ u)) - pseudo @ (S @ v_par)
-        return np.concatenate([v_par, dv])
+        Qt = Q.T
+        pseudo = Q.dot(_inverse(R).T)  # R is m-by-m with m small
+        v_perp = Q.dot(Qt.dot(v))
+        out = np.empty(shape)  # new on every call: the solver keeps it
+        v_par = subtract(v, v_perp, out[:n])
+        S = contract(x, v_par - v_perp)
+        if S.shape != Qt.shape:  # (m, n); a wrong one would meet numpy's bare dot error
+            raise DimensionError(f"Hessian contraction of shape {S.shape}, expected {Qt.shape}")
+        u = S.T.dot(pseudo.T.dot(v_perp))
+        subtract(subtract(u, Q.dot(Qt.dot(u))), pseudo.dot(S.dot(v_par)), out[n:])  # dv/dt
+        return out
 
     return field
 

@@ -149,16 +149,36 @@ def tangential_speed(model: EllipseModel, x: np.ndarray, v: np.ndarray) -> float
 
 def reduced_field(model: EllipseModel, speed: float):
     """Return field(t, y) for m stacked reduced orbits of one speed,
-    y = (phi_1..m, p_1..m); a single orbit is y = (phi, p)."""
-    root_ab = np.sqrt(model.a * model.b)
+    y = (phi_1..m, p_1..m); a single orbit is y = (phi, p).
+
+    Each call writes dphi/dt and dp/dt into the two halves of one new array,
+    which the solver keeps, with the ufuncs bound once, when the field is
+    built, and (1/2) sqrt(ab) (a - b) folded into one constant, as the
+    expression's left-to-right product forms it: every bit is that of
+    the two components written as one expression each.
+    """
+    a, b = model.a, model.b
+    root_ab = np.sqrt(a * b)
+    half_root_ab_gap = 0.5 * root_ab * (a - b)
     c2 = speed**2
+    cos, sin, sqrt, square, power = np.cos, np.sin, np.sqrt, np.square, np.power
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
 
     def field(t: float, y: np.ndarray) -> np.ndarray:
-        phi, p = y.reshape(2, -1)
-        mu = model.mu(phi)
-        dphi = root_ab * p / np.sqrt(mu)
-        dp = 0.5 * root_ab * (model.a - model.b) * np.sin(2.0 * phi) * (c2 - p**2) / mu**1.5
-        return np.concatenate([dphi, dp])
+        m = y.size // 2  # an odd size meets a broadcast error below
+        phi, p = y[:m], y[m:]
+        out = np.empty(y.shape)  # new on every call: the solver keeps it
+        mu = cos(phi)  # mu = a cos^2 + b sin^2, each term formed in place
+        multiply(a, square(mu, mu), mu)
+        b_sin2 = sin(phi)
+        add(mu, multiply(b, square(b_sin2, b_sin2), b_sin2), mu)
+        divide(multiply(root_ab, p), sqrt(mu), out[:m])  # dphi/dt
+        lead = sin(multiply(2.0, phi))
+        multiply(half_root_ab_gap, lead, lead)
+        c2_p2 = square(p)
+        multiply(lead, subtract(c2, c2_p2, c2_p2), lead)
+        divide(lead, power(mu, 1.5), out[m:])  # dp/dt
+        return out
 
     return field
 

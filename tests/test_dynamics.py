@@ -19,6 +19,7 @@ from hugint.dynamics import (
     phase_field,
     reference_solve,
 )
+from hugint.ellipse import EllipseModel, reduced_field
 from hugint.errors import DimensionError, StudyFailedError
 from hugint.integrator import PhaseState, hug_trajectory, HugParams
 from hugint.projectors import normal_qr
@@ -113,6 +114,23 @@ def test_phase_field_is_bitwise_the_bundle_route(name):
         if constraint.codim > 1:
             flipped += bool((np.diag(normal_qr(constraint, x)[1]) < 0.0).any())
     assert constraint.codim == 1 or flipped > 0
+
+
+@pytest.mark.parametrize("make, y", [
+    (lambda: phase_field(BENCH), np.concatenate([BENCH_STATE.x, BENCH_STATE.v])),
+    (lambda: phase_field(SphereSlicedConstraint(3)), np.concatenate([SLICED_STATE.x, SLICED_STATE.v])),
+    (lambda: reduced_field(EllipseModel(1.0, 4.0), np.sqrt(2.0)), np.array([0.3, -0.2, 0.5, 1.1])),
+], ids=["codim1", "codim-m", "reduced"])
+def test_field_returns_a_new_array_each_call(make, y):
+    """DOP853 keeps the array a field returns as its derivative at that
+    state, so each call must return a new array, shared with neither the
+    state nor the last call's result, which the next call leaves as it was."""
+    field = make()
+    first = field(0.0, y)
+    kept = first.copy()
+    second = field(0.0, 1.01 * y)
+    assert not np.shares_memory(first, y) and not np.shares_memory(first, second)
+    assert np.array_equal(first, kept) and not np.array_equal(second, kept)
 
 
 class _ContractionOfShape(ConstraintMap):

@@ -15,6 +15,7 @@ from hugint.ellipse import (
     EllipseModel,
     ReducedState,
     classify,
+    reduced_field,
     reduced_orbits,
     tangential_speed,
     to_reduced,
@@ -183,6 +184,39 @@ def test_reduced_derivative_matches_solve():
     fd = (ys[2] - ys[0]) / (2 * h)
     assert np.isclose(dphi, fd[0], atol=1e-9)
     assert np.isclose(dp, fd[1], atol=1e-9)
+
+
+def _reduced_field_expression(model, speed):
+    """The reduced field as one expression per component, the form that the
+    package's field must keep the bits of."""
+    root_ab = np.sqrt(model.a * model.b)
+    c2 = speed**2
+
+    def field(t, y):
+        phi, p = y.reshape(2, -1)
+        mu = model.a * np.cos(phi) ** 2 + model.b * np.sin(phi) ** 2
+        dphi = root_ab * p / np.sqrt(mu)
+        dp = 0.5 * root_ab * (model.a - model.b) * np.sin(2.0 * phi) * (c2 - p**2) / mu**1.5
+        return np.concatenate([dphi, dp])
+
+    return field
+
+
+@pytest.mark.parametrize("orbits", [1, 63])
+@pytest.mark.parametrize("a, b", [(1.0, 4.0), (4.0, 1.0), (1.613, 9.497), (2.5, 0.3)])
+def test_reduced_field_is_bitwise_its_expression(a, b, orbits):
+    """The field folds 0.5 sqrt(ab) (a - b) into one constant, as the
+    expression's left-to-right evaluation forms it, and writes both
+    components into one array: every bit must be the expression's, on the
+    portrait's start grid (at m = 63) and on random states, for a < b and a > b."""
+    model = EllipseModel(a, b)
+    field, expression = reduced_field(model, SPEED), _reduced_field_expression(model, SPEED)
+    phis, ps = np.linspace(-0.75 * np.pi, 0.75 * np.pi, 7), np.linspace(-SPEED, SPEED, 9)
+    grid = np.concatenate([np.tile(phis, 9), np.repeat(ps, 7)])
+    rng = np.random.default_rng(53)
+    states = [rng.uniform([-7.0, -SPEED], [7.0, SPEED], (orbits, 2)).T.ravel() for _ in range(50)]
+    for y in ([grid] if orbits == 63 else []) + states:
+        assert np.array_equal(field(0.0, y), expression(0.0, y))
 
 
 def test_classification_criterion():
