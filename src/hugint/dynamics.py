@@ -41,7 +41,7 @@ import numpy as np
 from .constraints import ConstraintMap
 from .errors import DimensionError, ReferenceSolveError, StudyFailedError
 from .integrator import HugParams, PhaseState, hug_trajectory
-from .projectors import _gradient_norm2, _inverse, normal_qr
+from .projectors import _gradient_norm2, normal_qr
 
 #: (rtol, atol) of the coarse and the fine DOP853 solve behind every
 #: reference solution; the fine one is returned.
@@ -113,20 +113,19 @@ def phase_field(constraint: ConstraintMap):
     u - Q (Q^T u).  A state of the wrong shape or a contraction not of shape
     (m, n) raises :class:`~hugint.errors.DimensionError`.
 
-    Each call writes dx/dt and dv/dt into the two halves of one new array,
-    which the solver keeps as its derivative.  The hooks and ufuncs are
-    bound once, when the field is built.  At codim 1 the scalars ||g||^2,
-    ||g|| and the four dots enter in turn through one reused 0-d array, so
-    one field is not for two threads at once.  Above it R^{-1} comes from
-    the LAPACK gufunc behind ``np.linalg.inv``, without its wrapper, and the
-    products are ``ndarray.dot``.  Every bit is that of the plain form:
-    numpy-float operands, ``np.linalg.inv``, ``@`` and one ``np.concatenate``.
+    Each call returns a new array, which the solver keeps as its derivative.
+    At codim 1 the hooks and ufuncs are bound once, when the field is built,
+    dx/dt and dv/dt are written into the two halves of one new array, and
+    ||g||^2, ||g|| and the four dots enter in turn through one reused 0-d
+    array, so one field is not for two threads at once.  Every bit is that
+    of the plain form, which the codim-m branch is: numpy-float operands,
+    ``np.linalg.inv``, ``@`` and one ``np.concatenate``.
     """
     n = constraint.ambient_dim
     shape = (2 * n,)
     contract = constraint.hessian_contraction
-    multiply, subtract = np.multiply, np.subtract
     if constraint.codim == 1:
+        multiply, subtract = np.multiply, np.subtract
         gradient, norm2, sqrt, divide = constraint._gradient, _gradient_norm2, math.sqrt, np.divide
         scalar = np.empty(())  # a faster operand than a Python or numpy float, with the same bits
 
@@ -163,17 +162,14 @@ def phase_field(constraint: ConstraintMap):
             raise DimensionError(f"expected a state of shape {shape}, got {y.shape}")
         x, v = y[:n], y[n:]
         Q, R = normal_qr(constraint, x)
-        Qt = Q.T
-        pseudo = Q.dot(_inverse(R).T)  # R is m-by-m with m small
-        v_perp = Q.dot(Qt.dot(v))
-        out = np.empty(shape)  # new on every call: the solver keeps it
-        v_par = subtract(v, v_perp, out[:n])
+        pseudo = Q @ np.linalg.inv(R).T  # R is m-by-m with m small
+        v_perp = Q @ (Q.T @ v)
+        v_par = v - v_perp
         S = contract(x, v_par - v_perp)
-        if S.shape != Qt.shape:  # (m, n); a wrong one would meet numpy's bare dot error
-            raise DimensionError(f"Hessian contraction of shape {S.shape}, expected {Qt.shape}")
-        u = S.T.dot(pseudo.T.dot(v_perp))
-        subtract(subtract(u, Q.dot(Qt.dot(u))), pseudo.dot(S.dot(v_par)), out[n:])  # dv/dt
-        return out
+        if S.shape != Q.T.shape:  # (m, n); a wrong one would meet numpy's bare matmul error
+            raise DimensionError(f"Hessian contraction of shape {S.shape}, expected {Q.T.shape}")
+        u = S.T @ (pseudo.T @ v_perp)
+        return np.concatenate([v_par, u - Q @ (Q.T @ u) - pseudo @ (S @ v_par)])
 
     return field
 

@@ -48,6 +48,7 @@ class ReferenceSolveError(HugError):
 
 
 class StudyFailedError(HugError):
-    """Raised when a study's runs leave nothing to summarize: every replicate
-    of a replicated study fails numerically, or too few errors of a
-    convergence study sit above the roundoff floor to fit an order."""
+    """Raised when a study's runs leave nothing to summarize: fewer than two
+    replicates of a replicated study survive numerically, or none of them
+    moves, or too few errors of a convergence study sit above the roundoff
+    floor to fit an order."""

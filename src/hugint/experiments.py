@@ -245,12 +245,14 @@ def ecdf_points(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Empirical CDF of values as a fraction of their maximum.
 
     Returns (sorted fractions, cumulative probabilities); the ECDF rises from
-    1/N at the smallest fraction to exactly 1 at fraction 1.
+    1/N at the smallest fraction to exactly 1 at fraction 1.  ValueError when
+    there are no values or the largest is not positive.
     """
     values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("need at least one value")
-    fractions = np.sort(values / values.max())
+    top = values.max(initial=0.0)  # 0 for no values
+    if not top > 0.0:  # no values, or fractions that would be 0/0 or change sign
+        raise ValueError(f"need a positive largest value, got {top} of {values.size} values")
+    fractions = np.sort(values / top)
     return fractions, np.arange(1, values.size + 1) / values.size
 
 
@@ -484,8 +486,9 @@ def _scatter_study(
     showcase_speeds: tuple[float, ...] = (),
 ) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """(v_perp_norms, d_max values, failed count, showcase d_max values) over
-    random unit velocities; :class:`~hugint.errors.StudyFailedError` when every
-    replicate fails.
+    random unit velocities; :class:`~hugint.errors.StudyFailedError` when
+    fewer than two replicates survive, which the ECDF's spread and the rank
+    correlation need, or when no survivor moves from x0 (every d_max 0).
 
     d_max is max_k ||x_k - x0|| over the hug trajectory from (x0, v), all
     rows stepped together by :func:`_d_max_rows`; a row that hits singular
@@ -507,9 +510,14 @@ def _scatter_study(
         row[:] = _showcase_velocity(q, x0, s)
     d_all = _d_max_rows(constraint, x0, V, config.delta, config.steps)
     d_max, d_showcase = d_all[:R], d_all[R:]
-    failed = int(np.sum(~np.isfinite(d_max)))
+    ok = np.isfinite(d_max)
+    failed = int(np.sum(~ok))
     if failed == d_max.size:
         raise StudyFailedError(f"all {failed} replicates hit singular or non-finite geometry")
+    if failed == d_max.size - 1:
+        raise StudyFailedError(f"only 1 of {d_max.size} replicates survived; the study needs two")
+    if d_max[ok].max() == 0.0:
+        raise StudyFailedError("no replicate moved from x0: every d_max is 0")
     return v_perp, d_max, failed, d_showcase
 
 
@@ -575,11 +583,12 @@ def run_ecdf(config: ExperimentConfig) -> dict:
     summary: dict = {
         "delta": config.delta, "steps": config.steps, "replicates": config.replicates, "dims": {}
     }
+    # both studies run before either CSV is written, so that a refused one leaves no file
+    studies = {dim: _scatter_study(QuadricConstraint(np.diag(ELLIPSOID_DIAGS[dim])),
+                                   np.eye(dim)[0], config, config.seed + dim)[1:3]
+               for dim in (3, 6)}
     means = {}
-    for dim in (3, 6):
-        constraint = QuadricConstraint(np.diag(ELLIPSOID_DIAGS[dim]))
-        x0 = np.eye(dim)[0]
-        _, d_max, failed, _ = _scatter_study(constraint, x0, config, config.seed + dim)
+    for dim, (d_max, failed) in studies.items():
         fractions = _write_ecdf(os.path.join(config.out, f"ecdf_n{dim}.csv"), d_max)
         mean = float(fractions.mean())
         stderr = float(fractions.std(ddof=1) / np.sqrt(fractions.size))

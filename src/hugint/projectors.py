@@ -11,11 +11,10 @@ checked thin QR factorization J^T = Q R with the column signs as it leaves
 them.  The factor calls the two LAPACK gufuncs that ``np.linalg.qr`` calls
 (``numpy.linalg._umath_linalg.qr_r_raw`` and ``qr_reduced``) directly: for
 an n-by-m matrix with m small most of ``np.linalg.qr``'s time is its Python
-wrapper, and the gufuncs give the same Q and R bit for bit; the flow
-field's R^{-1} calls the one behind ``np.linalg.inv``
-(``_umath_linalg.inv``), and g . g at codimension 1 numpy's C ``vdot``
-(``constraints._vdot``), for the same reason.  The hug step reflects through Q alone; the flow field takes the
-same Q and forms J^+.
+wrapper, and the gufuncs give the same Q and R bit for bit; g . g at
+codimension 1 calls numpy's C ``vdot`` (``constraints._vdot``) for the same
+reason.  The hug step reflects through Q alone; the flow field takes the
+same Q and forms J^+ with ``np.linalg.inv``.
 N = Q Q^T and T = I - Q Q^T are applied matrix-free, at O(n m) cost; the
 dense projectors, the derivative of N, the reflection through a basis and
 the pair (Q, J^+) as (n, m) matrices are test oracles (``tests/oracles.py``).
@@ -68,18 +67,6 @@ def _householder_qr(a: np.ndarray) -> np.ndarray:
     error state; leaves R in the top m rows of ``a``, on and above the diagonal."""
     tau = _umath_linalg.qr_r_raw(a, signature="d->d")
     return _umath_linalg.qr_reduced(a, tau, signature="dd->d")
-
-
-def _raise_singular_error(err, flag):
-    """numpy's report of a singular matrix, as ``np.linalg.inv`` raises it."""
-    raise LinAlgError("Singular matrix")
-
-
-@np.errstate(call=_raise_singular_error, invalid="call", over="ignore", divide="ignore", under="ignore")
-def _inverse(a: np.ndarray) -> np.ndarray:
-    """``np.linalg.inv`` of the float (m, m) array ``a``: the LAPACK gufunc
-    it calls, under its error state, without its Python wrapper."""
-    return _umath_linalg.inv(a, signature="d->d")
 
 
 @functools.cache

@@ -192,6 +192,19 @@ TABLE = {
          {"delta": delta}, 3, "all 5 replicates hit singular or non-finite geometry")
         for delta, suffix in [(1e300, ""), (1e308, "-1e308")]
         for experiment in ["ecdf", "ellipsoid"]],
+    # at delta 3.16e153 one of the two 6-D replicates overflows and one survives:
+    # the ECDF's stderr and the rank correlation need two
+    "test_main_exit_3_when_fewer_than_two_replicates_survive": [
+        (experiment, argv + ["--replicates", "2", "--steps", "1", "--delta", "3.16e153"], None, 3,
+         "numerical failure: only 1 of 2 replicates survived; the study needs two\n")
+        for experiment, argv in [("ecdf", ["ecdf"]),
+                                 ("ellipsoid", ["ellipsoid", "--dim", "6", "--seed", "6"])]],
+    # at delta 1e-300 every squared displacement underflows to 0: the ECDF's
+    # fractions would be 0/0
+    "test_main_exit_3_when_no_replicate_moves": [
+        (experiment, [experiment, "--replicates", "5", "--steps", "2", "--delta", "1e-300"],
+         None, 3, "numerical failure: no replicate moved from x0: every d_max is 0\n")
+        for experiment in ["ecdf", "ellipsoid"]],
     "test_main_exit_3_on_overflowing_gradient": [
         (None, ["foldback"], {"delta": delta}, 3,
          f"numerical failure: singular geometry at x=array([6.61437828e+{e}, 2.50000000e+{e}]) "

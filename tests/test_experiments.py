@@ -169,6 +169,15 @@ def test_ecdf_points_shape_and_limits():
         ecdf_points(np.array([]))
 
 
+@pytest.mark.parametrize("values", [[0.0, 0.0, 0.0], [-2.0, -1.0], [np.nan, 1.0]],
+                         ids=["zeros", "negative", "nan"])
+def test_ecdf_points_refuses_a_largest_value_not_positive(values):
+    """Fractions of a largest value that is not positive would be 0/0, with
+    numpy's RuntimeWarning (an error under this suite), or change sign."""
+    with pytest.raises(ValueError, match="need a positive largest value"):
+        ecdf_points(np.array(values))
+
+
 @pytest.mark.parametrize("n", [3, 10, 500])
 @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "tied"])
 def test_spearman_rho_matches_scipy(n, ties):
